@@ -7,7 +7,7 @@ time stamps and snapshots are reconstructible for every step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -312,10 +312,6 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
     return None
 
 
-def mark_projected(view: GraphView) -> GraphView:
-    return replace(view, projected=True)
-
-
 # --- edge-list text format ----------------------------------------------
 #
 # One record per line:
@@ -335,7 +331,7 @@ def dumps_edge_list(seq: GraphSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_edge_list(text: str, origin: int = None) -> GraphSequence:
+def loads_edge_list(text: str, origin: Optional[int] = None) -> GraphSequence:
     """Parse the edge-list format into a sequence.
 
     Raw times may be arbitrary integers (e.g. years); they are shifted so the

@@ -23,9 +23,9 @@ from .graph_core import (
     GraphSequence,
     snapshot,
 )
-from .mechanisms import MECHANISMS, MechanismConfig, release
+from .mechanisms import MECHANISMS, MechanismConfig, _true_values, release
 from .projection import ProjectionThresholds
-from .statistics import StatisticQuery, evaluate
+from .statistics import StatisticQuery
 
 CSV_COLUMNS = (
     "dataset",
@@ -213,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig):
         and not candidates
     ):
         candidates = tuple(default_projection_grid(seq, cfg.bound_granularity))
-    truth = [float(evaluate(query, snapshot(seq, t))) for t in range(1, horizon + 1)]
+    truth = _true_values(seq, query)
 
     rows = []
     summaries = []

@@ -64,15 +64,12 @@ class MechanismConfig:
 class ReleaseSeries:
     """One mechanism run: estimates of f(G_1..G_T) plus bookkeeping.
 
-    `increments` holds whatever was actually noised (difference-sequence
-    entries for sensdiff, raw releases for the composition baselines);
-    `estimates` are the released values.  For histogram queries both hold
+    `estimates` are the released values.  For histogram queries they are
     per-step dense arrays over bins 0..degree bound.
     """
 
     mechanism: str
     estimates: tuple
-    increments: tuple
     noise_scale: float
     sensitivity: SensitivityReport
     thresholds: Optional[ProjectionThresholds] = None
@@ -102,7 +99,7 @@ def _check_bounds(seq: GraphSequence, bounds: DegreeBounds) -> None:
         )
 
 
-def _bin_count(query: StatisticQuery, bounds) -> int:
+def _bin_count(bounds) -> int:
     limit = bounds.d_out if bounds.is_directed else bounds.d
     return limit + 1
 
@@ -138,23 +135,22 @@ def sensdiff_release(
     report = diff_sequence_sensitivity(query, bounds)
     scale = 0.0 if config.zero_noise else report.value / config.epsilon
     rng = config.rng(0)
-    truth = _true_values(seq, query, _bin_count(query, bounds))
+    truth = _true_values(seq, query, _bin_count(bounds))
     increments = []
-    prev = 0.0 if query.is_scalar else np.zeros(_bin_count(query, bounds))
+    prev = 0.0 if query.is_scalar else np.zeros(_bin_count(bounds))
     for val in truth:
         diff = val - prev
         size = None if query.is_scalar else diff.shape
         increments.append(diff + laplace_sample(rng, scale, size))
         prev = val
     estimates = []
-    acc = 0.0 if query.is_scalar else np.zeros(_bin_count(query, bounds))
+    acc = 0.0 if query.is_scalar else np.zeros(_bin_count(bounds))
     for inc in increments:
         acc = acc + inc
         estimates.append(acc)
     return ReleaseSeries(
         mechanism="sensdiff",
         estimates=tuple(estimates),
-        increments=tuple(increments),
         noise_scale=scale,
         sensitivity=report,
     )
@@ -177,7 +173,6 @@ def compose_bounded_release(
     return ReleaseSeries(
         mechanism="compose_bounded",
         estimates=estimates,
-        increments=estimates,
         noise_scale=scale,
         sensitivity=report,
     )
@@ -227,7 +222,6 @@ def compose_projection_release(
     return ReleaseSeries(
         mechanism="compose_projection",
         estimates=released,
-        increments=released,
         noise_scale=scale,
         sensitivity=report,
         thresholds=cand,

@@ -19,9 +19,25 @@ Two search engines are provided:
   are scored with vectorized bit arithmetic.  Triangle scoring fixes all
   arrivals at t=1: shifting arrival times only redistributes a copy's
   appearance step, which the naive cross-check confirms at small budgets.
+
+The pruned degree sweep scores out-degrees only (for undirected bounds, the
+degree).  Transposing a digraph maps (d_in, d_out)-capped sequences and
+additions one-to-one onto (d_out, d_in)-capped ones and in-stars onto
+out-stars, so the in-star answers of a directed bound are the out-star
+answers of the transposed bound's sweep.  Transposition also preserves
+directed 3-cycle and transitive-triangle counts, so each directed triangle
+sweep runs in its d_out <= d_in orientation, which enumerates fewer masks.
+
+A node profile is packed into one int64 code, low bits first: the arrival
+step (``t_max.bit_length()`` bits), then one field per step of the
+out-degree trajectory (``min(cap, n_max - 1).bit_length()`` bits each, cap
+being d_out or D), then the spare out-degree and spare in-degree flags.
+Budgets whose code would need more than 63 bits raise
+``BudgetTooLargeError`` before any enumeration.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from math import comb
@@ -33,9 +49,6 @@ from .graph_core import DegreeBounds, build_view
 from .statistics import StatisticQuery, evaluate, histogram_distance
 
 _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
-_SWEEP_CACHE: dict = {}
-_TRIANGLE_CACHE: dict = {}
 
 
 def _query_key(query: StatisticQuery):
@@ -67,6 +80,10 @@ def oracle_diff_sensitivity(
     key = _query_key(query)
     if key[0] in ("triangle", "triangle_i", "triangle_ii"):
         return _triangle_sweep(bounds, n_max)[key]
+    if key[0] == "in_k_star" and bounds.is_directed:
+        # In-stars of a digraph are the out-stars of its transpose.
+        bounds = DegreeBounds.directed(bounds.d_out, bounds.d_in)
+        key = ("out_k_star", key[1])
     results = _degree_sweep(bounds, n_max, t_max, max_k=max(3, query.k or 0))
     if key not in results:
         raise UnsupportedQueryError(f"oracle does not cover {query.label()}")
@@ -231,42 +248,53 @@ def _undirected_graphs(n, cap):
 # --- pruned engine: degree-determined statistics -------------------------
 
 
-_SEND_BIT = 1 << 20
-_RECV_BIT = 1 << 21
+def _profile_layout(bounds, n_max, t_max):
+    """Bit layout of a profile code: (arrival bits, step bits, flag shift).
+
+    Raises BudgetTooLargeError when the fields do not fit in an int64.
+    """
+    _, cap = _cap_limits(bounds)
+    arrival_bits = t_max.bit_length()
+    step_bits = min(cap, n_max - 1).bit_length()
+    flag_shift = arrival_bits + t_max * step_bits
+    if flag_shift + 2 > 63:
+        raise BudgetTooLargeError(
+            f"t_max={t_max} at n_max={n_max} needs a {flag_shift + 2}-bit "
+            "profile code, above 63 bits"
+        )
+    return arrival_bits, step_bits, flag_shift
 
 
-def _decode_profile(code, t_max):
-    """Unpack one node's code: arrival, trajectories, spare-capacity flags."""
+def _decode_profile(code, t_max, layout):
+    """Unpack one node's code: arrival, trajectory, spare-capacity flags."""
+    arrival_bits, step_bits, flag_shift = layout
     code = int(code)
-    t_v = code & 3
-    out_traj = tuple((code >> (2 + 3 * t)) & 7 for t in range(t_max))
-    in_traj = tuple((code >> (11 + 3 * t)) & 7 for t in range(t_max))
-    return t_v, out_traj, in_traj, bool(code & _SEND_BIT), bool(code & _RECV_BIT)
+    t_v = code & ((1 << arrival_bits) - 1)
+    traj = tuple(
+        (code >> (arrival_bits + step_bits * t)) & ((1 << step_bits) - 1)
+        for t in range(t_max)
+    )
+    return t_v, traj, bool(code >> flag_shift & 1), bool(code >> flag_shift & 2)
 
 
-def _signature_rows(directed, bounds, n, t_max, side):
+def _signature_rows(bounds, n, t_max, layout):
     """Unique attachment-relevant signatures over all capped sequences.
 
-    Signatures serve one degree direction at a time (`side`): the out-side
-    pass keeps senders' out-degree trajectories and reduces every potential
-    receiver to its arrival time; the in-side pass is the mirror image.
-    Only nodes with spare capacity can touch the added node, so saturated
-    nodes are dropped.  Both reductions are lossless for the per-side maxima.
+    Senders keep their out-degree trajectories; every potential receiver is
+    reduced to its arrival time.  Only nodes with spare capacity can touch
+    the added node, so saturated nodes are dropped.  Both reductions are
+    lossless for the out-side maxima.
     """
+    arrival_bits, step_bits, flag_shift = layout
     cap_in, cap_out = _cap_limits(bounds)
-    if directed:
+    if bounds.is_directed:
         out, inmask = _directed_graphs(n, cap_in, cap_out)
         can_send = _POP[out] < cap_out       # spare out-degree
         can_recv = _POP[inmask] < cap_in     # spare in-degree
     else:
         out = _undirected_graphs(n, bounds.d)
-        inmask = None
-        can_send = _POP[out] < bounds.d
-        can_recv = can_send
-    flags = can_send * np.int64(_SEND_BIT) + can_recv * np.int64(_RECV_BIT)
-    mask = out if side == "out" else inmask
-    keep = can_send if side == "out" else can_recv
-    shift = 2 if side == "out" else 11
+        can_send = can_recv = _POP[out] < bounds.d
+    flags = (can_send + 2 * can_recv).astype(np.int64) << flag_shift
     chunks = []
     for times in itertools.combinations_with_replacement(range(1, t_max + 1), n):
         present = [
@@ -276,11 +304,11 @@ def _signature_rows(directed, bounds, n, t_max, side):
         arrived = np.array(times)[None, :]
         traj_part = np.zeros(out.shape, dtype=np.int64)
         for t in range(1, t_max + 1):
-            deg = np.where(arrived <= t, _POP[mask & present[t - 1]], 0)
-            traj_part |= deg.astype(np.int64) << (shift + 3 * (t - 1))
+            deg = np.where(arrived <= t, _POP[out & present[t - 1]], 0)
+            traj_part |= deg.astype(np.int64) << (arrival_bits + step_bits * (t - 1))
         sig = np.where(
             can_send | can_recv,
-            arrived + traj_part * keep + flags,
+            arrived + traj_part * can_send + flags,
             0,
         )
         sig.sort(axis=1)
@@ -292,7 +320,7 @@ def _sub_multiset_closure(rows):
     """Every sub-multiset of every signature row, deduplicated.
 
     Dropping one element at a time (vectorized: zero it out, re-sort, unique)
-    five times reaches all sizes; zeros pad short rows.
+    once per row position reaches all sizes; zeros pad short rows.
     """
     levels = [rows]
     cur = rows
@@ -411,14 +439,14 @@ def _histogram_distance_local(base, bumped, vstar, t_max):
     return sum(abs(v) for v in delta.values())
 
 
-def _eval_side(tstar, affected, peer_times, t_max, taus, ks):
-    """Distances for one degree direction of an attachment configuration.
+def _eval_side(tstar, affected, peer_times, t_max, taus, ks, star):
+    """Distances for the out side of an attachment configuration.
 
     `affected` lists (arrival, trajectory) of existing nodes gaining one
     incident edge at max(tstar, arrival); `peer_times` are the attach times
-    of the new node's other-side edges, which fully determine its own
-    trajectory in this direction.  Everything a threshold count, histogram,
-    or star count of this direction can see is exactly that.
+    of the new node's own out-edges, which fully determine its own
+    trajectory.  Everything a threshold count, histogram, or star count of
+    out-degrees can see is exactly that.
     """
     bumped = [
         (tv, _shift_traj(traj, tv, max(tstar, tv), t_max))
@@ -430,33 +458,31 @@ def _eval_side(tstar, affected, peer_times, t_max, taus, ks):
     )
     results = {}
     for tau in taus:
-        results[("threshold", tau)] = _threshold_distance(
+        results[("high_degree", tau)] = _threshold_distance(
             affected, bumped, vstar, tau, t_max
         )
-    results[("hist",)] = _histogram_distance_local(affected, bumped, vstar, t_max)
+    results[("degree_histogram",)] = _histogram_distance_local(
+        affected, bumped, vstar, t_max
+    )
     for k in ks:
-        results[("star", k)] = _star_distance(affected, bumped, vstar, k, t_max)
+        results[(star, k)] = _star_distance(affected, bumped, vstar, k, t_max)
     return results
 
 
-def _side_pass(bounds, n_max, t_max, taus, ks, side, names, maxima):
-    """One degree direction: enumerate configurations, score, track maxima.
+def _side_pass(bounds, n_max, t_max, taus, ks, star, maxima):
+    """Enumerate out-side configurations, score them, track maxima.
 
-    An attachment configuration for, say, the out side is fully described by
-    the multiset of affected-node (arrival, out-trajectory) profiles plus the
-    arrival times of the new node's own out-edges' endpoints; anything finer
-    never changes a score, so configurations are deduplicated at that level
-    before the (cheap but repeated) per-step evaluation.
+    An attachment configuration is fully described by the multiset of
+    affected-node (arrival, out-trajectory) profiles plus the arrival times
+    of the new node's own out-edges' endpoints; anything finer never changes
+    a score, so configurations are deduplicated at that level before the
+    (cheap but repeated) per-step evaluation.
     """
     directed = bounds.is_directed
     cap_in, cap_out = _cap_limits(bounds)
-    budget_in = cap_in if directed else bounds.d
     budget_out = cap_out if directed else 0
-    if side == "in":
-        budget_in, budget_out = budget_out, budget_in
-    rows = _sub_multiset_closure(
-        _signature_rows(directed, bounds, n_max, t_max, side)
-    )
+    layout = _profile_layout(bounds, n_max, t_max)
+    rows = _sub_multiset_closure(_signature_rows(bounds, n_max, t_max, layout))
     decoded: dict = {}
     seen: set = set()
     for row in rows:
@@ -464,21 +490,17 @@ def _side_pass(bounds, n_max, t_max, taus, ks, side, names, maxima):
         classes = []
         for code, m in counts.items():
             if code not in decoded:
-                decoded[code] = _decode_profile(code, t_max)
-            _, _, _, can_send, can_recv = decoded[code]
-            if side == "in":
-                can_send, can_recv = can_recv, can_send
+                decoded[code] = _decode_profile(code, t_max, layout)
+            _, _, can_send, can_recv = decoded[code]
             classes.append((code, m, can_send, can_recv))
-        for picked in _role_assignments(classes, budget_in, budget_out):
+        for picked in _role_assignments(classes, cap_in, budget_out):
             edges = sum(ci + co for _, ci, co in picked)
-            if edges > maxima.get(("edge",), 0):
+            if edges > maxima[("edge",)]:
                 maxima[("edge",)] = edges
             affected = []
             peer_arrivals = []
             for code, ci, co in picked:
-                profile = decoded[code]
-                t_v = profile[0]
-                traj = profile[1] if side == "out" else profile[2]
+                t_v, traj, _, _ = decoded[code]
                 if ci:
                     affected.extend(((t_v, traj),) * ci)
                 if co:
@@ -494,42 +516,26 @@ def _side_pass(bounds, n_max, t_max, taus, ks, side, names, maxima):
             for tstar in range(1, t_max + 1):
                 peers = [max(tstar, t_v) for t_v in config[1]]
                 for key, val in _eval_side(
-                    tstar, config[0], peers, t_max, taus, ks
+                    tstar, config[0], peers, t_max, taus, ks, star
                 ).items():
-                    if key[0] not in names:
-                        continue
-                    named = (names[key[0]],) + key[1:]
-                    if val > maxima.get(named, 0):
-                        maxima[named] = val
+                    if val > maxima[key]:
+                        maxima[key] = val
 
 
+@functools.lru_cache(maxsize=None)
 def _degree_sweep(bounds, n_max, t_max, max_k=3):
-    """Max distances for every degree-determined query, one pass per side."""
-    directed = bounds.is_directed
-    cap_in, cap_out = _cap_limits(bounds)
-    taus = tuple(range(1, (cap_out if directed else bounds.d) + 1))
-    ks = tuple(range(1, max_k + 1))
-    cache_key = (directed, cap_in, cap_out, n_max, t_max, max_k)
-    if cache_key in _SWEEP_CACHE:
-        return _SWEEP_CACHE[cache_key]
+    """Max distances for every out-side degree-determined query.
 
-    maxima: dict = {}
-    out_names = {"threshold": "high_degree", "hist": "degree_histogram"}
-    out_names["star"] = "out_k_star" if directed else "k_star"
-    _side_pass(bounds, n_max, t_max, taus, ks, "out", out_names, maxima)
-    if directed:
-        _side_pass(
-            bounds, n_max, t_max, taus, ks, "in", {"star": "in_k_star"}, maxima
-        )
-    for tau in taus:
-        maxima.setdefault(("high_degree", tau), 0)
-    maxima.setdefault(("degree_histogram",), 0)
-    maxima.setdefault(("edge",), 0)
-    star_kinds = ("out_k_star", "in_k_star") if directed else ("k_star",)
-    for kind in star_kinds:
-        for k in ks:
-            maxima.setdefault((kind, k), 0)
-    _SWEEP_CACHE[cache_key] = maxima
+    In-stars of a directed bound are read from its transpose's sweep.
+    """
+    taus = tuple(range(1, _cap_limits(bounds)[1] + 1))
+    ks = tuple(range(1, max_k + 1))
+    star = "out_k_star" if bounds.is_directed else "k_star"
+    maxima = {("high_degree", tau): 0 for tau in taus}
+    maxima.update({(star, k): 0 for k in ks})
+    maxima[("degree_histogram",)] = 0
+    maxima[("edge",)] = 0
+    _side_pass(bounds, n_max, t_max, taus, ks, star, maxima)
     return maxima
 
 
@@ -541,6 +547,7 @@ def _masks_up_to(n, size):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _triangle_sweep(bounds, n_max):
     """Max new-copy counts for triangle patterns over capped graphs.
 
@@ -548,13 +555,12 @@ def _triangle_sweep(bounds, n_max):
     in some step's difference entry exactly once, so the distance equals the
     number of new copies regardless of arrival times.
     """
-    directed = bounds.is_directed
-    cap_in, cap_out = _cap_limits(bounds)
-    cache_key = (directed, cap_in, cap_out, n_max)
-    if cache_key in _TRIANGLE_CACHE:
-        return _TRIANGLE_CACHE[cache_key]
+    if bounds.is_directed and bounds.d_out > bounds.d_in:
+        mirrored = DegreeBounds.directed(bounds.d_out, bounds.d_in)
+        return _triangle_sweep(mirrored, n_max)
     n = n_max
-    if directed:
+    if bounds.is_directed:
+        cap_in, cap_out = bounds.d_in, bounds.d_out
         out, inmask = _directed_graphs(n, cap_in, cap_out)
         out_ok = np.zeros(len(out), dtype=np.int64)
         in_ok = np.zeros(len(out), dtype=np.int64)
@@ -583,23 +589,21 @@ def _triangle_sweep(bounds, n_max):
                     score_ii += _POP[inmask[:, b] & si] + _POP[inmask[:, b] & so]
                 best_i = max(best_i, int(score_i[elig].max(initial=0)))
                 best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
-        result = {("triangle_i",): best_i, ("triangle_ii",): best_ii}
-    else:
-        adj = _undirected_graphs(n, bounds.d)
-        cap_mask = np.zeros(len(adj), dtype=np.int64)
-        for v in range(n):
-            cap_mask |= (_POP[adj[:, v]] < bounds.d).astype(np.int64) << v
-        best = 0
-        for s in _masks_up_to(n, bounds.d):
-            elig = (cap_mask & s) == s
-            if not elig.any():
-                continue
-            s_nodes = [v for v in range(n) if s >> v & 1]
-            score = np.zeros(len(adj), dtype=np.int64)
-            for v in s_nodes:
-                score += _POP[adj[:, v] & s]
-            score //= 2  # each inside edge seen from both endpoints
-            best = max(best, int(score[elig].max(initial=0)))
-        result = {("triangle",): best}
-    _TRIANGLE_CACHE[cache_key] = result
-    return result
+        return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
+
+    adj = _undirected_graphs(n, bounds.d)
+    cap_mask = np.zeros(len(adj), dtype=np.int64)
+    for v in range(n):
+        cap_mask |= (_POP[adj[:, v]] < bounds.d).astype(np.int64) << v
+    best = 0
+    for s in _masks_up_to(n, bounds.d):
+        elig = (cap_mask & s) == s
+        if not elig.any():
+            continue
+        s_nodes = [v for v in range(n) if s >> v & 1]
+        score = np.zeros(len(adj), dtype=np.int64)
+        for v in s_nodes:
+            score += _POP[adj[:, v] & s]
+        score //= 2  # each inside edge seen from both endpoints
+        best = max(best, int(score[elig].max(initial=0)))
+    return {("triangle",): best}

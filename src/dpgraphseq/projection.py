@@ -66,12 +66,6 @@ class EdgeOrdering:
     def flat(self) -> tuple[Edge, ...]:
         return tuple(e for _, edges in self.steps for e in edges)
 
-    def rank(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.flat())}
-
-    def prefix(self, t: int) -> "EdgeOrdering":
-        return EdgeOrdering(tuple(s for s in self.steps if s[0] <= t))
-
 
 def canonical_ordering(seq: GraphSequence) -> EdgeOrdering:
     """Edges sorted by (time, canonical endpoint pair); deterministic."""

@@ -53,7 +53,7 @@ class StatisticQuery:
         return cls(kind="degree_histogram")
 
     @classmethod
-    def subgraph(cls, pattern: str, k: int = None) -> "StatisticQuery":
+    def subgraph(cls, pattern: str, k: Optional[int] = None) -> "StatisticQuery":
         return cls(kind="subgraph", pattern=pattern, k=k)
 
     @property
@@ -102,7 +102,7 @@ def sequence_histogram_distance(a: list[Histogram], b: list[Histogram]) -> int:
     return sum(histogram_distance(x, y) for x, y in zip(a, b))
 
 
-def count_subgraph(g: GraphView, pattern: str, k: int = None) -> int:
+def count_subgraph(g: GraphView, pattern: str, k: Optional[int] = None) -> int:
     """Exact count of unordered copies of a fixed pattern.
 
     A k-star copy is a pair (center, size-k subset of the center's

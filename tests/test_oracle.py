@@ -1,7 +1,7 @@
 """Brute-force sensitivity search: engine agreement and known exact values."""
 import pytest
 
-from dpgraphseq import DegreeBounds, StatisticQuery
+from dpgraphseq import DegreeBounds, StatisticQuery, oracle
 from dpgraphseq.errors import BudgetTooLargeError
 from dpgraphseq.oracle import oracle_diff_sensitivity
 
@@ -27,7 +27,7 @@ def dir_queries(d_out):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("n_max,t_max", [(3, 2), (4, 2)])
+@pytest.mark.parametrize("n_max,t_max", [(3, 2), (4, 2), (3, 3), (3, 4)])
 def test_engines_agree_undirected(d, n_max, t_max):
     bounds = DegreeBounds.undirected(d)
     for query in und_queries(d):
@@ -36,12 +36,23 @@ def test_engines_agree_undirected(d, n_max, t_max):
         assert naive == pruned, query.label()
 
 
-@pytest.mark.parametrize("d_in,d_out", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_engines_agree_directed(d_in, d_out):
+# t_max=4 on an asymmetric bound covers in-stars read from the transpose.
+@pytest.mark.parametrize(
+    "d_in,d_out,t_max",
+    [
+        pytest.param(1, 1, 2, id="1-1"),
+        pytest.param(1, 2, 2, id="1-2"),
+        pytest.param(2, 1, 2, id="2-1"),
+        pytest.param(2, 2, 2, id="2-2"),
+        pytest.param(1, 1, 4, id="1-1-t4"),
+        pytest.param(2, 1, 4, id="2-1-t4"),
+    ],
+)
+def test_engines_agree_directed(d_in, d_out, t_max):
     bounds = DegreeBounds.directed(d_in, d_out)
     for query in dir_queries(d_out):
-        naive = oracle_diff_sensitivity(query, bounds, 3, 2, method="naive")
-        pruned = oracle_diff_sensitivity(query, bounds, 3, 2)
+        naive = oracle_diff_sensitivity(query, bounds, 3, t_max, method="naive")
+        pruned = oracle_diff_sensitivity(query, bounds, 3, t_max)
         assert naive == pruned, query.label()
 
 
@@ -98,11 +109,19 @@ def test_transitive_triangle_worst_case_uses_antiparallel_pairs():
     assert diff_sequence_sensitivity(query, bounds).value == 21 >= gained
 
 
-def test_budget_cap_and_bad_arguments():
+def test_budget_cap_and_bad_arguments(monkeypatch):
     bounds = DegreeBounds.undirected(1)
     query = StatisticQuery.subgraph("edge")
     with pytest.raises(BudgetTooLargeError):
         oracle_diff_sensitivity(query, bounds, 8, 2)
+
+    # 6 arrival bits + 57 one-bit steps + 2 flags = 65 bits: no int64 code.
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a budget the code cannot hold")
+
+    monkeypatch.setattr(oracle, "_undirected_graphs", no_enumeration)
+    with pytest.raises(BudgetTooLargeError):
+        oracle_diff_sensitivity(query, bounds, 2, 57)
     with pytest.raises(ValueError):
         oracle_diff_sensitivity(query, bounds, 0, 2)
     with pytest.raises(ValueError):

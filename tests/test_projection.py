@@ -112,8 +112,6 @@ def test_canonical_ordering_sorts_within_each_step():
     )
     order = canonical_ordering(seq)
     assert order.flat() == (("a", "b"), ("a", "c"), ("a", "d"))
-    assert order.prefix(1).flat() == (("a", "b"), ("a", "c"))
-    assert order.rank()[("a", "d")] == 2
 
 
 # --- stability of the projected threshold count ---------------------------
