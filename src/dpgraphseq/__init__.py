@@ -42,6 +42,7 @@ from .statistics import (
     count_subgraph,
     degree_histogram,
     evaluate,
+    exact_values,
     histogram_distance,
     sequence_histogram_distance,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "diff_sequence_sensitivity",
     "dumps_edge_list",
     "evaluate",
+    "exact_values",
     "histogram_distance",
     "ingest_step",
     "loads_edge_list",

@@ -244,26 +244,29 @@ def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
     """Error sweep over budgets and mechanisms; emits one row per trial."""
     seq = _read_sequence(input_path)
     query = _parse_statistic(statistic, tau if tau is not None else 1)
-    cfg = ExperimentConfig(
-        dataset=dataset or input_path,
-        seq=seq,
-        query=query,
-        epsilons=tuple(epsilons),
-        mechanisms=tuple(mechanisms),
-        trials=trials,
-        seed=seed,
-        zero_noise=zero_noise,
-        releases=releases,
-        tau=tau,
-        tau_percentile=tau_percentile,
-        bounds=_parse_bounds(degree_bound) if degree_bound else None,
-        bound_granularity=bound_granularity,
-        thresholds=(
-            _parse_thresholds(projection_thresholds)
-            if projection_thresholds
-            else None
-        ),
+    bounds = _parse_bounds(degree_bound) if degree_bound else None
+    thresholds = (
+        _parse_thresholds(projection_thresholds) if projection_thresholds else None
     )
+    try:
+        cfg = ExperimentConfig(
+            dataset=dataset or input_path,
+            seq=seq,
+            query=query,
+            epsilons=tuple(epsilons),
+            mechanisms=tuple(mechanisms),
+            trials=trials,
+            seed=seed,
+            zero_noise=zero_noise,
+            releases=releases,
+            tau=tau,
+            tau_percentile=tau_percentile,
+            bounds=bounds,
+            bound_granularity=bound_granularity,
+            thresholds=thresholds,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     rows, _ = run_experiment(cfg)
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     _emit(text, output)

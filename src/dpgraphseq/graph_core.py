@@ -4,6 +4,12 @@ A sequence grows by per-time-step arrival batches: a set of new nodes plus
 the edges that arrive alongside them.  Every edge must touch at least one
 node of its own batch, so an edge's time equals the maximum of its endpoint
 time stamps and snapshots are reconstructible for every step.
+
+Sequences are built one batch at a time by `ingest_step`, whose cost is in
+the batch's size.  Releases read the batches directly through the
+incremental engine `statistics.exact_values`; `snapshot` rebuilds the whole
+graph at one step and is the reference the engine is checked against (and
+what parameter derivation reads at the final step).
 """
 from __future__ import annotations
 
@@ -121,6 +127,12 @@ def ingest_step(
     The batch time must be the previous horizon plus one (an empty sequence
     accepts t of 0 or 1).  Edge order within the batch is preserved; it feeds
     the canonical edge ordering used by projection.
+
+    The checks read only this batch and the parent's node times, so a call
+    does work in the batch's size (plus C-level copies of the batch tuple
+    and the node-time map).  No scan of earlier edges is needed to reject a
+    duplicate: an edge must touch a node of this batch, and such a node has
+    no earlier edges, so only duplicates within the batch are possible.
     """
     if seq.batches:
         expected = seq.horizon + 1
@@ -129,19 +141,14 @@ def ingest_step(
     elif t not in (0, 1):
         raise TimeOutOfRangeError(f"first batch time must be 0 or 1, got {t}")
 
+    known = seq.node_time
     new_nodes = tuple(nodes)
     seen_new = set()
     for n in new_nodes:
-        if n in seq.node_time or n in seen_new:
+        if n in known or n in seen_new:
             raise DuplicateNodeError(f"node {n!r} already declared")
         seen_new.add(n)
 
-    known = set(seq.node_time)
-    existing_edges = {
-        canonical_edge(u, v, seq.directed)
-        for batch in seq.batches
-        for (u, v) in batch.edges
-    }
     batch_edges = []
     batch_seen = set()
     for u, v in edges:
@@ -157,13 +164,17 @@ def ingest_step(
                 f"edge ({u!r}, {v!r}) has no endpoint in the current batch"
             )
         e = canonical_edge(u, v, seq.directed)
-        if e in existing_edges or e in batch_seen:
+        if e in batch_seen:
             raise DuplicateEdgeError(f"edge {e!r} already present")
         batch_seen.add(e)
         batch_edges.append(e)
 
     batch = ArrivalBatch(time=t, nodes=new_nodes, edges=tuple(batch_edges))
-    return GraphSequence(directed=seq.directed, batches=seq.batches + (batch,))
+    extended = GraphSequence(directed=seq.directed, batches=seq.batches + (batch,))
+    # Seed the cached node_time from a copy of the parent's, which the
+    # parent keeps unchanged; the cache is not a field, so equality holds.
+    extended.__dict__["node_time"] = {**known, **dict.fromkeys(new_nodes, t)}
+    return extended
 
 
 def build_sequence(

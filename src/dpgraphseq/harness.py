@@ -164,6 +164,11 @@ class ExperimentConfig:
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown:
             raise ValueError(f"unknown mechanisms: {sorted(unknown)}")
+        if not self.query.is_scalar:
+            # relative_l1_error scores scalar series only.
+            raise ValueError(
+                f"experiments score scalar statistics only, not {self.query.label()}"
+            )
 
 
 @dataclass(frozen=True)

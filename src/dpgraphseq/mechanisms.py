@@ -6,11 +6,19 @@ Three mechanisms share one interface and return a ReleaseSeries:
   single L1 sensitivity of the whole sequence, release prefix sums.
 * ``compose_bounded``     — noise every release f(G_t) independently at
   budget epsilon/T using the bounded per-release sensitivity.
-* ``compose_projection``  — like compose_bounded but each snapshot is
-  greedily projected to smaller degree thresholds first, trading projection
-  bias for less noise.  Thresholds may be fixed or picked from a candidate
-  list by realized error (the pick spends no extra budget; callers who need
-  end-to-end privacy must fix the thresholds up front).
+* ``compose_projection``  — like compose_bounded but the sequence is
+  greedily projected online to smaller degree thresholds first, trading
+  projection bias for less noise.  Thresholds may be fixed or picked from a
+  candidate list by realized error (the pick spends no extra budget;
+  callers who need end-to-end privacy must fix the thresholds up front).
+
+Every exact value comes from the incremental engine
+`statistics.exact_values`, which walks the arrival batches once, so a
+release costs time linear in the sequence: the difference sequence entry
+Delta_t is read from batch t alone.  For ``compose_projection`` the engine
+reads the projection's kept edges batch by batch.  `snapshot` and
+`evaluate` are not on this path; they are the reference the engine is
+tested against.
 
 Determinism: all noise comes from numpy Generators seeded with
 SeedSequence([seed, trial_id, ...]), so a (seed, trial_id) pair fully
@@ -28,15 +36,15 @@ from .errors import (
     NonPositiveScaleError,
     UnsupportedBaselineQueryError,
 )
-from .graph_core import DegreeBounds, GraphSequence, snapshot, verify_bounds
-from .projection import ProjectionThresholds, canonical_ordering, project_sequence
+from .graph_core import DegreeBounds, GraphSequence, verify_bounds
+from .projection import ProjectionThresholds, canonical_ordering, projected_batches
 from .sensitivity import (
     SensitivityReport,
     diff_sequence_sensitivity,
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery, evaluate
+from .statistics import StatisticQuery, exact_values
 
 MECHANISMS = ("sensdiff", "compose_bounded", "compose_projection")
 
@@ -107,8 +115,7 @@ def _bin_count(bounds) -> int:
 def _true_values(seq: GraphSequence, query: StatisticQuery, bins: int = 0):
     """Exact f(G_1..G_T); histograms as dense arrays over bins 0..limit."""
     values = []
-    for t in range(1, seq.horizon + 1):
-        val = evaluate(query, snapshot(seq, t))
+    for val in exact_values(query, seq.directed, seq.batches):
         if query.is_scalar:
             values.append(float(val))
         else:
@@ -178,12 +185,12 @@ def compose_bounded_release(
     )
 
 
-def _projection_run(seq, query, thresholds, scale, rng):
-    views = project_sequence(seq, canonical_ordering(seq), thresholds)
-    released = []
-    for view in views:
-        released.append(evaluate(query, view) + laplace_sample(rng, scale))
-    return tuple(released)
+def _projection_run(seq, ordering, query, thresholds, scale, rng):
+    kept = projected_batches(seq, ordering, thresholds)
+    return tuple(
+        val + laplace_sample(rng, scale)
+        for val in exact_values(query, seq.directed, kept)
+    )
 
 
 def compose_projection_release(
@@ -208,11 +215,12 @@ def compose_projection_release(
     truth = _true_values(seq, query)
     if thresholds is not None:
         candidates = [thresholds]
+    ordering = canonical_ordering(seq)
     best = None
     for i, cand in enumerate(candidates):
         report = projected_sensitivity(query, cand)
         scale = 0.0 if config.zero_noise else report.value * horizon / config.epsilon
-        released = _projection_run(seq, query, cand, scale, config.rng(2, i))
+        released = _projection_run(seq, ordering, query, cand, scale, config.rng(2, i))
         err = sum(
             abs(est - tru) / tru for est, tru in zip(released, truth) if tru != 0
         )
@@ -238,6 +246,8 @@ def release(
     candidates: Sequence[ProjectionThresholds] = (),
 ) -> ReleaseSeries:
     """Dispatch by mechanism name; see MECHANISMS."""
+    if mechanism in ("sensdiff", "compose_bounded") and bounds is None:
+        raise ValueError(f"{mechanism} needs degree bounds")
     if mechanism == "sensdiff":
         return sensdiff_release(seq, query, bounds, config)
     if mechanism == "compose_bounded":

@@ -4,7 +4,10 @@ Edges are considered one by one in a fixed ordering that respects edge time
 stamps; an edge is admitted only while both endpoint counters sit strictly
 below the projection thresholds.  The single-graph and sequence forms share
 the admission loop; the sequence form keeps admission state across steps so
-projected edge sets are nested over time.
+projected edge sets are nested over time.  `projected_batches` is the one
+online admission path: it returns the kept edges batch by batch, which the
+mechanisms feed to the incremental statistics engine and `project_sequence`
+turns into snapshot views.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from typing import Optional
 
 from .errors import OrderingMismatchError
 from .graph_core import (
+    ArrivalBatch,
     Edge,
     GraphSequence,
     GraphView,
@@ -116,13 +120,11 @@ def project_graph(
     return build_view(g.directed, g.node_time, kept, projected=True)
 
 
-def project_sequence(
+def projected_batches(
     seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
-) -> list[GraphView]:
-    """Online projection: one projected snapshot per step, shared state.
-
-    Returns views for release steps 1..horizon; a time-0 batch (pre-existing
-    nodes) is processed first and folded into the first view.
+) -> list[ArrivalBatch]:
+    """Online projection as arrival batches: each keeps its nodes and the
+    edges admitted at its step, with admission state shared across steps.
     """
     if th.is_directed != seq.directed:
         raise OrderingMismatchError("threshold mode does not match the sequence")
@@ -140,13 +142,33 @@ def project_sequence(
 
     deg: dict[str, int] = {}
     in_deg: dict[str, int] = {}
+    return [
+        ArrivalBatch(
+            time=batch.time,
+            nodes=batch.nodes,
+            edges=tuple(
+                _admit(order_by_time[batch.time], seq.directed, th, deg, in_deg)
+            ),
+        )
+        for batch in seq.batches
+    ]
+
+
+def project_sequence(
+    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
+) -> list[GraphView]:
+    """Online projection: one projected snapshot per step, shared state.
+
+    Returns views for release steps 1..horizon; a time-0 batch (pre-existing
+    nodes) is processed first and folded into the first view.
+    """
     kept: list[Edge] = []
     node_time: dict[str, int] = {}
     views = []
-    for batch in seq.batches:
+    for batch in projected_batches(seq, ordering, th):
         for n in batch.nodes:
             node_time[n] = batch.time
-        kept.extend(_admit(order_by_time[batch.time], seq.directed, th, deg, in_deg))
+        kept.extend(batch.edges)
         if batch.time >= 1:
             views.append(build_view(seq.directed, node_time, kept, projected=True))
     return views

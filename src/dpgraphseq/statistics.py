@@ -1,4 +1,31 @@
-"""Exact evaluation of the released graph statistics.
+"""Exact graph statistics: the incremental engine and the reference counters.
+
+Releases read their exact values from `exact_values`, an engine that walks
+the arrival batches once.  It keeps per-node neighbour sets and degrees and
+moves f(G) only by what each new edge (u, v) adds, read from the state just
+before the edge joins:
+
+    edge          +1
+    triangle      |N(u) & N(v)|
+    triangle_i    |out(v) & in(u)|                      (3-cycles u->v->w->u)
+    triangle_ii   |out(u) & out(v)| + |in(u) & in(v)| + |out(u) & in(v)|
+                                       (u->v as source->middle, middle->sink,
+                                        source->sink of a transitive triangle)
+    k_star        C(d(u), k-1) + C(d(v), k-1), as C(d+1, k) - C(d, k) = C(d, k-1)
+    out_k_star    C(out-degree of u, k-1)
+    in_k_star     C(in-degree of v, k-1)
+    high_degree   +1 for each endpoint whose (out-)degree reaches tau
+    histogram     a new node enters bin 0; each edge moves its endpoint(s)
+                  (the tail, if directed) up one bin
+
+Each copy of a pattern is counted once, when the last of its edges
+arrives, so the running values are the exact counts, and the difference
+sequence f(G_t) - f(G_{t-1}) depends only on batch t.
+
+The snapshot counters (`count_high_degree`, `degree_histogram`,
+`count_subgraph`, dispatched by `evaluate`) recount a whole `GraphView`.
+They are the reference the engine is tested against, and what the oracle
+evaluates.
 
 Scalar statistics are exact integer counts; no floating point enters until
 noise is added by a mechanism.  For directed graphs, threshold counts and
@@ -6,12 +33,13 @@ histograms refer to out-degree.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .errors import PatternDirectionMismatchError, UnsupportedQueryError
-from .graph_core import GraphView
+from .graph_core import ArrivalBatch, GraphView
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
 DIRECTED_PATTERNS = ("edge", "triangle_i", "triangle_ii", "out_k_star", "in_k_star")
@@ -102,6 +130,15 @@ def sequence_histogram_distance(a: list[Histogram], b: list[Histogram]) -> int:
     return sum(histogram_distance(x, y) for x, y in zip(a, b))
 
 
+def _check_pattern(pattern: str, directed: bool) -> None:
+    allowed = DIRECTED_PATTERNS if directed else UNDIRECTED_PATTERNS
+    if pattern not in allowed:
+        raise PatternDirectionMismatchError(
+            f"pattern {pattern!r} not valid for a "
+            f"{'directed' if directed else 'undirected'} graph"
+        )
+
+
 def count_subgraph(g: GraphView, pattern: str, k: Optional[int] = None) -> int:
     """Exact count of unordered copies of a fixed pattern.
 
@@ -109,12 +146,7 @@ def count_subgraph(g: GraphView, pattern: str, k: Optional[int] = None) -> int:
     neighborhood); for undirected graphs and k=1 this counts every edge
     twice, once per choice of center.
     """
-    allowed = DIRECTED_PATTERNS if g.directed else UNDIRECTED_PATTERNS
-    if pattern not in allowed:
-        raise PatternDirectionMismatchError(
-            f"pattern {pattern!r} not valid for a "
-            f"{'directed' if g.directed else 'undirected'} graph"
-        )
+    _check_pattern(pattern, g.directed)
     if pattern == "edge":
         return g.num_edges
     if pattern == "k_star":
@@ -156,3 +188,81 @@ def evaluate(query: StatisticQuery, g: GraphView) -> StatValue:
     if query.kind == "subgraph":
         return count_subgraph(g, query.pattern, query.k)
     raise UnsupportedQueryError(query.kind)
+
+
+# --- incremental engine ---------------------------------------------------
+
+
+def _move_up(hist: Histogram, d: int) -> None:
+    """One node's degree goes from d to d + 1; empty bins are dropped."""
+    if hist[d] == 1:
+        del hist[d]
+    else:
+        hist[d] -= 1
+    hist[d + 1] = hist.get(d + 1, 0) + 1
+
+
+def _edge_increment(
+    query: StatisticQuery,
+    directed: bool,
+    out: dict[str, set[str]],
+    inn: dict[str, set[str]],
+    hist: Histogram,
+) -> Callable[[str, str], int]:
+    """The change of f when edge (u, v) joins; see the module docstring."""
+    if query.kind == "high_degree":
+        tau = query.tau
+        if directed:
+            return lambda u, v: len(out[u]) == tau - 1
+        return lambda u, v: (len(out[u]) == tau - 1) + (len(out[v]) == tau - 1)
+    if query.kind == "degree_histogram":
+        def move(u, v):
+            for x in (u,) if directed else (u, v):
+                _move_up(hist, len(out[x]))
+            return 0
+
+        return move
+    k = query.k
+    return {
+        "edge": lambda u, v: 1,
+        "triangle": lambda u, v: len(out[u] & out[v]),
+        "triangle_i": lambda u, v: len(out[v] & inn[u]),
+        "triangle_ii": lambda u, v: (
+            len(out[u] & out[v]) + len(inn[u] & inn[v]) + len(out[u] & inn[v])
+        ),
+        "k_star": lambda u, v: comb(len(out[u]), k - 1) + comb(len(out[v]), k - 1),
+        "out_k_star": lambda u, v: comb(len(out[u]), k - 1),
+        "in_k_star": lambda u, v: comb(len(inn[v]), k - 1),
+    }[query.pattern]
+
+
+def exact_values(
+    query: StatisticQuery, directed: bool, batches: Iterable[ArrivalBatch]
+) -> Iterator[StatValue]:
+    """Yield f(G_t) after every batch with time t >= 1.
+
+    Each batch costs time in its own size: one increment per edge (and, for
+    histograms, one count of the arriving nodes).  A time-0 batch
+    (pre-existing nodes) is folded in without a yield, as `snapshot` folds
+    it into G_1.  Histograms are yielded as sparse copies, equal to
+    `degree_histogram` of the snapshot.
+    """
+    if query.kind == "subgraph":
+        _check_pattern(query.pattern, directed)
+    histogram = query.kind == "degree_histogram"
+    # Neighbour sets appear on a node's first edge; an undirected graph
+    # keeps one set per node, read as both out- and in-neighbours.
+    out: dict[str, set[str]] = defaultdict(set)
+    inn: dict[str, set[str]] = defaultdict(set) if directed else out
+    hist: Histogram = {}
+    increment = _edge_increment(query, directed, out, inn, hist)
+    value = 0
+    for batch in batches:
+        if histogram and batch.nodes:
+            hist[0] = hist.get(0, 0) + len(batch.nodes)
+        for u, v in batch.edges:
+            value += increment(u, v)
+            out[u].add(v)
+            inn[v].add(u)
+        if batch.time >= 1:
+            yield dict(hist) if histogram else value

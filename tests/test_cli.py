@@ -141,3 +141,14 @@ def test_experiment_json_format_and_rebatch(runner, pa_file):
     assert result.exit_code == 0, result.output
     records = json.loads(result.output)
     assert all(r["T"] == 2 for r in records)
+
+
+def test_experiment_rejects_histogram_as_usage_error(runner, pa_file):
+    result = runner.invoke(
+        main,
+        ["experiment", "--input", str(pa_file), "--statistic",
+         "degree_histogram", "--epsilon", "1", "--trials", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "degree_histogram" in result.output
+    assert "Traceback" not in result.output

@@ -96,6 +96,29 @@ def test_duplicate_edge_rejected_across_batches_and_orientations():
     # Directed mode treats the two orientations as distinct edges.
     d = ingest_step(GraphSequence.empty(True), 1, ["a", "b"], [("a", "b"), ("b", "a")])
     assert d.batch_at(1).edges == (("a", "b"), ("b", "a"))
+    # An earlier edge re-sent in a later batch, in either orientation,
+    # touches no node of that batch, so it is rejected without any scan of
+    # earlier edges.
+    u = ingest_step(GraphSequence.empty(False), 1, ["a", "b"], [("a", "b")])
+    for seq in (u, d):
+        for edge in (("a", "b"), ("b", "a")):
+            with pytest.raises(EdgeToFutureNodeError):
+                ingest_step(seq, 2, ["c"], [("a", "c"), edge])
+            with pytest.raises(EdgeToFutureNodeError):
+                ingest_step(seq, 2, [], [edge])
+
+
+def test_ingest_carries_node_time_forward_without_touching_parent():
+    parent = ingest_step(GraphSequence.empty(False), 1, ["a", "b"], [("a", "b")])
+    child = ingest_step(parent, 2, ["c"], [("c", "a")])
+    sibling = ingest_step(parent, 2, ["d"])
+    assert parent.node_time == {"a": 1, "b": 1}
+    assert child.node_time == {"a": 1, "b": 1, "c": 2}
+    assert sibling.node_time == {"a": 1, "b": 1, "d": 2}
+    # The carried map matches the one rebuilt from the batches.
+    rebuilt = GraphSequence(directed=False, batches=child.batches)
+    assert rebuilt == child
+    assert rebuilt.node_time == child.node_time
 
 
 def test_snapshot_accumulates_batches():

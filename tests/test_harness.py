@@ -137,6 +137,12 @@ def test_experiment_config_validation():
         experiment_config(mechanisms=("sensdiff", "oracle"))
 
 
+def test_experiment_config_rejects_histogram_queries():
+    # Relative L1 error scores scalar series only.
+    with pytest.raises(ValueError, match="degree_histogram"):
+        experiment_config(query=StatisticQuery.degree_histogram())
+
+
 def test_run_experiment_row_grid_and_summaries():
     cfg = experiment_config()
     rows, summaries = run_experiment(cfg)

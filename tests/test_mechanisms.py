@@ -180,6 +180,10 @@ def test_bound_violation_is_rejected_up_front():
         release("sensdiff", star, EDGE, config, bounds=DegreeBounds.undirected(2))
     with pytest.raises(BoundViolationError):
         release("sensdiff", star, EDGE, config, bounds=DegreeBounds.directed(1, 1))
+    # Mechanisms that scale noise to a degree bound refuse to run without one.
+    for mech in ("sensdiff", "compose_bounded"):
+        with pytest.raises(ValueError, match=f"{mech} needs degree bounds"):
+            release(mech, SEQ, EDGE, config, bounds=None)
 
 
 def test_unknown_mechanism():

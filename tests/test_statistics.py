@@ -3,16 +3,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpgraphseq import (
+    ProjectionThresholds,
     StatisticQuery,
+    build_sequence,
     build_view,
+    canonical_ordering,
     count_high_degree,
     count_subgraph,
     degree_histogram,
     evaluate,
+    exact_values,
     histogram_distance,
+    project_sequence,
     sequence_histogram_distance,
+    snapshot,
 )
 from dpgraphseq.errors import PatternDirectionMismatchError
+from dpgraphseq.projection import projected_batches
 
 from bruteforce import count_directed, count_undirected
 
@@ -68,6 +75,9 @@ def test_pattern_direction_mismatch():
         count_subgraph(TRIANGLE_VIEW, "triangle_i")
     with pytest.raises(PatternDirectionMismatchError):
         count_subgraph(DAG_VIEW, "triangle")
+    seq = build_sequence(True, [(1, ["a", "b"], [("a", "b")])])
+    with pytest.raises(PatternDirectionMismatchError):
+        list(exact_values(StatisticQuery.subgraph("triangle"), True, seq.batches))
 
 
 def test_evaluate_dispatch():
@@ -146,3 +156,74 @@ def test_directed_counts_match_enumeration(case):
     hist = degree_histogram(g)
     assert sum(hist.values()) == n
     assert sum(d * c for d, c in hist.items()) == len(named)
+
+
+# --- the incremental engine against snapshot-by-snapshot evaluation -------
+
+
+def _all_queries(directed):
+    queries = [StatisticQuery.high_degree(tau) for tau in (1, 2)]
+    queries.append(StatisticQuery.degree_histogram())
+    if directed:
+        queries += [
+            StatisticQuery.subgraph(p) for p in ("edge", "triangle_i", "triangle_ii")
+        ]
+        stars = ("out_k_star", "in_k_star")
+    else:
+        queries += [StatisticQuery.subgraph(p) for p in ("edge", "triangle")]
+        stars = ("k_star",)
+    queries += [StatisticQuery.subgraph(p, k) for p in stars for k in (1, 2, 3)]
+    return queries
+
+
+@st.composite
+def sequences(draw):
+    """Random valid sequences, either mode, starting at time 0 or 1."""
+    directed = draw(st.booleans())
+    start = draw(st.sampled_from((0, 1)))
+    names = []
+    batches = []
+    for t in range(start, start + draw(st.integers(1, 5))):
+        new = [f"v{len(names) + i}" for i in range(draw(st.integers(0, 3)))]
+        pool = names + new
+        # Every edge touches this batch; either orientation may be sent.
+        pairs = [(a, b) for a in pool for b in pool if a != b and (a in new or b in new)]
+        edges = []
+        if pairs:
+            edges = draw(
+                st.lists(
+                    st.sampled_from(pairs),
+                    max_size=8,
+                    unique_by=(lambda e: e) if directed else frozenset,
+                )
+            )
+        names += new
+        batches.append((t, new, edges))
+    return build_sequence(directed, batches)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+def test_engine_matches_snapshot_evaluation(seq):
+    for query in _all_queries(seq.directed):
+        engine = list(exact_values(query, seq.directed, seq.batches))
+        reference = [
+            evaluate(query, snapshot(seq, t)) for t in range(1, seq.horizon + 1)
+        ]
+        assert engine == reference, query.label()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(), st.integers(1, 3), st.integers(1, 3))
+def test_engine_matches_projected_views(seq, d_in, d_out):
+    th = (
+        ProjectionThresholds.directed(d_in, d_out)
+        if seq.directed
+        else ProjectionThresholds.undirected(d_out)
+    )
+    ordering = canonical_ordering(seq)
+    kept = projected_batches(seq, ordering, th)
+    views = project_sequence(seq, ordering, th)
+    for query in _all_queries(seq.directed):
+        engine = list(exact_values(query, seq.directed, kept))
+        assert engine == [evaluate(query, view) for view in views], query.label()
