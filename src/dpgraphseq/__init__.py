@@ -26,7 +26,6 @@ from .projection import (
     EdgeOrdering,
     ProjectionThresholds,
     canonical_ordering,
-    project_graph,
     project_sequence,
 )
 from .sensitivity import (
@@ -79,7 +78,6 @@ __all__ = [
     "ingest_step",
     "loads_edge_list",
     "per_release_sensitivity",
-    "project_graph",
     "project_sequence",
     "projected_sensitivity",
     "sequence_histogram_distance",

@@ -16,6 +16,7 @@ from .generators import (
 from .graph_core import DegreeBounds, dumps_edge_list, loads_edge_list
 from .harness import (
     ExperimentConfig,
+    default_projection_grid,
     derive_bounds,
     derive_tau,
     rows_to_csv,
@@ -42,27 +43,29 @@ def _parse_statistic(spec: str, tau) -> StatisticQuery:
     return StatisticQuery.subgraph(pattern, int(k) if k else None)
 
 
-def _parse_pair(value: str):
-    parts = [int(p) for p in value.split(",")]
-    if len(parts) == 1:
-        return parts
-    if len(parts) == 2:
-        return parts
+def _parse_pair(value, undirected, directed):
+    """'D' -> undirected(D), 'Din,Dout' -> directed(Din, Dout); None stays."""
+    if value is None:
+        return None
+    try:
+        parts = [int(p) for p in value.split(",")]
+        if len(parts) == 1:
+            return undirected(*parts)
+        if len(parts) == 2:
+            return directed(*parts)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from exc
     raise click.BadParameter("expected D or Din,Dout")
 
 
-def _parse_bounds(value: str) -> DegreeBounds:
-    parts = _parse_pair(value)
-    if len(parts) == 1:
-        return DegreeBounds.undirected(parts[0])
-    return DegreeBounds.directed(*parts)
+def _bounds_option(ctx, param, value):
+    return _parse_pair(value, DegreeBounds.undirected, DegreeBounds.directed)
 
 
-def _parse_thresholds(value: str) -> ProjectionThresholds:
-    parts = _parse_pair(value)
-    if len(parts) == 1:
-        return ProjectionThresholds.undirected(parts[0])
-    return ProjectionThresholds.directed(*parts)
+def _thresholds_option(ctx, param, value):
+    return _parse_pair(
+        value, ProjectionThresholds.undirected, ProjectionThresholds.directed
+    )
 
 
 def _read_sequence(path: str):
@@ -122,8 +125,10 @@ def generate(model, m0, arrivals, years, k, p_isolated, decay, population,
 @main.command()
 @click.option("--statistic", required=True)
 @click.option("--tau", type=int, default=None)
-@click.option("--degree-bound", default=None, help="D or Din,Dout")
-@click.option("--projection-thresholds", default=None, help="D or Din,Dout")
+@click.option("--degree-bound", default=None, callback=_bounds_option,
+              help="D or Din,Dout")
+@click.option("--projection-thresholds", default=None,
+              callback=_thresholds_option, help="D or Din,Dout")
 @click.option(
     "--regime",
     type=click.Choice(["diff_sequence", "per_release", "projected"]),
@@ -136,13 +141,12 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
     if regime == "projected":
         if projection_thresholds is None:
             raise click.BadParameter("projected regime needs --projection-thresholds")
-        report = projected_sensitivity(query, _parse_thresholds(projection_thresholds))
+        report = projected_sensitivity(query, projection_thresholds)
     else:
         if degree_bound is None:
             raise click.BadParameter(f"{regime} regime needs --degree-bound")
-        bounds = _parse_bounds(degree_bound)
         fn = diff_sequence_sensitivity if regime == "diff_sequence" else per_release_sensitivity
-        report = fn(query, bounds)
+        report = fn(query, degree_bound)
     click.echo(
         json.dumps(
             {
@@ -164,9 +168,9 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
 @click.option("--epsilon", type=float, required=True)
 @click.option("--tau", type=int, default=None)
 @click.option("--tau-percentile", type=float, default=None)
-@click.option("--degree-bound", default=None)
+@click.option("--degree-bound", default=None, callback=_bounds_option)
 @click.option("--bound-granularity", type=int, default=5, show_default=True)
-@click.option("--projection-thresholds", default=None)
+@click.option("--projection-thresholds", default=None, callback=_thresholds_option)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trial", default=0, show_default=True)
 @click.option("--zero-noise", is_flag=True)
@@ -179,25 +183,16 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
     if tau is None and tau_percentile is not None:
         tau = derive_tau(seq, tau_percentile)
     query = _parse_statistic(statistic, tau)
-    bounds = (
-        _parse_bounds(degree_bound)
-        if degree_bound
-        else derive_bounds(seq, bound_granularity)
-    )
-    thresholds = (
-        _parse_thresholds(projection_thresholds) if projection_thresholds else None
-    )
+    bounds = degree_bound or derive_bounds(seq, bound_granularity)
     candidates = ()
-    if mechanism == "compose_projection" and thresholds is None:
-        from .harness import default_projection_grid
-
+    if mechanism == "compose_projection" and projection_thresholds is None:
         candidates = tuple(default_projection_grid(seq, bound_granularity))
     config = MechanismConfig(
         epsilon=epsilon, seed=seed, trial_id=trial, zero_noise=zero_noise
     )
     series = run_release(
         mechanism, seq, query, config,
-        bounds=bounds, thresholds=thresholds, candidates=candidates,
+        bounds=bounds, thresholds=projection_thresholds, candidates=candidates,
     )
     estimates = [
         est.tolist() if hasattr(est, "tolist") else est for est in series.estimates
@@ -230,9 +225,9 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
 @click.option("--trials", default=100, show_default=True)
 @click.option("--tau", type=int, default=None)
 @click.option("--tau-percentile", type=float, default=90.0, show_default=True)
-@click.option("--degree-bound", default=None)
+@click.option("--degree-bound", default=None, callback=_bounds_option)
 @click.option("--bound-granularity", type=int, default=5, show_default=True)
-@click.option("--projection-thresholds", default=None)
+@click.option("--projection-thresholds", default=None, callback=_thresholds_option)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--zero-noise", is_flag=True)
 @click.option("--output", type=click.Path(), default=None)
@@ -244,10 +239,6 @@ def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
     """Error sweep over budgets and mechanisms; emits one row per trial."""
     seq = _read_sequence(input_path)
     query = _parse_statistic(statistic, tau if tau is not None else 1)
-    bounds = _parse_bounds(degree_bound) if degree_bound else None
-    thresholds = (
-        _parse_thresholds(projection_thresholds) if projection_thresholds else None
-    )
     try:
         cfg = ExperimentConfig(
             dataset=dataset or input_path,
@@ -261,9 +252,9 @@ def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
             releases=releases,
             tau=tau,
             tau_percentile=tau_percentile,
-            bounds=bounds,
+            bounds=degree_bound,
             bound_granularity=bound_granularity,
-            thresholds=thresholds,
+            thresholds=projection_thresholds,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

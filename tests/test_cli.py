@@ -152,3 +152,20 @@ def test_experiment_rejects_histogram_as_usage_error(runner, pa_file):
     assert result.exit_code == 2, result.output
     assert "degree_histogram" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("flag", ["--degree-bound", "--projection-thresholds"])
+@pytest.mark.parametrize("value", ["abc", "0", "1,2,3"])
+def test_malformed_bounds_are_usage_errors(runner, pa_file, flag, value):
+    commands = {
+        "sensitivity": ["sensitivity", "--statistic", "edge"],
+        "release": ["release", "--input", str(pa_file), "--statistic", "edge",
+                    "--epsilon", "1"],
+        "experiment": ["experiment", "--input", str(pa_file), "--statistic",
+                       "edge", "--epsilon", "1", "--trials", "1"],
+    }
+    for name, args in commands.items():
+        result = runner.invoke(main, args + [flag, value])
+        assert result.exit_code == 2, (name, result.output)
+        assert flag in result.output, (name, result.output)
+        assert "Traceback" not in result.output

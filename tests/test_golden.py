@@ -3,8 +3,11 @@
 `golden_releases.json` holds the exact estimates of a small grid: every
 mechanism on the edge count and a threshold count, and sensdiff on the
 directed patterns and the degree histogram, over the two criterion-8
-fixtures, two trials each.  A change that moves any of these floats must
-say why and regenerate the file with
+fixtures, two trials each.  `golden_harness.json` holds the
+`rel_l1_error` and `skipped_terms` columns that `run_experiment` scores
+for every mechanism on the same fixtures and queries (tau derived from
+the data), two trials each.  A change that moves any of these numbers must
+say why and regenerate both files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,10 +21,16 @@ from dpgraphseq.generators import (
     generate_pa_transmission,
     generate_sir_transmission,
 )
-from dpgraphseq.harness import default_projection_grid, derive_bounds
+from dpgraphseq.harness import (
+    ExperimentConfig,
+    default_projection_grid,
+    derive_bounds,
+    run_experiment,
+)
 from dpgraphseq.mechanisms import MECHANISMS, MechanismConfig, release
 
 GOLDEN = Path(__file__).with_name("golden_releases.json")
+GOLDEN_HARNESS = Path(__file__).with_name("golden_harness.json")
 TRIALS = (0, 1)
 ALL_MECHANISMS = {
     "edge": StatisticQuery.subgraph("edge"),
@@ -76,6 +85,24 @@ def golden_grid() -> dict:
     return grid
 
 
+def harness_grid() -> dict:
+    """Scores keyed by fixture, then 'mechanism/query/trial'."""
+    grid = {}
+    for name, seq in _fixtures().items():
+        out = {}
+        for query in (StatisticQuery.subgraph("edge"), StatisticQuery.high_degree(1)):
+            cfg = ExperimentConfig(
+                dataset=name, seq=seq, query=query, epsilons=(1.0,),
+                trials=len(TRIALS), seed=0,
+            )
+            rows, _ = run_experiment(cfg)
+            for row in rows:
+                key = f"{row.mechanism}/{row.query}/{row.trial}"
+                out[key] = [row.rel_l1_error, row.skipped_terms]
+        grid[name] = out
+    return grid
+
+
 def test_seeded_releases_match_golden_file():
     expected = json.loads(GOLDEN.read_text())
     got = golden_grid()
@@ -86,5 +113,10 @@ def test_seeded_releases_match_golden_file():
             assert got[name][key] == values, f"{name} {key}"
 
 
+def test_harness_scores_match_golden_file():
+    assert harness_grid() == json.loads(GOLDEN_HARNESS.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(golden_grid(), indent=1) + "\n")
+    GOLDEN_HARNESS.write_text(json.dumps(harness_grid(), indent=1) + "\n")

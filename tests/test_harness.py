@@ -4,7 +4,13 @@ import re
 
 import pytest
 
-from dpgraphseq import DegreeBounds, StatisticQuery, build_sequence
+from dpgraphseq import (
+    DegreeBounds,
+    ProjectionThresholds,
+    StatisticQuery,
+    build_sequence,
+    mechanisms,
+)
 from dpgraphseq.errors import EmptyGraphError, LengthMismatchError
 from dpgraphseq.harness import (
     CSV_COLUMNS,
@@ -209,3 +215,23 @@ def test_rows_to_json_round_trip():
     records = json.loads(rows_to_json(rows))
     assert len(records) == len(rows)
     assert set(records[0]) == set(CSV_COLUMNS)
+
+
+def test_run_experiment_projects_each_candidate_once(monkeypatch):
+    # Projection draws no noise, so its kept edges serve every trial and
+    # every budget: one projection per candidate, not one per trial.
+    calls = []
+    real = mechanisms.projected_batches
+
+    def counting(seq, ordering, th):
+        calls.append(th)
+        return real(seq, ordering, th)
+
+    monkeypatch.setattr(mechanisms, "projected_batches", counting)
+    candidates = (ProjectionThresholds.undirected(2), ProjectionThresholds.undirected(5))
+    cfg = experiment_config(
+        mechanisms=("compose_projection",), trials=5, candidates=candidates
+    )
+    rows, _ = run_experiment(cfg)
+    assert len(rows) == 2 * 5
+    assert calls == list(candidates)

@@ -18,7 +18,6 @@ from dpgraphseq.errors import (
 from dpgraphseq.mechanisms import (
     MECHANISMS,
     MechanismConfig,
-    compose_projection_release,
     laplace_sample,
     release,
 )
@@ -134,7 +133,8 @@ def test_zero_noise_compose_baselines_are_exact():
 
 def test_projection_candidate_pick_reports_chosen_thresholds():
     config = MechanismConfig(epsilon=1.0, zero_noise=True)
-    series = compose_projection_release(
+    series = release(
+        "compose_projection",
         SEQ,
         EDGE,
         config,
@@ -148,10 +148,11 @@ def test_projection_candidate_pick_reports_chosen_thresholds():
 
 def test_projection_requires_exactly_one_threshold_source():
     config = MechanismConfig(epsilon=1.0)
-    with pytest.raises(ValueError):
-        compose_projection_release(SEQ, EDGE, config)
-    with pytest.raises(ValueError):
-        compose_projection_release(
+    with pytest.raises(ValueError, match="either"):
+        release("compose_projection", SEQ, EDGE, config)
+    with pytest.raises(ValueError, match="either"):
+        release(
+            "compose_projection",
             SEQ,
             EDGE,
             config,
@@ -163,7 +164,8 @@ def test_projection_requires_exactly_one_threshold_source():
 def test_projection_rejects_histogram_queries():
     config = MechanismConfig(epsilon=1.0)
     with pytest.raises(UnsupportedBaselineQueryError):
-        compose_projection_release(
+        release(
+            "compose_projection",
             SEQ,
             StatisticQuery.degree_histogram(),
             config,

@@ -7,12 +7,9 @@ from hypothesis import given, settings, strategies as st
 from dpgraphseq import (
     ProjectionThresholds,
     build_sequence,
-    build_view,
     canonical_ordering,
     count_high_degree,
-    project_graph,
     project_sequence,
-    snapshot,
 )
 from dpgraphseq.errors import OrderingMismatchError
 from dpgraphseq.projection import EdgeOrdering
@@ -22,8 +19,8 @@ def test_single_graph_projection_respects_order():
     seq = build_sequence(
         False, [(1, ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "d")])]
     )
-    g = snapshot(seq, 1)
-    proj = project_graph(g, canonical_ordering(seq), ProjectionThresholds.undirected(2))
+    th = ProjectionThresholds.undirected(2)
+    proj = project_sequence(seq, canonical_ordering(seq), th)[0]
     # First two edges in canonical order survive; (a, d) is dropped.
     assert proj.edges == (("a", "b"), ("a", "c"))
     assert proj.projected
@@ -35,22 +32,21 @@ def test_directed_projection_tracks_both_counters():
         True,
         [(1, ["a", "b", "c"], [("a", "b"), ("a", "c"), ("c", "b")])],
     )
-    g = snapshot(seq, 1)
-    proj = project_graph(
-        g, canonical_ordering(seq), ProjectionThresholds.directed(1, 1)
-    )
+    th = ProjectionThresholds.directed(1, 1)
+    proj = project_sequence(seq, canonical_ordering(seq), th)[0]
     # (a,b) admits, (a,c) blocked by a's out counter, (c,b) by b's in counter.
     assert proj.edges == (("a", "b"),)
 
 
 def test_ordering_must_cover_exactly_the_edges():
     seq = build_sequence(False, [(1, ["a", "b", "c"], [("a", "b"), ("b", "c")])])
-    g = snapshot(seq, 1)
     bad = EdgeOrdering(steps=((1, (("a", "b"),)),))
     with pytest.raises(OrderingMismatchError):
-        project_graph(g, bad, ProjectionThresholds.undirected(1))
+        project_sequence(seq, bad, ProjectionThresholds.undirected(1))
     with pytest.raises(OrderingMismatchError):
-        project_graph(g, canonical_ordering(seq), ProjectionThresholds.directed(1, 1))
+        project_sequence(
+            seq, canonical_ordering(seq), ProjectionThresholds.directed(1, 1)
+        )
 
 
 def test_sequence_projection_is_nested_over_time():
@@ -111,7 +107,7 @@ def test_canonical_ordering_sorts_within_each_step():
         [(1, ["b", "a", "c"], [("c", "a"), ("b", "a")]), (2, ["d"], [("d", "a")])],
     )
     order = canonical_ordering(seq)
-    assert order.flat() == (("a", "b"), ("a", "c"), ("a", "d"))
+    assert order.steps == ((1, (("a", "b"), ("a", "c"))), (2, (("a", "d"),)))
 
 
 # --- stability of the projected threshold count ---------------------------
@@ -135,16 +131,14 @@ def test_single_addition_shifts_projected_count_boundedly(d_tilde):
         base_seq = build_sequence(
             False, [(1, list(base_times), [(f"n{u}", f"n{v}") for u, v in edges])]
         )
-        base = project_graph(
-            snapshot(base_seq, 1), canonical_ordering(base_seq), th
-        )
+        base = project_sequence(base_seq, canonical_ordering(base_seq), th)[0]
         base_count = count_high_degree(base, d_tilde)
         for extra_bits in range(2**n):
             extra = [(f"n{i}", "vs") for i in range(n) if extra_bits >> i & 1]
             times = dict(base_times, vs=1)
             named = [(f"n{u}", f"n{v}") for u, v in edges]
             seq = build_sequence(False, [(1, list(times), named + extra)])
-            proj = project_graph(snapshot(seq, 1), canonical_ordering(seq), th)
+            proj = project_sequence(seq, canonical_ordering(seq), th)[0]
             count = count_high_degree(proj, d_tilde)
             assert abs(count - base_count) <= d_tilde + 1
 
@@ -159,6 +153,6 @@ def test_projection_is_deterministic(data):
         False, [(1, [f"n{i}" for i in range(n)], [(f"n{u}", f"n{v}") for u, v in edges])]
     )
     th = ProjectionThresholds.undirected(data.draw(st.integers(1, 3)))
-    a = project_graph(snapshot(seq, 1), canonical_ordering(seq), th)
-    b = project_graph(snapshot(seq, 1), canonical_ordering(seq), th)
+    a = project_sequence(seq, canonical_ordering(seq), th)[0]
+    b = project_sequence(seq, canonical_ordering(seq), th)[0]
     assert a.edges == b.edges
