@@ -30,17 +30,38 @@ from .sensitivity import (
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery
+from .statistics import DIRECTED_PATTERNS, UNDIRECTED_PATTERNS, StatisticQuery
 
 
 def _parse_statistic(spec: str, tau) -> StatisticQuery:
-    """Parse 'high_degree', 'degree_histogram', or a pattern like 'k_star:2'."""
+    """Parse 'high_degree', 'degree_histogram', or a pattern like 'k_star:2'.
+
+    Malformed specs are usage errors naming --statistic.
+    """
     if spec == "high_degree":
         return StatisticQuery.high_degree(tau if tau is not None else 1)
     if spec == "degree_histogram":
         return StatisticQuery.degree_histogram()
-    pattern, _, k = spec.partition(":")
-    return StatisticQuery.subgraph(pattern, int(k) if k else None)
+    pattern, sep, k = spec.partition(":")
+
+    def bad(message):
+        return click.BadParameter(message, param_hint="'--statistic'")
+
+    if pattern not in UNDIRECTED_PATTERNS + DIRECTED_PATTERNS:
+        raise bad(
+            f"unknown statistic {spec!r}: expected high_degree, "
+            "degree_histogram, an undirected pattern "
+            f"({', '.join(UNDIRECTED_PATTERNS)}) or a directed pattern "
+            f"({', '.join(DIRECTED_PATTERNS)}), stars as 'pattern:k'"
+        )
+    if not pattern.endswith("k_star"):
+        if sep:
+            raise bad(f"pattern {pattern!r} takes no ':k'")
+        return StatisticQuery.subgraph(pattern)
+    try:
+        return StatisticQuery.subgraph(pattern, int(k))
+    except ValueError as exc:
+        raise bad(f"{pattern} needs ':k' with an integer k >= 1") from exc
 
 
 def _parse_pair(value, undirected, directed):

@@ -27,6 +27,12 @@ out-stars, so the in-star answers of a directed bound are the out-star
 answers of the transposed bound's sweep.  Transposition also preserves
 directed 3-cycle and transitive-triangle counts, so each directed triangle
 sweep runs in its d_out <= d_in orientation, which enumerates fewer masks.
+Capped digraphs are built one node at a time, and a partial graph is
+dropped as soon as some node's in-degree exceeds d_in, so the full grid of
+out-mask tuples is never held.  Signature rows are deduplicated by a
+``np.lexsort`` of their columns and a comparison of adjacent rows, which
+returns what ``np.unique(rows, axis=0)`` does without its row-as-record
+sort.
 
 A node profile is packed into one int64 code, low bits first: the arrival
 step (``t_max.bit_length()`` bits), then one field per step of the
@@ -79,6 +85,9 @@ def oracle_diff_sensitivity(
         raise ValueError(f"unknown oracle method {method!r}")
     key = _query_key(query)
     if key[0] in ("triangle", "triangle_i", "triangle_ii"):
+        # "triangle" is the undirected pattern, the other two directed.
+        if (key[0] == "triangle") == bounds.is_directed:
+            raise UnsupportedQueryError(f"oracle does not cover {query.label()}")
         return _triangle_sweep(bounds, n_max)[key]
     if key[0] == "in_k_star" and bounds.is_directed:
         # In-stars of a digraph are the out-stars of its transpose.
@@ -203,31 +212,26 @@ def _naive_oracle(query, bounds, n_max, t_max) -> int:
 
 
 def _directed_graphs(n, cap_in, cap_out):
-    """Out-neighbor bitmask matrix of every capped digraph on n nodes."""
-    choices = []
+    """Out-neighbor bitmask matrix of every capped digraph on n nodes.
+
+    Built one node at a time: node v's allowed out-masks are appended to
+    every surviving prefix, and a prefix is dropped as soon as one of its
+    partial in-neighbor masks holds more than cap_in nodes.  Rows come out
+    in the order of a full meshgrid over all nodes' masks (node 0 slowest),
+    filtered.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(n)) & 1  # bits[m, w]: m has w
+    out = np.zeros((1, 0), dtype=np.int64)
+    inmask = np.zeros((1, n), dtype=np.int64)
     for v in range(n):
-        allowed = [
-            m
-            for m in range(1 << n)
-            if not m & (1 << v) and bin(m).count("1") <= cap_out
-        ]
-        choices.append(np.array(allowed, dtype=np.int64))
-    grids = np.meshgrid(*choices, indexing="ij")
-    out = np.stack([g.ravel() for g in grids], axis=-1)
-    indeg = np.zeros_like(out)
-    for v in range(n):
-        bit = 0
-        for u in range(n):
-            bit = bit + ((out[:, u] >> v) & 1)
-        indeg[:, v] = bit
-    keep = (indeg <= cap_in).all(axis=1)
-    out = out[keep]
-    inmask = np.zeros_like(out)
-    for v in range(n):
-        acc = np.zeros(len(out), dtype=np.int64)
-        for u in range(n):
-            acc |= ((out[:, u] >> v) & 1) << u
-        inmask[:, v] = acc
+        allowed = masks[(_POP[masks] <= cap_out) & (bits[:, v] == 0)]
+        prefix = np.repeat(np.arange(len(out)), len(allowed))
+        mask = np.tile(allowed, len(out))
+        grown = inmask[prefix] | (bits[mask] << v)
+        keep = (_POP[grown] <= cap_in).all(axis=1)
+        out = np.column_stack([out[prefix[keep]], mask[keep]])
+        inmask = grown[keep]
     return out, inmask
 
 
@@ -246,6 +250,14 @@ def _undirected_graphs(n, cap):
 
 
 # --- pruned engine: degree-determined statistics -------------------------
+
+
+def _unique_rows(rows):
+    """Distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
 
 
 def _profile_layout(bounds, n_max, t_max):
@@ -312,8 +324,8 @@ def _signature_rows(bounds, n, t_max, layout):
             0,
         )
         sig.sort(axis=1)
-        chunks.append(np.unique(sig, axis=0))
-    return np.unique(np.concatenate(chunks, axis=0), axis=0)
+        chunks.append(_unique_rows(sig))
+    return _unique_rows(np.concatenate(chunks, axis=0))
 
 
 def _sub_multiset_closure(rows):
@@ -332,9 +344,9 @@ def _sub_multiset_closure(rows):
             drops.append(d)
         cur = np.concatenate(drops)
         cur.sort(axis=1)
-        cur = np.unique(cur, axis=0)
+        cur = _unique_rows(cur)
         levels.append(cur)
-    return np.unique(np.concatenate(levels), axis=0)
+    return _unique_rows(np.concatenate(levels))
 
 
 def _role_assignments(classes, budget_in, budget_out):
@@ -483,6 +495,9 @@ def _side_pass(bounds, n_max, t_max, taus, ks, star, maxima):
     budget_out = cap_out if directed else 0
     layout = _profile_layout(bounds, n_max, t_max)
     rows = _sub_multiset_closure(_signature_rows(bounds, n_max, t_max, layout))
+    # Every role spends at least one unit of the new node's degree budget,
+    # so a row with more nodes than the budget has no role assignment.
+    rows = rows[np.count_nonzero(rows, axis=1) <= cap_in + budget_out]
     decoded: dict = {}
     seen: set = set()
     for row in rows:

@@ -3,9 +3,12 @@
 Deliberately naive: enumerate candidate node tuples and test the pattern
 definition edge by edge.  Shares the k-star convention of the library (a
 copy is a (center, size-k neighbor subset) pair), so for undirected graphs
-with k=1 every edge is counted once per orientation.
+with k=1 every edge is counted once per orientation.  `capped_digraphs`
+is the full-grid reference for the oracle's digraph enumeration.
 """
 import itertools
+
+import numpy as np
 
 
 def _und_adj(nodes, edges):
@@ -77,3 +80,26 @@ def count_directed(pattern, nodes, edges, k=None):
             for _ in itertools.combinations(sorted(inc[center]), k)
         )
     raise ValueError(pattern)
+
+
+def capped_digraphs(n, cap_in, cap_out):
+    """(out-mask, in-mask) rows of every capped digraph on n nodes.
+
+    Meshgrid over every node's allowed out-masks (node 0 slowest), then keep
+    the rows whose in-degrees are all within cap_in.
+    """
+    choices = [
+        [m for m in range(1 << n) if not m >> v & 1 and bin(m).count("1") <= cap_out]
+        for v in range(n)
+    ]
+    grids = np.meshgrid(*[np.array(c, dtype=np.int64) for c in choices], indexing="ij")
+    out = np.stack([g.ravel() for g in grids], axis=-1)
+    inmask = np.zeros_like(out)
+    indeg = np.zeros_like(out)
+    for v in range(n):
+        for u in range(n):
+            bit = (out[:, u] >> v) & 1
+            inmask[:, v] |= bit << u
+            indeg[:, v] += bit
+    keep = (indeg <= cap_in).all(axis=1)
+    return out[keep], inmask[keep]

@@ -169,3 +169,20 @@ def test_malformed_bounds_are_usage_errors(runner, pa_file, flag, value):
         assert result.exit_code == 2, (name, result.output)
         assert flag in result.output, (name, result.output)
         assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("value", ["k_star:x", "foo", "k_star:0", "edge:2"])
+def test_malformed_statistic_is_usage_error(runner, pa_file, value):
+    commands = {
+        "sensitivity": ["sensitivity", "--degree-bound", "3"],
+        "release": ["release", "--input", str(pa_file), "--epsilon", "1"],
+        "experiment": ["experiment", "--input", str(pa_file), "--epsilon", "1",
+                       "--trials", "1"],
+    }
+    for name, args in commands.items():
+        result = runner.invoke(main, args + ["--statistic", value])
+        assert result.exit_code == 2, (name, result.output)
+        assert "--statistic" in result.output, (name, result.output)
+        assert "Traceback" not in result.output
+        if value == "foo":
+            assert "triangle_ii" in result.output and "k_star" in result.output

@@ -6,15 +6,18 @@ directed patterns and the degree histogram, over the two criterion-8
 fixtures, two trials each.  `golden_harness.json` holds the
 `rel_l1_error` and `skipped_terms` columns that `run_experiment` scores
 for every mechanism on the same fixtures and queries (tau derived from
-the data), two trials each.  A change that moves any of these numbers must
-say why and regenerate both files with
+the data), two trials each.  `golden_oracle.json` holds the pruned
+oracle's value for every query of criterion 1's catalog (n_max=5,
+t_max=3; D in {1,2,3} and directed {1,2,3}^2).  A change that moves any
+of these numbers must say why and regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import itertools
 import json
 from pathlib import Path
 
-from dpgraphseq import StatisticQuery
+from dpgraphseq import DegreeBounds, StatisticQuery
 from dpgraphseq.generators import (
     PaTransmissionParams,
     SirParams,
@@ -28,9 +31,13 @@ from dpgraphseq.harness import (
     run_experiment,
 )
 from dpgraphseq.mechanisms import MECHANISMS, MechanismConfig, release
+from dpgraphseq.oracle import oracle_diff_sensitivity
+
+from test_acceptance import _catalog_queries
 
 GOLDEN = Path(__file__).with_name("golden_releases.json")
 GOLDEN_HARNESS = Path(__file__).with_name("golden_harness.json")
+GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
 TRIALS = (0, 1)
 ALL_MECHANISMS = {
     "edge": StatisticQuery.subgraph("edge"),
@@ -103,6 +110,25 @@ def harness_grid() -> dict:
     return grid
 
 
+def oracle_grid() -> dict:
+    """Oracle values keyed by bound ('D2', 'in1out3'), then query label."""
+    all_bounds = [DegreeBounds.undirected(d) for d in (1, 2, 3)]
+    all_bounds += [
+        DegreeBounds.directed(d_in, d_out)
+        for d_in, d_out in itertools.product((1, 2, 3), repeat=2)
+    ]
+    grid = {}
+    for bounds in all_bounds:
+        name = (
+            f"in{bounds.d_in}out{bounds.d_out}" if bounds.is_directed else f"D{bounds.d}"
+        )
+        grid[name] = {
+            q.label(): oracle_diff_sensitivity(q, bounds, n_max=5, t_max=3)
+            for q in _catalog_queries(bounds)
+        }
+    return grid
+
+
 def test_seeded_releases_match_golden_file():
     expected = json.loads(GOLDEN.read_text())
     got = golden_grid()
@@ -117,6 +143,11 @@ def test_harness_scores_match_golden_file():
     assert harness_grid() == json.loads(GOLDEN_HARNESS.read_text())
 
 
+def test_oracle_values_match_golden_file():
+    assert oracle_grid() == json.loads(GOLDEN_ORACLE.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(golden_grid(), indent=1) + "\n")
     GOLDEN_HARNESS.write_text(json.dumps(harness_grid(), indent=1) + "\n")
+    GOLDEN_ORACLE.write_text(json.dumps(oracle_grid(), indent=1) + "\n")

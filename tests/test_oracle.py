@@ -1,9 +1,14 @@
 """Brute-force sensitivity search: engine agreement and known exact values."""
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpgraphseq import DegreeBounds, StatisticQuery, oracle
-from dpgraphseq.errors import BudgetTooLargeError
+from dpgraphseq.errors import BudgetTooLargeError, UnsupportedQueryError
 from dpgraphseq.oracle import oracle_diff_sensitivity
+
+from bruteforce import capped_digraphs
 
 
 def und_queries(d):
@@ -126,3 +131,53 @@ def test_budget_cap_and_bad_arguments(monkeypatch):
         oracle_diff_sensitivity(query, bounds, 0, 2)
     with pytest.raises(ValueError):
         oracle_diff_sensitivity(query, bounds, 3, 2, method="magic")
+
+
+def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated graphs for a query the oracle rejects")
+
+    monkeypatch.setattr(oracle, "_directed_graphs", no_enumeration)
+    monkeypatch.setattr(oracle, "_undirected_graphs", no_enumeration)
+    cases = [
+        (StatisticQuery.subgraph("triangle"), DegreeBounds.directed(1, 1)),
+        (StatisticQuery.subgraph("triangle_i"), DegreeBounds.undirected(2)),
+        (StatisticQuery.subgraph("triangle_ii"), DegreeBounds.undirected(2)),
+    ]
+    for query, bounds in cases:
+        with pytest.raises(UnsupportedQueryError, match="oracle does not cover"):
+            oracle_diff_sensitivity(query, bounds, 3, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(0, 40), st.integers(1, 4)),
+        elements=st.integers(-3, 3),
+    )
+)
+def test_unique_rows_matches_numpy_unique(rows):
+    got = oracle._unique_rows(rows)
+    expected = np.unique(rows, axis=0)
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "n,cap_in,cap_out",
+    [
+        (n, cap_in, cap_out)
+        for n in (1, 2, 3, 4)
+        for cap_in in (1, 2, 3)
+        for cap_out in (1, 2, 3)
+    ]
+    + [(5, 1, 1), (5, 1, 2)],
+)
+def test_directed_graphs_match_full_grid(n, cap_in, cap_out):
+    out, inmask = oracle._directed_graphs(n, cap_in, cap_out)
+    ref_out, ref_inmask = capped_digraphs(n, cap_in, cap_out)
+    assert out.dtype == inmask.dtype == np.int64
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(inmask, ref_inmask)
