@@ -19,7 +19,6 @@ from .graph_core import (
     ingest_step,
     loads_edge_list,
     snapshot,
-    truncate,
     verify_bounds,
 )
 from .projection import (
@@ -43,7 +42,6 @@ from .statistics import (
     evaluate,
     exact_values,
     histogram_distance,
-    sequence_histogram_distance,
 )
 
 __version__ = "0.1.0"
@@ -80,8 +78,6 @@ __all__ = [
     "per_release_sensitivity",
     "project_sequence",
     "projected_sensitivity",
-    "sequence_histogram_distance",
     "snapshot",
-    "truncate",
     "verify_bounds",
 ]

@@ -1,12 +1,14 @@
 """Command-line front end: generate data, inspect sensitivities, run releases."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
 
 import click
 
+from .errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
 from .generators import (
     PaTransmissionParams,
     SirParams,
@@ -89,6 +91,15 @@ def _thresholds_option(ctx, param, value):
     )
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a query that the bounds rule out as a usage error (exit 2)."""
+    try:
+        yield
+    except (UnsupportedBaselineQueryError, InfeasibleThresholdError) as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _read_sequence(path: str):
     with click.open_file(path) as fh:
         return loads_edge_list(fh.read())
@@ -162,12 +173,14 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
     if regime == "projected":
         if projection_thresholds is None:
             raise click.BadParameter("projected regime needs --projection-thresholds")
-        report = projected_sensitivity(query, projection_thresholds)
+        fn, bounds = projected_sensitivity, projection_thresholds
     else:
         if degree_bound is None:
             raise click.BadParameter(f"{regime} regime needs --degree-bound")
         fn = diff_sequence_sensitivity if regime == "diff_sequence" else per_release_sensitivity
-        report = fn(query, degree_bound)
+        bounds = degree_bound
+    with _usage_errors():
+        report = fn(query, bounds)
     click.echo(
         json.dumps(
             {
@@ -211,10 +224,11 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
     config = MechanismConfig(
         epsilon=epsilon, seed=seed, trial_id=trial, zero_noise=zero_noise
     )
-    series = run_release(
-        mechanism, seq, query, config,
-        bounds=bounds, thresholds=projection_thresholds, candidates=candidates,
-    )
+    with _usage_errors():
+        series = run_release(
+            mechanism, seq, query, config,
+            bounds=bounds, thresholds=projection_thresholds, candidates=candidates,
+        )
     estimates = [
         est.tolist() if hasattr(est, "tolist") else est for est in series.estimates
     ]
@@ -279,7 +293,8 @@ def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    rows, _ = run_experiment(cfg)
+    with _usage_errors():
+        rows, _ = run_experiment(cfg)
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     _emit(text, output)
 

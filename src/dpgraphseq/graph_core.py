@@ -188,14 +188,6 @@ def build_sequence(
     return seq
 
 
-def truncate(seq: GraphSequence, t: int) -> GraphSequence:
-    """Drop every batch after time t."""
-    start = seq.start_time
-    if start is None or not start <= t <= seq.horizon:
-        raise TimeOutOfRangeError(f"time {t} outside [{start}, {seq.horizon}]")
-    return GraphSequence(directed=seq.directed, batches=seq.batches[: t - start + 1])
-
-
 @dataclass(frozen=True)
 class GraphView:
     """Static snapshot of a sequence at one time step.
@@ -211,7 +203,6 @@ class GraphView:
     adjacency: dict[str, tuple[str, ...]]
     in_adjacency: dict[str, tuple[str, ...]]
     edges: tuple[Edge, ...]
-    projected: bool = False
 
     @property
     def num_nodes(self) -> int:
@@ -239,7 +230,6 @@ def build_view(
     directed: bool,
     node_time: dict[str, int],
     edges: Iterable[Edge],
-    projected: bool = False,
 ) -> GraphView:
     nodes = tuple(sorted(node_time, key=lambda n: (node_time[n], n)))
     adj: dict[str, list[str]] = {n: [] for n in nodes}
@@ -259,7 +249,6 @@ def build_view(
         adjacency={n: tuple(ns) for n, ns in adj.items()},
         in_adjacency={n: tuple(ns) for n, ns in in_adj.items()},
         edges=tuple(edge_list),
-        projected=projected,
     )
 
 

@@ -14,9 +14,14 @@ Two search engines are provided:
   histograms, edge counts, stars) depend only on per-node degree
   trajectories, so base sequences are deduplicated by their sorted
   trajectory signature (lossless for these statistics) and additions are
-  evaluated once per distinct local configuration.  Triangle patterns need
-  real structure; for them every capped graph is enumerated and additions
-  are scored with vectorized bit arithmetic.  Triangle scoring fixes all
+  evaluated once per distinct local configuration.  All of them but the
+  edge count are f(G_t) = sum_v g(deg_t(v)) for a table g on degrees
+  0..cap (one table per bin for the histogram), so one scorer sums
+  g(after) - g(before) over the nodes an addition touches.  Triangle
+  patterns need real structure: every capped graph is enumerated, and
+  since relabelling nodes maps those graphs onto themselves, only one pair
+  of attach sets per orbit, fixed by (|in-set|, |out-set|, overlap), is
+  scored with vectorized bit arithmetic.  Triangle scoring fixes all
   arrivals at t=1: shifting arrival times only redistributes a copy's
   appearance step, which the naive cross-check confirms at small budgets.
 
@@ -52,7 +57,13 @@ import numpy as np
 
 from .errors import BudgetTooLargeError, UnsupportedQueryError
 from .graph_core import DegreeBounds, build_view
-from .statistics import StatisticQuery, evaluate, histogram_distance
+from .statistics import (
+    DIRECTED_PATTERNS,
+    UNDIRECTED_PATTERNS,
+    StatisticQuery,
+    evaluate,
+    histogram_distance,
+)
 
 _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
@@ -83,11 +94,11 @@ def oracle_diff_sensitivity(
         return _naive_oracle(query, bounds, n_max, t_max)
     if method != "pruned":
         raise ValueError(f"unknown oracle method {method!r}")
+    patterns = DIRECTED_PATTERNS if bounds.is_directed else UNDIRECTED_PATTERNS
+    if query.kind == "subgraph" and query.pattern not in patterns:
+        raise UnsupportedQueryError(f"oracle does not cover {query.label()}")
     key = _query_key(query)
     if key[0] in ("triangle", "triangle_i", "triangle_ii"):
-        # "triangle" is the undirected pattern, the other two directed.
-        if (key[0] == "triangle") == bounds.is_directed:
-            raise UnsupportedQueryError(f"oracle does not cover {query.label()}")
         return _triangle_sweep(bounds, n_max)[key]
     if key[0] == "in_k_star" and bounds.is_directed:
         # In-stars of a digraph are the out-stars of its transpose.
@@ -382,117 +393,74 @@ def _role_assignments(classes, budget_in, budget_out):
     yield from rec(0, budget_in, budget_out, [])
 
 
-def _shift_traj(traj, t_v, s, t_max):
-    """Trajectory after one extra incident edge arriving at step s."""
-    return tuple(
-        traj[t - 1] + (1 if t >= s and t >= t_v else 0) for t in range(1, t_max + 1)
-    )
+def _degree_tables(cap, taus, ks, star):
+    """Query keys and the table g(d), d = 0..cap, of each of their columns.
 
-
-def _star_distance(base, bumped, vstar, k, t_max):
-    """Distance for star counts: affected-node contributions only.
-
-    `base` and `bumped` are lists of (arrival, trajectory) for the affected
-    nodes before/after the addition; `vstar` is (t*, trajectory).
+    Every degree-determined query is f(G_t) = sum over present nodes of
+    g(deg_t(v)): [d >= tau] for a threshold count, C(d, k) for a star count,
+    and one column [d = b] per bin b of the histogram, which is the last key
+    and owns the last cap + 1 columns.
     """
-    prev_b = prev_a = 0
-    dist = 0
-    for t in range(1, t_max + 1):
-        cur_b = sum(comb(traj[t - 1], k) for tv, traj in base if tv <= t)
-        cur_a = sum(comb(traj[t - 1], k) for tv, traj in bumped if tv <= t)
-        if vstar[0] <= t:
-            cur_a += comb(vstar[1][t - 1], k)
-        dist += abs((cur_a - prev_a) - (cur_b - prev_b))
-        prev_b, prev_a = cur_b, cur_a
-    return dist
+    d = range(cap + 1)
+    columns = [[int(x >= tau) for x in d] for tau in taus]
+    columns += [[comb(x, k) for x in d] for k in ks]
+    columns += [[int(x == b) for x in d] for b in d]
+    keys = [("high_degree", tau) for tau in taus] + [(star, k) for k in ks]
+    keys.append(("degree_histogram",))
+    return keys, np.array(columns, dtype=np.int64).T
 
 
-def _crossing(traj, t_v, tau, t_max):
-    for t in range(t_v, t_max + 1):
-        if t >= 1 and traj[t - 1] >= tau:
-            return t
-    return None
+def _eval_side(affected, peer_arrivals, t_max, tables):
+    """Per-column distances of one out-side configuration, a row per t*.
 
-
-def _threshold_distance(base, bumped, vstar, tau, t_max):
-    delta = [0] * (t_max + 2)
-    for (tv, old), (_, new) in zip(base, bumped):
-        c_old = _crossing(old, max(tv, 1), tau, t_max)
-        c_new = _crossing(new, max(tv, 1), tau, t_max)
-        if c_old != c_new:
-            if c_new is not None:
-                delta[c_new] += 1
-            if c_old is not None:
-                delta[c_old] -= 1
-    c_star = _crossing(vstar[1], max(vstar[0], 1), tau, t_max)
-    if c_star is not None:
-        delta[c_star] += 1
-    return sum(abs(x) for x in delta[1 : t_max + 1])
-
-
-def _hist_contribs(tv, traj, t_max, sign, delta):
-    if tv > t_max:
-        return
-    start = max(tv, 1)
-    delta[(start, traj[start - 1])] = delta.get((start, traj[start - 1]), 0) + sign
-    for t in range(start + 1, t_max + 1):
-        a, b = traj[t - 2], traj[t - 1]
-        if a != b:
-            delta[(t, a)] = delta.get((t, a), 0) - sign
-            delta[(t, b)] = delta.get((t, b), 0) + sign
-
-
-def _histogram_distance_local(base, bumped, vstar, t_max):
-    delta: dict = {}
-    for (tv, old), (_, new) in zip(base, bumped):
-        _hist_contribs(tv, old, t_max, -1, delta)
-        _hist_contribs(tv, new, t_max, +1, delta)
-    _hist_contribs(vstar[0], vstar[1], t_max, +1, delta)
-    return sum(abs(v) for v in delta.values())
-
-
-def _eval_side(tstar, affected, peer_times, t_max, taus, ks, star):
-    """Distances for the out side of an attachment configuration.
-
-    `affected` lists (arrival, trajectory) of existing nodes gaining one
-    incident edge at max(tstar, arrival); `peer_times` are the attach times
-    of the new node's own out-edges, which fully determine its own
-    trajectory.  Everything a threshold count, histogram, or star count of
-    out-degrees can see is exactly that.
+    Row t* - 1 scores the new node arriving at step t*.  `affected` lists
+    (arrival, trajectory) of existing nodes gaining one incident edge at
+    max(t*, arrival); the new node's own out-edges reach peers of the given
+    arrivals at max(t*, arrival), which fully determines its trajectory.
+    Only those nodes change degree, so the change of each column's f at
+    step t is the sum of g(after) - g(before) over them, plus g of the new
+    node's degree once it is present; the distance is the L1 norm of that
+    change's step differences.
     """
-    bumped = [
-        (tv, _shift_traj(traj, tv, max(tstar, tv), t_max))
-        for tv, traj in affected
-    ]
-    vstar = (
-        tstar,
-        tuple(sum(1 for s in peer_times if s <= t) for t in range(1, t_max + 1)),
-    )
-    results = {}
-    for tau in taus:
-        results[("high_degree", tau)] = _threshold_distance(
-            affected, bumped, vstar, tau, t_max
-        )
-    results[("degree_histogram",)] = _histogram_distance_local(
-        affected, bumped, vstar, t_max
-    )
-    for k in ks:
-        results[(star, k)] = _star_distance(affected, bumped, vstar, k, t_max)
-    return results
+    steps = np.arange(1, t_max + 1)
+    tstar = steps[:, None]  # rows: t*, columns: t
+    # Once the new node is present (t >= t*), max(t*, arrival) <= t is
+    # arrival <= t.
+    own = np.zeros(t_max, dtype=np.int64)
+    for tv in peer_arrivals:
+        own += steps >= tv
+    change = np.where((steps >= tstar)[..., None], tables[own], 0)
+    for tv, traj in affected:
+        before = np.array(traj)
+        change += tables[before + (steps >= np.maximum(tstar, tv))] - tables[before]
+    return np.abs(np.diff(change, axis=1, prepend=0)).sum(axis=1)
 
 
-def _side_pass(bounds, n_max, t_max, taus, ks, star, maxima):
-    """Enumerate out-side configurations, score them, track maxima.
+@functools.lru_cache(maxsize=None)
+def _degree_sweep(bounds, n_max, t_max, max_k=3):
+    """Max distances for every out-side degree-determined query.
 
     An attachment configuration is fully described by the multiset of
     affected-node (arrival, out-trajectory) profiles plus the arrival times
     of the new node's own out-edges' endpoints; anything finer never changes
     a score, so configurations are deduplicated at that level before the
-    (cheap but repeated) per-step evaluation.
+    (cheap but repeated) per-step evaluation.  In-stars of a directed bound
+    are read from its transpose's sweep.
     """
     directed = bounds.is_directed
     cap_in, cap_out = _cap_limits(bounds)
     budget_out = cap_out if directed else 0
+    keys, tables = _degree_tables(
+        cap_out,
+        range(1, cap_out + 1),
+        range(1, max_k + 1),
+        "out_k_star" if directed else "k_star",
+    )
+    # The histogram's bins are the last columns, so each reduceat segment
+    # starting at these offsets is one key.
+    starts = np.arange(len(keys))
+    best = np.zeros(len(keys), dtype=np.int64)
+    best_edges = 0
     layout = _profile_layout(bounds, n_max, t_max)
     rows = _sub_multiset_closure(_signature_rows(bounds, n_max, t_max, layout))
     # Every role spends at least one unit of the new node's degree budget,
@@ -509,9 +477,7 @@ def _side_pass(bounds, n_max, t_max, taus, ks, star, maxima):
             _, _, can_send, can_recv = decoded[code]
             classes.append((code, m, can_send, can_recv))
         for picked in _role_assignments(classes, cap_in, budget_out):
-            edges = sum(ci + co for _, ci, co in picked)
-            if edges > maxima[("edge",)]:
-                maxima[("edge",)] = edges
+            best_edges = max(best_edges, sum(ci + co for _, ci, co in picked))
             affected = []
             peer_arrivals = []
             for code, ci, co in picked:
@@ -528,38 +494,27 @@ def _side_pass(bounds, n_max, t_max, taus, ks, star, maxima):
             if config in seen:
                 continue
             seen.add(config)
-            for tstar in range(1, t_max + 1):
-                peers = [max(tstar, t_v) for t_v in config[1]]
-                for key, val in _eval_side(
-                    tstar, config[0], peers, t_max, taus, ks, star
-                ).items():
-                    if val > maxima[key]:
-                        maxima[key] = val
-
-
-@functools.lru_cache(maxsize=None)
-def _degree_sweep(bounds, n_max, t_max, max_k=3):
-    """Max distances for every out-side degree-determined query.
-
-    In-stars of a directed bound are read from its transpose's sweep.
-    """
-    taus = tuple(range(1, _cap_limits(bounds)[1] + 1))
-    ks = tuple(range(1, max_k + 1))
-    star = "out_k_star" if bounds.is_directed else "k_star"
-    maxima = {("high_degree", tau): 0 for tau in taus}
-    maxima.update({(star, k): 0 for k in ks})
-    maxima[("degree_histogram",)] = 0
-    maxima[("edge",)] = 0
-    _side_pass(bounds, n_max, t_max, taus, ks, star, maxima)
+            dist = _eval_side(*config, t_max, tables)
+            score = np.add.reduceat(dist, starts, axis=1).max(axis=0)
+            np.maximum(best, score, out=best)
+    maxima = {key: int(v) for key, v in zip(keys, best)}
+    maxima[("edge",)] = best_edges
     return maxima
 
 
 # --- pruned engine: triangle patterns ------------------------------------
 
 
-def _masks_up_to(n, size):
-    out = [m for m in range(1 << n) if bin(m).count("1") <= size]
-    return out
+def _orbit_pairs(n, cap_in, cap_out):
+    """One (in-set, out-set) mask pair per orbit under node relabelling.
+
+    An orbit is fixed by (|si|, |so|, |si & so|); the representative takes
+    si = {0..a-1} and lets so = {a-c..a-c+b-1} overlap its last c nodes.
+    """
+    for a in range(cap_in + 1):
+        for b in range(cap_out + 1):
+            for c in range(max(0, a + b - n), min(a, b) + 1):
+                yield (1 << a) - 1, ((1 << b) - 1) << (a - c)
 
 
 @functools.lru_cache(maxsize=None)
@@ -568,7 +523,9 @@ def _triangle_sweep(bounds, n_max):
 
     Scored on single-batch sequences: every copy a new node creates appears
     in some step's difference entry exactly once, so the distance equals the
-    number of new copies regardless of arrival times.
+    number of new copies regardless of arrival times.  Relabelling nodes
+    maps the capped graphs onto themselves, so attach sets score like every
+    other pair in their orbit and one representative per orbit is scored.
     """
     if bounds.is_directed and bounds.d_out > bounds.d_in:
         mirrored = DegreeBounds.directed(bounds.d_out, bounds.d_in)
@@ -584,26 +541,24 @@ def _triangle_sweep(bounds, n_max):
             in_ok |= (_POP[inmask[:, v]] < cap_in).astype(np.int64) << v
         best_i = 0
         best_ii = 0
-        for si in _masks_up_to(n, cap_in):
+        for si, so in _orbit_pairs(n, cap_in, cap_out):
+            elig = ((out_ok & si) == si) & ((in_ok & so) == so)
+            if not elig.any():
+                continue
             si_nodes = [v for v in range(n) if si >> v & 1]
-            elig_si = (out_ok & si) == si
-            for so in _masks_up_to(n, cap_out):
-                elig = elig_si & ((in_ok & so) == so)
-                if not elig.any():
-                    continue
-                so_nodes = [v for v in range(n) if so >> v & 1]
-                # triangle I: in-edge u->v*, out-edge v*->w, base edge w->u
-                score_i = np.zeros(len(out), dtype=np.int64)
-                for u in si_nodes:
-                    score_i += _POP[inmask[:, u] & so]
-                # triangle II: every base edge inside the attached sets
-                score_ii = np.zeros(len(out), dtype=np.int64)
-                for b in si_nodes:
-                    score_ii += _POP[inmask[:, b] & si]
-                for b in so_nodes:
-                    score_ii += _POP[inmask[:, b] & si] + _POP[inmask[:, b] & so]
-                best_i = max(best_i, int(score_i[elig].max(initial=0)))
-                best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
+            so_nodes = [v for v in range(n) if so >> v & 1]
+            # triangle I: in-edge u->v*, out-edge v*->w, base edge w->u
+            score_i = np.zeros(len(out), dtype=np.int64)
+            for u in si_nodes:
+                score_i += _POP[inmask[:, u] & so]
+            # triangle II: every base edge inside the attached sets
+            score_ii = np.zeros(len(out), dtype=np.int64)
+            for b in si_nodes:
+                score_ii += _POP[inmask[:, b] & si]
+            for b in so_nodes:
+                score_ii += _POP[inmask[:, b] & si] + _POP[inmask[:, b] & so]
+            best_i = max(best_i, int(score_i[elig].max(initial=0)))
+            best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
         return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
 
     adj = _undirected_graphs(n, bounds.d)
@@ -611,13 +566,13 @@ def _triangle_sweep(bounds, n_max):
     for v in range(n):
         cap_mask |= (_POP[adj[:, v]] < bounds.d).astype(np.int64) << v
     best = 0
-    for s in _masks_up_to(n, bounds.d):
+    for m in range(min(bounds.d, n) + 1):
+        s = (1 << m) - 1
         elig = (cap_mask & s) == s
         if not elig.any():
             continue
-        s_nodes = [v for v in range(n) if s >> v & 1]
         score = np.zeros(len(adj), dtype=np.int64)
-        for v in s_nodes:
+        for v in range(m):
             score += _POP[adj[:, v] & s]
         score //= 2  # each inside edge seen from both endpoints
         best = max(best, int(score[elig].max(initial=0)))

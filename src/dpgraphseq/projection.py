@@ -151,5 +151,5 @@ def project_sequence(
             node_time[n] = batch.time
         kept.extend(batch.edges)
         if batch.time >= 1:
-            views.append(build_view(seq.directed, node_time, kept, projected=True))
+            views.append(build_view(seq.directed, node_time, kept))
     return views

@@ -123,13 +123,6 @@ def histogram_distance(a: Histogram, b: Histogram) -> int:
     return sum(abs(a.get(d, 0) - b.get(d, 0)) for d in set(a) | set(b))
 
 
-def sequence_histogram_distance(a: list[Histogram], b: list[Histogram]) -> int:
-    """Generalized L1 distance: per-step histogram distances, summed."""
-    if len(a) != len(b):
-        raise ValueError("sequences must have equal length")
-    return sum(histogram_distance(x, y) for x, y in zip(a, b))
-
-
 def _check_pattern(pattern: str, directed: bool) -> None:
     allowed = DIRECTED_PATTERNS if directed else UNDIRECTED_PATTERNS
     if pattern not in allowed:

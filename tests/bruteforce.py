@@ -4,7 +4,9 @@ Deliberately naive: enumerate candidate node tuples and test the pattern
 definition edge by edge.  Shares the k-star convention of the library (a
 copy is a (center, size-k neighbor subset) pair), so for undirected graphs
 with k=1 every edge is counted once per orientation.  `capped_digraphs`
-is the full-grid reference for the oracle's digraph enumeration.
+is the full-grid reference for the oracle's digraph enumeration, and
+`triangle_maxima` scores every labelled pair of attach sets where the
+oracle scores one pair per orbit.
 """
 import itertools
 
@@ -103,3 +105,73 @@ def capped_digraphs(n, cap_in, cap_out):
             indeg[:, v] += bit
     keep = (indeg <= cap_in).all(axis=1)
     return out[keep], inmask[keep]
+
+
+_POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+
+def capped_graphs(n, cap):
+    """Neighbor-mask rows of every degree-capped undirected graph on n nodes."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = []
+    for chosen in itertools.product((0, 1), repeat=len(pairs)):
+        adj = [0] * n
+        for on, (a, b) in zip(chosen, pairs):
+            if on:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        if all(bin(m).count("1") <= cap for m in adj):
+            rows.append(adj)
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+def _masks_up_to(n, size):
+    return [m for m in range(1 << n) if bin(m).count("1") <= size]
+
+
+def triangle_maxima(n, cap_in, cap_out=None):
+    """Most triangle copies one added node creates, over every capped graph.
+
+    Loops over every labelled (in-set, out-set) pair of attach masks; with
+    cap_out None the graphs are undirected with degree cap cap_in.
+    """
+    if cap_out is None:
+        adj = capped_graphs(n, cap_in)
+        cap_mask = np.zeros(len(adj), dtype=np.int64)
+        for v in range(n):
+            cap_mask |= (_POP[adj[:, v]] < cap_in).astype(np.int64) << v
+        best = 0
+        for s in _masks_up_to(n, cap_in):
+            elig = (cap_mask & s) == s
+            score = np.zeros(len(adj), dtype=np.int64)
+            for v in range(n):
+                if s >> v & 1:
+                    score += _POP[adj[:, v] & s]
+            best = max(best, int((score // 2)[elig].max(initial=0)))
+        return {("triangle",): best}
+
+    out, inmask = capped_digraphs(n, cap_in, cap_out)
+    out_ok = np.zeros(len(out), dtype=np.int64)
+    in_ok = np.zeros(len(out), dtype=np.int64)
+    for v in range(n):
+        out_ok |= (_POP[out[:, v]] < cap_out).astype(np.int64) << v
+        in_ok |= (_POP[inmask[:, v]] < cap_in).astype(np.int64) << v
+    best_i = best_ii = 0
+    for si in _masks_up_to(n, cap_in):
+        si_nodes = [v for v in range(n) if si >> v & 1]
+        for so in _masks_up_to(n, cap_out):
+            elig = ((out_ok & si) == si) & ((in_ok & so) == so)
+            so_nodes = [v for v in range(n) if so >> v & 1]
+            # triangle I: in-edge u->v*, out-edge v*->w, base edge w->u
+            score_i = np.zeros(len(out), dtype=np.int64)
+            for u in si_nodes:
+                score_i += _POP[inmask[:, u] & so]
+            # triangle II: every base edge inside the attached sets
+            score_ii = np.zeros(len(out), dtype=np.int64)
+            for b in si_nodes:
+                score_ii += _POP[inmask[:, b] & si]
+            for b in so_nodes:
+                score_ii += _POP[inmask[:, b] & si] + _POP[inmask[:, b] & so]
+            best_i = max(best_i, int(score_i[elig].max(initial=0)))
+            best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
+    return {("triangle_i",): best_i, ("triangle_ii",): best_ii}

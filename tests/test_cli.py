@@ -186,3 +186,31 @@ def test_malformed_statistic_is_usage_error(runner, pa_file, value):
         assert "Traceback" not in result.output
         if value == "foo":
             assert "triangle_ii" in result.output and "k_star" in result.output
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["sensitivity", "--statistic", "out_k_star:3", "--degree-bound", "3"],
+         "'out_k_star' incompatible"),
+        (["sensitivity", "--statistic", "high_degree", "--tau", "5",
+          "--degree-bound", "3"], "tau=5 exceeds"),
+        (["sensitivity", "--statistic", "triangle", "--degree-bound", "3",
+          "--regime", "per_release"], "no per-release sensitivity"),
+        (["release", "--statistic", "triangle", "--epsilon", "1"],
+         "'triangle' incompatible"),
+        (["release", "--statistic", "high_degree", "--tau", "50",
+          "--epsilon", "1"], "tau=50 exceeds"),
+        (["experiment", "--statistic", "triangle", "--epsilon", "1",
+          "--trials", "1"], "'triangle' incompatible"),
+    ],
+    ids=["sens-star", "sens-tau", "sens-regime", "release-triangle",
+         "release-tau", "experiment-triangle"],
+)
+def test_query_the_bounds_rule_out_is_usage_error(runner, pa_file, args, message):
+    if args[0] != "sensitivity":
+        args = args[:1] + ["--input", str(pa_file)] + args[1:]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output

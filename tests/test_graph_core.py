@@ -9,7 +9,6 @@ from dpgraphseq import (
     ingest_step,
     loads_edge_list,
     snapshot,
-    truncate,
     verify_bounds,
 )
 from dpgraphseq.errors import (
@@ -132,12 +131,6 @@ def test_snapshot_accumulates_batches():
     assert g3.degree("c") == 3
     with pytest.raises(TimeOutOfRangeError):
         snapshot(seq, 4)
-
-
-def test_truncate_drops_later_batches():
-    seq = truncate(small_seq(), 2)
-    assert seq.horizon == 2
-    assert "d" not in seq.node_time
 
 
 def test_directed_snapshot_degrees():

@@ -1,4 +1,8 @@
 """Brute-force sensitivity search: engine agreement and known exact values."""
+import itertools
+from collections import Counter
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +12,7 @@ from dpgraphseq import DegreeBounds, StatisticQuery, oracle
 from dpgraphseq.errors import BudgetTooLargeError, UnsupportedQueryError
 from dpgraphseq.oracle import oracle_diff_sensitivity
 
-from bruteforce import capped_digraphs
+from bruteforce import capped_digraphs, triangle_maxima
 
 
 def und_queries(d):
@@ -143,10 +147,68 @@ def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch)
         (StatisticQuery.subgraph("triangle"), DegreeBounds.directed(1, 1)),
         (StatisticQuery.subgraph("triangle_i"), DegreeBounds.undirected(2)),
         (StatisticQuery.subgraph("triangle_ii"), DegreeBounds.undirected(2)),
+        (StatisticQuery.subgraph("k_star", 2), DegreeBounds.directed(2, 2)),
+        (StatisticQuery.subgraph("out_k_star", 2), DegreeBounds.undirected(3)),
+        (StatisticQuery.subgraph("in_k_star", 2), DegreeBounds.undirected(3)),
     ]
     for query, bounds in cases:
         with pytest.raises(UnsupportedQueryError, match="oracle does not cover"):
             oracle_diff_sensitivity(query, bounds, 3, 2)
+
+
+def _degree_distances(affected, peer_arrivals, tstar, t_max, cap, max_k):
+    """Each degree query's distance, counted from per-step degree lists."""
+
+    def degrees(t, added):
+        degs = [
+            traj[t - 1] + (added and t >= max(tstar, tv))
+            for tv, traj in affected
+            if tv <= t
+        ]
+        if added and t >= tstar:
+            degs.append(sum(max(tstar, tv) <= t for tv in peer_arrivals))
+        return degs
+
+    # Each statistic as a map bin -> value; scalars use the one bin 0.
+    stats = {("degree_histogram",): Counter}
+    for tau in range(1, cap + 1):
+        stats[("high_degree", tau)] = lambda ds, tau=tau: {0: sum(d >= tau for d in ds)}
+    for k in range(1, max_k + 1):
+        stats[("k_star", k)] = lambda ds, k=k: {0: sum(comb(d, k) for d in ds)}
+    out = {}
+    for key, f in stats.items():
+        prev_a, prev_b, dist = {}, {}, 0
+        for t in range(1, t_max + 1):
+            a, b = f(degrees(t, True)), f(degrees(t, False))
+            dist += sum(
+                abs(a.get(x, 0) - prev_a.get(x, 0) - b.get(x, 0) + prev_b.get(x, 0))
+                for x in set(a) | set(b) | set(prev_a) | set(prev_b)
+            )
+            prev_a, prev_b = a, b
+        out[key] = dist
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eval_side_matches_degree_statistics(data):
+    t_max = data.draw(st.integers(1, 4))
+    cap = data.draw(st.integers(1, 3))
+    affected = []
+    for _ in range(data.draw(st.integers(0, cap))):
+        tv = data.draw(st.integers(1, t_max))
+        levels = data.draw(
+            st.lists(st.integers(0, cap - 1), min_size=t_max - tv + 1,
+                     max_size=t_max - tv + 1)
+        )
+        affected.append((tv, (0,) * (tv - 1) + tuple(sorted(levels))))
+    peers = data.draw(st.lists(st.integers(1, t_max), max_size=cap))
+    keys, tables = oracle._degree_tables(cap, range(1, cap + 1), range(1, 4), "k_star")
+    dist = oracle._eval_side(affected, peers, t_max, tables)
+    for tstar in range(1, t_max + 1):
+        got = np.add.reduceat(dist[tstar - 1], np.arange(len(keys)))
+        expected = _degree_distances(affected, peers, tstar, t_max, cap, 3)
+        assert dict(zip(keys, got.tolist())) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,3 +243,50 @@ def test_directed_graphs_match_full_grid(n, cap_in, cap_out):
     assert out.dtype == inmask.dtype == np.int64
     assert np.array_equal(out, ref_out)
     assert np.array_equal(inmask, ref_inmask)
+
+
+def _triangle_case(n, *caps):
+    if len(caps) == 1:
+        return pytest.param(DegreeBounds.undirected(*caps), n, id=f"D{caps[0]}-n{n}")
+    bounds = DegreeBounds.directed(*caps)
+    return pytest.param(bounds, n, id=f"in{caps[0]}out{caps[1]}-n{n}")
+
+
+@pytest.mark.parametrize(
+    "bounds,n",
+    [
+        _triangle_case(n, cap_in, cap_out)
+        for n in (1, 2, 3, 4)
+        for cap_in in (1, 2, 3)
+        for cap_out in (1, 2, 3)
+    ]
+    + [_triangle_case(5, 1, 1), _triangle_case(5, 1, 2)]
+    + [_triangle_case(n, d) for n in (1, 2, 3, 4) for d in (1, 2, 3)]
+    + [_triangle_case(5, 1), _triangle_case(5, 2)],
+)
+def test_triangle_sweep_matches_all_mask_pairs(bounds, n):
+    if bounds.is_directed:
+        expected = triangle_maxima(n, bounds.d_in, bounds.d_out)
+    else:
+        expected = triangle_maxima(n, bounds.d)
+    assert oracle._triangle_sweep(bounds, n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_pairs_cover_every_attach_class(n):
+    def pop(m):
+        return bin(m).count("1")
+
+    def orbit(si, so):
+        return pop(si & ~so), pop(so & ~si), pop(si & so)
+
+    for cap_in, cap_out in itertools.product((1, 2, 3), repeat=2):
+        grid = {
+            orbit(si, so)
+            for si in range(1 << n)
+            for so in range(1 << n)
+            if pop(si) <= cap_in and pop(so) <= cap_out
+        }
+        pairs = list(oracle._orbit_pairs(n, cap_in, cap_out))
+        assert all(si >> n == 0 and so >> n == 0 for si, so in pairs)
+        assert sorted(orbit(si, so) for si, so in pairs) == sorted(grid)

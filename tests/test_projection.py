@@ -23,7 +23,6 @@ def test_single_graph_projection_respects_order():
     proj = project_sequence(seq, canonical_ordering(seq), th)[0]
     # First two edges in canonical order survive; (a, d) is dropped.
     assert proj.edges == (("a", "b"), ("a", "c"))
-    assert proj.projected
     assert max(proj.degree(v) for v in proj.nodes) <= 2
 
 

@@ -15,7 +15,6 @@ from dpgraphseq import (
     exact_values,
     histogram_distance,
     project_sequence,
-    sequence_histogram_distance,
     snapshot,
 )
 from dpgraphseq.errors import PatternDirectionMismatchError
@@ -53,9 +52,6 @@ def test_degree_histogram_includes_isolated_nodes():
 def test_histogram_distances():
     assert histogram_distance({1: 2, 0: 1}, {1: 1, 2: 1}) == 3
     assert histogram_distance({}, {}) == 0
-    assert sequence_histogram_distance([{0: 1}, {1: 2}], [{0: 1}, {2: 2}]) == 4
-    with pytest.raises(ValueError):
-        sequence_histogram_distance([{}], [{}, {}])
 
 
 def test_known_pattern_counts():
