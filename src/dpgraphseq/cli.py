@@ -8,7 +8,11 @@ import sys
 
 import click
 
-from .errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
+from .errors import (
+    BoundViolationError,
+    InfeasibleThresholdError,
+    UnsupportedBaselineQueryError,
+)
 from .generators import (
     PaTransmissionParams,
     SirParams,
@@ -93,10 +97,12 @@ def _thresholds_option(ctx, param, value):
 
 @contextlib.contextmanager
 def _usage_errors():
-    """Report a query that the bounds rule out as a usage error (exit 2)."""
+    """Report bounds the data exceed, or a query they rule out, as a usage error."""
     try:
         yield
-    except (UnsupportedBaselineQueryError, InfeasibleThresholdError) as exc:
+    except (
+        UnsupportedBaselineQueryError, InfeasibleThresholdError, BoundViolationError
+    ) as exc:
         raise click.UsageError(str(exc)) from exc
 
 

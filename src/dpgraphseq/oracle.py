@@ -13,11 +13,15 @@ Two search engines are provided:
 * ``pruned`` — the default.  Degree-determined statistics (threshold counts,
   histograms, edge counts, stars) depend only on per-node degree
   trajectories, so base sequences are deduplicated by their sorted
-  trajectory signature (lossless for these statistics) and additions are
-  evaluated once per distinct local configuration.  All of them but the
-  edge count are f(G_t) = sum_v g(deg_t(v)) for a table g on degrees
-  0..cap (one table per bin for the histogram), so one scorer sums
-  g(after) - g(before) over the nodes an addition touches.  Triangle
+  trajectory signature (lossless for these statistics).  Each signature row
+  meets one fixed table of role patterns: every node takes none, send,
+  recv or both within the new node's degree budgets, as its flag bits
+  allow.  Each configuration so reached, its sorted affected profiles plus
+  sorted peer arrivals, is packed into one int64 key, and the keys are
+  deduplicated.  All these statistics but the edge count are
+  f(G_t) = sum_v g(deg_t(v)) for a table g on degrees 0..cap, so the
+  distinct configurations are scored in batches from per-profile tables of
+  g(after) - g(before) plus the new node's own-degree term.  Triangle
   patterns need real structure: every capped graph is enumerated, and
   since relabelling nodes maps those graphs onto themselves, only one pair
   of attach sets per orbit, fixed by (|in-set|, |out-set|, overlap), is
@@ -35,16 +39,15 @@ sweep runs in its d_out <= d_in orientation, which enumerates fewer masks.
 Capped digraphs are built one node at a time, and a partial graph is
 dropped as soon as some node's in-degree exceeds d_in, so the full grid of
 out-mask tuples is never held.  Signature rows are deduplicated by a
-``np.lexsort`` of their columns and a comparison of adjacent rows, which
-returns what ``np.unique(rows, axis=0)`` does without its row-as-record
-sort.
+``np.lexsort`` of their columns and a comparison of adjacent rows.
 
 A node profile is packed into one int64 code, low bits first: the arrival
 step (``t_max.bit_length()`` bits), then one field per step of the
 out-degree trajectory (``min(cap, n_max - 1).bit_length()`` bits each, cap
 being d_out or D), then the spare out-degree and spare in-degree flags.
 Budgets whose code would need more than 63 bits raise
-``BudgetTooLargeError`` before any enumeration.
+``BudgetTooLargeError`` before any enumeration, and so do those whose
+configuration key would.
 """
 from __future__ import annotations
 
@@ -288,18 +291,6 @@ def _profile_layout(bounds, n_max, t_max):
     return arrival_bits, step_bits, flag_shift
 
 
-def _decode_profile(code, t_max, layout):
-    """Unpack one node's code: arrival, trajectory, spare-capacity flags."""
-    arrival_bits, step_bits, flag_shift = layout
-    code = int(code)
-    t_v = code & ((1 << arrival_bits) - 1)
-    traj = tuple(
-        (code >> (arrival_bits + step_bits * t)) & ((1 << step_bits) - 1)
-        for t in range(t_max)
-    )
-    return t_v, traj, bool(code >> flag_shift & 1), bool(code >> flag_shift & 2)
-
-
 def _signature_rows(bounds, n, t_max, layout):
     """Unique attachment-relevant signatures over all capped sequences.
 
@@ -339,58 +330,17 @@ def _signature_rows(bounds, n, t_max, layout):
     return _unique_rows(np.concatenate(chunks, axis=0))
 
 
-def _sub_multiset_closure(rows):
-    """Every sub-multiset of every signature row, deduplicated.
+def _role_patterns(n, cap_in, budget_out):
+    """Send and recv indicators, shape (patterns, n), of every role pattern.
 
-    Dropping one element at a time (vectorized: zero it out, re-sort, unique)
-    once per row position reaches all sizes; zeros pad short rows.
+    Each row position takes one role: none, send (edge to the new node),
+    recv (edge from it) or both.  Send-or-both positions spend the new
+    node's in-degree budget, recv-or-both positions its out-degree budget.
     """
-    levels = [rows]
-    cur = rows
-    for _ in range(rows.shape[1]):
-        drops = []
-        for i in range(cur.shape[1]):
-            d = cur.copy()
-            d[:, i] = 0
-            drops.append(d)
-        cur = np.concatenate(drops)
-        cur.sort(axis=1)
-        cur = _unique_rows(cur)
-        levels.append(cur)
-    return _unique_rows(np.concatenate(levels))
-
-
-def _role_assignments(classes, budget_in, budget_out):
-    """Assign every node of the multiset a role within the degree budgets.
-
-    Roles: sender (edge to the new node, needs spare out-degree), receiver
-    (edge from it, needs spare in-degree), or both.  Senders plus both-role
-    nodes occupy the new node's in-degree budget, receivers plus both its
-    out-degree budget.  Nodes of one class are interchangeable, so only
-    per-class counts are enumerated.
-    """
-    items = classes  # list of (code, count, can_send, can_recv)
-
-    def rec(i, left_in, left_out, acc):
-        if i == len(items):
-            yield tuple(acc)
-            return
-        code, m, can_send, can_recv = items[i]
-        for ns in range(m + 1):
-            for nr in range(m - ns + 1):
-                nb = m - ns - nr
-                if (ns or nb) and not can_send:
-                    continue
-                if (nr or nb) and not can_recv:
-                    continue
-                ci, co = ns + nb, nr + nb
-                if ci > left_in or co > left_out:
-                    continue
-                acc.append((code, ci, co))
-                yield from rec(i + 1, left_in - ci, left_out - co, acc)
-                acc.pop()
-
-    yield from rec(0, budget_in, budget_out, [])
+    roles = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.int64)
+    send, recv = roles & 1, roles >> 1
+    keep = (send.sum(axis=1) <= cap_in) & (recv.sum(axis=1) <= budget_out)
+    return send[keep], recv[keep]
 
 
 def _degree_tables(cap, taus, ks, star):
@@ -410,42 +360,46 @@ def _degree_tables(cap, taus, ks, star):
     return keys, np.array(columns, dtype=np.int64).T
 
 
-def _eval_side(affected, peer_arrivals, t_max, tables):
-    """Per-column distances of one out-side configuration, a row per t*.
+def _profile_deltas(arrivals, trajs, tables):
+    """g(after) - g(before) of each profile gaining one edge.
 
-    Row t* - 1 scores the new node arriving at step t*.  `affected` lists
-    (arrival, trajectory) of existing nodes gaining one incident edge at
-    max(t*, arrival); the new node's own out-edges reach peers of the given
-    arrivals at max(t*, arrival), which fully determines its trajectory.
-    Only those nodes change degree, so the change of each column's f at
-    step t is the sum of g(after) - g(before) over them, plus g of the new
-    node's degree once it is present; the distance is the L1 norm of that
-    change's step differences.
+    Shape (profiles + 1, t*, t, column): row 0 is the empty slot, row p + 1
+    the node of arrival arrivals[p] and out-trajectory trajs[p] gaining its
+    edge at max(t*, arrival).
     """
-    steps = np.arange(1, t_max + 1)
-    tstar = steps[:, None]  # rows: t*, columns: t
-    # Once the new node is present (t >= t*), max(t*, arrival) <= t is
-    # arrival <= t.
-    own = np.zeros(t_max, dtype=np.int64)
-    for tv in peer_arrivals:
-        own += steps >= tv
-    change = np.where((steps >= tstar)[..., None], tables[own], 0)
-    for tv, traj in affected:
-        before = np.array(traj)
-        change += tables[before + (steps >= np.maximum(tstar, tv))] - tables[before]
-    return np.abs(np.diff(change, axis=1, prepend=0)).sum(axis=1)
+    steps = np.arange(1, trajs.shape[1] + 1)
+    gain = steps >= np.maximum(steps[:, None], arrivals[:, None, None])
+    before = trajs[:, None, :]
+    deltas = tables[before + gain] - tables[before]
+    return np.concatenate([np.zeros((1,) + deltas.shape[1:], np.int64), deltas])
+
+
+def _eval_configs(affected, peers, deltas, tables):
+    """Per-column distances of a batch of configurations, shape (K, t*, column).
+
+    `affected` (K, slots) holds the `deltas` rows of the existing nodes
+    gaining an incident edge, `peers` (K, slots) the arrivals of the new
+    node's out-edge endpoints, which it reaches at max(t*, arrival); 0 is an
+    empty slot.  Each column's f changes at step t by the affected nodes'
+    g(after) - g(before) plus g of the new node's degree once present, and
+    the distance is the L1 norm of that change's step differences.
+    """
+    steps = np.arange(1, deltas.shape[1] + 1)
+    own = ((peers[:, None, :] > 0) & (peers[:, None, :] <= steps[:, None])).sum(2)
+    present = (steps >= steps[:, None])[None, :, :, None]  # t >= t*
+    change = np.where(present, tables[own][:, None], 0)
+    change += deltas[affected].sum(axis=1)
+    return np.abs(np.diff(change, axis=2, prepend=0)).sum(axis=2)
 
 
 @functools.lru_cache(maxsize=None)
 def _degree_sweep(bounds, n_max, t_max, max_k=3):
     """Max distances for every out-side degree-determined query.
 
-    An attachment configuration is fully described by the multiset of
-    affected-node (arrival, out-trajectory) profiles plus the arrival times
-    of the new node's own out-edges' endpoints; anything finer never changes
-    a score, so configurations are deduplicated at that level before the
-    (cheap but repeated) per-step evaluation.  In-stars of a directed bound
-    are read from its transpose's sweep.
+    A configuration, the multiset of affected-node (arrival, out-trajectory)
+    profiles plus the arrivals of the new node's out-edge endpoints, fully
+    determines every score.  In-stars of a directed bound are read from its
+    transpose's sweep.
     """
     directed = bounds.is_directed
     cap_in, cap_out = _cap_limits(bounds)
@@ -456,49 +410,79 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
         range(1, max_k + 1),
         "out_k_star" if directed else "k_star",
     )
+    arrival_bits, step_bits, flag_shift = layout = _profile_layout(
+        bounds, n_max, t_max
+    )
+    rows = _signature_rows(bounds, n_max, t_max, layout)
+    flags = np.concatenate([rows >> flag_shift & 1, rows >> flag_shift + 1 & 1], 1)
+    arrival = rows & (1 << arrival_bits) - 1
+    # A sender's profile is its code without the flags.  Profiles are
+    # numbered from 1 in (arrival, code) order and each row's positions are
+    # sorted by (arrival, profile), so any pattern's senders come in
+    # ascending profile order and its receivers in ascending arrival order:
+    # packed in position order, they give a canonical key.
+    sent = flags[:, :n_max] == 1
+    unflagged = rows[sent] & (1 << flag_shift) - 1
+    codes = np.unique(unflagged)
+    by_arrival = np.argsort(codes & (1 << arrival_bits) - 1, kind="stable")
+    number = np.empty(len(codes), dtype=np.int64)
+    number[by_arrival] = np.arange(1, len(codes) + 1)
+    profile = np.zeros_like(rows)
+    profile[sent] = number[np.searchsorted(codes, unflagged)]
+    codes = codes[by_arrival]
+    perm = np.argsort(arrival * (len(codes) + 1) + profile, axis=1, kind="stable")
+    perm = np.concatenate([perm, perm + n_max], axis=1)
+    values = np.take_along_axis(np.concatenate([profile, arrival], 1), perm, axis=1)
+    bit = 1 << np.arange(2 * n_max)
+    offers = np.take_along_axis(flags, perm, axis=1) @ bit
+
+    profile_bits = len(codes).bit_length()
+    n_affected, n_peers = min(cap_in, n_max), min(budget_out, n_max)
+    peer_shift = n_affected * profile_bits
+    if peer_shift + n_peers * arrival_bits > 63:
+        raise BudgetTooLargeError(
+            f"{n_affected} profiles of {profile_bits} bits and {n_peers} "
+            f"arrivals of {arrival_bits} bits do not fit an int64 key"
+        )
+    send, recv = _role_patterns(n_max, cap_in, budget_out)
+    roles = np.concatenate([send, recv], axis=1)
+    # A chosen position's value goes to the next free field of its half.
+    send_at = (np.cumsum(send, axis=1) - 1).clip(0) * profile_bits
+    recv_at = peer_shift + (np.cumsum(recv, axis=1) - 1).clip(0) * arrival_bits
+    weights = (roles << np.concatenate([send_at, recv_at], axis=1)).T
+    needs = roles @ bit
+    reached = np.zeros(len(needs), dtype=bool)
+    found = []
+    # Row chunks keep the (rows x patterns) expansion small.
+    for lo in range(0, len(rows), 512):
+        valid = (needs & ~offers[lo:lo + 512, None]) == 0
+        found.append(np.unique((values[lo:lo + 512] @ weights)[valid]))
+        reached |= valid.any(axis=0)
+    configs = np.unique(np.concatenate(found))
+
+    trajs = codes[:, None] >> arrival_bits + step_bits * np.arange(t_max)
+    arrivals = codes & (1 << arrival_bits) - 1
+    deltas = _profile_deltas(arrivals, trajs & (1 << step_bits) - 1, tables)
+    affected = configs[:, None] >> profile_bits * np.arange(n_affected)
+    affected &= (1 << profile_bits) - 1
+    if directed:
+        shifts = peer_shift + arrival_bits * np.arange(n_peers)
+        peers = configs[:, None] >> shifts & (1 << arrival_bits) - 1
+    else:
+        # Undirected: one attached edge is both the node's extra degree and
+        # one unit of the new node's own degree.
+        peers = np.concatenate([[0], arrivals])[affected]
     # The histogram's bins are the last columns, so each reduceat segment
     # starting at these offsets is one key.
     starts = np.arange(len(keys))
     best = np.zeros(len(keys), dtype=np.int64)
-    best_edges = 0
-    layout = _profile_layout(bounds, n_max, t_max)
-    rows = _sub_multiset_closure(_signature_rows(bounds, n_max, t_max, layout))
-    # Every role spends at least one unit of the new node's degree budget,
-    # so a row with more nodes than the budget has no role assignment.
-    rows = rows[np.count_nonzero(rows, axis=1) <= cap_in + budget_out]
-    decoded: dict = {}
-    seen: set = set()
-    for row in rows:
-        counts = Counter(int(c) for c in row if c)
-        classes = []
-        for code, m in counts.items():
-            if code not in decoded:
-                decoded[code] = _decode_profile(code, t_max, layout)
-            _, _, can_send, can_recv = decoded[code]
-            classes.append((code, m, can_send, can_recv))
-        for picked in _role_assignments(classes, cap_in, budget_out):
-            best_edges = max(best_edges, sum(ci + co for _, ci, co in picked))
-            affected = []
-            peer_arrivals = []
-            for code, ci, co in picked:
-                t_v, traj, _, _ = decoded[code]
-                if ci:
-                    affected.extend(((t_v, traj),) * ci)
-                if co:
-                    peer_arrivals.extend((t_v,) * co)
-            # Undirected: one attached edge is both the node's extra degree
-            # and one unit of the new node's own degree.
-            if not directed:
-                peer_arrivals = [t_v for t_v, _ in affected]
-            config = (tuple(sorted(affected)), tuple(sorted(peer_arrivals)))
-            if config in seen:
-                continue
-            seen.add(config)
-            dist = _eval_side(*config, t_max, tables)
-            score = np.add.reduceat(dist, starts, axis=1).max(axis=0)
-            np.maximum(best, score, out=best)
+    for lo in range(0, len(configs), 4096):
+        chunk = slice(lo, lo + 4096)
+        dist = _eval_configs(affected[chunk], peers[chunk], deltas, tables)
+        score = np.add.reduceat(dist, starts, axis=2).max(axis=(0, 1))
+        np.maximum(best, score, out=best)
     maxima = {key: int(v) for key, v in zip(keys, best)}
-    maxima[("edge",)] = best_edges
+    maxima[("edge",)] = int(roles.sum(axis=1)[reached].max())
     return maxima
 
 

@@ -4,13 +4,18 @@ Deliberately naive: enumerate candidate node tuples and test the pattern
 definition edge by edge.  Shares the k-star convention of the library (a
 copy is a (center, size-k neighbor subset) pair), so for undirected graphs
 with k=1 every edge is counted once per orientation.  `capped_digraphs`
-is the full-grid reference for the oracle's digraph enumeration, and
+is the full-grid reference for the oracle's digraph enumeration,
 `triangle_maxima` scores every labelled pair of attach sets where the
-oracle scores one pair per orbit.
+oracle scores one pair per orbit, and `degree_maxima` walks every
+sub-multiset of every signature row and every role assignment where the
+oracle expands rows against a table of role patterns in array passes.
 """
 import itertools
+from collections import Counter
 
 import numpy as np
+
+from dpgraphseq import oracle
 
 
 def _und_adj(nodes, edges):
@@ -175,3 +180,143 @@ def triangle_maxima(n, cap_in, cap_out=None):
             best_i = max(best_i, int(score_i[elig].max(initial=0)))
             best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
     return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
+
+
+def _sub_multiset_closure(rows):
+    """Every sub-multiset of every signature row, deduplicated.
+
+    Dropping one element at a time (zero it out, re-sort, unique) once per
+    row position reaches all sizes; zeros pad short rows.
+    """
+    levels = [rows]
+    cur = rows
+    for _ in range(rows.shape[1]):
+        drops = []
+        for i in range(cur.shape[1]):
+            d = cur.copy()
+            d[:, i] = 0
+            drops.append(d)
+        cur = np.concatenate(drops)
+        cur.sort(axis=1)
+        cur = oracle._unique_rows(cur)
+        levels.append(cur)
+    return oracle._unique_rows(np.concatenate(levels))
+
+
+def _role_assignments(classes, budget_in, budget_out):
+    """Assign every node of the multiset a role within the degree budgets.
+
+    Roles: sender (edge to the new node, needs spare out-degree), receiver
+    (edge from it, needs spare in-degree), or both.  Senders plus both-role
+    nodes occupy the new node's in-degree budget, receivers plus both its
+    out-degree budget.  Nodes of one class are interchangeable, so only
+    per-class counts are enumerated.
+    """
+
+    def rec(i, left_in, left_out, acc):
+        if i == len(classes):
+            yield tuple(acc)
+            return
+        code, m, can_send, can_recv = classes[i]
+        for ns in range(m + 1):
+            for nr in range(m - ns + 1):
+                nb = m - ns - nr
+                if (ns or nb) and not can_send:
+                    continue
+                if (nr or nb) and not can_recv:
+                    continue
+                ci, co = ns + nb, nr + nb
+                if ci > left_in or co > left_out:
+                    continue
+                acc.append((code, ci, co))
+                yield from rec(i + 1, left_in - ci, left_out - co, acc)
+                acc.pop()
+
+    yield from rec(0, budget_in, budget_out, [])
+
+
+def _decode_profile(code, t_max, layout):
+    """Unpack one node's code: arrival, trajectory, spare-capacity flags."""
+    arrival_bits, step_bits, flag_shift = layout
+    code = int(code)
+    t_v = code & ((1 << arrival_bits) - 1)
+    traj = tuple(
+        (code >> (arrival_bits + step_bits * t)) & ((1 << step_bits) - 1)
+        for t in range(t_max)
+    )
+    return t_v, traj, bool(code >> flag_shift & 1), bool(code >> flag_shift & 2)
+
+
+def eval_side(affected, peer_arrivals, t_max, tables):
+    """Per-column distances of one out-side configuration, a row per t*.
+
+    Row t* - 1 scores the new node arriving at step t*.  `affected` lists
+    (arrival, trajectory) of existing nodes gaining one incident edge at
+    max(t*, arrival); the new node's own out-edges reach peers of the given
+    arrivals at max(t*, arrival), which fully determines its trajectory.
+    """
+    steps = np.arange(1, t_max + 1)
+    tstar = steps[:, None]  # rows: t*, columns: t
+    own = np.zeros(t_max, dtype=np.int64)
+    for tv in peer_arrivals:
+        own += steps >= tv
+    change = np.where((steps >= tstar)[..., None], tables[own], 0)
+    for tv, traj in affected:
+        before = np.array(traj)
+        change += tables[before + (steps >= np.maximum(tstar, tv))] - tables[before]
+    return np.abs(np.diff(change, axis=1, prepend=0)).sum(axis=1)
+
+
+def degree_maxima(bounds, n_max, t_max, max_k):
+    """The oracle's out-side degree maxima, one configuration at a time.
+
+    Walks every sub-multiset of every signature row, every role assignment
+    of its nodes within the new node's degree budgets, and scores each
+    distinct (affected profiles, peer arrivals) configuration on its own.
+    """
+    directed = bounds.is_directed
+    cap_in, cap_out = oracle._cap_limits(bounds)
+    budget_out = cap_out if directed else 0
+    keys, tables = oracle._degree_tables(
+        cap_out,
+        range(1, cap_out + 1),
+        range(1, max_k + 1),
+        "out_k_star" if directed else "k_star",
+    )
+    starts = np.arange(len(keys))
+    best = np.zeros(len(keys), dtype=np.int64)
+    best_edges = 0
+    layout = oracle._profile_layout(bounds, n_max, t_max)
+    rows = _sub_multiset_closure(oracle._signature_rows(bounds, n_max, t_max, layout))
+    rows = rows[np.count_nonzero(rows, axis=1) <= cap_in + budget_out]
+    decoded = {}
+    seen = set()
+    for row in rows:
+        classes = []
+        for code, m in Counter(int(c) for c in row if c).items():
+            if code not in decoded:
+                decoded[code] = _decode_profile(code, t_max, layout)
+            _, _, can_send, can_recv = decoded[code]
+            classes.append((code, m, can_send, can_recv))
+        for picked in _role_assignments(classes, cap_in, budget_out):
+            best_edges = max(best_edges, sum(ci + co for _, ci, co in picked))
+            affected = []
+            peer_arrivals = []
+            for code, ci, co in picked:
+                t_v, traj, _, _ = decoded[code]
+                affected.extend(((t_v, traj),) * ci)
+                peer_arrivals.extend((t_v,) * co)
+            # Undirected: one attached edge is both the node's extra degree
+            # and one unit of the new node's own degree.
+            if not directed:
+                peer_arrivals = [t_v for t_v, _ in affected]
+            config = (tuple(sorted(affected)), tuple(sorted(peer_arrivals)))
+            if config in seen:
+                continue
+            seen.add(config)
+            dist = eval_side(*config, t_max, tables)
+            score = np.add.reduceat(dist, starts, axis=1).max(axis=0)
+            np.maximum(best, score, out=best)
+    maxima = {key: int(v) for key, v in zip(keys, best)}
+    maxima[("edge",)] = best_edges
+    return maxima

@@ -83,19 +83,29 @@ def test_criterion_1_sensitivity_catalog_upper_bounds_oracle():
         for din, dout in itertools.product((1, 2, 3), repeat=2)
     ]
     start = time.perf_counter()
-    violations = []
+    entries = []
     for bounds in all_bounds:
         for query in _catalog_queries(bounds):
             oracle = oracle_diff_sensitivity(query, bounds, n_max=5, t_max=3)
             formula = diff_sequence_sensitivity(query, bounds).value
-            if oracle > formula:
-                violations.append((bounds, query.label(), oracle, formula))
+            entries.append((bounds, query.label(), oracle, formula))
     elapsed = time.perf_counter() - start
+    violations = [e for e in entries if e[2] > e[3]]
     _verdict(
         f"criterion 1: oracle <= catalog for all bounds in {{1,2,3}} "
         f"(n<=5, t<=3), {elapsed:.0f}s <= 600s budget",
         not violations and elapsed <= 600,
     )
+    # Entries the oracle does not reach are loose formulas or budget limits.
+    below = [e for e in entries if e[2] < e[3]]
+    reached = len(entries) - len(below)
+    print(f"  oracle reaches {reached} of {len(entries)} catalog entries")
+    for bounds, label, oracle, formula in below:
+        if bounds.is_directed:
+            name = f"in{bounds.d_in}out{bounds.d_out}"
+        else:
+            name = f"D{bounds.d}"
+        print(f"  below: {name} {label}: oracle {oracle} vs catalog {formula}")
 
 
 # --- 2. high-degree worst cases are achieved exactly -----------------------

@@ -214,3 +214,15 @@ def test_query_the_bounds_rule_out_is_usage_error(runner, pa_file, args, message
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["release", "experiment"])
+def test_bound_the_data_exceed_is_usage_error(runner, pa_file, command):
+    args = [command, "--input", str(pa_file), "--statistic", "edge",
+            "--epsilon", "1", "--degree-bound", "3,3"]
+    if command == "experiment":
+        args += ["--trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "reaches out 4 at t=2, above the stated bound" in result.output
+    assert "Traceback" not in result.output

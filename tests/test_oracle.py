@@ -12,7 +12,7 @@ from dpgraphseq import DegreeBounds, StatisticQuery, oracle
 from dpgraphseq.errors import BudgetTooLargeError, UnsupportedQueryError
 from dpgraphseq.oracle import oracle_diff_sensitivity
 
-from bruteforce import capped_digraphs, triangle_maxima
+from bruteforce import capped_digraphs, degree_maxima, triangle_maxima
 
 
 def und_queries(d):
@@ -137,6 +137,17 @@ def test_budget_cap_and_bad_arguments(monkeypatch):
         oracle_diff_sensitivity(query, bounds, 3, 2, method="magic")
 
 
+def test_configuration_key_too_wide_is_rejected(monkeypatch):
+    """Seven affected slots of 512 profiles need 70 bits: no int64 key."""
+    bounds = DegreeBounds.undirected(7)
+    arrival_bits, _, flag_shift = oracle._profile_layout(bounds, 7, 3)
+    codes = 1 + (np.arange(512, dtype=np.int64) << arrival_bits) + (3 << flag_shift)
+    rows = np.repeat(codes[:, None], 7, axis=1)
+    monkeypatch.setattr(oracle, "_signature_rows", lambda *args: rows)
+    with pytest.raises(BudgetTooLargeError, match="do not fit an int64 key"):
+        oracle_diff_sensitivity(StatisticQuery.high_degree(1), bounds, 7, 3)
+
+
 def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated graphs for a query the oracle rejects")
@@ -189,11 +200,7 @@ def _degree_distances(affected, peer_arrivals, tstar, t_max, cap, max_k):
     return out
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_eval_side_matches_degree_statistics(data):
-    t_max = data.draw(st.integers(1, 4))
-    cap = data.draw(st.integers(1, 3))
+def _draw_config(data, t_max, cap):
     affected = []
     for _ in range(data.draw(st.integers(0, cap))):
         tv = data.draw(st.integers(1, t_max))
@@ -202,13 +209,61 @@ def test_eval_side_matches_degree_statistics(data):
                      max_size=t_max - tv + 1)
         )
         affected.append((tv, (0,) * (tv - 1) + tuple(sorted(levels))))
-    peers = data.draw(st.lists(st.integers(1, t_max), max_size=cap))
+    return affected, data.draw(st.lists(st.integers(1, t_max), max_size=cap))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eval_configs_matches_degree_statistics(data):
+    """Each configuration of a batch scores as its own degree lists say."""
+    t_max = data.draw(st.integers(1, 4))
+    cap = data.draw(st.integers(1, 3))
+    batch = data.draw(st.integers(1, 4))
+    configs = [_draw_config(data, t_max, cap) for _ in range(batch)]
     keys, tables = oracle._degree_tables(cap, range(1, cap + 1), range(1, 4), "k_star")
-    dist = oracle._eval_side(affected, peers, t_max, tables)
-    for tstar in range(1, t_max + 1):
-        got = np.add.reduceat(dist[tstar - 1], np.arange(len(keys)))
-        expected = _degree_distances(affected, peers, tstar, t_max, cap, 3)
-        assert dict(zip(keys, got.tolist())) == expected
+    profiles = [p for affected, _ in configs for p in affected]
+    deltas = oracle._profile_deltas(
+        np.array([tv for tv, _ in profiles], dtype=np.int64),
+        np.array([traj for _, traj in profiles], dtype=np.int64).reshape(-1, t_max),
+        tables,
+    )
+    # Slot value 0 is empty; profile p is deltas row p + 1.
+    affected = np.zeros((len(configs), cap), dtype=np.int64)
+    peers = np.zeros((len(configs), cap), dtype=np.int64)
+    row = 1
+    for k, (aff, prs) in enumerate(configs):
+        affected[k, :len(aff)] = range(row, row + len(aff))
+        peers[k, :len(prs)] = prs
+        row += len(aff)
+    dist = oracle._eval_configs(affected, peers, deltas, tables)
+    for k, (aff, prs) in enumerate(configs):
+        for tstar in range(1, t_max + 1):
+            got = np.add.reduceat(dist[k, tstar - 1], np.arange(len(keys)))
+            expected = _degree_distances(aff, prs, tstar, t_max, cap, 3)
+            assert dict(zip(keys, got.tolist())) == expected
+
+
+def _degree_case(n_max, t_max, *caps):
+    if len(caps) == 1:
+        bounds, name = DegreeBounds.undirected(*caps), f"D{caps[0]}"
+    else:
+        bounds, name = DegreeBounds.directed(*caps), f"in{caps[0]}out{caps[1]}"
+    return pytest.param(bounds, n_max, t_max, id=f"{name}-n{n_max}-t{t_max}")
+
+
+# n_max below the caps (n_max = 1, 2 at cap 3) narrows the packed keys.
+@pytest.mark.parametrize(
+    "bounds,n_max,t_max",
+    [
+        _degree_case(n_max, t_max, *caps)
+        for n_max, t_max in [(1, 2), (2, 1), (2, 5), (3, 2), (3, 4), (4, 3)]
+        for caps in [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))
+    ],
+)
+def test_degree_sweep_matches_configuration_walk(bounds, n_max, t_max):
+    assert oracle._degree_sweep(bounds, n_max, t_max, 4) == degree_maxima(
+        bounds, n_max, t_max, 4
+    )
 
 
 @settings(max_examples=200, deadline=None)
