@@ -38,6 +38,11 @@ from .sensitivity import (
 )
 from .statistics import DIRECTED_PATTERNS, UNDIRECTED_PATTERNS, StatisticQuery
 
+# Numeric option ranges: click reports a value outside them as a usage error.
+_POSITIVE = click.FloatRange(min=0, min_open=True)
+_AT_LEAST_ONE = click.IntRange(min=1)
+_PERCENTILE = click.FloatRange(0, 100, min_open=True, max_open=True)
+
 
 def _parse_statistic(spec: str, tau) -> StatisticQuery:
     """Parse 'high_degree', 'degree_histogram', or a pattern like 'k_star:2'.
@@ -162,7 +167,7 @@ def generate(model, m0, arrivals, years, k, p_isolated, decay, population,
 
 @main.command()
 @click.option("--statistic", required=True)
-@click.option("--tau", type=int, default=None)
+@click.option("--tau", type=_AT_LEAST_ONE, default=None)
 @click.option("--degree-bound", default=None, callback=_bounds_option,
               help="D or Din,Dout")
 @click.option("--projection-thresholds", default=None,
@@ -205,11 +210,11 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
 @click.option("--mechanism", type=click.Choice(MECHANISMS), default="sensdiff",
               show_default=True)
 @click.option("--statistic", required=True)
-@click.option("--epsilon", type=float, required=True)
-@click.option("--tau", type=int, default=None)
-@click.option("--tau-percentile", type=float, default=None)
+@click.option("--epsilon", type=_POSITIVE, required=True)
+@click.option("--tau", type=_AT_LEAST_ONE, default=None)
+@click.option("--tau-percentile", type=_PERCENTILE, default=None)
 @click.option("--degree-bound", default=None, callback=_bounds_option)
-@click.option("--bound-granularity", type=int, default=5, show_default=True)
+@click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
 @click.option("--projection-thresholds", default=None, callback=_thresholds_option)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trial", default=0, show_default=True)
@@ -258,16 +263,16 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--dataset", default=None, help="label in output rows")
 @click.option("--statistic", required=True)
-@click.option("--epsilon", "epsilons", type=float, multiple=True, required=True)
+@click.option("--epsilon", "epsilons", type=_POSITIVE, multiple=True, required=True)
 @click.option("--mechanism", "mechanisms", type=click.Choice(MECHANISMS),
               multiple=True, default=MECHANISMS, show_default=True)
-@click.option("--releases", type=int, default=None,
+@click.option("--releases", type=_AT_LEAST_ONE, default=None,
               help="merge batches into this many release windows")
 @click.option("--trials", default=100, show_default=True)
-@click.option("--tau", type=int, default=None)
-@click.option("--tau-percentile", type=float, default=90.0, show_default=True)
+@click.option("--tau", type=_AT_LEAST_ONE, default=None)
+@click.option("--tau-percentile", type=_PERCENTILE, default=90.0, show_default=True)
 @click.option("--degree-bound", default=None, callback=_bounds_option)
-@click.option("--bound-granularity", type=int, default=5, show_default=True)
+@click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
 @click.option("--projection-thresholds", default=None, callback=_thresholds_option)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--zero-noise", is_flag=True)

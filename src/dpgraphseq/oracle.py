@@ -38,8 +38,15 @@ directed 3-cycle and transitive-triangle counts, so each directed triangle
 sweep runs in its d_out <= d_in orientation, which enumerates fewer masks.
 Capped digraphs are built one node at a time, and a partial graph is
 dropped as soon as some node's in-degree exceeds d_in, so the full grid of
-out-mask tuples is never held.  Signature rows are deduplicated by a
-``np.lexsort`` of their columns and a comparison of adjacent rows.
+out-mask tuples is never held.  A signature row sees a node only through
+its spare-capacity flags and, if it can send, its out-mask, so each capped
+graph reduces to one int64 of (n + 2)-bit node fields and equal graphs are
+merged first.  Arrival tuples are non-decreasing, so the nodes present at
+a step are the first k of them; tables of every node's out-degree into
+nodes 0..k-1, one per k, give the codes of many (tuple, graph) rows per
+array pass.  Each row is sorted and packed into int64 words, first column
+in the high bits, so deduplicating the words with a sort deduplicates the
+rows in lexicographic order.
 
 A node profile is packed into one int64 code, low bits first: the arrival
 step (``t_max.bit_length()`` bits), then one field per step of the
@@ -69,6 +76,8 @@ from .statistics import (
 )
 
 _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+# Most (arrival tuple, graph) rows _signature_rows builds in one array pass.
+_GROUP_ROWS = 1 << 15
 
 
 def _query_key(query: StatisticQuery):
@@ -268,7 +277,10 @@ def _undirected_graphs(n, cap):
 
 def _unique_rows(rows):
     """Distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``."""
-    rows = rows[np.lexsort(rows.T[::-1])]
+    if rows.shape[1] == 1:
+        rows = np.sort(rows, axis=0)
+    else:
+        rows = rows[np.lexsort(rows.T[::-1])]
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return rows[keep]
@@ -303,31 +315,62 @@ def _signature_rows(bounds, n, t_max, layout):
     cap_in, cap_out = _cap_limits(bounds)
     if bounds.is_directed:
         out, inmask = _directed_graphs(n, cap_in, cap_out)
-        can_send = _POP[out] < cap_out       # spare out-degree
-        can_recv = _POP[inmask] < cap_in     # spare in-degree
     else:
-        out = _undirected_graphs(n, bounds.d)
-        can_send = can_recv = _POP[out] < bounds.d
-    flags = (can_send + 2 * can_recv).astype(np.int64) << flag_shift
-    chunks = []
-    for times in itertools.combinations_with_replacement(range(1, t_max + 1), n):
-        present = [
-            sum(1 << v for v in range(n) if times[v] <= t)
-            for t in range(1, t_max + 1)
-        ]
-        arrived = np.array(times)[None, :]
-        traj_part = np.zeros(out.shape, dtype=np.int64)
-        for t in range(1, t_max + 1):
-            deg = np.where(arrived <= t, _POP[out & present[t - 1]], 0)
-            traj_part |= deg.astype(np.int64) << (arrival_bits + step_bits * (t - 1))
-        sig = np.where(
-            can_send | can_recv,
-            arrived + traj_part * can_send + flags,
-            0,
-        )
-        sig.sort(axis=1)
-        chunks.append(_unique_rows(sig))
-    return _unique_rows(np.concatenate(chunks, axis=0))
+        out = inmask = _undirected_graphs(n, bounds.d)
+    # A row sees a node only through its flags and, if it can send, its
+    # out-mask: one (n + 2)-bit field per node packs a graph into an int64.
+    graphs = np.zeros(len(out), dtype=np.int64)
+    for v in range(n):
+        can_send = _POP[out[:, v]] < cap_out
+        flag = can_send + 2 * (_POP[inmask[:, v]] < cap_in)
+        graphs |= (np.where(can_send, out[:, v], 0) | flag << n) << (n + 2) * v
+    del out, inmask
+    graphs = _unique_rows(graphs[:, None])[:, 0]
+    fields = graphs >> (n + 2) * np.arange(n)[:, None]
+    sends, flags = fields & (1 << n) - 1, fields >> n & 3
+    # prefix[j][v, g]: node v's out-degree into nodes 0..j-1, if v < j.
+    prefix = np.zeros((n + 1,) + sends.shape, dtype=np.int8)
+    for j in range(1, n + 1):
+        prefix[j, :j] = _POP[sends[:j] & (1 << j) - 1]
+    # Arrival tuples are non-decreasing, so the nodes present at step t
+    # are the first present[:, t - 1] of them.
+    times = itertools.combinations_with_replacement(range(1, t_max + 1), n)
+    times = np.array(list(times), dtype=np.int64)
+    present = (times[:, :, None] <= np.arange(1, t_max + 1)).sum(axis=1)
+    step_at = arrival_bits + step_bits * np.arange(t_max)
+    # A sorted row packs into int64 words of 63 // width codes each, first
+    # column in the high bits, so the words order like the rows.
+    width = flag_shift + 2
+    per_word = 63 // width
+    column_at = width * (per_word - 1 - np.arange(n) % per_word)
+    column_word = np.arange(n) // per_word
+    to_words = (column_word == np.arange(column_word[-1] + 1)[:, None]) << column_at
+    # Groups of whole tuples against all graphs, or of one tuple against a
+    # slice of them, hold at most _GROUP_ROWS rows.
+    tuple_step = max(1, _GROUP_ROWS // graphs.size)
+    graph_step = min(graphs.size, _GROUP_ROWS)
+    found = []
+    for lo in range(0, len(times), tuple_step):
+        group = slice(lo, lo + tuple_step)
+        for g in range(0, graphs.size, graph_step):
+            part = slice(g, g + graph_step)
+            # codes[v, tuple, graph], as in _profile_layout; zero if saturated.
+            codes = (flags[:, None, part] > 0) * times.T[:, group, None]
+            codes += flags[:, None, part] << flag_shift
+            for t in range(t_max):
+                deg = prefix[present[group, t], :, part].swapaxes(0, 1)
+                codes += deg.astype(np.int64) << step_at[t]
+            # Sort each row with a bubble-sort network over the n columns:
+            # whole-column minima and maxima beat np.sort along a short axis.
+            cols = codes.reshape(n, -1)
+            for end in range(n - 1, 0, -1):
+                for j in range(end):
+                    low = np.minimum(cols[j], cols[j + 1])
+                    np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
+                    cols[j] = low
+            found.append(_unique_rows((to_words @ cols).T))
+    words = _unique_rows(np.concatenate(found))
+    return words[:, column_word] >> column_at & (1 << width) - 1
 
 
 def _role_patterns(n, cap_in, budget_out):

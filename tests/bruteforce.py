@@ -5,10 +5,13 @@ definition edge by edge.  Shares the k-star convention of the library (a
 copy is a (center, size-k neighbor subset) pair), so for undirected graphs
 with k=1 every edge is counted once per orientation.  `capped_digraphs`
 is the full-grid reference for the oracle's digraph enumeration,
-`triangle_maxima` scores every labelled pair of attach sets where the
-oracle scores one pair per orbit, and `degree_maxima` walks every
-sub-multiset of every signature row and every role assignment where the
-oracle expands rows against a table of role patterns in array passes.
+`signature_rows` builds and deduplicates signature rows one arrival tuple
+at a time where the oracle builds many tuples' rows at once from
+deduplicated graphs, `triangle_maxima` scores every labelled pair of
+attach sets where the oracle scores one pair per orbit, and
+`degree_maxima` walks every sub-multiset of every signature row and every
+role assignment where the oracle expands rows against a table of role
+patterns in array passes.
 """
 import itertools
 from collections import Counter
@@ -180,6 +183,44 @@ def triangle_maxima(n, cap_in, cap_out=None):
             best_i = max(best_i, int(score_i[elig].max(initial=0)))
             best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
     return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
+
+
+def signature_rows(bounds, n, t_max, layout):
+    """The oracle's signature rows, built one arrival tuple at a time.
+
+    Every node's code is its arrival, its out-degree trajectory if it can
+    send, and its flags, or zero if saturated; each tuple's sorted rows are
+    deduplicated with a lexsort of all columns, and so is their union.
+    """
+    arrival_bits, step_bits, flag_shift = layout
+    cap_in, cap_out = oracle._cap_limits(bounds)
+    if bounds.is_directed:
+        out, inmask = oracle._directed_graphs(n, cap_in, cap_out)
+        can_send = _POP[out] < cap_out
+        can_recv = _POP[inmask] < cap_in
+    else:
+        out = oracle._undirected_graphs(n, bounds.d)
+        can_send = can_recv = _POP[out] < bounds.d
+    flags = (can_send + 2 * can_recv).astype(np.int64) << flag_shift
+    chunks = []
+    for times in itertools.combinations_with_replacement(range(1, t_max + 1), n):
+        present = [
+            sum(1 << v for v in range(n) if times[v] <= t)
+            for t in range(1, t_max + 1)
+        ]
+        arrived = np.array(times)[None, :]
+        traj_part = np.zeros(out.shape, dtype=np.int64)
+        for t in range(1, t_max + 1):
+            deg = np.where(arrived <= t, _POP[out & present[t - 1]], 0)
+            traj_part |= deg.astype(np.int64) << (arrival_bits + step_bits * (t - 1))
+        sig = np.where(
+            can_send | can_recv,
+            arrived + traj_part * can_send + flags,
+            0,
+        )
+        sig.sort(axis=1)
+        chunks.append(oracle._unique_rows(sig))
+    return oracle._unique_rows(np.concatenate(chunks, axis=0))
 
 
 def _sub_multiset_closure(rows):

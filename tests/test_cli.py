@@ -226,3 +226,34 @@ def test_bound_the_data_exceed_is_usage_error(runner, pa_file, command):
     assert result.exit_code == 2, result.output
     assert "reaches out 4 at t=2, above the stated bound" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args,flag",
+    [
+        (["release", "--statistic", "edge", "--epsilon", "0"], "--epsilon"),
+        (["release", "--statistic", "edge", "--epsilon", "-1"], "--epsilon"),
+        (["release", "--statistic", "high_degree", "--tau", "0",
+          "--epsilon", "1"], "--tau"),
+        (["sensitivity", "--statistic", "high_degree", "--tau", "0",
+          "--degree-bound", "3"], "--tau"),
+        (["release", "--statistic", "high_degree", "--tau-percentile", "150",
+          "--epsilon", "1"], "--tau-percentile"),
+        (["experiment", "--statistic", "high_degree", "--tau-percentile", "-5",
+          "--epsilon", "1", "--trials", "1"], "--tau-percentile"),
+        (["experiment", "--statistic", "edge", "--releases", "0",
+          "--epsilon", "1", "--trials", "1"], "--releases"),
+        (["release", "--statistic", "edge", "--bound-granularity", "0",
+          "--epsilon", "1"], "--bound-granularity"),
+    ],
+    ids=["release-epsilon-0", "release-epsilon-neg", "release-tau",
+         "sens-tau", "release-percentile", "experiment-percentile",
+         "experiment-releases", "release-granularity"],
+)
+def test_out_of_range_number_is_usage_error(runner, pa_file, args, flag):
+    if args[0] != "sensitivity":
+        args = args[:1] + ["--input", str(pa_file)] + args[1:]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert flag in result.output and "range" in result.output
+    assert "Traceback" not in result.output

@@ -1,7 +1,9 @@
 """Brute-force sensitivity search: engine agreement and known exact values."""
 import itertools
+import json
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,15 @@ from dpgraphseq import DegreeBounds, StatisticQuery, oracle
 from dpgraphseq.errors import BudgetTooLargeError, UnsupportedQueryError
 from dpgraphseq.oracle import oracle_diff_sensitivity
 
-from bruteforce import capped_digraphs, degree_maxima, triangle_maxima
+from bruteforce import (
+    capped_digraphs,
+    degree_maxima,
+    signature_rows,
+    triangle_maxima,
+)
+from test_acceptance import _catalog_queries
+
+GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
 
 
 def und_queries(d):
@@ -264,6 +274,72 @@ def test_degree_sweep_matches_configuration_walk(bounds, n_max, t_max):
     assert oracle._degree_sweep(bounds, n_max, t_max, 4) == degree_maxima(
         bounds, n_max, t_max, 4
     )
+
+
+# Directed (3,3) at n_max=5 takes seconds in the reference.  At t_max=4 an
+# out-cap of 2 gives 13-bit codes, so a row of five needs two int64 words.
+@pytest.mark.parametrize(
+    "bounds,n_max,t_max",
+    [
+        _degree_case(n_max, t_max, *caps)
+        for n_max, t_max in [(1, 2), (2, 1), (2, 5), (3, 2), (3, 4), (4, 3), (5, 3)]
+        for caps in [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))
+        if (n_max, caps) != (5, (3, 3))
+    ]
+    + [_degree_case(5, 4, *caps) for caps in [(1,), (2,), (1, 1), (1, 2), (2, 1)]],
+)
+def test_signature_rows_match_per_tuple_loop(bounds, n_max, t_max):
+    layout = oracle._profile_layout(bounds, n_max, t_max)
+    got = oracle._signature_rows(bounds, n_max, t_max, layout)
+    expected = signature_rows(bounds, n_max, t_max, layout)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("group_rows", [1, 7, 100])
+@pytest.mark.parametrize(
+    "bounds",
+    [DegreeBounds.undirected(2), DegreeBounds.directed(2, 1)],
+    ids=["D2", "in2out1"],
+)
+def test_signature_rows_do_not_depend_on_group_size(monkeypatch, bounds, group_rows):
+    """Small groups split the graphs of one tuple and dedupe across groups."""
+    layout = oracle._profile_layout(bounds, 4, 3)
+    expected = oracle._signature_rows(bounds, 4, 3, layout)
+    monkeypatch.setattr(oracle, "_GROUP_ROWS", group_rows)
+    assert np.array_equal(oracle._signature_rows(bounds, 4, 3, layout), expected)
+
+
+def test_six_nodes_stay_within_formula_and_reach_five_node_values():
+    """At n_max=6 the small bounds neither beat a formula nor lose ground.
+
+    A value above its n_max=5 golden value would show a budget limit of the
+    five-node search; every such entry is printed.
+    """
+    from dpgraphseq import diff_sequence_sensitivity
+
+    golden = json.loads(GOLDEN_ORACLE.read_text())
+    all_bounds = [DegreeBounds.undirected(d) for d in (1, 2, 3)]
+    all_bounds += [
+        DegreeBounds.directed(*caps)
+        for caps in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
+    ]
+    raised = []
+    for bounds in all_bounds:
+        if bounds.is_directed:
+            name = f"in{bounds.d_in}out{bounds.d_out}"
+        else:
+            name = f"D{bounds.d}"
+        for query in _catalog_queries(bounds):
+            value = oracle_diff_sensitivity(query, bounds, n_max=6, t_max=3)
+            formula = diff_sequence_sensitivity(query, bounds).value
+            five = golden[name][query.label()]
+            assert five <= value <= formula, (name, query.label(), value)
+            if value > five:
+                raised.append(f"{name} {query.label()}: {five} -> {value} of {formula}")
+    print(f"\nn_max=6 raises {len(raised)} entries above their n_max=5 values")
+    for line in raised:
+        print(f"  {line}")
 
 
 @settings(max_examples=200, deadline=None)
