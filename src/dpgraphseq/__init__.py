@@ -41,7 +41,6 @@ from .statistics import (
     degree_histogram,
     evaluate,
     exact_values,
-    histogram_distance,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "dumps_edge_list",
     "evaluate",
     "exact_values",
-    "histogram_distance",
     "ingest_step",
     "loads_edge_list",
     "per_release_sensitivity",

@@ -10,6 +10,7 @@ import click
 
 from .errors import (
     BoundViolationError,
+    GraphSequenceError,
     InfeasibleThresholdError,
     UnsupportedBaselineQueryError,
 )
@@ -41,6 +42,7 @@ from .statistics import DIRECTED_PATTERNS, UNDIRECTED_PATTERNS, StatisticQuery
 # Numeric option ranges: click reports a value outside them as a usage error.
 _POSITIVE = click.FloatRange(min=0, min_open=True)
 _AT_LEAST_ONE = click.IntRange(min=1)
+_NON_NEGATIVE = click.IntRange(min=0)
 _PERCENTILE = click.FloatRange(0, 100, min_open=True, max_open=True)
 
 
@@ -112,8 +114,16 @@ def _usage_errors():
 
 
 def _read_sequence(path: str):
+    """Parse --input; a malformed or node-free file is a usage error."""
     with click.open_file(path) as fh:
-        return loads_edge_list(fh.read())
+        text = fh.read()
+    try:
+        seq = loads_edge_list(text)
+    except (ValueError, GraphSequenceError) as exc:
+        raise click.BadParameter(str(exc), param_hint="'--input'") from exc
+    if not seq.node_time:
+        raise click.BadParameter("sequence has no nodes", param_hint="'--input'")
+    return seq
 
 
 def _emit(text: str, output):
@@ -143,26 +153,29 @@ def main():
 @click.option("--p-infect", default=0.18, show_default=True)
 @click.option("--initial-infected", default=1, show_default=True)
 @click.option("--max-steps", default=200, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=_NON_NEGATIVE, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
 def generate(model, m0, arrivals, years, k, p_isolated, decay, population,
              contacts, p_recover, p_infect, initial_infected, max_steps,
              seed, output):
     """Generate a synthetic transmission sequence as an edge list."""
-    if model == "pa":
-        params = PaTransmissionParams(
-            m0=m0, arrivals=arrivals, years=years, k=k,
-            p_isolated=p_isolated, decay=decay,
-        )
-        seq = generate_pa_transmission(params, seed=seed)
-    else:
-        params = SirParams(
-            population=population, contacts=contacts, p_recover=p_recover,
-            p_infect=p_infect, initial_infected=initial_infected,
-            max_steps=max_steps,
-        )
-        seq = generate_sir_transmission(params, seed=seed)
-    _emit(dumps_edge_list(seq), output)
+    try:
+        if model == "pa":
+            params = PaTransmissionParams(
+                m0=m0, arrivals=arrivals, years=years, k=k,
+                p_isolated=p_isolated, decay=decay,
+            )
+            make = generate_pa_transmission
+        else:
+            params = SirParams(
+                population=population, contacts=contacts, p_recover=p_recover,
+                p_infect=p_infect, initial_infected=initial_infected,
+                max_steps=max_steps,
+            )
+            make = generate_sir_transmission
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
+    _emit(dumps_edge_list(make(params, seed=seed)), output)
 
 
 @main.command()
@@ -216,8 +229,8 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
 @click.option("--degree-bound", default=None, callback=_bounds_option)
 @click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
 @click.option("--projection-thresholds", default=None, callback=_thresholds_option)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--trial", default=0, show_default=True)
+@click.option("--seed", type=_NON_NEGATIVE, default=0, show_default=True)
+@click.option("--trial", type=_NON_NEGATIVE, default=0, show_default=True)
 @click.option("--zero-noise", is_flag=True)
 @click.option("--output", type=click.Path(), default=None)
 def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
@@ -274,7 +287,7 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
 @click.option("--degree-bound", default=None, callback=_bounds_option)
 @click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
 @click.option("--projection-thresholds", default=None, callback=_thresholds_option)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", type=_NON_NEGATIVE, default=0, show_default=True)
 @click.option("--zero-noise", is_flag=True)
 @click.option("--output", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),

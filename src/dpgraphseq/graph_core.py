@@ -331,12 +331,12 @@ def dumps_edge_list(seq: GraphSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_edge_list(text: str, origin: Optional[int] = None) -> GraphSequence:
+def loads_edge_list(text: str) -> GraphSequence:
     """Parse the edge-list format into a sequence.
 
-    Raw times may be arbitrary integers (e.g. years); they are shifted so the
-    earliest batch lands at `origin` (default: keep 0/1 starts as-is, shift
-    anything else to 1).  Gap years become empty batches.
+    Raw times may be arbitrary integers (e.g. years); a 0 or 1 start is kept
+    as-is and any other start is shifted to 1.  Gap years become empty
+    batches.  The one header must precede every record.
     """
     directed = None
     node_time: dict[str, int] = {}
@@ -348,12 +348,15 @@ def loads_edge_list(text: str, origin: Optional[int] = None) -> GraphSequence:
         parts = line.split()
         tag = parts[0]
         if tag == "H":
+            if directed is not None:
+                raise ValueError(f"line {lineno}: second header {line!r}")
             if len(parts) != 2 or parts[1] not in ("directed", "undirected"):
                 raise ValueError(f"line {lineno}: bad header {line!r}")
             directed = parts[1] == "directed"
-        elif tag == "N":
-            if directed is None:
-                raise ValueError("header line must precede records")
+            continue
+        if directed is None:
+            raise ValueError(f"line {lineno}: header line must precede records")
+        if tag == "N":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: bad node record {line!r}")
             name, t = parts[1], int(parts[2])
@@ -373,8 +376,7 @@ def loads_edge_list(text: str, origin: Optional[int] = None) -> GraphSequence:
 
     t_min = min(node_time.values())
     t_max = max(node_time.values())
-    if origin is None:
-        origin = t_min if t_min in (0, 1) else 1
+    origin = t_min if t_min in (0, 1) else 1
     shift = origin - t_min
 
     by_time: dict[int, list[str]] = {}

@@ -16,14 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraphError, LengthMismatchError
+from .errors import EmptyGraphError
 from .graph_core import (
     ArrivalBatch,
     DegreeBounds,
     GraphSequence,
     snapshot,
 )
-from .mechanisms import MECHANISMS, MechanismConfig, plan
+from .mechanisms import MECHANISMS, MechanismConfig, plan, relative_l1_error
 from .projection import ProjectionThresholds
 from .statistics import StatisticQuery
 
@@ -40,30 +40,10 @@ CSV_COLUMNS = (
 )
 
 
-def relative_l1_error(estimates: Sequence[float], truth: Sequence[float]):
-    """Sum of |estimate - truth| / truth; zero-truth steps are skipped.
-
-    Returns (error, skipped_terms).  The metric is undefined where the exact
-    value is zero, so those steps are omitted and counted instead.
-    """
-    if len(estimates) != len(truth):
-        raise LengthMismatchError(
-            f"{len(estimates)} estimates for {len(truth)} exact values"
-        )
-    err = 0.0
-    skipped = 0
-    for est, tru in zip(estimates, truth):
-        if tru == 0:
-            skipped += 1
-        else:
-            err += abs(est - tru) / tru
-    return err, skipped
-
-
 def _final_degrees(seq: GraphSequence):
-    g = snapshot(seq, seq.horizon)
-    if not g.nodes:
+    if not seq.node_time:
         raise EmptyGraphError("sequence has no nodes")
+    g = snapshot(seq, seq.horizon)
     if seq.directed:
         return (
             [g.in_degree(v) for v in g.nodes],

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import (
     BoundViolationError,
+    LengthMismatchError,
     NonPositiveScaleError,
     UnsupportedBaselineQueryError,
 )
@@ -94,6 +95,26 @@ def laplace_sample(rng: np.random.Generator, scale: float, size=None):
     return rng.laplace(0.0, scale, size)
 
 
+def relative_l1_error(estimates: Sequence[float], truth: Sequence[float]):
+    """Sum of |estimate - truth| / truth; zero-truth steps are skipped.
+
+    Returns (error, skipped_terms).  The metric is undefined where the exact
+    value is zero, so those steps are omitted and counted instead.
+    """
+    if len(estimates) != len(truth):
+        raise LengthMismatchError(
+            f"{len(estimates)} estimates for {len(truth)} exact values"
+        )
+    err = 0.0
+    skipped = 0
+    for est, tru in zip(estimates, truth):
+        if tru == 0:
+            skipped += 1
+        else:
+            err += abs(est - tru) / tru
+    return err, skipped
+
+
 def _check_bounds(seq: GraphSequence, bounds: DegreeBounds) -> None:
     if bounds.is_directed != seq.directed:
         raise BoundViolationError("bound mode does not match the sequence")
@@ -149,10 +170,7 @@ class ReleasePlan:
         pick = 0
         if len(drawn) > 1:
             truth = self.truth.tolist()
-            errors = [
-                sum(abs(est - tru) / tru for est, tru in zip(estimates, truth) if tru)
-                for _, estimates in drawn
-            ]
+            errors = [relative_l1_error(estimates, truth)[0] for _, estimates in drawn]
             pick = errors.index(min(errors))
         arm = self.arms[pick]
         scale, estimates = drawn[pick]

@@ -5,31 +5,29 @@ small node/step budget and every legal single-node addition, the L1 distance
 between the two exact difference sequences.  Its value never exceeding the
 closed-form catalog entry is the certified relationship.
 
-Two search engines are provided:
+Degree-determined statistics (threshold counts, histograms, edge counts,
+stars) depend only on per-node degree trajectories, so base sequences are
+deduplicated by their sorted trajectory signature (lossless for these
+statistics).  Each signature row meets one fixed table of role patterns:
+every node takes none, send, recv or both within the new node's degree
+budgets, as its flag bits allow.  Each configuration so reached, its sorted
+affected profiles plus sorted peer arrivals, is packed into one int64 key,
+and the keys are deduplicated.  Threshold counts, stars and the histogram
+are f(G_t) = sum_v g(deg_t(v)) for a table g on degrees 0..cap, so the
+distinct configurations are scored in batches from per-profile tables of
+g(after) - g(before) plus the new node's own-degree term.  The edge count
+needs no sweep of its own: it is the sum of out-degrees (the 1-out-star
+count) of every digraph and half the sum of degrees (the 1-star count) of
+every undirected graph, so its distance is the 1-star distance, halved when
+undirected.  Triangle patterns need real structure: every capped graph is
+enumerated, and since relabelling nodes maps those graphs onto themselves,
+only one pair of attach sets per orbit, fixed by (|in-set|, |out-set|,
+overlap), is scored with vectorized bit arithmetic.  Triangle scoring fixes
+all arrivals at t=1: shifting arrival times only redistributes a copy's
+appearance step, which the literal enumeration in the tests confirms at
+small budgets.
 
-* ``naive`` — literal enumeration of sequences and additions, evaluating
-  statistics snapshot by snapshot.  Transparent but only viable for tiny
-  budgets; it is the reference the pruned engine is validated against.
-* ``pruned`` — the default.  Degree-determined statistics (threshold counts,
-  histograms, edge counts, stars) depend only on per-node degree
-  trajectories, so base sequences are deduplicated by their sorted
-  trajectory signature (lossless for these statistics).  Each signature row
-  meets one fixed table of role patterns: every node takes none, send,
-  recv or both within the new node's degree budgets, as its flag bits
-  allow.  Each configuration so reached, its sorted affected profiles plus
-  sorted peer arrivals, is packed into one int64 key, and the keys are
-  deduplicated.  All these statistics but the edge count are
-  f(G_t) = sum_v g(deg_t(v)) for a table g on degrees 0..cap, so the
-  distinct configurations are scored in batches from per-profile tables of
-  g(after) - g(before) plus the new node's own-degree term.  Triangle
-  patterns need real structure: every capped graph is enumerated, and
-  since relabelling nodes maps those graphs onto themselves, only one pair
-  of attach sets per orbit, fixed by (|in-set|, |out-set|, overlap), is
-  scored with vectorized bit arithmetic.  Triangle scoring fixes all
-  arrivals at t=1: shifting arrival times only redistributes a copy's
-  appearance step, which the naive cross-check confirms at small budgets.
-
-The pruned degree sweep scores out-degrees only (for undirected bounds, the
+The degree sweep scores out-degrees only (for undirected bounds, the
 degree).  Transposing a digraph maps (d_in, d_out)-capped sequences and
 additions one-to-one onto (d_out, d_in)-capped ones and in-stars onto
 out-stars, so the in-star answers of a directed bound are the out-star
@@ -40,13 +38,15 @@ Capped digraphs are built one node at a time, and a partial graph is
 dropped as soon as some node's in-degree exceeds d_in, so the full grid of
 out-mask tuples is never held.  A signature row sees a node only through
 its spare-capacity flags and, if it can send, its out-mask, so each capped
-graph reduces to one int64 of (n + 2)-bit node fields and equal graphs are
-merged first.  Arrival tuples are non-decreasing, so the nodes present at
-a step are the first k of them; tables of every node's out-degree into
-nodes 0..k-1, one per k, give the codes of many (tuple, graph) rows per
-array pass.  Each row is sorted and packed into int64 words, first column
-in the high bits, so deduplicating the words with a sort deduplicates the
-rows in lexicographic order.
+graph reduces to one int64 (the senders' out-masks and the spare-out and
+spare-in node bitmasks) and equal graphs are merged first.  Arrival tuples
+are non-decreasing, so the nodes present at a step are the first k of them;
+tables of every node's out-degree into nodes 0..k-1, one per k, give the
+codes of many (tuple, graph) rows per array pass.  Each row is sorted and
+packed into int64 words, first column in the high bits, so deduplicating
+the words with a sort deduplicates the rows in lexicographic order.  Every
+deduplication here (graphs, rows, profile codes, configuration keys) is
+that one sort followed by an adjacent compare, `_unique_rows`.
 
 A node profile is packed into one int64 code, low bits first: the arrival
 step (``t_max.bit_length()`` bits), then one field per step of the
@@ -60,20 +60,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from math import comb
 
 import numpy as np
 
 from .errors import BudgetTooLargeError, UnsupportedQueryError
-from .graph_core import DegreeBounds, build_view
-from .statistics import (
-    DIRECTED_PATTERNS,
-    UNDIRECTED_PATTERNS,
-    StatisticQuery,
-    evaluate,
-    histogram_distance,
-)
+from .graph_core import DegreeBounds
+from .statistics import DIRECTED_PATTERNS, UNDIRECTED_PATTERNS, StatisticQuery
 
 _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 # Most (arrival tuple, graph) rows _signature_rows builds in one array pass.
@@ -95,17 +88,12 @@ def oracle_diff_sensitivity(
     bounds: DegreeBounds,
     n_max: int,
     t_max: int,
-    method: str = "pruned",
 ) -> int:
     """Max difference-sequence L1 distance over the budgeted search space."""
     if n_max > 7:
         raise BudgetTooLargeError(f"n_max={n_max} exceeds the search budget cap")
     if n_max < 1 or t_max < 1:
         raise ValueError("budgets must be >= 1")
-    if method == "naive":
-        return _naive_oracle(query, bounds, n_max, t_max)
-    if method != "pruned":
-        raise ValueError(f"unknown oracle method {method!r}")
     patterns = DIRECTED_PATTERNS if bounds.is_directed else UNDIRECTED_PATTERNS
     if query.kind == "subgraph" and query.pattern not in patterns:
         raise UnsupportedQueryError(f"oracle does not cover {query.label()}")
@@ -122,113 +110,10 @@ def oracle_diff_sensitivity(
     return results[key]
 
 
-# --- naive engine --------------------------------------------------------
-
-
 def _cap_limits(bounds: DegreeBounds):
     if bounds.is_directed:
         return bounds.d_in, bounds.d_out
     return bounds.d, bounds.d
-
-
-def _naive_diff_distance(query, directed, times_a, edges_a, times_b, edges_b, t_max):
-    """L1 distance between the two exact difference sequences."""
-
-    def diffs(node_time, edges):
-        out = []
-        prev = 0 if query.is_scalar else {}
-        for t in range(1, t_max + 1):
-            present = {n: tt for n, tt in node_time.items() if tt <= t}
-            live = [e for e in edges if max(node_time[e[0]], node_time[e[1]]) <= t]
-            val = evaluate(query, build_view(directed, present, live))
-            if query.is_scalar:
-                out.append(val - prev)
-            else:
-                out.append(
-                    {
-                        d: val.get(d, 0) - prev.get(d, 0)
-                        for d in set(val) | set(prev)
-                    }
-                )
-            prev = val
-        return out
-
-    da, db = diffs(times_a, edges_a), diffs(times_b, edges_b)
-    if query.is_scalar:
-        return sum(abs(x - y) for x, y in zip(da, db))
-    return sum(histogram_distance(x, y) for x, y in zip(da, db))
-
-
-def _naive_bases(directed, bounds, n, t_max):
-    """All bound-respecting sequences on exactly n labeled nodes."""
-    cap_in, cap_out = _cap_limits(bounds)
-    nodes = [f"v{i}" for i in range(n)]
-    if directed:
-        candidates = [(a, b) for a in nodes for b in nodes if a != b]
-    else:
-        candidates = [(a, b) for a, b in itertools.combinations(nodes, 2)]
-    for times in itertools.combinations_with_replacement(range(1, t_max + 1), n):
-        node_time = dict(zip(nodes, times))
-        for edges in itertools.chain.from_iterable(
-            itertools.combinations(candidates, m) for m in range(len(candidates) + 1)
-        ):
-            if directed:
-                outdeg = Counter(u for u, _ in edges)
-                indeg = Counter(v for _, v in edges)
-                if any(outdeg[v] > cap_out or indeg[v] > cap_in for v in nodes):
-                    continue
-            else:
-                deg = Counter(itertools.chain.from_iterable(edges))
-                if any(deg[v] > bounds.d for v in nodes):
-                    continue
-            yield node_time, list(edges)
-
-
-def _naive_oracle(query, bounds, n_max, t_max) -> int:
-    directed = bounds.is_directed
-    cap_in, cap_out = _cap_limits(bounds)
-    best = 0
-    for n in range(1, n_max + 1):
-        for node_time, edges in _naive_bases(directed, bounds, n, t_max):
-            if directed:
-                outdeg = Counter(u for u, _ in edges)
-                indeg = Counter(v for _, v in edges)
-                in_candidates = [v for v in node_time if outdeg[v] < cap_out]
-                out_candidates = [v for v in node_time if indeg[v] < cap_in]
-            else:
-                deg = Counter(itertools.chain.from_iterable(edges))
-                in_candidates = [v for v in node_time if deg[v] < bounds.d]
-                out_candidates = []
-            for tstar in range(1, t_max + 1):
-                times_b = dict(node_time, **{"v*": tstar})
-                if directed:
-                    choices = (
-                        (s_in, s_out)
-                        for m in range(min(cap_in, len(in_candidates)) + 1)
-                        for s_in in itertools.combinations(in_candidates, m)
-                        for mo in range(min(cap_out, len(out_candidates)) + 1)
-                        for s_out in itertools.combinations(out_candidates, mo)
-                    )
-                else:
-                    choices = (
-                        (s, ())
-                        for m in range(min(bounds.d, len(in_candidates)) + 1)
-                        for s in itertools.combinations(in_candidates, m)
-                    )
-                for s_in, s_out in choices:
-                    extra = [(u, "v*") for u in s_in] + [("v*", w) for w in s_out]
-                    dist = _naive_diff_distance(
-                        query,
-                        directed,
-                        node_time,
-                        edges,
-                        times_b,
-                        edges + extra,
-                        t_max,
-                    )
-                    if dist > best:
-                        best = dist
-    return best
 
 
 # --- capped graph enumeration (vectorized) -------------------------------
@@ -258,6 +143,15 @@ def _directed_graphs(n, cap_in, cap_out):
     return out, inmask
 
 
+def _spare(masks, cap):
+    """Per graph, the bitmask of nodes whose neighbor mask holds < cap nodes.
+
+    With out-masks and cap d_out these are the nodes that can still send an
+    edge, with in-masks and cap d_in those that can still receive one.
+    """
+    return (_POP[masks] < cap) @ (1 << np.arange(masks.shape[1]))
+
+
 def _undirected_graphs(n, cap):
     """Neighbor bitmask matrix of every degree-capped graph on n nodes."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -272,17 +166,21 @@ def _undirected_graphs(n, cap):
     return adj[keep]
 
 
-# --- pruned engine: degree-determined statistics -------------------------
+# --- degree-determined statistics ----------------------------------------
 
 
 def _unique_rows(rows):
-    """Distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``."""
-    if rows.shape[1] == 1:
+    """Distinct rows in lexicographic order; a 1-D array's distinct values.
+
+    Sorts, then keeps each row that differs from its predecessor.
+    """
+    if rows.ndim == 1 or rows.shape[1] == 1:
         rows = np.sort(rows, axis=0)
     else:
         rows = rows[np.lexsort(rows.T[::-1])]
+    differs = rows[1:] != rows[:-1]
     keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    keep[1:] = differs if rows.ndim == 1 else differs.any(axis=1)
     return rows[keep]
 
 
@@ -318,16 +216,18 @@ def _signature_rows(bounds, n, t_max, layout):
     else:
         out = inmask = _undirected_graphs(n, bounds.d)
     # A row sees a node only through its flags and, if it can send, its
-    # out-mask: one (n + 2)-bit field per node packs a graph into an int64.
-    graphs = np.zeros(len(out), dtype=np.int64)
-    for v in range(n):
-        can_send = _POP[out[:, v]] < cap_out
-        flag = can_send + 2 * (_POP[inmask[:, v]] < cap_in)
-        graphs |= (np.where(can_send, out[:, v], 0) | flag << n) << (n + 2) * v
-    del out, inmask
-    graphs = _unique_rows(graphs[:, None])[:, 0]
-    fields = graphs >> (n + 2) * np.arange(n)[:, None]
-    sends, flags = fields & (1 << n) - 1, fields >> n & 3
+    # out-mask: the senders' n-bit out-masks, node 0 lowest, then the
+    # spare-out and spare-in bitmasks pack a graph into n * (n + 2) bits.
+    node = np.arange(n)
+    out_ok, in_ok = _spare(out, cap_out), _spare(inmask, cap_in)
+    sends = np.where(out_ok[:, None] >> node & 1, out, 0)
+    graphs = (sends << n * node).sum(axis=1) | out_ok << n * n | in_ok << n * n + n
+    del out, inmask, sends
+    graphs = _unique_rows(graphs)
+    # sends[v, g], flags[v, g]: node v's unpacked fields in graph g.
+    v = node[:, None]
+    sends = graphs >> n * v & (1 << n) - 1
+    flags = (graphs >> n * n + v & 1) + 2 * (graphs >> n * n + n + v & 1)
     # prefix[j][v, g]: node v's out-degree into nodes 0..j-1, if v < j.
     prefix = np.zeros((n + 1,) + sends.shape, dtype=np.int8)
     for j in range(1, n + 1):
@@ -466,7 +366,7 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     # packed in position order, they give a canonical key.
     sent = flags[:, :n_max] == 1
     unflagged = rows[sent] & (1 << flag_shift) - 1
-    codes = np.unique(unflagged)
+    codes = _unique_rows(unflagged)
     by_arrival = np.argsort(codes & (1 << arrival_bits) - 1, kind="stable")
     number = np.empty(len(codes), dtype=np.int64)
     number[by_arrival] = np.arange(1, len(codes) + 1)
@@ -494,14 +394,12 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     recv_at = peer_shift + (np.cumsum(recv, axis=1) - 1).clip(0) * arrival_bits
     weights = (roles << np.concatenate([send_at, recv_at], axis=1)).T
     needs = roles @ bit
-    reached = np.zeros(len(needs), dtype=bool)
     found = []
     # Row chunks keep the (rows x patterns) expansion small.
     for lo in range(0, len(rows), 512):
         valid = (needs & ~offers[lo:lo + 512, None]) == 0
-        found.append(np.unique((values[lo:lo + 512] @ weights)[valid]))
-        reached |= valid.any(axis=0)
-    configs = np.unique(np.concatenate(found))
+        found.append(_unique_rows((values[lo:lo + 512] @ weights)[valid]))
+    configs = _unique_rows(np.concatenate(found))
 
     trajs = codes[:, None] >> arrival_bits + step_bits * np.arange(t_max)
     arrivals = codes & (1 << arrival_bits) - 1
@@ -525,11 +423,15 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
         score = np.add.reduceat(dist, starts, axis=2).max(axis=(0, 1))
         np.maximum(best, score, out=best)
     maxima = {key: int(v) for key, v in zip(keys, best)}
-    maxima[("edge",)] = int(roles.sum(axis=1)[reached].max())
+    # The edge count is the sum of out-degrees, or half the sum of degrees.
+    if directed:
+        maxima[("edge",)] = maxima[("out_k_star", 1)]
+    else:
+        maxima[("edge",)] = maxima[("k_star", 1)] // 2
     return maxima
 
 
-# --- pruned engine: triangle patterns ------------------------------------
+# --- triangle patterns ---------------------------------------------------
 
 
 def _orbit_pairs(n, cap_in, cap_out):
@@ -561,11 +463,7 @@ def _triangle_sweep(bounds, n_max):
     if bounds.is_directed:
         cap_in, cap_out = bounds.d_in, bounds.d_out
         out, inmask = _directed_graphs(n, cap_in, cap_out)
-        out_ok = np.zeros(len(out), dtype=np.int64)
-        in_ok = np.zeros(len(out), dtype=np.int64)
-        for v in range(n):
-            out_ok |= (_POP[out[:, v]] < cap_out).astype(np.int64) << v
-            in_ok |= (_POP[inmask[:, v]] < cap_in).astype(np.int64) << v
+        out_ok, in_ok = _spare(out, cap_out), _spare(inmask, cap_in)
         best_i = 0
         best_ii = 0
         for si, so in _orbit_pairs(n, cap_in, cap_out):
@@ -589,9 +487,7 @@ def _triangle_sweep(bounds, n_max):
         return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
 
     adj = _undirected_graphs(n, bounds.d)
-    cap_mask = np.zeros(len(adj), dtype=np.int64)
-    for v in range(n):
-        cap_mask |= (_POP[adj[:, v]] < bounds.d).astype(np.int64) << v
+    cap_mask = _spare(adj, bounds.d)
     best = 0
     for m in range(min(bounds.d, n) + 1):
         s = (1 << m) - 1

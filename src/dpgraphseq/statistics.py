@@ -118,11 +118,6 @@ def degree_histogram(g: GraphView) -> Histogram:
     return hist
 
 
-def histogram_distance(a: Histogram, b: Histogram) -> int:
-    """Coordinate-wise L1 distance; missing keys read as zero."""
-    return sum(abs(a.get(d, 0) - b.get(d, 0)) for d in set(a) | set(b))
-
-
 def _check_pattern(pattern: str, directed: bool) -> None:
     allowed = DIRECTED_PATTERNS if directed else UNDIRECTED_PATTERNS
     if pattern not in allowed:

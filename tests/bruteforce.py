@@ -11,14 +11,16 @@ deduplicated graphs, `triangle_maxima` scores every labelled pair of
 attach sets where the oracle scores one pair per orbit, and
 `degree_maxima` walks every sub-multiset of every signature row and every
 role assignment where the oracle expands rows against a table of role
-patterns in array passes.
+patterns in array passes.  `naive_diff_sensitivity` is the end-to-end
+reference for the oracle: it enumerates every labelled base sequence and
+every single-node addition and evaluates each snapshot's statistic.
 """
 import itertools
 from collections import Counter
 
 import numpy as np
 
-from dpgraphseq import oracle
+from dpgraphseq import build_view, evaluate, oracle
 
 
 def _und_adj(nodes, edges):
@@ -361,3 +363,115 @@ def degree_maxima(bounds, n_max, t_max, max_k):
     maxima = {key: int(v) for key, v in zip(keys, best)}
     maxima[("edge",)] = best_edges
     return maxima
+
+
+def _histogram_l1(a, b):
+    """Coordinate-wise L1 distance of two sparse histograms."""
+    return sum(abs(a.get(d, 0) - b.get(d, 0)) for d in set(a) | set(b))
+
+
+def _naive_diff_distance(query, directed, times_a, edges_a, times_b, edges_b, t_max):
+    """L1 distance between the two exact difference sequences."""
+
+    def diffs(node_time, edges):
+        out = []
+        prev = 0 if query.is_scalar else {}
+        for t in range(1, t_max + 1):
+            present = {n: tt for n, tt in node_time.items() if tt <= t}
+            live = [e for e in edges if max(node_time[e[0]], node_time[e[1]]) <= t]
+            val = evaluate(query, build_view(directed, present, live))
+            if query.is_scalar:
+                out.append(val - prev)
+            else:
+                out.append(
+                    {
+                        d: val.get(d, 0) - prev.get(d, 0)
+                        for d in set(val) | set(prev)
+                    }
+                )
+            prev = val
+        return out
+
+    da, db = diffs(times_a, edges_a), diffs(times_b, edges_b)
+    if query.is_scalar:
+        return sum(abs(x - y) for x, y in zip(da, db))
+    return sum(_histogram_l1(x, y) for x, y in zip(da, db))
+
+
+def _naive_bases(directed, bounds, n, t_max):
+    """All bound-respecting sequences on exactly n labeled nodes."""
+    cap_in, cap_out = oracle._cap_limits(bounds)
+    nodes = [f"v{i}" for i in range(n)]
+    if directed:
+        candidates = [(a, b) for a in nodes for b in nodes if a != b]
+    else:
+        candidates = [(a, b) for a, b in itertools.combinations(nodes, 2)]
+    for times in itertools.combinations_with_replacement(range(1, t_max + 1), n):
+        node_time = dict(zip(nodes, times))
+        for edges in itertools.chain.from_iterable(
+            itertools.combinations(candidates, m) for m in range(len(candidates) + 1)
+        ):
+            if directed:
+                outdeg = Counter(u for u, _ in edges)
+                indeg = Counter(v for _, v in edges)
+                if any(outdeg[v] > cap_out or indeg[v] > cap_in for v in nodes):
+                    continue
+            else:
+                deg = Counter(itertools.chain.from_iterable(edges))
+                if any(deg[v] > bounds.d for v in nodes):
+                    continue
+            yield node_time, list(edges)
+
+
+def naive_diff_sensitivity(query, bounds, n_max, t_max) -> int:
+    """Max difference-sequence L1 distance, by literal enumeration.
+
+    Every bound-respecting sequence on up to n_max labelled nodes over steps
+    1..t_max, every arrival step of the added node and every legal choice of
+    its in- and out-neighbours; each statistic is evaluated snapshot by
+    snapshot.  Only viable for tiny budgets.
+    """
+    directed = bounds.is_directed
+    cap_in, cap_out = oracle._cap_limits(bounds)
+    best = 0
+    for n in range(1, n_max + 1):
+        for node_time, edges in _naive_bases(directed, bounds, n, t_max):
+            if directed:
+                outdeg = Counter(u for u, _ in edges)
+                indeg = Counter(v for _, v in edges)
+                in_candidates = [v for v in node_time if outdeg[v] < cap_out]
+                out_candidates = [v for v in node_time if indeg[v] < cap_in]
+            else:
+                deg = Counter(itertools.chain.from_iterable(edges))
+                in_candidates = [v for v in node_time if deg[v] < bounds.d]
+                out_candidates = []
+            for tstar in range(1, t_max + 1):
+                times_b = dict(node_time, **{"v*": tstar})
+                if directed:
+                    choices = (
+                        (s_in, s_out)
+                        for m in range(min(cap_in, len(in_candidates)) + 1)
+                        for s_in in itertools.combinations(in_candidates, m)
+                        for mo in range(min(cap_out, len(out_candidates)) + 1)
+                        for s_out in itertools.combinations(out_candidates, mo)
+                    )
+                else:
+                    choices = (
+                        (s, ())
+                        for m in range(min(bounds.d, len(in_candidates)) + 1)
+                        for s in itertools.combinations(in_candidates, m)
+                    )
+                for s_in, s_out in choices:
+                    extra = [(u, "v*") for u in s_in] + [("v*", w) for w in s_out]
+                    dist = _naive_diff_distance(
+                        query,
+                        directed,
+                        node_time,
+                        edges,
+                        times_b,
+                        edges + extra,
+                        t_max,
+                    )
+                    if dist > best:
+                        best = dist
+    return best

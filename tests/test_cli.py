@@ -245,15 +245,62 @@ def test_bound_the_data_exceed_is_usage_error(runner, pa_file, command):
           "--epsilon", "1", "--trials", "1"], "--releases"),
         (["release", "--statistic", "edge", "--bound-granularity", "0",
           "--epsilon", "1"], "--bound-granularity"),
+        (["release", "--statistic", "edge", "--epsilon", "1", "--seed", "-1"],
+         "--seed"),
+        (["release", "--statistic", "edge", "--epsilon", "1", "--trial", "-1"],
+         "--trial"),
+        (["experiment", "--statistic", "edge", "--epsilon", "1", "--trials",
+          "1", "--seed", "-1"], "--seed"),
+        (["generate", "--model", "pa", "--m0", "3", "--seed", "-1"], "--seed"),
     ],
     ids=["release-epsilon-0", "release-epsilon-neg", "release-tau",
          "sens-tau", "release-percentile", "experiment-percentile",
-         "experiment-releases", "release-granularity"],
+         "experiment-releases", "release-granularity", "release-seed",
+         "release-trial", "experiment-seed", "generate-seed"],
 )
 def test_out_of_range_number_is_usage_error(runner, pa_file, args, flag):
-    if args[0] != "sensitivity":
+    if args[0] in ("release", "experiment"):
         args = args[:1] + ["--input", str(pa_file)] + args[1:]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert flag in result.output and "range" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--model", "pa", "--m0", "0"], "population parameters must be positive"),
+        (["--model", "pa", "--p-isolated", "2"], "p_isolated must be a probability"),
+        (["--model", "sir", "--p-infect", "1.5"], "rates must be probabilities"),
+    ],
+    ids=["pa-m0", "pa-p-isolated", "sir-p-infect"],
+)
+def test_invalid_model_parameters_are_usage_errors(runner, args, message):
+    result = runner.invoke(main, ["generate"] + args)
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["release", "experiment"])
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("H sideways\n", "bad header"),
+        ("H undirected\nN a 1\nE a b\n", "'b' never declared"),
+        ("N a 1\nH undirected\n", "header line must precede"),
+        ("H directed\n", "sequence has no nodes"),
+    ],
+    ids=["bad-header", "dangling-edge", "late-header", "no-nodes"],
+)
+def test_bad_input_file_is_usage_error(runner, tmp_path, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    args = [command, "--input", str(path), "--statistic", "edge", "--epsilon", "1"]
+    if command == "experiment":
+        args += ["--trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "--input" in result.output and message in result.output
     assert "Traceback" not in result.output

@@ -215,3 +215,11 @@ def test_edge_list_parse_errors():
         loads_edge_list("H undirected\nN a 1\nE a b\n")
     with pytest.raises(DuplicateNodeError):
         loads_edge_list("H undirected\nN a 1\nN a 2\n")
+
+
+def test_edge_list_takes_one_header_before_every_record():
+    with pytest.raises(ValueError, match="line 1: header line must precede"):
+        loads_edge_list("E a b\nH undirected\nN a 1\nN b 1\n")
+    retyped = "H directed\nN a 1\nN b 1\nE a b\nH undirected\n"
+    with pytest.raises(ValueError, match="line 5: second header"):
+        loads_edge_list(retyped)

@@ -86,6 +86,11 @@ def test_derive_bounds_rounds_up_to_granularity():
         derive_bounds(star_seq(3), granularity=0)
     with pytest.raises(EmptyGraphError):
         derive_bounds(build_sequence(False, [(1, [], [])]))
+    # A sequence with no batches at all has no step to read degrees at.
+    with pytest.raises(EmptyGraphError):
+        derive_bounds(build_sequence(True, []))
+    with pytest.raises(EmptyGraphError):
+        derive_tau(build_sequence(False, []), 90.0)
 
 
 def test_rebatch_merges_into_even_windows():

@@ -17,6 +17,7 @@ from dpgraphseq.oracle import oracle_diff_sensitivity
 from bruteforce import (
     capped_digraphs,
     degree_maxima,
+    naive_diff_sensitivity,
     signature_rows,
     triangle_maxima,
 )
@@ -50,7 +51,7 @@ def dir_queries(d_out):
 def test_engines_agree_undirected(d, n_max, t_max):
     bounds = DegreeBounds.undirected(d)
     for query in und_queries(d):
-        naive = oracle_diff_sensitivity(query, bounds, n_max, t_max, method="naive")
+        naive = naive_diff_sensitivity(query, bounds, n_max, t_max)
         pruned = oracle_diff_sensitivity(query, bounds, n_max, t_max)
         assert naive == pruned, query.label()
 
@@ -70,7 +71,7 @@ def test_engines_agree_undirected(d, n_max, t_max):
 def test_engines_agree_directed(d_in, d_out, t_max):
     bounds = DegreeBounds.directed(d_in, d_out)
     for query in dir_queries(d_out):
-        naive = oracle_diff_sensitivity(query, bounds, 3, t_max, method="naive")
+        naive = naive_diff_sensitivity(query, bounds, 3, t_max)
         pruned = oracle_diff_sensitivity(query, bounds, 3, t_max)
         assert naive == pruned, query.label()
 
@@ -78,7 +79,7 @@ def test_engines_agree_directed(d_in, d_out, t_max):
 def test_engines_agree_directed_four_nodes():
     bounds = DegreeBounds.directed(1, 1)
     for query in dir_queries(1):
-        naive = oracle_diff_sensitivity(query, bounds, 4, 2, method="naive")
+        naive = naive_diff_sensitivity(query, bounds, 4, 2)
         pruned = oracle_diff_sensitivity(query, bounds, 4, 2)
         assert naive == pruned, query.label()
 
@@ -143,8 +144,6 @@ def test_budget_cap_and_bad_arguments(monkeypatch):
         oracle_diff_sensitivity(query, bounds, 2, 57)
     with pytest.raises(ValueError):
         oracle_diff_sensitivity(query, bounds, 0, 2)
-    with pytest.raises(ValueError):
-        oracle_diff_sensitivity(query, bounds, 3, 2, method="magic")
 
 
 def test_configuration_key_too_wide_is_rejected(monkeypatch):
@@ -346,7 +345,8 @@ def test_six_nodes_stay_within_formula_and_reach_five_node_values():
 @given(
     arrays(
         np.int64,
-        st.tuples(st.integers(0, 40), st.integers(1, 4)),
+        st.tuples(st.integers(0, 40), st.integers(1, 4))
+        | st.tuples(st.integers(0, 40)),
         elements=st.integers(-3, 3),
     )
 )

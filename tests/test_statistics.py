@@ -13,7 +13,6 @@ from dpgraphseq import (
     degree_histogram,
     evaluate,
     exact_values,
-    histogram_distance,
     project_sequence,
     snapshot,
 )
@@ -47,11 +46,6 @@ def test_degree_histogram_includes_isolated_nodes():
     g = make_view(False, 3, [(0, 1)])
     assert degree_histogram(g) == {1: 2, 0: 1}
     assert degree_histogram(DAG_VIEW) == {2: 2, 1: 1, 0: 1}
-
-
-def test_histogram_distances():
-    assert histogram_distance({1: 2, 0: 1}, {1: 1, 2: 1}) == 3
-    assert histogram_distance({}, {}) == 0
 
 
 def test_known_pattern_counts():
