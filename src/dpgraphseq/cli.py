@@ -77,29 +77,27 @@ def _parse_statistic(spec: str, tau) -> StatisticQuery:
         raise bad(f"{pattern} needs ':k' with an integer k >= 1") from exc
 
 
-def _parse_pair(value, undirected, directed):
-    """'D' -> undirected(D), 'Din,Dout' -> directed(Din, Dout); None stays."""
+def _parse_pair(value, cls):
+    """'D' -> cls.undirected(D), 'Din,Dout' -> cls.directed(Din, Dout); None stays."""
     if value is None:
         return None
     try:
         parts = [int(p) for p in value.split(",")]
         if len(parts) == 1:
-            return undirected(*parts)
+            return cls.undirected(*parts)
         if len(parts) == 2:
-            return directed(*parts)
+            return cls.directed(*parts)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
     raise click.BadParameter("expected D or Din,Dout")
 
 
 def _bounds_option(ctx, param, value):
-    return _parse_pair(value, DegreeBounds.undirected, DegreeBounds.directed)
+    return _parse_pair(value, DegreeBounds)
 
 
 def _thresholds_option(ctx, param, value):
-    return _parse_pair(
-        value, ProjectionThresholds.undirected, ProjectionThresholds.directed
-    )
+    return _parse_pair(value, ProjectionThresholds)
 
 
 @contextlib.contextmanager

@@ -127,6 +127,8 @@ class SirParams:
             raise ValueError("rates must be probabilities")
         if not 1 <= self.initial_infected <= self.population:
             raise ValueError("initial_infected out of range")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 def generate_sir_transmission(params: SirParams, seed: int = 0) -> GraphSequence:

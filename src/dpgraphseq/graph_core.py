@@ -8,8 +8,8 @@ time stamps and snapshots are reconstructible for every step.
 Sequences are built one batch at a time by `ingest_step`, whose cost is in
 the batch's size.  Releases read the batches directly through the
 incremental engine `statistics.exact_values`; `snapshot` rebuilds the whole
-graph at one step and is the reference the engine is checked against (and
-what parameter derivation reads at the final step).
+graph at one step and is the reference the engine and the degree walks
+(`verify_bounds`, parameter derivation) are checked against.
 """
 from __future__ import annotations
 
@@ -53,16 +53,14 @@ class DegreeBounds:
     d_out: Optional[int] = None
 
     def __post_init__(self):
+        name = type(self).__name__
         if self.d is not None:
             if self.d_in is not None or self.d_out is not None:
-                raise ValueError("give either d or (d_in, d_out), not both")
-            if self.d < 1:
-                raise ValueError("degree bound must be >= 1")
-        else:
-            if self.d_in is None or self.d_out is None:
-                raise ValueError("directed bounds need both d_in and d_out")
-            if self.d_in < 1 or self.d_out < 1:
-                raise ValueError("degree bounds must be >= 1")
+                raise ValueError(f"{name}: give either d or (d_in, d_out), not both")
+        elif self.d_in is None or self.d_out is None:
+            raise ValueError(f"{name}: directed caps need both d_in and d_out")
+        if min(self.caps) < 1:
+            raise ValueError(f"{name}: caps must be >= 1")
 
     @classmethod
     def undirected(cls, d: int) -> "DegreeBounds":
@@ -75,6 +73,13 @@ class DegreeBounds:
     @property
     def is_directed(self) -> bool:
         return self.d is None
+
+    @property
+    def caps(self) -> tuple[int, int]:
+        """(cap_in, cap_out): an undirected D caps both sides of one counter."""
+        if self.is_directed:
+            return self.d_in, self.d_out
+        return self.d, self.d
 
 
 @dataclass(frozen=True)
@@ -283,32 +288,23 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
     """
     if bounds.is_directed != seq.directed:
         raise ModeMismatchError("bounds mode does not match sequence directedness")
-    if seq.directed:
-        indeg: dict[str, int] = {}
-        outdeg: dict[str, int] = {}
-        for batch in seq.batches:
-            for n in batch.nodes:
-                indeg[n] = 0
-                outdeg[n] = 0
-            for u, v in batch.edges:
-                outdeg[u] += 1
-                if outdeg[u] > bounds.d_out:
-                    return BoundViolation(batch.time, u, outdeg[u], "out")
-                indeg[v] += 1
-                if indeg[v] > bounds.d_in:
-                    return BoundViolation(batch.time, v, indeg[v], "in")
-    else:
-        deg: dict[str, int] = {}
-        for batch in seq.batches:
-            for n in batch.nodes:
-                deg[n] = 0
-            for u, v in batch.edges:
-                for endpoint in (u, v):
-                    deg[endpoint] += 1
-                    if deg[endpoint] > bounds.d:
-                        return BoundViolation(
-                            batch.time, endpoint, deg[endpoint], "degree"
-                        )
+    cap_in, cap_out = bounds.caps
+    out: dict[str, int] = {}
+    # An undirected degree is one counter, read as both the out- and in-side.
+    inn: dict[str, int] = {} if seq.directed else out
+    kind_out, kind_in = ("out", "in") if seq.directed else ("degree", "degree")
+    for batch in seq.batches:
+        for n in batch.nodes:
+            out[n] = inn[n] = 0
+        for u, v in batch.edges:
+            # Both counters move before either check: u != v, so a crossing
+            # at u reads the same count, and u's side is still checked first.
+            out[u] += 1
+            inn[v] += 1
+            if out[u] > cap_out:
+                return BoundViolation(batch.time, u, out[u], kind_out)
+            if inn[v] > cap_in:
+                return BoundViolation(batch.time, v, inn[v], kind_in)
     return None
 
 
@@ -359,7 +355,11 @@ def loads_edge_list(text: str) -> GraphSequence:
         if tag == "N":
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: bad node record {line!r}")
-            name, t = parts[1], int(parts[2])
+            name = parts[1]
+            try:
+                t = int(parts[2])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad node time {line!r}") from None
             if name in node_time:
                 raise DuplicateNodeError(f"line {lineno}: node {name!r} re-declared")
             node_time[name] = t

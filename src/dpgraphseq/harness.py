@@ -17,12 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError
-from .graph_core import (
-    ArrivalBatch,
-    DegreeBounds,
-    GraphSequence,
-    snapshot,
-)
+from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence
 from .mechanisms import MECHANISMS, MechanismConfig, plan, relative_l1_error
 from .projection import ProjectionThresholds
 from .statistics import StatisticQuery
@@ -41,15 +36,19 @@ CSV_COLUMNS = (
 
 
 def _final_degrees(seq: GraphSequence):
+    """(in-degrees, out-degrees) of every node at the horizon, zeros included.
+
+    An undirected degree is one counter, read as both sides.
+    """
     if not seq.node_time:
         raise EmptyGraphError("sequence has no nodes")
-    g = snapshot(seq, seq.horizon)
-    if seq.directed:
-        return (
-            [g.in_degree(v) for v in g.nodes],
-            [g.out_degree(v) for v in g.nodes],
-        )
-    return ([g.degree(v) for v in g.nodes],)
+    out = dict.fromkeys(seq.node_time, 0)
+    inn = dict.fromkeys(seq.node_time, 0) if seq.directed else out
+    for batch in seq.batches:
+        for u, v in batch.edges:
+            out[u] += 1
+            inn[v] += 1
+    return list(inn.values()), list(out.values())
 
 
 def derive_tau(seq: GraphSequence, percentile: float) -> int:
@@ -69,10 +68,10 @@ def derive_bounds(seq: GraphSequence, granularity: int = 5) -> DegreeBounds:
     def up(d):
         return max(granularity, -(-d // granularity) * granularity)
 
-    degrees = _final_degrees(seq)
+    d_in, d_out = (up(max(degrees)) for degrees in _final_degrees(seq))
     if seq.directed:
-        return DegreeBounds.directed(up(max(degrees[0])), up(max(degrees[1])))
-    return DegreeBounds.undirected(up(max(degrees[0])))
+        return DegreeBounds.directed(d_in, d_out)
+    return DegreeBounds.undirected(d_out)
 
 
 def rebatch(seq: GraphSequence, releases: int) -> GraphSequence:

@@ -237,8 +237,8 @@ def plan(
         truth = _exact_scalars(query, seq.directed, seq.batches)
     else:
         hists = list(exact_values(query, seq.directed, seq.batches))
-        limit = bounds.d_out if bounds.is_directed else bounds.d
-        truth = np.zeros((len(hists), limit + 1))
+        _, cap_out = bounds.caps
+        truth = np.zeros((len(hists), cap_out + 1))
         for t, hist in enumerate(hists):
             for d, count in hist.items():
                 truth[t, d] = count

@@ -110,12 +110,6 @@ def oracle_diff_sensitivity(
     return results[key]
 
 
-def _cap_limits(bounds: DegreeBounds):
-    if bounds.is_directed:
-        return bounds.d_in, bounds.d_out
-    return bounds.d, bounds.d
-
-
 # --- capped graph enumeration (vectorized) -------------------------------
 
 
@@ -189,7 +183,7 @@ def _profile_layout(bounds, n_max, t_max):
 
     Raises BudgetTooLargeError when the fields do not fit in an int64.
     """
-    _, cap = _cap_limits(bounds)
+    _, cap = bounds.caps
     arrival_bits = t_max.bit_length()
     step_bits = min(cap, n_max - 1).bit_length()
     flag_shift = arrival_bits + t_max * step_bits
@@ -210,7 +204,7 @@ def _signature_rows(bounds, n, t_max, layout):
     lossless for the out-side maxima.
     """
     arrival_bits, step_bits, flag_shift = layout
-    cap_in, cap_out = _cap_limits(bounds)
+    cap_in, cap_out = bounds.caps
     if bounds.is_directed:
         out, inmask = _directed_graphs(n, cap_in, cap_out)
     else:
@@ -345,7 +339,7 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     transpose's sweep.
     """
     directed = bounds.is_directed
-    cap_in, cap_out = _cap_limits(bounds)
+    cap_in, cap_out = bounds.caps
     budget_out = cap_out if directed else 0
     keys, tables = _degree_tables(
         cap_out,
@@ -461,7 +455,7 @@ def _triangle_sweep(bounds, n_max):
         return _triangle_sweep(mirrored, n_max)
     n = n_max
     if bounds.is_directed:
-        cap_in, cap_out = bounds.d_in, bounds.d_out
+        cap_in, cap_out = bounds.caps
         out, inmask = _directed_graphs(n, cap_in, cap_out)
         out_ok, in_ok = _spare(out, cap_out), _spare(inmask, cap_in)
         best_i = 0

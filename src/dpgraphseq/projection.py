@@ -11,11 +11,11 @@ turns into snapshot views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import OrderingMismatchError
 from .graph_core import (
     ArrivalBatch,
+    DegreeBounds,
     Edge,
     GraphSequence,
     GraphView,
@@ -24,34 +24,12 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
-class ProjectionThresholds:
-    """Projection parameter: D-tilde, or (in, out) for directed graphs."""
+class ProjectionThresholds(DegreeBounds):
+    """Projection parameter: D-tilde, or (in, out) for directed graphs.
 
-    d: Optional[int] = None
-    d_in: Optional[int] = None
-    d_out: Optional[int] = None
-
-    def __post_init__(self):
-        if self.d is not None:
-            if self.d < 1:
-                raise ValueError("projection threshold must be >= 1")
-        elif self.d_in is None or self.d_out is None:
-            raise ValueError("directed projection needs both thresholds")
-        elif self.d_in < 1 or self.d_out < 1:
-            raise ValueError("projection thresholds must be >= 1")
-
-    @classmethod
-    def undirected(cls, d: int) -> "ProjectionThresholds":
-        return cls(d=d)
-
-    @classmethod
-    def directed(cls, d_in: int, d_out: int) -> "ProjectionThresholds":
-        return cls(d_in=d_in, d_out=d_out)
-
-    @property
-    def is_directed(self) -> bool:
-        return self.d is None
+    It shares `DegreeBounds`' fields, validation and `caps`, but is its own
+    type: a threshold is not a promise about the data.
+    """
 
 
 @dataclass(frozen=True)
@@ -80,24 +58,17 @@ def canonical_ordering(seq: GraphSequence) -> EdgeOrdering:
 
 def _admit(
     edges: tuple[Edge, ...],
-    directed: bool,
     th: ProjectionThresholds,
-    deg: dict[str, int],
-    in_deg: dict[str, int],
+    out: dict[str, int],
+    inn: dict[str, int],
 ) -> list[Edge]:
+    cap_in, cap_out = th.caps
     kept = []
-    if directed:
-        for u, v in edges:
-            if deg.get(u, 0) < th.d_out and in_deg.get(v, 0) < th.d_in:
-                deg[u] = deg.get(u, 0) + 1
-                in_deg[v] = in_deg.get(v, 0) + 1
-                kept.append((u, v))
-    else:
-        for u, v in edges:
-            if deg.get(u, 0) < th.d and deg.get(v, 0) < th.d:
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-                kept.append((u, v))
+    for u, v in edges:
+        if out.get(u, 0) < cap_out and inn.get(v, 0) < cap_in:
+            out[u] = out.get(u, 0) + 1
+            inn[v] = inn.get(v, 0) + 1
+            kept.append((u, v))
     return kept
 
 
@@ -121,15 +92,14 @@ def projected_batches(
                 f"ordering at t={batch.time} must cover exactly that batch's edges"
             )
 
-    deg: dict[str, int] = {}
-    in_deg: dict[str, int] = {}
+    out: dict[str, int] = {}
+    # An undirected degree is one counter, read as both the out- and in-side.
+    inn: dict[str, int] = {} if seq.directed else out
     return [
         ArrivalBatch(
             time=batch.time,
             nodes=batch.nodes,
-            edges=tuple(
-                _admit(order_by_time[batch.time], seq.directed, th, deg, in_deg)
-            ),
+            edges=tuple(_admit(order_by_time[batch.time], th, out, inn)),
         )
         for batch in seq.batches
     ]

@@ -195,7 +195,7 @@ def signature_rows(bounds, n, t_max, layout):
     deduplicated with a lexsort of all columns, and so is their union.
     """
     arrival_bits, step_bits, flag_shift = layout
-    cap_in, cap_out = oracle._cap_limits(bounds)
+    cap_in, cap_out = bounds.caps
     if bounds.is_directed:
         out, inmask = oracle._directed_graphs(n, cap_in, cap_out)
         can_send = _POP[out] < cap_out
@@ -318,7 +318,7 @@ def degree_maxima(bounds, n_max, t_max, max_k):
     distinct (affected profiles, peer arrivals) configuration on its own.
     """
     directed = bounds.is_directed
-    cap_in, cap_out = oracle._cap_limits(bounds)
+    cap_in, cap_out = bounds.caps
     budget_out = cap_out if directed else 0
     keys, tables = oracle._degree_tables(
         cap_out,
@@ -400,7 +400,7 @@ def _naive_diff_distance(query, directed, times_a, edges_a, times_b, edges_b, t_
 
 def _naive_bases(directed, bounds, n, t_max):
     """All bound-respecting sequences on exactly n labeled nodes."""
-    cap_in, cap_out = oracle._cap_limits(bounds)
+    cap_in, cap_out = bounds.caps
     nodes = [f"v{i}" for i in range(n)]
     if directed:
         candidates = [(a, b) for a in nodes for b in nodes if a != b]
@@ -432,7 +432,7 @@ def naive_diff_sensitivity(query, bounds, n_max, t_max) -> int:
     snapshot.  Only viable for tiny budgets.
     """
     directed = bounds.is_directed
-    cap_in, cap_out = oracle._cap_limits(bounds)
+    cap_in, cap_out = bounds.caps
     best = 0
     for n in range(1, n_max + 1):
         for node_time, edges in _naive_bases(directed, bounds, n, t_max):

@@ -273,8 +273,10 @@ def test_out_of_range_number_is_usage_error(runner, pa_file, args, flag):
         (["--model", "pa", "--m0", "0"], "population parameters must be positive"),
         (["--model", "pa", "--p-isolated", "2"], "p_isolated must be a probability"),
         (["--model", "sir", "--p-infect", "1.5"], "rates must be probabilities"),
+        (["--model", "sir", "--population", "50", "--max-steps", "-1"],
+         "max_steps must be >= 1"),
     ],
-    ids=["pa-m0", "pa-p-isolated", "sir-p-infect"],
+    ids=["pa-m0", "pa-p-isolated", "sir-p-infect", "sir-max-steps"],
 )
 def test_invalid_model_parameters_are_usage_errors(runner, args, message):
     result = runner.invoke(main, ["generate"] + args)
@@ -291,8 +293,9 @@ def test_invalid_model_parameters_are_usage_errors(runner, args, message):
         ("H undirected\nN a 1\nE a b\n", "'b' never declared"),
         ("N a 1\nH undirected\n", "header line must precede"),
         ("H directed\n", "sequence has no nodes"),
+        ("H directed\nN a x\n", "line 2: bad node time"),
     ],
-    ids=["bad-header", "dangling-edge", "late-header", "no-nodes"],
+    ids=["bad-header", "dangling-edge", "late-header", "no-nodes", "bad-node-time"],
 )
 def test_bad_input_file_is_usage_error(runner, tmp_path, command, text, message):
     path = tmp_path / "input.txt"

@@ -125,3 +125,5 @@ def test_sir_params_validation():
         SirParams(p_recover=1.2)
     with pytest.raises(ValueError):
         SirParams(initial_infected=0)
+    with pytest.raises(ValueError, match="max_steps"):
+        SirParams(max_steps=0)

@@ -1,5 +1,6 @@
 """Sequence ingestion, snapshots, bound checks, and the edge-list format."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -21,6 +22,8 @@ from dpgraphseq.errors import (
     TimeOutOfRangeError,
 )
 from dpgraphseq.graph_core import canonical_edge
+
+from test_statistics import sequences
 
 
 def small_seq():
@@ -167,6 +170,46 @@ def test_verify_bounds_directed_modes():
         verify_bounds(seq, DegreeBounds.undirected(2))
 
 
+def _side_degree(view, node, kind):
+    if kind == "out":
+        return view.out_degree(node)
+    if kind == "in":
+        return view.in_degree(node)
+    return view.degree(node)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences(), st.integers(1, 3), st.integers(1, 3))
+def test_verify_bounds_matches_snapshot_degrees(seq, d_in, d_out):
+    if seq.directed:
+        bounds = DegreeBounds.directed(d_in, d_out)
+        caps = {"out": d_out, "in": d_in}
+    else:
+        bounds = DegreeBounds.undirected(d_out)
+        caps = {"degree": d_out}
+
+    def over(view):
+        return {
+            (v, kind)
+            for v in view.nodes
+            for kind, cap in caps.items()
+            if _side_degree(view, v, kind) > cap
+        }
+
+    for t in range(seq.start_time, seq.horizon + 1):
+        crossings = over(snapshot(seq, t))
+        if crossings:
+            break
+    violation = verify_bounds(seq, bounds)
+    if not crossings:
+        assert violation is None
+        return
+    assert violation.time == t
+    assert (violation.node, violation.kind) in crossings
+    # The walk stops at the edge that crosses the cap.
+    assert violation.degree == caps[violation.kind] + 1
+
+
 def test_degree_bounds_validation():
     with pytest.raises(ValueError):
         DegreeBounds.undirected(0)
@@ -176,6 +219,8 @@ def test_degree_bounds_validation():
         DegreeBounds(d_in=2)
     assert DegreeBounds.directed(1, 2).is_directed
     assert not DegreeBounds.undirected(1).is_directed
+    assert DegreeBounds.directed(1, 2).caps == (1, 2)
+    assert DegreeBounds.undirected(3).caps == (3, 3)
 
 
 def test_edge_list_round_trip():
@@ -215,6 +260,11 @@ def test_edge_list_parse_errors():
         loads_edge_list("H undirected\nN a 1\nE a b\n")
     with pytest.raises(DuplicateNodeError):
         loads_edge_list("H undirected\nN a 1\nN a 2\n")
+
+
+def test_edge_list_names_the_line_of_a_bad_node_time():
+    with pytest.raises(ValueError, match="line 3: bad node time 'N b x'"):
+        loads_edge_list("H directed\nN a 1\nN b x\n")
 
 
 def test_edge_list_takes_one_header_before_every_record():

@@ -2,7 +2,9 @@
 import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -10,6 +12,7 @@ from dpgraphseq import (
     StatisticQuery,
     build_sequence,
     mechanisms,
+    snapshot,
 )
 from dpgraphseq.errors import EmptyGraphError, LengthMismatchError
 from dpgraphseq.harness import (
@@ -24,6 +27,8 @@ from dpgraphseq.harness import (
     rows_to_json,
     run_experiment,
 )
+
+from test_statistics import sequences
 
 
 def star_seq(leaves, extra_steps=0):
@@ -91,6 +96,30 @@ def test_derive_bounds_rounds_up_to_granularity():
         derive_bounds(build_sequence(True, []))
     with pytest.raises(EmptyGraphError):
         derive_tau(build_sequence(False, []), 90.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences(), st.integers(1, 3), st.floats(1, 99))
+def test_parameter_derivation_reads_final_snapshot_degrees(seq, granularity, percentile):
+    if not seq.node_time:
+        with pytest.raises(EmptyGraphError):
+            derive_bounds(seq, granularity)
+        return
+    final = snapshot(seq, seq.horizon)
+    out = [final.out_degree(v) for v in final.nodes]
+
+    def up(d):
+        return max(granularity, -(-d // granularity) * granularity)
+
+    if seq.directed:
+        d_in = max(final.in_degree(v) for v in final.nodes)
+        expected = DegreeBounds.directed(up(d_in), up(max(out)))
+    else:
+        expected = DegreeBounds.undirected(up(max(out)))
+    assert derive_bounds(seq, granularity) == expected
+    # tau reads the (out-)degree of every node, isolated ones included.
+    nearest_rank = np.percentile(out, percentile, method="higher")
+    assert derive_tau(seq, percentile) == max(1, int(nearest_rank))
 
 
 def test_rebatch_merges_into_even_windows():

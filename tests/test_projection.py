@@ -10,9 +10,12 @@ from dpgraphseq import (
     canonical_ordering,
     count_high_degree,
     project_sequence,
+    snapshot,
 )
 from dpgraphseq.errors import OrderingMismatchError
 from dpgraphseq.projection import EdgeOrdering
+
+from test_statistics import sequences
 
 
 def test_single_graph_projection_respects_order():
@@ -98,6 +101,8 @@ def test_threshold_validation():
         ProjectionThresholds(d_in=1)
     with pytest.raises(ValueError):
         ProjectionThresholds.directed(0, 1)
+    with pytest.raises(ValueError):
+        ProjectionThresholds(d=2, d_in=1)
 
 
 def test_canonical_ordering_sorts_within_each_step():
@@ -155,3 +160,37 @@ def test_projection_is_deterministic(data):
     a = project_sequence(seq, canonical_ordering(seq), th)[0]
     b = project_sequence(seq, canonical_ordering(seq), th)[0]
     assert a.edges == b.edges
+
+
+def _thresholds(directed, d_in, d_out):
+    if directed:
+        return ProjectionThresholds.directed(d_in, d_out)
+    return ProjectionThresholds.undirected(d_out)
+
+
+def _within(view, d_in, d_out):
+    if view.directed:
+        return all(
+            view.out_degree(v) <= d_out and view.in_degree(v) <= d_in
+            for v in view.nodes
+        )
+    return all(view.degree(v) <= d_out for v in view.nodes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(), st.integers(1, 3), st.integers(1, 3))
+def test_projected_views_respect_thresholds_and_keep_edges_at_the_maxima(
+    seq, d_in, d_out
+):
+    order = canonical_ordering(seq)
+    views = project_sequence(seq, order, _thresholds(seq.directed, d_in, d_out))
+    assert all(_within(view, d_in, d_out) for view in views)
+    final = snapshot(seq, seq.horizon)
+    top_out = max([1] + [final.out_degree(v) for v in final.nodes])
+    top_in = top_out
+    if seq.directed:
+        top_in = max([1] + [final.in_degree(v) for v in final.nodes])
+    full = project_sequence(seq, order, _thresholds(seq.directed, top_in, top_out))
+    assert [set(view.edges) for view in full] == [
+        set(snapshot(seq, t).edges) for t in range(1, seq.horizon + 1)
+    ]
