@@ -5,14 +5,22 @@ the edges that arrive alongside them.  Every edge must touch at least one
 node of its own batch, so an edge's time equals the maximum of its endpoint
 time stamps and snapshots are reconstructible for every step.
 
-Sequences are built one batch at a time by `ingest_step`, whose cost is in
-the batch's size.  Releases read the batches directly through the
-incremental engine `statistics.exact_values`; `snapshot` rebuilds the whole
-graph at one step and is the reference the engine and the degree walks
-(`verify_bounds`, parameter derivation) are checked against.
+Sequences are built by one validation pass over their batches
+(`build_sequence`, `loads_edge_list`) or one batch at a time by
+`ingest_step`; either way a batch costs work in its own size.
+
+Each sequence computes its `DegreeWalk` once, on first use, and caches it
+like `node_time`: every edge's endpoint degrees just before it joins, batch
+ends and final counters.  `verify_bounds`, parameter derivation and the
+degree statistics of `statistics.sequence_values` all read this one walk;
+projection records the walk of its kept edges while admitting them.  The
+triangle family keeps its own neighbour-set walk.  `snapshot` rebuilds the
+whole graph at one step and is the reference all of these are checked
+against.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -120,6 +128,113 @@ class GraphSequence:
             raise TimeOutOfRangeError(f"no batch at time {t}")
         return self.batches[t - start]
 
+    @cached_property
+    def degree_walk(self) -> DegreeWalk:
+        """The sequence's one degree walk, computed on first use.
+
+        Like `node_time` the cache is not a field: it takes no part in
+        equality, and a sequence extended by `ingest_step` computes its own.
+        """
+        out: dict[str, int] = {}
+        # An undirected degree is one counter, read as both the out- and in-side.
+        inn: dict[str, int] = {} if self.directed else out
+        tail: list[int] = []
+        head: list[int] = []
+        ends = []
+        for batch in self.batches:
+            for n in batch.nodes:
+                out[n] = inn[n] = 0
+            for u, v in batch.edges:
+                # u != v, so in an undirected walk the two reads and the two
+                # increments touch different nodes.
+                d = out[u]
+                tail.append(d)
+                out[u] = d + 1
+                d = inn[v]
+                head.append(d)
+                inn[v] = d + 1
+            ends.append(len(tail))
+        return DegreeWalk(tuple(tail), tuple(head), tuple(ends), out, inn)
+
+
+@dataclass(frozen=True)
+class DegreeWalk:
+    """Endpoint degrees just before each edge joins, in arrival order.
+
+    Edge i, counted through the batches in order, has `tail[i]`, the
+    out-degree of its tail u, and `head[i]`, the in-degree of its head v,
+    both read before it joins; an undirected degree is one counter, read as
+    both sides.  Batch j holds edges ends[j-1] (0 for j = 0) to ends[j] - 1.
+    `out` and `inn` are every node's final counters, zeros included, and the
+    same map when undirected.
+
+    Each degree statistic moves by an amount fixed by these pre-edge
+    degrees, so the bound check, parameter derivation, the degree
+    statistics and projection all read this one walk.
+    """
+
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    ends: tuple[int, ...]
+    out: dict[str, int]
+    inn: dict[str, int]
+
+
+def _extend(
+    seq: GraphSequence,
+    batches: Iterable[tuple[int, Iterable[str], Iterable[tuple[str, str]]]],
+) -> GraphSequence:
+    """Validate (t, nodes, edges) triples and append them as arrival batches.
+
+    One pass keeps one running node-time map, so a batch costs work in its
+    own size.  No scan of earlier edges is needed to reject a duplicate: an
+    edge must touch a node of its batch, and such a node has no earlier
+    edges, so only duplicates within the batch are possible.
+    """
+    # A copy: the parent keeps its map unchanged.
+    times = dict(seq.node_time)
+    horizon = seq.horizon if seq.batches else None
+    appended = []
+    for t, nodes, edges in batches:
+        if horizon is not None:
+            if t != horizon + 1:
+                raise TimeOutOfRangeError(f"expected batch time {horizon + 1}, got {t}")
+        elif t not in (0, 1):
+            raise TimeOutOfRangeError(f"first batch time must be 0 or 1, got {t}")
+        horizon = t
+
+        new_nodes = tuple(nodes)
+        for n in new_nodes:
+            if n in times:
+                raise DuplicateNodeError(f"node {n!r} already declared")
+            times[n] = t
+
+        batch_edges = []
+        batch_seen = set()
+        for u, v in edges:
+            if u == v:
+                raise SelfLoopError(f"self-loop on {u!r}")
+            for endpoint in (u, v):
+                if endpoint not in times:
+                    raise DanglingEdgeError(f"edge endpoint {endpoint!r} never declared")
+            if times[u] != t and times[v] != t:
+                # Both endpoints predate this batch, so the edge should have
+                # arrived earlier.
+                raise EdgeToFutureNodeError(
+                    f"edge ({u!r}, {v!r}) has no endpoint in the current batch"
+                )
+            e = canonical_edge(u, v, seq.directed)
+            if e in batch_seen:
+                raise DuplicateEdgeError(f"edge {e!r} already present")
+            batch_seen.add(e)
+            batch_edges.append(e)
+        appended.append(ArrivalBatch(time=t, nodes=new_nodes, edges=tuple(batch_edges)))
+
+    extended = GraphSequence(directed=seq.directed, batches=seq.batches + tuple(appended))
+    # Seed the cached node_time; the cache is not a field, so equality holds.
+    extended.__dict__["node_time"] = times
+    return extended
+
 
 def ingest_step(
     seq: GraphSequence,
@@ -135,51 +250,10 @@ def ingest_step(
 
     The checks read only this batch and the parent's node times, so a call
     does work in the batch's size (plus C-level copies of the batch tuple
-    and the node-time map).  No scan of earlier edges is needed to reject a
-    duplicate: an edge must touch a node of this batch, and such a node has
-    no earlier edges, so only duplicates within the batch are possible.
+    and the node-time map).  The child computes its own degree walk; it does
+    not inherit the parent's.
     """
-    if seq.batches:
-        expected = seq.horizon + 1
-        if t != expected:
-            raise TimeOutOfRangeError(f"expected batch time {expected}, got {t}")
-    elif t not in (0, 1):
-        raise TimeOutOfRangeError(f"first batch time must be 0 or 1, got {t}")
-
-    known = seq.node_time
-    new_nodes = tuple(nodes)
-    seen_new = set()
-    for n in new_nodes:
-        if n in known or n in seen_new:
-            raise DuplicateNodeError(f"node {n!r} already declared")
-        seen_new.add(n)
-
-    batch_edges = []
-    batch_seen = set()
-    for u, v in edges:
-        if u == v:
-            raise SelfLoopError(f"self-loop on {u!r}")
-        for endpoint in (u, v):
-            if endpoint not in known and endpoint not in seen_new:
-                raise DanglingEdgeError(f"edge endpoint {endpoint!r} never declared")
-        if u not in seen_new and v not in seen_new:
-            # Both endpoints predate this batch, so the edge should have
-            # arrived earlier.
-            raise EdgeToFutureNodeError(
-                f"edge ({u!r}, {v!r}) has no endpoint in the current batch"
-            )
-        e = canonical_edge(u, v, seq.directed)
-        if e in batch_seen:
-            raise DuplicateEdgeError(f"edge {e!r} already present")
-        batch_seen.add(e)
-        batch_edges.append(e)
-
-    batch = ArrivalBatch(time=t, nodes=new_nodes, edges=tuple(batch_edges))
-    extended = GraphSequence(directed=seq.directed, batches=seq.batches + (batch,))
-    # Seed the cached node_time from a copy of the parent's, which the
-    # parent keeps unchanged; the cache is not a field, so equality holds.
-    extended.__dict__["node_time"] = {**known, **dict.fromkeys(new_nodes, t)}
-    return extended
+    return _extend(seq, [(t, nodes, edges)])
 
 
 def build_sequence(
@@ -187,10 +261,7 @@ def build_sequence(
     batches: Iterable[tuple[int, Iterable[str], Iterable[tuple[str, str]]]],
 ) -> GraphSequence:
     """Convenience constructor from (t, nodes, edges) triples."""
-    seq = GraphSequence.empty(directed)
-    for t, nodes, edges in batches:
-        seq = ingest_step(seq, t, nodes, edges)
-    return seq
+    return _extend(GraphSequence.empty(directed), batches)
 
 
 @dataclass(frozen=True)
@@ -283,29 +354,32 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
     """Check the whole sequence against a degree bound.
 
     Returns None when every snapshot satisfies the bound, otherwise the first
-    (t, node, observed degree) crossing it.  Degrees are nondecreasing, so a
-    single incremental pass finds the earliest violation.
+    (t, node, observed degree) crossing it.  Degrees are nondecreasing, so
+    the final counters of the sequence's degree walk decide whether the bound
+    holds, and only a violated bound scans the walk for its first crossing.
     """
     if bounds.is_directed != seq.directed:
         raise ModeMismatchError("bounds mode does not match sequence directedness")
     cap_in, cap_out = bounds.caps
-    out: dict[str, int] = {}
-    # An undirected degree is one counter, read as both the out- and in-side.
-    inn: dict[str, int] = {} if seq.directed else out
+    walk = seq.degree_walk
+    if max(walk.out.values(), default=0) <= cap_out and max(
+        walk.inn.values(), default=0
+    ) <= cap_in:
+        return None
+    # An edge whose endpoint sits at the cap before it joins lifts that
+    # endpoint over the cap; the tail's side is checked first.
+    i = next(
+        i
+        for i, (d_tail, d_head) in enumerate(zip(walk.tail, walk.head))
+        if d_tail >= cap_out or d_head >= cap_in
+    )
+    j = bisect_right(walk.ends, i)
+    batch = seq.batches[j]
+    u, v = batch.edges[i - (walk.ends[j - 1] if j else 0)]
     kind_out, kind_in = ("out", "in") if seq.directed else ("degree", "degree")
-    for batch in seq.batches:
-        for n in batch.nodes:
-            out[n] = inn[n] = 0
-        for u, v in batch.edges:
-            # Both counters move before either check: u != v, so a crossing
-            # at u reads the same count, and u's side is still checked first.
-            out[u] += 1
-            inn[v] += 1
-            if out[u] > cap_out:
-                return BoundViolation(batch.time, u, out[u], kind_out)
-            if inn[v] > cap_in:
-                return BoundViolation(batch.time, v, inn[v], kind_in)
-    return None
+    if walk.tail[i] >= cap_out:
+        return BoundViolation(batch.time, u, walk.tail[i] + 1, kind_out)
+    return BoundViolation(batch.time, v, walk.head[i] + 1, kind_in)
 
 
 # --- edge-list text format ----------------------------------------------
@@ -390,9 +464,10 @@ def loads_edge_list(text: str) -> GraphSequence:
         t = max(node_time[u], node_time[v]) + shift
         edges_by_time.setdefault(t, []).append((u, v))
 
-    seq = GraphSequence.empty(directed)
-    for t in range(origin, t_max + shift + 1):
-        seq = ingest_step(
-            seq, t, sorted(by_time.get(t, [])), edges_by_time.get(t, [])
-        )
-    return seq
+    return build_sequence(
+        directed,
+        (
+            (t, sorted(by_time.get(t, [])), edges_by_time.get(t, []))
+            for t in range(origin, t_max + shift + 1)
+        ),
+    )

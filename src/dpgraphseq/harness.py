@@ -38,17 +38,13 @@ CSV_COLUMNS = (
 def _final_degrees(seq: GraphSequence):
     """(in-degrees, out-degrees) of every node at the horizon, zeros included.
 
-    An undirected degree is one counter, read as both sides.
+    They are the final counters of the sequence's degree walk; an undirected
+    degree is one counter, read as both sides.
     """
     if not seq.node_time:
         raise EmptyGraphError("sequence has no nodes")
-    out = dict.fromkeys(seq.node_time, 0)
-    inn = dict.fromkeys(seq.node_time, 0) if seq.directed else out
-    for batch in seq.batches:
-        for u, v in batch.edges:
-            out[u] += 1
-            inn[v] += 1
-    return list(inn.values()), list(out.values())
+    walk = seq.degree_walk
+    return list(walk.inn.values()), list(walk.out.values())
 
 
 def derive_tau(seq: GraphSequence, percentile: float) -> int:

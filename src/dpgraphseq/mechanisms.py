@@ -14,13 +14,15 @@ Three mechanisms share one interface and return a ReleaseSeries:
 
 A release has two halves.  `plan` draws no noise: it checks the inputs and
 reads every exact series from the incremental engine
-`statistics.exact_values`, one pass over the batches (or over a
-projection's kept edges): the truth f(G_1..G_T) and one *arm* per series
+`statistics.sequence_values`: the truth f(G_1..G_T) and one *arm* per series
 to noise, i.e. sensdiff's difference sequence, compose_bounded's f, or each
-compose_projection candidate's projected f.  `ReleasePlan.draw` is the only
-noise code.  `release` is ``plan(...).draw(config)``; the harness plans
-once and draws once per trial.  `snapshot` and `evaluate` are not on this
-path; they are the reference the engine is tested against.
+compose_projection candidate's projected f.  The bound check and every
+degree statistic read the sequence's one cached degree walk; each candidate
+projection records its own walk while admitting edges, after one check of
+the edge ordering per plan.  `ReleasePlan.draw` is the only noise code.
+`release` is ``plan(...).draw(config)``; the harness plans once and draws
+once per trial.  `snapshot` and `evaluate` are not on this path; they are
+the reference the engine is tested against.
 
 Determinism: all noise comes from numpy Generators seeded with
 SeedSequence([seed, trial_id, ...]), so a (seed, trial_id) pair fully
@@ -40,14 +42,14 @@ from .errors import (
     UnsupportedBaselineQueryError,
 )
 from .graph_core import DegreeBounds, GraphSequence, verify_bounds
-from .projection import ProjectionThresholds, canonical_ordering, projected_batches
+from .projection import ProjectionThresholds, admit, canonical_ordering, check_ordering
 from .sensitivity import (
     SensitivityReport,
     diff_sequence_sensitivity,
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery, exact_values
+from .statistics import StatisticQuery, sequence_values
 
 MECHANISMS = ("sensdiff", "compose_bounded", "compose_projection")
 
@@ -183,8 +185,8 @@ class ReleasePlan:
         )
 
 
-def _exact_scalars(query: StatisticQuery, directed: bool, batches) -> np.ndarray:
-    return np.fromiter(exact_values(query, directed, batches), dtype=float)
+def _exact_scalars(query: StatisticQuery, seq: GraphSequence) -> np.ndarray:
+    return np.fromiter(sequence_values(query, seq), dtype=float)
 
 
 def plan(
@@ -209,14 +211,13 @@ def plan(
             raise UnsupportedBaselineQueryError(
                 "projection baseline releases scalar statistics only"
             )
-        truth = _exact_scalars(query, seq.directed, seq.batches)
+        truth = _exact_scalars(query, seq)
         ordering = canonical_ordering(seq)
+        check_ordering(seq, ordering)
         arms = tuple(
             ReleaseArm(
                 sensitivity=projected_sensitivity(query, th),
-                series=_exact_scalars(
-                    query, seq.directed, projected_batches(seq, ordering, th)
-                ),
+                series=_exact_scalars(query, admit(seq, ordering, th)),
                 stream=(2, i),
                 thresholds=th,
             )
@@ -230,13 +231,13 @@ def plan(
     _check_bounds(seq, bounds)
     if mechanism == "compose_bounded":
         report = per_release_sensitivity(query, bounds)
-        truth = _exact_scalars(query, seq.directed, seq.batches)
+        truth = _exact_scalars(query, seq)
         return ReleasePlan(mechanism, truth, (ReleaseArm(report, truth, (1,)),))
     report = diff_sequence_sensitivity(query, bounds)
     if query.is_scalar:
-        truth = _exact_scalars(query, seq.directed, seq.batches)
+        truth = _exact_scalars(query, seq)
     else:
-        hists = list(exact_values(query, seq.directed, seq.batches))
+        hists = sequence_values(query, seq)
         _, cap_out = bounds.caps
         truth = np.zeros((len(hists), cap_out + 1))
         for t, hist in enumerate(hists):

@@ -3,10 +3,12 @@
 Edges are considered one by one in a fixed ordering that respects edge time
 stamps; an edge is admitted only while both endpoint counters sit strictly
 below the projection thresholds.  Admission state is kept across steps, so
-projected edge sets are nested over time.  `projected_batches` is the one
-admission path: it returns the kept edges batch by batch, which the
-mechanisms feed to the incremental statistics engine and `project_sequence`
-turns into snapshot views.
+projected edge sets are nested over time.  `admit` is the one admission
+path: it returns the kept edges as a sequence whose degree walk it records
+from the counters it reads, which the mechanisms feed to the statistics
+engine.  `check_ordering` validates an ordering once, before any number of
+admissions; `projected_batches` is both as a list of batches, which
+`project_sequence` turns into snapshot views.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from .errors import OrderingMismatchError
 from .graph_core import (
     ArrivalBatch,
     DegreeBounds,
+    DegreeWalk,
     Edge,
     GraphSequence,
     GraphView,
@@ -56,33 +59,10 @@ def canonical_ordering(seq: GraphSequence) -> EdgeOrdering:
     return EdgeOrdering(steps=tuple(steps))
 
 
-def _admit(
-    edges: tuple[Edge, ...],
-    th: ProjectionThresholds,
-    out: dict[str, int],
-    inn: dict[str, int],
-) -> list[Edge]:
-    cap_in, cap_out = th.caps
-    kept = []
-    for u, v in edges:
-        if out.get(u, 0) < cap_out and inn.get(v, 0) < cap_in:
-            out[u] = out.get(u, 0) + 1
-            inn[v] = inn.get(v, 0) + 1
-            kept.append((u, v))
-    return kept
-
-
-def projected_batches(
-    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
-) -> list[ArrivalBatch]:
-    """Online projection as arrival batches: each keeps its nodes and the
-    edges admitted at its step, with admission state shared across steps.
-    """
-    if th.is_directed != seq.directed:
-        raise OrderingMismatchError("threshold mode does not match the sequence")
+def check_ordering(seq: GraphSequence, ordering: EdgeOrdering) -> None:
+    """Raise unless `ordering` covers each batch's edges exactly, step by step."""
     order_by_time = dict(ordering.steps)
-    seq_times = [b.time for b in seq.batches]
-    if set(order_by_time) != set(seq_times):
+    if set(order_by_time) != {b.time for b in seq.batches}:
         raise OrderingMismatchError("ordering steps must match the sequence's batches")
     for batch in seq.batches:
         if sorted(order_by_time[batch.time]) != sorted(
@@ -92,17 +72,57 @@ def projected_batches(
                 f"ordering at t={batch.time} must cover exactly that batch's edges"
             )
 
+
+def admit(
+    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
+) -> GraphSequence:
+    """Online projection as a sequence whose degree walk is already cached.
+
+    Each batch keeps its nodes and the edges admitted at its step, with
+    admission state shared across steps.  The counters an edge's admission
+    reads are its pre-edge degrees in the projected sequence, so the one
+    pass also records the projection's degree walk.  The ordering must have
+    passed `check_ordering`.
+    """
+    if th.is_directed != seq.directed:
+        raise OrderingMismatchError("threshold mode does not match the sequence")
+    cap_in, cap_out = th.caps
+    order_by_time = dict(ordering.steps)
     out: dict[str, int] = {}
     # An undirected degree is one counter, read as both the out- and in-side.
     inn: dict[str, int] = {} if seq.directed else out
-    return [
-        ArrivalBatch(
-            time=batch.time,
-            nodes=batch.nodes,
-            edges=tuple(_admit(order_by_time[batch.time], th, out, inn)),
-        )
-        for batch in seq.batches
-    ]
+    tail: list[int] = []
+    head: list[int] = []
+    ends = []
+    batches = []
+    for batch in seq.batches:
+        for n in batch.nodes:
+            out[n] = inn[n] = 0
+        kept = []
+        for u, v in order_by_time[batch.time]:
+            d_tail = out[u]
+            d_head = inn[v]
+            if d_tail < cap_out and d_head < cap_in:
+                kept.append((u, v))
+                tail.append(d_tail)
+                head.append(d_head)
+                out[u] = d_tail + 1
+                inn[v] = d_head + 1
+        ends.append(len(tail))
+        batches.append(ArrivalBatch(time=batch.time, nodes=batch.nodes, edges=tuple(kept)))
+    projected = GraphSequence(directed=seq.directed, batches=tuple(batches))
+    projected.__dict__["degree_walk"] = DegreeWalk(
+        tuple(tail), tuple(head), tuple(ends), out, inn
+    )
+    return projected
+
+
+def projected_batches(
+    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
+) -> list[ArrivalBatch]:
+    """`admit` after `check_ordering`, as a list of arrival batches."""
+    check_ordering(seq, ordering)
+    return list(admit(seq, ordering, th).batches)
 
 
 def project_sequence(

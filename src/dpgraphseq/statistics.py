@@ -1,9 +1,8 @@
 """Exact graph statistics: the incremental engine and the reference counters.
 
-Releases read their exact values from `exact_values`, an engine that walks
-the arrival batches once.  It keeps per-node neighbour sets and degrees and
-moves f(G) only by what each new edge (u, v) adds, read from the state just
-before the edge joins:
+Releases read their exact values from `sequence_values` (`exact_values`
+runs it over bare arrival batches).  It moves f(G) only by what each new
+edge (u, v) adds, read from the state just before the edge joins:
 
     edge          +1
     triangle      |N(u) & N(v)|
@@ -22,6 +21,12 @@ Each copy of a pattern is counted once, when the last of its edges
 arrives, so the running values are the exact counts, and the difference
 sequence f(G_t) - f(G_{t-1}) depends only on batch t.
 
+Every degree statistic is f = sum over nodes of g(degree), so its
+increments are table lookups g(d + 1) - g(d) at the pre-edge degrees d of
+the sequence's cached `DegreeWalk`, which the bound check and parameter
+derivation read too.  The triangle family needs neighbour sets, not just
+degrees, and keeps its own walk over per-node sets.
+
 The snapshot counters (`count_high_degree`, `degree_histogram`,
 `count_subgraph`, dispatched by `evaluate`) recount a whole `GraphView`.
 They are the reference the engine is tested against, and what the oracle
@@ -33,13 +38,15 @@ histograms refer to out-degree.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Union
+from operator import add
+from typing import Iterable, Optional, Union
 
 from .errors import PatternDirectionMismatchError, UnsupportedQueryError
-from .graph_core import ArrivalBatch, GraphView
+from .graph_core import ArrivalBatch, DegreeWalk, GraphSequence, GraphView
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
 DIRECTED_PATTERNS = ("edge", "triangle_i", "triangle_ii", "out_k_star", "in_k_star")
@@ -181,76 +188,110 @@ def evaluate(query: StatisticQuery, g: GraphView) -> StatValue:
 # --- incremental engine ---------------------------------------------------
 
 
-def _move_up(hist: Histogram, d: int) -> None:
-    """One node's degree goes from d to d + 1; empty bins are dropped."""
-    if hist[d] == 1:
-        del hist[d]
-    else:
-        hist[d] -= 1
-    hist[d + 1] = hist.get(d + 1, 0) + 1
+def _step_table(query: StatisticQuery, top: int) -> list[int]:
+    """g(d + 1) - g(d), d < top, of a scalar degree statistic f = sum of g(degree).
 
-
-def _edge_increment(
-    query: StatisticQuery,
-    directed: bool,
-    out: dict[str, set[str]],
-    inn: dict[str, set[str]],
-    hist: Histogram,
-) -> Callable[[str, str], int]:
-    """The change of f when edge (u, v) joins; see the module docstring."""
+    The edge count is g(d) = d read on the tail side only, so that each
+    edge counts once.
+    """
     if query.kind == "high_degree":
-        tau = query.tau
-        if directed:
-            return lambda u, v: len(out[u]) == tau - 1
-        return lambda u, v: (len(out[u]) == tau - 1) + (len(out[v]) == tau - 1)
-    if query.kind == "degree_histogram":
-        def move(u, v):
-            for x in (u,) if directed else (u, v):
-                _move_up(hist, len(out[x]))
-            return 0
+        return [int(d == query.tau - 1) for d in range(top)]
+    if query.pattern == "edge":
+        return [1] * top
+    return [comb(d, query.k - 1) for d in range(top)]
 
-        return move
-    k = query.k
-    return {
-        "edge": lambda u, v: 1,
+
+def _moved_sides(
+    query: StatisticQuery, directed: bool, walk: DegreeWalk
+) -> list[tuple[int, ...]]:
+    """Pre-edge degrees of the endpoints whose g moves when an edge joins."""
+    if query.pattern == "in_k_star":
+        return [walk.head]
+    if query.pattern in ("edge", "out_k_star") or directed:
+        return [walk.tail]
+    # Undirected stars, threshold counts and histograms move at both ends.
+    return [walk.tail, walk.head]
+
+
+def _degree_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
+    walk = seq.degree_walk
+    sides = _moved_sides(query, seq.directed, walk)
+    # No degree, on either side, ever exceeds the largest final counter.
+    top = max(max(walk.out.values(), default=0), max(walk.inn.values(), default=0))
+    if query.kind == "degree_histogram":
+        # A node sits in bin b once it arrived (b = 0) or moved up from b - 1,
+        # until it moves up from b; `moves` counts the moves up from each bin.
+        moves: Counter[int] = Counter()
+        nodes = 0
+        start = 0
+        hists: list[StatValue] = []
+        for batch, end in zip(seq.batches, walk.ends):
+            nodes += len(batch.nodes)
+            for side in sides:
+                moves.update(side[start:end])
+            start = end
+            if batch.time >= 1:
+                bins = (
+                    (b, (b == 0) * nodes + moves[b - 1] - moves[b])
+                    for b in range(top + 1)
+                )
+                hists.append({b: n for b, n in bins if n})
+        return hists
+    table = _step_table(query, top)
+    lifted = [map(table.__getitem__, side) for side in sides]
+    running = list(
+        accumulate(lifted[0] if len(lifted) == 1 else map(add, *lifted), initial=0)
+    )
+    return [
+        running[end] for batch, end in zip(seq.batches, walk.ends) if batch.time >= 1
+    ]
+
+
+def _triangle_values(
+    pattern: str, directed: bool, batches: Iterable[ArrivalBatch]
+) -> list[StatValue]:
+    # Neighbour sets appear on a node's first edge; an undirected graph
+    # keeps one set per node, read as both out- and in-neighbours.
+    out: dict[str, set[str]] = defaultdict(set)
+    inn: dict[str, set[str]] = defaultdict(set) if directed else out
+    increment = {
         "triangle": lambda u, v: len(out[u] & out[v]),
         "triangle_i": lambda u, v: len(out[v] & inn[u]),
         "triangle_ii": lambda u, v: (
             len(out[u] & out[v]) + len(inn[u] & inn[v]) + len(out[u] & inn[v])
         ),
-        "k_star": lambda u, v: comb(len(out[u]), k - 1) + comb(len(out[v]), k - 1),
-        "out_k_star": lambda u, v: comb(len(out[u]), k - 1),
-        "in_k_star": lambda u, v: comb(len(inn[v]), k - 1),
-    }[query.pattern]
-
-
-def exact_values(
-    query: StatisticQuery, directed: bool, batches: Iterable[ArrivalBatch]
-) -> Iterator[StatValue]:
-    """Yield f(G_t) after every batch with time t >= 1.
-
-    Each batch costs time in its own size: one increment per edge (and, for
-    histograms, one count of the arriving nodes).  A time-0 batch
-    (pre-existing nodes) is folded in without a yield, as `snapshot` folds
-    it into G_1.  Histograms are yielded as sparse copies, equal to
-    `degree_histogram` of the snapshot.
-    """
-    if query.kind == "subgraph":
-        _check_pattern(query.pattern, directed)
-    histogram = query.kind == "degree_histogram"
-    # Neighbour sets appear on a node's first edge; an undirected graph
-    # keeps one set per node, read as both out- and in-neighbours.
-    out: dict[str, set[str]] = defaultdict(set)
-    inn: dict[str, set[str]] = defaultdict(set) if directed else out
-    hist: Histogram = {}
-    increment = _edge_increment(query, directed, out, inn, hist)
+    }[pattern]
     value = 0
+    values: list[StatValue] = []
     for batch in batches:
-        if histogram and batch.nodes:
-            hist[0] = hist.get(0, 0) + len(batch.nodes)
         for u, v in batch.edges:
             value += increment(u, v)
             out[u].add(v)
             inn[v].add(u)
         if batch.time >= 1:
-            yield dict(hist) if histogram else value
+            values.append(value)
+    return values
+
+
+def sequence_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
+    """f(G_t) after every batch of `seq` with time t >= 1.
+
+    Degree statistics are read from the sequence's cached degree walk, by
+    one table lookup g(d + 1) - g(d) per moved endpoint; the triangle family
+    walks per-node neighbour sets.  Either way each batch costs time in its
+    own size.  A time-0 batch (pre-existing nodes) is folded in without a
+    value, as `snapshot` folds it into G_1.  Histograms are sparse maps,
+    equal to `degree_histogram` of the snapshot.
+    """
+    if query.kind == "subgraph":
+        _check_pattern(query.pattern, seq.directed)
+        if query.pattern.startswith("triangle"):
+            return _triangle_values(query.pattern, seq.directed, seq.batches)
+    return _degree_values(query, seq)
+
+
+def exact_values(
+    query: StatisticQuery, directed: bool, batches: Iterable[ArrivalBatch]
+) -> list[StatValue]:
+    """`sequence_values` of the sequence made of `batches`."""
+    return sequence_values(query, GraphSequence(directed, tuple(batches)))

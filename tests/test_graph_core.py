@@ -210,6 +210,61 @@ def test_verify_bounds_matches_snapshot_degrees(seq, d_in, d_out):
     assert violation.degree == caps[violation.kind] + 1
 
 
+def _side_degrees(view):
+    """(out-degree, in-degree) maps of a snapshot; an undirected degree is both."""
+    if view.directed:
+        return (
+            {v: view.out_degree(v) for v in view.nodes},
+            {v: view.in_degree(v) for v in view.nodes},
+        )
+    degree = {v: view.degree(v) for v in view.nodes}
+    return degree, degree
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+def test_degree_walk_reads_snapshot_degrees(seq):
+    # An edge's pre-edge degree is its endpoint's degree in the previous
+    # snapshot plus the earlier edges of its own batch on that side.
+    walk = seq.degree_walk
+    out, inn = {}, {}
+    i = 0
+    for batch, end in zip(seq.batches, walk.ends):
+        for k, (u, v) in enumerate(batch.edges):
+            earlier = batch.edges[:k]
+            if seq.directed:
+                tail = out.get(u, 0) + sum(a == u for a, _ in earlier)
+                head = inn.get(v, 0) + sum(b == v for _, b in earlier)
+            else:
+                tail = out.get(u, 0) + sum(u in e for e in earlier)
+                head = inn.get(v, 0) + sum(v in e for e in earlier)
+            assert (walk.tail[i], walk.head[i]) == (tail, head)
+            i += 1
+        assert end == i
+        out, inn = _side_degrees(snapshot(seq, batch.time))
+    assert len(walk.tail) == len(walk.head) == i
+    assert (walk.out, walk.inn) == (out, inn)
+
+
+def test_degree_walk_cache_is_neither_compared_nor_inherited():
+    parent = small_seq()
+    walk = parent.degree_walk
+    assert parent.degree_walk is walk
+    assert walk.tail == (0, 1, 1, 2) and walk.head == (0, 0, 1, 0)
+    assert walk.ends == (1, 3, 4)
+    assert walk.out == {"a": 2, "b": 2, "c": 3, "d": 1}
+    # The cache is not a field: a sequence without it compares equal.
+    fresh = GraphSequence(directed=False, batches=parent.batches)
+    assert "degree_walk" not in fresh.__dict__
+    assert fresh == parent
+    # A child computes its own walk; the parent's stays as it was.
+    child = ingest_step(parent, 4, ["e"], [("e", "c")])
+    assert "degree_walk" not in child.__dict__
+    assert child.degree_walk.ends == (1, 3, 4, 5)
+    assert child.degree_walk.out["c"] == 4
+    assert parent.degree_walk is walk and walk.out["c"] == 3
+
+
 def test_degree_bounds_validation():
     with pytest.raises(ValueError):
         DegreeBounds.undirected(0)

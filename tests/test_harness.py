@@ -255,13 +255,13 @@ def test_run_experiment_projects_each_candidate_once(monkeypatch):
     # Projection draws no noise, so its kept edges serve every trial and
     # every budget: one projection per candidate, not one per trial.
     calls = []
-    real = mechanisms.projected_batches
+    real = mechanisms.admit
 
     def counting(seq, ordering, th):
         calls.append(th)
         return real(seq, ordering, th)
 
-    monkeypatch.setattr(mechanisms, "projected_batches", counting)
+    monkeypatch.setattr(mechanisms, "admit", counting)
     candidates = (ProjectionThresholds.undirected(2), ProjectionThresholds.undirected(5))
     cfg = experiment_config(
         mechanisms=("compose_projection",), trials=5, candidates=candidates

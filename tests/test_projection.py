@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpgraphseq import (
+    GraphSequence,
     ProjectionThresholds,
     build_sequence,
     canonical_ordering,
@@ -13,7 +14,7 @@ from dpgraphseq import (
     snapshot,
 )
 from dpgraphseq.errors import OrderingMismatchError
-from dpgraphseq.projection import EdgeOrdering
+from dpgraphseq.projection import EdgeOrdering, admit, projected_batches
 
 from test_statistics import sequences
 
@@ -92,6 +93,22 @@ def test_time_zero_batch_folds_into_first_view():
     )
     assert len(views) == 2
     assert "s" in views[0].nodes
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(), st.integers(1, 3), st.integers(1, 3))
+def test_admission_records_the_walk_of_the_kept_edges(seq, d_in, d_out):
+    th = (
+        ProjectionThresholds.directed(d_in, d_out)
+        if seq.directed
+        else ProjectionThresholds.undirected(d_out)
+    )
+    ordering = canonical_ordering(seq)
+    projected = admit(seq, ordering, th)
+    kept = projected_batches(seq, ordering, th)
+    assert list(projected.batches) == kept
+    recomputed = GraphSequence(directed=seq.directed, batches=tuple(kept)).degree_walk
+    assert projected.degree_walk == recomputed
 
 
 def test_threshold_validation():
