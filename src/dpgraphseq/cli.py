@@ -12,6 +12,7 @@ from .errors import (
     BoundViolationError,
     GraphSequenceError,
     InfeasibleThresholdError,
+    OrderingMismatchError,
     UnsupportedBaselineQueryError,
 )
 from .generators import (
@@ -102,11 +103,15 @@ def _thresholds_option(ctx, param, value):
 
 @contextlib.contextmanager
 def _usage_errors():
-    """Report bounds the data exceed, or a query they rule out, as a usage error."""
+    """Report bounds the data exceed, thresholds of the wrong mode, or a query
+    they rule out, as a usage error."""
     try:
         yield
     except (
-        UnsupportedBaselineQueryError, InfeasibleThresholdError, BoundViolationError
+        UnsupportedBaselineQueryError,
+        InfeasibleThresholdError,
+        BoundViolationError,
+        OrderingMismatchError,
     ) as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -243,9 +248,12 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
     candidates = ()
     if mechanism == "compose_projection" and projection_thresholds is None:
         candidates = tuple(default_projection_grid(seq, bound_granularity))
-    config = MechanismConfig(
-        epsilon=epsilon, seed=seed, trial_id=trial, zero_noise=zero_noise
-    )
+    try:
+        config = MechanismConfig(
+            epsilon=epsilon, seed=seed, trial_id=trial, zero_noise=zero_noise
+        )
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--epsilon'") from exc
     with _usage_errors():
         series = run_release(
             mechanism, seq, query, config,

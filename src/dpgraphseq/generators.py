@@ -8,6 +8,7 @@ straight into the release mechanisms.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,8 @@ class SirParams:
     def __post_init__(self):
         if self.population < 3 or self.contacts < 1:
             raise ValueError("population parameters must be positive")
+        if self.contacts >= self.population:
+            raise ValueError("contacts must be below population")
         if not (0 <= self.p_recover <= 1 and 0 <= self.p_infect <= 1):
             raise ValueError("rates must be probabilities")
         if not 1 <= self.initial_infected <= self.population:
@@ -131,17 +134,41 @@ class SirParams:
             raise ValueError("max_steps must be >= 1")
 
 
-def generate_sir_transmission(params: SirParams, seed: int = 0) -> GraphSequence:
-    import networkx as nx
+def barabasi_albert_graph(n: int, m: int, seed: int) -> list[list[int]]:
+    """Barabasi-Albert contact graph on nodes 0..n-1, as adjacency lists.
 
+    The same graph as networkx's `barabasi_albert_graph(n, m, seed)`, with
+    the same neighbour order: a star on nodes 0..m (hub 0), then each new
+    node joins m distinct targets drawn from the list of existing nodes
+    repeated once per incident edge, a draw of `random.Random(seed).choice`
+    at a time, and adds its edges in the order of the target set.
+    """
+    if not 1 <= m < n:
+        raise ValueError(f"need 1 <= m < n, got m = {m}, n = {n}")
+    rng = random.Random(seed)
+    adjacency: list[list[int]] = [list(range(1, m + 1))] + [[0] for _ in range(m)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        adjacency.append(list(targets))
+        for t in targets:
+            adjacency[t].append(source)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return adjacency
+
+
+def generate_sir_transmission(params: SirParams, seed: int = 0) -> GraphSequence:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    contact = nx.barabasi_albert_graph(
+    contact = barabasi_albert_graph(
         params.population, params.contacts, seed=int(rng.integers(2**31))
     )
-    name = {i: f"p{i}" for i in contact.nodes}
+    name = {i: f"p{i}" for i in range(params.population)}
     seeds = rng.choice(params.population, size=params.initial_infected, replace=False)
     infectious = set(int(s) for s in seeds)
-    susceptible = set(contact.nodes) - infectious
+    susceptible = set(range(params.population)) - infectious
     seq = GraphSequence.empty(directed=True)
     seq = ingest_step(seq, 0, sorted(name[v] for v in infectious), [])
     step = 0
@@ -151,8 +178,8 @@ def generate_sir_transmission(params: SirParams, seed: int = 0) -> GraphSequence
         infectious -= recovered
         newly = {}
         for v in sorted(infectious):
-            for u in contact.neighbors(v):
-                if u in susceptible and rng.random() < params.p_infect / contact.degree(u):
+            for u in contact[v]:
+                if u in susceptible and rng.random() < params.p_infect / len(contact[u]):
                     newly.setdefault(u, []).append(v)
         new_nodes = sorted(newly)
         new_edges = []

@@ -9,14 +9,16 @@ Sequences are built by one validation pass over their batches
 (`build_sequence`, `loads_edge_list`) or one batch at a time by
 `ingest_step`; either way a batch costs work in its own size.
 
-Each sequence computes its `DegreeWalk` once, on first use, and caches it
-like `node_time`: every edge's endpoint degrees just before it joins, batch
-ends and final counters.  `verify_bounds`, parameter derivation and the
-degree statistics of `statistics.sequence_values` all read this one walk;
-projection records the walk of its kept edges while admitting them.  The
-triangle family keeps its own neighbour-set walk.  `snapshot` rebuilds the
-whole graph at one step and is the reference all of these are checked
-against.
+One walk over a sequence records every edge's endpoint degrees just before
+it joins (`DegreeWalk`).  It admits the edges of each step, in a given
+order, while both endpoint counters sit below a pair of caps.  With no caps,
+in arrival order, it is the sequence's own `degree_walk`, computed once and
+cached like `node_time`; the bound check, parameter derivation and the
+degree statistics of `statistics.exact_values` all read it.  At a
+projection's thresholds, over its edge ordering, it is `admit_edges`: the
+admitted sequence, with its walk cached.  The triangle family keeps its own
+neighbour-set walk.  `snapshot` rebuilds the whole graph at one step and is
+the reference all of these are checked against.
 """
 from __future__ import annotations
 
@@ -130,31 +132,14 @@ class GraphSequence:
 
     @cached_property
     def degree_walk(self) -> DegreeWalk:
-        """The sequence's one degree walk, computed on first use.
+        """The sequence's uncapped walk in arrival order, computed on first use.
 
         Like `node_time` the cache is not a field: it takes no part in
         equality, and a sequence extended by `ingest_step` computes its own.
         """
-        out: dict[str, int] = {}
-        # An undirected degree is one counter, read as both the out- and in-side.
-        inn: dict[str, int] = {} if self.directed else out
-        tail: list[int] = []
-        head: list[int] = []
-        ends = []
-        for batch in self.batches:
-            for n in batch.nodes:
-                out[n] = inn[n] = 0
-            for u, v in batch.edges:
-                # u != v, so in an undirected walk the two reads and the two
-                # increments touch different nodes.
-                d = out[u]
-                tail.append(d)
-                out[u] = d + 1
-                d = inn[v]
-                head.append(d)
-                inn[v] = d + 1
-            ends.append(len(tail))
-        return DegreeWalk(tuple(tail), tuple(head), tuple(ends), out, inn)
+        # No counter reaches the number of edges, so that cap admits all.
+        edges = sum(len(batch.edges) for batch in self.batches)
+        return _walk(self, [batch.edges for batch in self.batches], edges, edges)[1]
 
 
 @dataclass(frozen=True)
@@ -169,8 +154,8 @@ class DegreeWalk:
     same map when undirected.
 
     Each degree statistic moves by an amount fixed by these pre-edge
-    degrees, so the bound check, parameter derivation, the degree
-    statistics and projection all read this one walk.
+    degrees, so the bound check, parameter derivation and the degree
+    statistics all read this one walk.
     """
 
     tail: tuple[int, ...]
@@ -178,6 +163,58 @@ class DegreeWalk:
     ends: tuple[int, ...]
     out: dict[str, int]
     inn: dict[str, int]
+
+
+def _walk(
+    seq: GraphSequence, steps: Iterable[Iterable[Edge]], cap_in: int, cap_out: int
+) -> tuple[list[Edge], DegreeWalk]:
+    """Admit each step's edges in order while both endpoints sit below the caps.
+
+    `steps` gives one edge order per batch of `seq`.  Returns the admitted
+    edges, in one flat list, and their walk.
+    """
+    out: dict[str, int] = {}
+    # An undirected degree is one counter, read as both the out- and in-side.
+    inn: dict[str, int] = {} if seq.directed else out
+    kept: list[Edge] = []
+    tail: list[int] = []
+    head: list[int] = []
+    ends = []
+    for batch, edges in zip(seq.batches, steps):
+        for n in batch.nodes:
+            out[n] = inn[n] = 0
+        for e in edges:
+            u, v = e
+            # u != v, so in an undirected walk the two reads and the two
+            # increments touch different nodes.
+            d_tail = out[u]
+            d_head = inn[v]
+            if d_tail < cap_out and d_head < cap_in:
+                kept.append(e)
+                tail.append(d_tail)
+                head.append(d_head)
+                out[u] = d_tail + 1
+                inn[v] = d_head + 1
+        ends.append(len(tail))
+    return kept, DegreeWalk(tuple(tail), tuple(head), tuple(ends), out, inn)
+
+
+def admit_edges(
+    seq: GraphSequence, steps: Iterable[Iterable[Edge]], caps: tuple[int, int]
+) -> GraphSequence:
+    """The edges `_walk` admits at `caps` (cap_in, cap_out), walk cached.
+
+    Each batch keeps its time and nodes and the edges admitted at its step.
+    """
+    kept, walk = _walk(seq, steps, *caps)
+    batches = tuple(
+        ArrivalBatch(batch.time, batch.nodes, tuple(kept[start:end]))
+        for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends)
+    )
+    admitted = GraphSequence(seq.directed, batches)
+    # The cache is not a field, so equality holds.
+    admitted.__dict__["degree_walk"] = walk
+    return admitted
 
 
 def _extend(
@@ -275,7 +312,6 @@ class GraphView:
 
     directed: bool
     nodes: tuple[str, ...]
-    node_time: dict[str, int]
     adjacency: dict[str, tuple[str, ...]]
     in_adjacency: dict[str, tuple[str, ...]]
     edges: tuple[Edge, ...]
@@ -294,6 +330,7 @@ class GraphView:
         return len(self.adjacency[v])
 
     def out_degree(self, v: str) -> int:
+        """Out-degree; the degree itself in an undirected view."""
         return len(self.adjacency[v])
 
     def in_degree(self, v: str) -> int:
@@ -308,11 +345,10 @@ def build_view(
     edges: Iterable[Edge],
 ) -> GraphView:
     nodes = tuple(sorted(node_time, key=lambda n: (node_time[n], n)))
+    edges = tuple(edges)
     adj: dict[str, list[str]] = {n: [] for n in nodes}
     in_adj: dict[str, list[str]] = {n: [] for n in nodes} if directed else {}
-    edge_list = []
     for u, v in edges:
-        edge_list.append((u, v))
         adj[u].append(v)
         if directed:
             in_adj[v].append(u)
@@ -321,10 +357,9 @@ def build_view(
     return GraphView(
         directed=directed,
         nodes=nodes,
-        node_time=dict(node_time),
         adjacency={n: tuple(ns) for n, ns in adj.items()},
         in_adjacency={n: tuple(ns) for n, ns in in_adj.items()},
-        edges=tuple(edge_list),
+        edges=edges,
     )
 
 

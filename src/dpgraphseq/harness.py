@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -134,8 +135,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.epsilons or any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilon grid must be positive")
+        if not self.epsilons or not all(0 < e < math.inf for e in self.epsilons):
+            raise ValueError("epsilon grid must be finite and positive")
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown:
             raise ValueError(f"unknown mechanisms: {sorted(unknown)}")

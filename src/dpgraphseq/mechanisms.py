@@ -13,13 +13,13 @@ Three mechanisms share one interface and return a ReleaseSeries:
   callers who need end-to-end privacy must fix the thresholds up front).
 
 A release has two halves.  `plan` draws no noise: it checks the inputs and
-reads every exact series from the incremental engine
-`statistics.sequence_values`: the truth f(G_1..G_T) and one *arm* per series
-to noise, i.e. sensdiff's difference sequence, compose_bounded's f, or each
-compose_projection candidate's projected f.  The bound check and every
-degree statistic read the sequence's one cached degree walk; each candidate
-projection records its own walk while admitting edges, after one check of
-the edge ordering per plan.  `ReleasePlan.draw` is the only noise code.
+reads every exact series from `statistics.exact_values(query, seq)`: the
+truth f(G_1..G_T) and one *arm* per series to noise, i.e. sensdiff's
+difference sequence, compose_bounded's f, or each compose_projection
+candidate's projected f.  The bound check and every degree statistic read
+a sequence's cached degree walk; each candidate is `projection.admit`, the
+same walk at the candidate's caps, which leaves the projected sequence's
+walk cached.  `ReleasePlan.draw` is the only noise code.
 `release` is ``plan(...).draw(config)``; the harness plans once and draws
 once per trial.  `snapshot` and `evaluate` are not on this path; they are
 the reference the engine is tested against.
@@ -30,6 +30,7 @@ reproduces a run.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,14 +43,14 @@ from .errors import (
     UnsupportedBaselineQueryError,
 )
 from .graph_core import DegreeBounds, GraphSequence, verify_bounds
-from .projection import ProjectionThresholds, admit, canonical_ordering, check_ordering
+from .projection import ProjectionThresholds, admit, canonical_ordering
 from .sensitivity import (
     SensitivityReport,
     diff_sequence_sensitivity,
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery, sequence_values
+from .statistics import StatisticQuery, exact_values
 
 MECHANISMS = ("sensdiff", "compose_bounded", "compose_projection")
 
@@ -64,8 +65,8 @@ class MechanismConfig:
     zero_noise: bool = False  # debugging aid: Laplace scale forced to zero
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
     def rng(self, *stream: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -186,7 +187,7 @@ class ReleasePlan:
 
 
 def _exact_scalars(query: StatisticQuery, seq: GraphSequence) -> np.ndarray:
-    return np.fromiter(sequence_values(query, seq), dtype=float)
+    return np.fromiter(exact_values(query, seq), dtype=float)
 
 
 def plan(
@@ -212,8 +213,8 @@ def plan(
                 "projection baseline releases scalar statistics only"
             )
         truth = _exact_scalars(query, seq)
+        # The canonical ordering covers every batch by construction.
         ordering = canonical_ordering(seq)
-        check_ordering(seq, ordering)
         arms = tuple(
             ReleaseArm(
                 sensitivity=projected_sensitivity(query, th),
@@ -237,7 +238,7 @@ def plan(
     if query.is_scalar:
         truth = _exact_scalars(query, seq)
     else:
-        hists = sequence_values(query, seq)
+        hists = exact_values(query, seq)
         _, cap_out = bounds.caps
         truth = np.zeros((len(hists), cap_out + 1))
         for t, hist in enumerate(hists):

@@ -3,12 +3,13 @@
 Edges are considered one by one in a fixed ordering that respects edge time
 stamps; an edge is admitted only while both endpoint counters sit strictly
 below the projection thresholds.  Admission state is kept across steps, so
-projected edge sets are nested over time.  `admit` is the one admission
-path: it returns the kept edges as a sequence whose degree walk it records
-from the counters it reads, which the mechanisms feed to the statistics
-engine.  `check_ordering` validates an ordering once, before any number of
-admissions; `projected_batches` is both as a list of batches, which
-`project_sequence` turns into snapshot views.
+projected edge sets are nested over time.  `check_ordering` validates an
+ordering once, before any number of admissions.  `admit` is the one
+admission path: `graph_core.admit_edges`, the sequence's degree walk at the
+thresholds' caps over the ordering, which returns the kept edges as a
+sequence with that walk cached, for the mechanisms to feed to the
+statistics engine.  `project_sequence` is `check_ordering`, then `admit`,
+then a `snapshot` of the admitted sequence at each release step.
 """
 from __future__ import annotations
 
@@ -16,14 +17,13 @@ from dataclasses import dataclass
 
 from .errors import OrderingMismatchError
 from .graph_core import (
-    ArrivalBatch,
     DegreeBounds,
-    DegreeWalk,
     Edge,
     GraphSequence,
     GraphView,
-    build_view,
+    admit_edges,
     canonical_edge,
+    snapshot,
 )
 
 
@@ -64,12 +64,11 @@ def check_ordering(seq: GraphSequence, ordering: EdgeOrdering) -> None:
     order_by_time = dict(ordering.steps)
     if set(order_by_time) != {b.time for b in seq.batches}:
         raise OrderingMismatchError("ordering steps must match the sequence's batches")
-    for batch in seq.batches:
-        if sorted(order_by_time[batch.time]) != sorted(
-            canonical_edge(u, v, seq.directed) for u, v in batch.edges
-        ):
+    # The canonical ordering is each batch's canonical edges, sorted.
+    for t, edges in canonical_ordering(seq).steps:
+        if sorted(order_by_time[t]) != list(edges):
             raise OrderingMismatchError(
-                f"ordering at t={batch.time} must cover exactly that batch's edges"
+                f"ordering at t={t} must cover exactly that batch's edges"
             )
 
 
@@ -79,50 +78,13 @@ def admit(
     """Online projection as a sequence whose degree walk is already cached.
 
     Each batch keeps its nodes and the edges admitted at its step, with
-    admission state shared across steps.  The counters an edge's admission
-    reads are its pre-edge degrees in the projected sequence, so the one
-    pass also records the projection's degree walk.  The ordering must have
-    passed `check_ordering`.
+    admission state shared across steps.  The ordering must have passed
+    `check_ordering`.
     """
     if th.is_directed != seq.directed:
         raise OrderingMismatchError("threshold mode does not match the sequence")
-    cap_in, cap_out = th.caps
     order_by_time = dict(ordering.steps)
-    out: dict[str, int] = {}
-    # An undirected degree is one counter, read as both the out- and in-side.
-    inn: dict[str, int] = {} if seq.directed else out
-    tail: list[int] = []
-    head: list[int] = []
-    ends = []
-    batches = []
-    for batch in seq.batches:
-        for n in batch.nodes:
-            out[n] = inn[n] = 0
-        kept = []
-        for u, v in order_by_time[batch.time]:
-            d_tail = out[u]
-            d_head = inn[v]
-            if d_tail < cap_out and d_head < cap_in:
-                kept.append((u, v))
-                tail.append(d_tail)
-                head.append(d_head)
-                out[u] = d_tail + 1
-                inn[v] = d_head + 1
-        ends.append(len(tail))
-        batches.append(ArrivalBatch(time=batch.time, nodes=batch.nodes, edges=tuple(kept)))
-    projected = GraphSequence(directed=seq.directed, batches=tuple(batches))
-    projected.__dict__["degree_walk"] = DegreeWalk(
-        tuple(tail), tuple(head), tuple(ends), out, inn
-    )
-    return projected
-
-
-def projected_batches(
-    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
-) -> list[ArrivalBatch]:
-    """`admit` after `check_ordering`, as a list of arrival batches."""
-    check_ordering(seq, ordering)
-    return list(admit(seq, ordering, th).batches)
+    return admit_edges(seq, [order_by_time[b.time] for b in seq.batches], th.caps)
 
 
 def project_sequence(
@@ -133,13 +95,6 @@ def project_sequence(
     Returns views for release steps 1..horizon; a time-0 batch (pre-existing
     nodes) is processed first and folded into the first view.
     """
-    kept: list[Edge] = []
-    node_time: dict[str, int] = {}
-    views = []
-    for batch in projected_batches(seq, ordering, th):
-        for n in batch.nodes:
-            node_time[n] = batch.time
-        kept.extend(batch.edges)
-        if batch.time >= 1:
-            views.append(build_view(seq.directed, node_time, kept))
-    return views
+    check_ordering(seq, ordering)
+    projected = admit(seq, ordering, th)
+    return [snapshot(projected, t) for t in range(1, projected.horizon + 1)]

@@ -1,7 +1,7 @@
 """Exact graph statistics: the incremental engine and the reference counters.
 
-Releases read their exact values from `sequence_values` (`exact_values`
-runs it over bare arrival batches).  It moves f(G) only by what each new
+Releases read their exact values from `exact_values(query, seq)`, the one
+entry point of the incremental engine.  It moves f(G) only by what each new
 edge (u, v) adds, read from the state just before the edge joins:
 
     edge          +1
@@ -24,7 +24,8 @@ sequence f(G_t) - f(G_{t-1}) depends only on batch t.
 Every degree statistic is f = sum over nodes of g(degree), so its
 increments are table lookups g(d + 1) - g(d) at the pre-edge degrees d of
 the sequence's cached `DegreeWalk`, which the bound check and parameter
-derivation read too.  The triangle family needs neighbour sets, not just
+derivation read too; a projected sequence comes with the walk its
+admission recorded.  The triangle family needs neighbour sets, not just
 degrees, and keeps its own walk over per-node sets.
 
 The snapshot counters (`count_high_degree`, `degree_histogram`,
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from operator import add
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import PatternDirectionMismatchError, UnsupportedQueryError
-from .graph_core import ArrivalBatch, DegreeWalk, GraphSequence, GraphView
+from .graph_core import DegreeWalk, GraphSequence, GraphView
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
 DIRECTED_PATTERNS = ("edge", "triangle_i", "triangle_ii", "out_k_star", "in_k_star")
@@ -69,14 +70,12 @@ class StatisticQuery:
         if self.kind == "high_degree":
             if self.tau is None or self.tau < 1:
                 raise ValueError("high_degree needs a threshold tau >= 1")
-        elif self.kind == "degree_histogram":
-            pass
         elif self.kind == "subgraph":
             if self.pattern is None:
                 raise ValueError("subgraph query needs a pattern")
             if self.pattern.endswith("k_star") and (self.k is None or self.k < 1):
                 raise ValueError("star patterns need k >= 1")
-        else:
+        elif self.kind != "degree_histogram":
             raise ValueError(f"unknown query kind {self.kind!r}")
 
     @classmethod
@@ -105,22 +104,18 @@ class StatisticQuery:
         return self.pattern
 
 
-def _relevant_degree(g: GraphView, v: str) -> int:
-    return g.out_degree(v) if g.directed else g.degree(v)
-
-
 def count_high_degree(g: GraphView, tau: int) -> int:
     """Number of nodes with (out-)degree >= tau."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    return sum(1 for v in g.nodes if _relevant_degree(g, v) >= tau)
+    return sum(1 for v in g.nodes if g.out_degree(v) >= tau)
 
 
 def degree_histogram(g: GraphView) -> Histogram:
     """Sparse (out-)degree histogram; includes degree-0 nodes."""
     hist: Histogram = {}
     for v in g.nodes:
-        d = _relevant_degree(g, v)
+        d = g.out_degree(v)
         hist[d] = hist.get(d, 0) + 1
     return hist
 
@@ -180,9 +175,7 @@ def evaluate(query: StatisticQuery, g: GraphView) -> StatValue:
         return count_high_degree(g, query.tau)
     if query.kind == "degree_histogram":
         return degree_histogram(g)
-    if query.kind == "subgraph":
-        return count_subgraph(g, query.pattern, query.k)
-    raise UnsupportedQueryError(query.kind)
+    return count_subgraph(g, query.pattern, query.k)
 
 
 # --- incremental engine ---------------------------------------------------
@@ -223,13 +216,11 @@ def _degree_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]
         # until it moves up from b; `moves` counts the moves up from each bin.
         moves: Counter[int] = Counter()
         nodes = 0
-        start = 0
         hists: list[StatValue] = []
-        for batch, end in zip(seq.batches, walk.ends):
+        for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends):
             nodes += len(batch.nodes)
             for side in sides:
                 moves.update(side[start:end])
-            start = end
             if batch.time >= 1:
                 bins = (
                     (b, (b == 0) * nodes + moves[b - 1] - moves[b])
@@ -247,13 +238,11 @@ def _degree_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]
     ]
 
 
-def _triangle_values(
-    pattern: str, directed: bool, batches: Iterable[ArrivalBatch]
-) -> list[StatValue]:
+def _triangle_values(pattern: str, seq: GraphSequence) -> list[StatValue]:
     # Neighbour sets appear on a node's first edge; an undirected graph
     # keeps one set per node, read as both out- and in-neighbours.
     out: dict[str, set[str]] = defaultdict(set)
-    inn: dict[str, set[str]] = defaultdict(set) if directed else out
+    inn: dict[str, set[str]] = defaultdict(set) if seq.directed else out
     increment = {
         "triangle": lambda u, v: len(out[u] & out[v]),
         "triangle_i": lambda u, v: len(out[v] & inn[u]),
@@ -263,7 +252,7 @@ def _triangle_values(
     }[pattern]
     value = 0
     values: list[StatValue] = []
-    for batch in batches:
+    for batch in seq.batches:
         for u, v in batch.edges:
             value += increment(u, v)
             out[u].add(v)
@@ -273,7 +262,7 @@ def _triangle_values(
     return values
 
 
-def sequence_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
+def exact_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
     """f(G_t) after every batch of `seq` with time t >= 1.
 
     Degree statistics are read from the sequence's cached degree walk, by
@@ -286,12 +275,5 @@ def sequence_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue
     if query.kind == "subgraph":
         _check_pattern(query.pattern, seq.directed)
         if query.pattern.startswith("triangle"):
-            return _triangle_values(query.pattern, seq.directed, seq.batches)
+            return _triangle_values(query.pattern, seq)
     return _degree_values(query, seq)
-
-
-def exact_values(
-    query: StatisticQuery, directed: bool, batches: Iterable[ArrivalBatch]
-) -> list[StatValue]:
-    """`sequence_values` of the sequence made of `batches`."""
-    return sequence_values(query, GraphSequence(directed, tuple(batches)))

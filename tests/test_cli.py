@@ -228,6 +228,32 @@ def test_bound_the_data_exceed_is_usage_error(runner, pa_file, command):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["release", "experiment"])
+def test_threshold_mode_mismatch_is_usage_error(runner, pa_file, command):
+    args = [command, "--input", str(pa_file), "--statistic", "edge",
+            "--epsilon", "1", "--mechanism", "compose_projection",
+            "--projection-thresholds", "3"]
+    if command == "experiment":
+        args += ["--trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "threshold mode does not match the sequence" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["release", "experiment"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_is_usage_error(runner, pa_file, command, epsilon):
+    args = [command, "--input", str(pa_file), "--statistic", "edge",
+            "--epsilon", epsilon]
+    if command == "experiment":
+        args += ["--trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "finite and positive" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize(
     "args,flag",
     [
@@ -275,8 +301,11 @@ def test_out_of_range_number_is_usage_error(runner, pa_file, args, flag):
         (["--model", "sir", "--p-infect", "1.5"], "rates must be probabilities"),
         (["--model", "sir", "--population", "50", "--max-steps", "-1"],
          "max_steps must be >= 1"),
+        (["--model", "sir", "--population", "5", "--contacts", "5"],
+         "contacts must be below population"),
     ],
-    ids=["pa-m0", "pa-p-isolated", "sir-p-infect", "sir-max-steps"],
+    ids=["pa-m0", "pa-p-isolated", "sir-p-infect", "sir-max-steps",
+         "sir-contacts"],
 )
 def test_invalid_model_parameters_are_usage_errors(runner, args, message):
     result = runner.invoke(main, ["generate"] + args)

@@ -5,6 +5,7 @@ from dpgraphseq import snapshot, verify_bounds
 from dpgraphseq.generators import (
     PaTransmissionParams,
     SirParams,
+    barabasi_albert_graph,
     generate_pa_transmission,
     generate_sir_transmission,
 )
@@ -127,3 +128,21 @@ def test_sir_params_validation():
         SirParams(initial_infected=0)
     with pytest.raises(ValueError, match="max_steps"):
         SirParams(max_steps=0)
+    with pytest.raises(ValueError, match="contacts must be below population"):
+        SirParams(population=5, contacts=5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 60])
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
+def test_barabasi_albert_port_matches_networkx(n, m, seed):
+    import networkx as nx
+    if m >= n:
+        with pytest.raises(ValueError):
+            barabasi_albert_graph(n, m, seed)
+        return
+    reference = nx.barabasi_albert_graph(n, m, seed=seed)
+    adjacency = barabasi_albert_graph(n, m, seed)
+    assert list(reference.nodes) == list(range(n))
+    # Same edges, and each node lists its neighbours in the same order.
+    assert adjacency == [list(reference.adj[v]) for v in range(n)]

@@ -174,6 +174,10 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         experiment_config(epsilons=(1.0, -1.0))
     with pytest.raises(ValueError):
+        experiment_config(epsilons=(1.0, float("nan")))
+    with pytest.raises(ValueError):
+        experiment_config(epsilons=(float("inf"),))
+    with pytest.raises(ValueError):
         experiment_config(mechanisms=("sensdiff", "oracle"))
 
 

@@ -52,6 +52,10 @@ def test_config_validation():
         MechanismConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         MechanismConfig(epsilon=-2.0)
+    with pytest.raises(ValueError):
+        MechanismConfig(epsilon=float("nan"))
+    with pytest.raises(ValueError):
+        MechanismConfig(epsilon=float("inf"))
 
 
 def test_noise_scales_follow_the_budgets():

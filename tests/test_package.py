@@ -24,3 +24,20 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_generators_run_without_networkx():
+    # networkx is a test dependency only: the SIR contact graph is built by
+    # the package's own Barabasi-Albert port.
+    src = str(Path(dpgraphseq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (
+        "import sys\n"
+        "from dpgraphseq.generators import SirParams, generate_sir_transmission\n"
+        "generate_sir_transmission(SirParams(population=30, max_steps=5))\n"
+        "print('networkx' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -17,7 +17,7 @@ from dpgraphseq import (
     snapshot,
 )
 from dpgraphseq.errors import PatternDirectionMismatchError
-from dpgraphseq.projection import projected_batches
+from dpgraphseq.projection import admit
 
 from bruteforce import count_directed, count_undirected
 
@@ -67,7 +67,7 @@ def test_pattern_direction_mismatch():
         count_subgraph(DAG_VIEW, "triangle")
     seq = build_sequence(True, [(1, ["a", "b"], [("a", "b")])])
     with pytest.raises(PatternDirectionMismatchError):
-        list(exact_values(StatisticQuery.subgraph("triangle"), True, seq.batches))
+        exact_values(StatisticQuery.subgraph("triangle"), seq)
 
 
 def test_evaluate_dispatch():
@@ -196,7 +196,7 @@ def sequences(draw):
 @given(sequences())
 def test_engine_matches_snapshot_evaluation(seq):
     for query in _all_queries(seq.directed):
-        engine = list(exact_values(query, seq.directed, seq.batches))
+        engine = exact_values(query, seq)
         reference = [
             evaluate(query, snapshot(seq, t)) for t in range(1, seq.horizon + 1)
         ]
@@ -212,8 +212,8 @@ def test_engine_matches_projected_views(seq, d_in, d_out):
         else ProjectionThresholds.undirected(d_out)
     )
     ordering = canonical_ordering(seq)
-    kept = projected_batches(seq, ordering, th)
+    projected = admit(seq, ordering, th)
     views = project_sequence(seq, ordering, th)
     for query in _all_queries(seq.directed):
-        engine = list(exact_values(query, seq.directed, kept))
+        engine = exact_values(query, projected)
         assert engine == [evaluate(query, view) for view in views], query.label()
