@@ -427,9 +427,12 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
 
 
 def dumps_edge_list(seq: GraphSequence) -> str:
+    """The edge-list text of `seq`; each node id must be one whitespace-free token."""
     lines = ["H " + ("directed" if seq.directed else "undirected")]
     for batch in seq.batches:
         for n in batch.nodes:
+            if str(n).split() != [str(n)]:
+                raise ValueError(f"node id {n!r} is empty or holds whitespace")
             lines.append(f"N {n} {batch.time}")
         for u, v in batch.edges:
             lines.append(f"E {u} {v}")

@@ -49,7 +49,10 @@ def _final_degrees(seq: GraphSequence):
 
 
 def derive_tau(seq: GraphSequence, percentile: float) -> int:
-    """Nearest-rank percentile of the final (out-)degree multiset, >= 1."""
+    """numpy's "higher" percentile of the final (out-)degree multiset, >= 1.
+
+    Not nearest-rank: p90 of degrees 1..10 is 10, where nearest-rank gives 9.
+    """
     if not 0 < percentile < 100:
         raise ValueError("percentile must be in (0, 100)")
     degrees = _final_degrees(seq)[-1]

@@ -60,13 +60,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import comb
 
 import numpy as np
 
 from .errors import BudgetTooLargeError, UnsupportedQueryError
 from .graph_core import DegreeBounds
-from .statistics import DIRECTED_PATTERNS, UNDIRECTED_PATTERNS, StatisticQuery
+from .statistics import (
+    DIRECTED_PATTERNS,
+    UNDIRECTED_PATTERNS,
+    StatisticQuery,
+    _degree_table,
+)
 
 _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 # Most (arrival tuple, graph) rows _signature_rows builds in one array pass.
@@ -74,13 +78,9 @@ _GROUP_ROWS = 1 << 15
 
 
 def _query_key(query: StatisticQuery):
-    if query.kind == "high_degree":
-        return ("high_degree", query.tau)
-    if query.kind == "degree_histogram":
-        return ("degree_histogram",)
-    if query.pattern in ("k_star", "out_k_star", "in_k_star"):
-        return (query.pattern, query.k)
-    return (query.pattern,)
+    """The statistic's name, then the fields it reads (a query sets no others)."""
+    fields = (query.pattern or query.kind, query.tau, query.k)
+    return tuple(field for field in fields if field is not None)
 
 
 def oracle_diff_sensitivity(
@@ -284,16 +284,15 @@ def _degree_tables(cap, taus, ks, star):
     """Query keys and the table g(d), d = 0..cap, of each of their columns.
 
     Every degree-determined query is f(G_t) = sum over present nodes of
-    g(deg_t(v)): [d >= tau] for a threshold count, C(d, k) for a star count,
+    g(deg_t(v)): the engine's `_degree_table` for a threshold or star count,
     and one column [d = b] per bin b of the histogram, which is the last key
     and owns the last cap + 1 columns.
     """
-    d = range(cap + 1)
-    columns = [[int(x >= tau) for x in d] for tau in taus]
-    columns += [[comb(x, k) for x in d] for k in ks]
-    columns += [[int(x == b) for x in d] for b in d]
-    keys = [("high_degree", tau) for tau in taus] + [(star, k) for k in ks]
-    keys.append(("degree_histogram",))
+    queries = [StatisticQuery.high_degree(tau) for tau in taus]
+    queries += [StatisticQuery.subgraph(star, k) for k in ks]
+    columns = [_degree_table(query, cap) for query in queries]
+    columns += np.eye(cap + 1, dtype=np.int64).tolist()
+    keys = [_query_key(query) for query in queries] + [("degree_histogram",)]
     return keys, np.array(columns, dtype=np.int64).T
 
 

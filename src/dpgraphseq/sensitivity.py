@@ -1,4 +1,4 @@
-"""Closed-form global sensitivities.
+"""Closed-form global sensitivities, as one catalog.
 
 Three regimes:
   * diff_sequence  — L1 sensitivity of the whole difference sequence under a
@@ -7,8 +7,13 @@ Three regimes:
     baseline);
   * per_release_projected — sensitivity of one release computed on the
     greedily projected graph.
-Binomials use the convention C(n, r) = 0 for r > n, which makes the star
-formulas total (a star larger than the degree bound cannot occur).
+
+`_CATALOG` maps (regime, statistic, directed) to a formula id and a value
+function of the caps (cap_in, cap_out) and star size k.  At an undirected
+bound's caps (D, D) every directed formula but the edge count's gives the
+undirected one, so such twins share it.  Binomials use C(n, r) = 0 for
+r > n, which makes the star formulas total (a star larger than the degree
+bound cannot occur).
 """
 from __future__ import annotations
 
@@ -38,132 +43,117 @@ class SensitivityReport:
     bounds: Union[DegreeBounds, ProjectionThresholds]
 
 
-def _check_tau(tau: int, limit: int, what: str) -> None:
-    if tau > limit:
-        raise InfeasibleThresholdError(
-            f"threshold tau={tau} exceeds the {what} bound {limit}: "
-            "no node can reach it"
+def _out_star(i, o, k):
+    """New out-k-stars of an added node: its own, and one per in-neighbour."""
+    return i * binom(o - 1, k - 1) + binom(o, k)
+
+
+# Value functions of the caps (i, o) = (cap_in, cap_out) and the star size k
+# that several rows share: the edge count's D and D_in + D_out in every
+# regime, and the formulas an undirected row shares with its directed twin.
+_CAP = lambda i, o, k: o
+_CAP_SUM = lambda i, o, k: i + o
+_DIFF_HIGH = lambda i, o, k: 2 * i + 1
+_HISTOGRAM = lambda i, o, k: 4 * o * i + 2 * o + 1
+_RELEASE_HIGH = lambda i, o, k: i + 1
+_PROJECTED_HIGH = lambda i, o, k: max(i + 1, o - 1)
+
+_DIFF, _RELEASE, _PROJECTED = "diff_sequence", "per_release", "per_release_projected"
+
+# (regime, statistic, directed) -> (formula id, value function).  Subgraph
+# counts in the diff_sequence regime are the most new copies one extra
+# bound-respecting node can create.
+_CATALOG = {
+    (_DIFF, "high_degree", False): ("diff/high_degree/2D+1", _DIFF_HIGH),
+    (_DIFF, "high_degree", True): ("diff/high_out_degree/2Din+1", _DIFF_HIGH),
+    (_DIFF, "degree_histogram", False): ("diff/degree_histogram/4D^2+2D+1", _HISTOGRAM),
+    (_DIFF, "degree_histogram", True): (
+        "diff/out_degree_histogram/4DoutDin+2Dout+1",
+        _HISTOGRAM,
+    ),
+    (_DIFF, "edge", False): ("diff/edge/D", _CAP),
+    (_DIFF, "edge", True): ("diff/edge/Din+Dout", _CAP_SUM),
+    (_DIFF, "triangle", False): ("diff/triangle/C(D,2)", lambda i, o, k: binom(o, 2)),
+    (_DIFF, "triangle_i", True): ("diff/triangle_i/DinDout", lambda i, o, k: i * o),
+    # Every new transitive triangle uses two of the added node's incident
+    # edges and one forced base edge -- except that a pair of two in-edges (or
+    # two out-edges) admits both base-edge directions, so those pairs count
+    # twice.  C(Din+Dout, 2) alone undercounts exactly there.
+    (_DIFF, "triangle_ii", True): (
+        "diff/triangle_ii/DinDout+2C(Din,2)+2C(Dout,2)",
+        lambda i, o, k: i * o + 2 * binom(i, 2) + 2 * binom(o, 2),
+    ),
+    (_DIFF, "k_star", False): ("diff/k_star/DC(D-1,k-1)+C(D,k)", _out_star),
+    (_DIFF, "out_k_star", True): (
+        "diff/out_k_star/DinC(Dout-1,k-1)+C(Dout,k)",
+        _out_star,
+    ),
+    # An in-star is an out-star of the transposed digraph: caps swapped.
+    (_DIFF, "in_k_star", True): (
+        "diff/in_k_star/DoutC(Din-1,k-1)+C(Din,k)",
+        lambda i, o, k: _out_star(o, i, k),
+    ),
+    (_RELEASE, "high_degree", False): ("per_release/high_degree/D+1", _RELEASE_HIGH),
+    (_RELEASE, "high_degree", True): (
+        "per_release/high_out_degree/Din+1",
+        _RELEASE_HIGH,
+    ),
+    (_RELEASE, "edge", False): ("per_release/edge/D", _CAP),
+    (_RELEASE, "edge", True): ("per_release/edge/Din+Dout", _CAP_SUM),
+    (_PROJECTED, "high_degree", False): ("projected/high_degree/D~+1", _PROJECTED_HIGH),
+    (_PROJECTED, "high_degree", True): (
+        "projected/high_out_degree/max(Din~+1,Dout~-1)",
+        _PROJECTED_HIGH,
+    ),
+    (_PROJECTED, "edge", False): ("projected/edge/D~", _CAP),
+    (_PROJECTED, "edge", True): ("projected/edge/Din~+Dout~", _CAP_SUM),
+}
+
+# Per regime: what its caps bound, and its message for a query it lacks.
+_REGIMES = {
+    _DIFF: ("", "pattern {pattern!r} incompatible with the given bounds"),
+    _RELEASE: ("", "no per-release sensitivity for {label}"),
+    _PROJECTED: ("projected ", "no projected sensitivity for {label}"),
+}
+
+
+def _lookup(regime: str, query: StatisticQuery, bounds: DegreeBounds):
+    """The catalog row for `query` under `bounds`, evaluated at their caps."""
+    capped, missing = _REGIMES[regime]
+    row = _CATALOG.get((regime, query.pattern or query.kind, bounds.is_directed))
+    if row is None:
+        raise UnsupportedBaselineQueryError(
+            missing.format(pattern=query.pattern, label=query.label())
         )
+    cap_in, cap_out = bounds.caps
+    if query.kind == "high_degree" and query.tau > cap_out:
+        side = "out-degree" if bounds.is_directed else "degree"
+        raise InfeasibleThresholdError(
+            f"threshold tau={query.tau} exceeds the {capped}{side} bound "
+            f"{cap_out}: no node can reach it"
+        )
+    formula_id, value = row
+    return SensitivityReport(
+        value(cap_in, cap_out, query.k), formula_id, regime, query, bounds
+    )
 
 
 def diff_sequence_sensitivity(
     query: StatisticQuery, bounds: DegreeBounds
 ) -> SensitivityReport:
     """Global sensitivity of the difference sequence under `bounds`."""
-
-    def report(value, formula_id):
-        return SensitivityReport(value, formula_id, "diff_sequence", query, bounds)
-
-    if query.kind == "high_degree":
-        if bounds.is_directed:
-            _check_tau(query.tau, bounds.d_out, "out-degree")
-            return report(2 * bounds.d_in + 1, "diff/high_out_degree/2Din+1")
-        _check_tau(query.tau, bounds.d, "degree")
-        return report(2 * bounds.d + 1, "diff/high_degree/2D+1")
-
-    if query.kind == "degree_histogram":
-        if bounds.is_directed:
-            return report(
-                4 * bounds.d_out * bounds.d_in + 2 * bounds.d_out + 1,
-                "diff/out_degree_histogram/4DoutDin+2Dout+1",
-            )
-        return report(
-            4 * bounds.d * bounds.d + 2 * bounds.d + 1,
-            "diff/degree_histogram/4D^2+2D+1",
-        )
-
-    # Subgraph counts: the max number of new copies one extra
-    # bound-respecting node can create.
-    p, k = query.pattern, query.k
-    if bounds.is_directed:
-        din, dout = bounds.d_in, bounds.d_out
-        if p == "edge":
-            return report(din + dout, "diff/edge/Din+Dout")
-        if p == "triangle_i":
-            return report(din * dout, "diff/triangle_i/DinDout")
-        if p == "triangle_ii":
-            # Every new copy uses two of the added node's incident edges and
-            # one forced base edge -- except that a pair of two in-edges (or
-            # two out-edges) admits both base-edge directions, so those pairs
-            # count twice.  C(Din+Dout, 2) alone undercounts exactly there.
-            return report(
-                din * dout + 2 * binom(din, 2) + 2 * binom(dout, 2),
-                "diff/triangle_ii/DinDout+2C(Din,2)+2C(Dout,2)",
-            )
-        if p == "out_k_star":
-            return report(
-                din * binom(dout - 1, k - 1) + binom(dout, k),
-                "diff/out_k_star/DinC(Dout-1,k-1)+C(Dout,k)",
-            )
-        if p == "in_k_star":
-            return report(
-                dout * binom(din - 1, k - 1) + binom(din, k),
-                "diff/in_k_star/DoutC(Din-1,k-1)+C(Din,k)",
-            )
-    else:
-        d = bounds.d
-        if p == "edge":
-            return report(d, "diff/edge/D")
-        if p == "triangle":
-            return report(binom(d, 2), "diff/triangle/C(D,2)")
-        if p == "k_star":
-            return report(
-                d * binom(d - 1, k - 1) + binom(d, k),
-                "diff/k_star/DC(D-1,k-1)+C(D,k)",
-            )
-    raise UnsupportedBaselineQueryError(
-        f"pattern {p!r} incompatible with the given bounds"
-    )
+    return _lookup(_DIFF, query, bounds)
 
 
 def per_release_sensitivity(
     query: StatisticQuery, bounds: DegreeBounds
 ) -> SensitivityReport:
     """Bounded global sensitivity of a single release f(G_t)."""
-
-    def report(value, formula_id):
-        return SensitivityReport(value, formula_id, "per_release", query, bounds)
-
-    if query.kind == "high_degree":
-        if bounds.is_directed:
-            _check_tau(query.tau, bounds.d_out, "out-degree")
-            return report(bounds.d_in + 1, "per_release/high_out_degree/Din+1")
-        _check_tau(query.tau, bounds.d, "degree")
-        return report(bounds.d + 1, "per_release/high_degree/D+1")
-    if query.kind == "subgraph" and query.pattern == "edge":
-        if bounds.is_directed:
-            return report(bounds.d_in + bounds.d_out, "per_release/edge/Din+Dout")
-        return report(bounds.d, "per_release/edge/D")
-    raise UnsupportedBaselineQueryError(
-        f"no per-release sensitivity for {query.label()}"
-    )
+    return _lookup(_RELEASE, query, bounds)
 
 
 def projected_sensitivity(
     query: StatisticQuery, thresholds: ProjectionThresholds
 ) -> SensitivityReport:
     """Global sensitivity of a single release computed on the projection."""
-
-    def report(value, formula_id):
-        return SensitivityReport(
-            value, formula_id, "per_release_projected", query, thresholds
-        )
-
-    if query.kind == "high_degree":
-        if thresholds.is_directed:
-            _check_tau(query.tau, thresholds.d_out, "projected out-degree")
-            return report(
-                max(thresholds.d_in + 1, thresholds.d_out - 1),
-                "projected/high_out_degree/max(Din~+1,Dout~-1)",
-            )
-        _check_tau(query.tau, thresholds.d, "projected degree")
-        return report(thresholds.d + 1, "projected/high_degree/D~+1")
-    if query.kind == "subgraph" and query.pattern == "edge":
-        if thresholds.is_directed:
-            return report(
-                thresholds.d_in + thresholds.d_out, "projected/edge/Din~+Dout~"
-            )
-        return report(thresholds.d, "projected/edge/D~")
-    raise UnsupportedBaselineQueryError(
-        f"no projected sensitivity for {query.label()}"
-    )
+    return _lookup(_PROJECTED, query, thresholds)

@@ -21,17 +21,17 @@ Each copy of a pattern is counted once, when the last of its edges
 arrives, so the running values are the exact counts, and the difference
 sequence f(G_t) - f(G_{t-1}) depends only on batch t.
 
-Every degree statistic is f = sum over nodes of g(degree), so its
-increments are table lookups g(d + 1) - g(d) at the pre-edge degrees d of
-the sequence's cached `DegreeWalk`, which the bound check and parameter
-derivation read too; a projected sequence comes with the walk its
-admission recorded.  The triangle family needs neighbour sets, not just
-degrees, and keeps its own walk over per-node sets.
+Every degree statistic is f = sum over nodes of g(degree).  For the scalar
+ones `_degree_table` is the one definition of g, read by this engine and by
+the oracle's sweep: increments are its steps g(d + 1) - g(d) at the
+pre-edge degrees d of the sequence's cached `DegreeWalk`, which the bound
+check and parameter derivation read too; a projected sequence comes with
+the walk its admission recorded.  The triangle family needs neighbour sets,
+not just degrees, and keeps its own walk over per-node sets.
 
 The snapshot counters (`count_high_degree`, `degree_histogram`,
 `count_subgraph`, dispatched by `evaluate`) recount a whole `GraphView`.
-They are the reference the engine is tested against, and what the oracle
-evaluates.
+They are the reference the engine is tested against.
 
 Scalar statistics are exact integer counts; no floating point enters until
 noise is added by a mechanism.  For directed graphs, threshold counts and
@@ -43,10 +43,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from operator import add
+from operator import add, sub
 from typing import Optional, Union
 
-from .errors import PatternDirectionMismatchError, UnsupportedQueryError
+from .errors import PatternDirectionMismatchError
 from .graph_core import DegreeWalk, GraphSequence, GraphView
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
@@ -67,16 +67,22 @@ class StatisticQuery:
     k: Optional[int] = None
 
     def __post_init__(self):
+        star = self.kind == "subgraph" and str(self.pattern).endswith("k_star")
         if self.kind == "high_degree":
             if self.tau is None or self.tau < 1:
                 raise ValueError("high_degree needs a threshold tau >= 1")
         elif self.kind == "subgraph":
-            if self.pattern is None:
-                raise ValueError("subgraph query needs a pattern")
-            if self.pattern.endswith("k_star") and (self.k is None or self.k < 1):
+            if self.pattern not in UNDIRECTED_PATTERNS + DIRECTED_PATTERNS:
+                raise ValueError(f"unknown subgraph pattern {self.pattern!r}")
+            if star and (self.k is None or self.k < 1):
                 raise ValueError("star patterns need k >= 1")
         elif self.kind != "degree_histogram":
             raise ValueError(f"unknown query kind {self.kind!r}")
+        # A field the statistic does not read would tell equal statistics apart.
+        reads = (self.kind == "high_degree", self.kind == "subgraph", star)
+        for name, read in zip(("tau", "pattern", "k"), reads):
+            if getattr(self, name) is not None and not read:
+                raise ValueError(f"{self.label()} does not read {name}")
 
     @classmethod
     def high_degree(cls, tau: int) -> "StatisticQuery":
@@ -145,28 +151,23 @@ def count_subgraph(g: GraphView, pattern: str, k: Optional[int] = None) -> int:
         return sum(comb(g.out_degree(v), k) for v in g.nodes)
     if pattern == "in_k_star":
         return sum(comb(g.in_degree(v), k) for v in g.nodes)
+    # The triangle family intersects (out-)neighbour sets.
+    out = {v: set(g.adjacency[v]) for v in g.nodes}
     if pattern == "triangle":
-        # Each triangle is seen once per edge; neighbor-set intersection.
-        nbrs = {v: set(g.adjacency[v]) for v in g.nodes}
-        total = sum(len(nbrs[u] & nbrs[v]) for u, v in g.edges)
-        return total // 3
+        # Each triangle is seen once per edge.
+        return sum(len(out[u] & out[v]) for u, v in g.edges) // 3
+    total = 0
     if pattern == "triangle_i":
         # Directed 3-cycles; each cycle matches three rotations of its edges.
-        out = {v: set(g.adjacency[v]) for v in g.nodes}
-        total = 0
         for u, v in g.edges:
             total += sum(1 for w in out[v] if u in out[w])
         return total // 3
-    if pattern == "triangle_ii":
-        # Transitive triangles, counted once at the unique source node.
-        out = {v: set(g.adjacency[v]) for v in g.nodes}
-        total = 0
-        for v1 in g.nodes:
-            succ = g.adjacency[v1]
-            for a in succ:
-                total += sum(1 for b in succ if b != a and b in out[a])
-        return total
-    raise UnsupportedQueryError(pattern)
+    # triangle_ii: transitive triangles, counted once at the unique source node.
+    for v1 in g.nodes:
+        succ = g.adjacency[v1]
+        for a in succ:
+            total += sum(1 for b in succ if b != a and b in out[a])
+    return total
 
 
 def evaluate(query: StatisticQuery, g: GraphView) -> StatValue:
@@ -181,17 +182,18 @@ def evaluate(query: StatisticQuery, g: GraphView) -> StatValue:
 # --- incremental engine ---------------------------------------------------
 
 
-def _step_table(query: StatisticQuery, top: int) -> list[int]:
-    """g(d + 1) - g(d), d < top, of a scalar degree statistic f = sum of g(degree).
+def _degree_table(query: StatisticQuery, top: int) -> list[int]:
+    """g(d), d = 0..top, of a scalar degree statistic f = sum of g(degree).
 
-    The edge count is g(d) = d read on the tail side only, so that each
-    edge counts once.
+    g is [d >= tau] for a threshold count and C(d, k) for a star count.  The
+    edge count is g(d) = d read on the tail side only, so that each edge
+    counts once.
     """
     if query.kind == "high_degree":
-        return [int(d == query.tau - 1) for d in range(top)]
+        return [int(d >= query.tau) for d in range(top + 1)]
     if query.pattern == "edge":
-        return [1] * top
-    return [comb(d, query.k - 1) for d in range(top)]
+        return list(range(top + 1))
+    return [comb(d, query.k) for d in range(top + 1)]
 
 
 def _moved_sides(
@@ -228,8 +230,9 @@ def _degree_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]
                 )
                 hists.append({b: n for b, n in bins if n})
         return hists
-    table = _step_table(query, top)
-    lifted = [map(table.__getitem__, side) for side in sides]
+    g = _degree_table(query, top)
+    steps = list(map(sub, g[1:], g))
+    lifted = [map(steps.__getitem__, side) for side in sides]
     running = list(
         accumulate(lifted[0] if len(lifted) == 1 else map(add, *lifted), initial=0)
     )

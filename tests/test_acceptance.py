@@ -59,6 +59,13 @@ def _l1(a, b):
 # --- 1. closed-form catalog is never beaten by brute force ----------------
 
 
+# Criterion 1's bounds: D in {1,2,3} and directed (d_in, d_out) in {1,2,3}^2.
+CRITERION_1_BOUNDS = [DegreeBounds.undirected(d) for d in (1, 2, 3)] + [
+    DegreeBounds.directed(din, dout)
+    for din, dout in itertools.product((1, 2, 3), repeat=2)
+]
+
+
 def _catalog_queries(bounds):
     d_out = bounds.d_out if bounds.is_directed else bounds.d
     queries = [StatisticQuery.high_degree(t) for t in range(1, d_out + 1)]
@@ -77,14 +84,9 @@ def _catalog_queries(bounds):
 
 
 def test_criterion_1_sensitivity_catalog_upper_bounds_oracle():
-    all_bounds = [DegreeBounds.undirected(d) for d in (1, 2, 3)]
-    all_bounds += [
-        DegreeBounds.directed(din, dout)
-        for din, dout in itertools.product((1, 2, 3), repeat=2)
-    ]
     start = time.perf_counter()
     entries = []
-    for bounds in all_bounds:
+    for bounds in CRITERION_1_BOUNDS:
         for query in _catalog_queries(bounds):
             oracle = oracle_diff_sensitivity(query, bounds, n_max=5, t_max=3)
             formula = diff_sequence_sensitivity(query, bounds).value

@@ -8,8 +8,12 @@ fixtures, two trials each.  `golden_harness.json` holds the
 for every mechanism on the same fixtures and queries (tau derived from
 the data), two trials each.  `golden_oracle.json` holds the pruned
 oracle's value for every query of criterion 1's catalog (n_max=5,
-t_max=3; D in {1,2,3} and directed {1,2,3}^2).  A change that moves any
-of these numbers must say why and regenerate the files with
+t_max=3; D in {1,2,3} and directed {1,2,3}^2).  `golden_sensitivity.json`
+holds what each of the three closed-form regimes answers, value, formula
+id and regime or error class and message, for every threshold tau up to
+one past the out-cap, the histogram, all seven patterns and stars k <= 4,
+at D in 1..5 and directed caps {1..4}^2.  A change that moves any of these
+numbers must say why and regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,7 +21,15 @@ import itertools
 import json
 from pathlib import Path
 
-from dpgraphseq import DegreeBounds, StatisticQuery
+from dpgraphseq import (
+    DegreeBounds,
+    ProjectionThresholds,
+    StatisticQuery,
+    diff_sequence_sensitivity,
+    per_release_sensitivity,
+    projected_sensitivity,
+)
+from dpgraphseq.errors import GraphSequenceError
 from dpgraphseq.generators import (
     PaTransmissionParams,
     SirParams,
@@ -33,11 +45,12 @@ from dpgraphseq.harness import (
 from dpgraphseq.mechanisms import MECHANISMS, MechanismConfig, release
 from dpgraphseq.oracle import oracle_diff_sensitivity
 
-from test_acceptance import _catalog_queries
+from test_acceptance import CRITERION_1_BOUNDS, _catalog_queries
 
 GOLDEN = Path(__file__).with_name("golden_releases.json")
 GOLDEN_HARNESS = Path(__file__).with_name("golden_harness.json")
 GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
+GOLDEN_SENSITIVITY = Path(__file__).with_name("golden_sensitivity.json")
 TRIALS = (0, 1)
 ALL_MECHANISMS = {
     "edge": StatisticQuery.subgraph("edge"),
@@ -110,22 +123,61 @@ def harness_grid() -> dict:
     return grid
 
 
+def _bound_name(bounds) -> str:
+    if bounds.is_directed:
+        return f"in{bounds.d_in}out{bounds.d_out}"
+    return f"D{bounds.d}"
+
+
 def oracle_grid() -> dict:
     """Oracle values keyed by bound ('D2', 'in1out3'), then query label."""
-    all_bounds = [DegreeBounds.undirected(d) for d in (1, 2, 3)]
-    all_bounds += [
-        DegreeBounds.directed(d_in, d_out)
-        for d_in, d_out in itertools.product((1, 2, 3), repeat=2)
-    ]
-    grid = {}
-    for bounds in all_bounds:
-        name = (
-            f"in{bounds.d_in}out{bounds.d_out}" if bounds.is_directed else f"D{bounds.d}"
-        )
-        grid[name] = {
+    return {
+        _bound_name(bounds): {
             q.label(): oracle_diff_sensitivity(q, bounds, n_max=5, t_max=3)
             for q in _catalog_queries(bounds)
         }
+        for bounds in CRITERION_1_BOUNDS
+    }
+
+
+def _answer(regime, query, bounds) -> dict:
+    try:
+        report = regime(query, bounds)
+    except GraphSequenceError as err:
+        return {"error": type(err).__name__, "message": str(err)}
+    return {
+        "value": report.value,
+        "formula_id": report.formula_id,
+        "regime": report.regime,
+    }
+
+
+def sensitivity_grid() -> dict:
+    """Closed-form answers keyed by regime, bound, then query label."""
+    regimes = {
+        "diff_sequence": (diff_sequence_sensitivity, DegreeBounds),
+        "per_release": (per_release_sensitivity, DegreeBounds),
+        "per_release_projected": (projected_sensitivity, ProjectionThresholds),
+    }
+    patterns = ("edge", "triangle", "triangle_i", "triangle_ii")
+    stars = ("k_star", "out_k_star", "in_k_star")
+    caps = range(1, 5)
+    grid = {}
+    for name, (regime, kind) in regimes.items():
+        grid[name] = {}
+        all_bounds = [kind.undirected(d) for d in range(1, 6)]
+        all_bounds += [kind.directed(*pair) for pair in itertools.product(caps, caps)]
+        for bounds in all_bounds:
+            cap_out = bounds.caps[1]
+            queries = [StatisticQuery.high_degree(t) for t in range(1, cap_out + 2)]
+            queries.append(StatisticQuery.degree_histogram())
+            queries += [StatisticQuery.subgraph(p) for p in patterns]
+            queries += [
+                StatisticQuery.subgraph(p, k) for p in stars for k in range(1, 5)
+            ]
+            grid[name][_bound_name(bounds)] = {
+                q.label(): _answer(regime, q, bounds) for q in queries
+            }
     return grid
 
 
@@ -147,7 +199,12 @@ def test_oracle_values_match_golden_file():
     assert oracle_grid() == json.loads(GOLDEN_ORACLE.read_text())
 
 
+def test_closed_form_sensitivities_match_golden_file():
+    assert sensitivity_grid() == json.loads(GOLDEN_SENSITIVITY.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(golden_grid(), indent=1) + "\n")
     GOLDEN_HARNESS.write_text(json.dumps(harness_grid(), indent=1) + "\n")
     GOLDEN_ORACLE.write_text(json.dumps(oracle_grid(), indent=1) + "\n")
+    GOLDEN_SENSITIVITY.write_text(json.dumps(sensitivity_grid(), indent=1) + "\n")

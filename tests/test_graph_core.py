@@ -1,4 +1,6 @@
 """Sequence ingestion, snapshots, bound checks, and the edge-list format."""
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -283,6 +285,14 @@ def test_edge_list_round_trip():
     text = dumps_edge_list(seq)
     back = loads_edge_list(text)
     assert back == seq
+
+
+@pytest.mark.parametrize("node", ["a b", "", "a\tb", " a", "a\n"])
+def test_dumps_refuses_node_ids_the_format_cannot_carry(node):
+    # Records are whitespace-split, so such an id would not load back.
+    seq = build_sequence(False, [(1, [node, "c"], [(node, "c")])])
+    with pytest.raises(ValueError, match=re.escape(repr(node))):
+        dumps_edge_list(seq)
 
 
 def test_edge_list_shifts_raw_years_and_fills_gaps():

@@ -92,6 +92,27 @@ def test_query_validation():
     assert not StatisticQuery.degree_histogram().is_scalar
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(kind="subgraph", pattern="triangle", k=3),
+        dict(kind="subgraph", pattern="edge", k=1),
+        dict(kind="subgraph", pattern="edge", tau=2),
+        dict(kind="high_degree", tau=2, pattern="edge", k=5),
+        dict(kind="high_degree", tau=2, k=2),
+        dict(kind="degree_histogram", tau=1),
+        dict(kind="degree_histogram", pattern="k_star", k=2),
+        dict(kind="subgraph", pattern="square"),
+        dict(kind="subgraph", pattern="K_STAR", k=2),
+    ],
+)
+def test_query_rejects_fields_its_kind_does_not_read(fields):
+    # A query equal in statistic must be equal as a value: no stray field
+    # may tell two of them apart or select another statistic's formula.
+    with pytest.raises(ValueError):
+        StatisticQuery(**fields)
+
+
 # --- randomized agreement with exhaustive enumeration ---------------------
 
 def _und_edges(n):
