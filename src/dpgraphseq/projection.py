@@ -22,7 +22,6 @@ from .graph_core import (
     GraphSequence,
     GraphView,
     admit_edges,
-    canonical_edge,
     snapshot,
 )
 
@@ -49,14 +48,14 @@ class EdgeOrdering:
 
 
 def canonical_ordering(seq: GraphSequence) -> EdgeOrdering:
-    """Edges sorted by (time, canonical endpoint pair); deterministic."""
-    steps = []
-    for batch in seq.batches:
-        edges = sorted(
-            canonical_edge(u, v, seq.directed) for u, v in batch.edges
-        )
-        steps.append((batch.time, tuple(edges)))
-    return EdgeOrdering(steps=tuple(steps))
+    """Edges sorted by (time, canonical endpoint pair); deterministic.
+
+    A sequence stores its edges in canonical form, so each step sorts its
+    batch's edges as stored.
+    """
+    return EdgeOrdering(
+        steps=tuple((batch.time, tuple(sorted(batch.edges))) for batch in seq.batches)
+    )
 
 
 def check_ordering(seq: GraphSequence, ordering: EdgeOrdering) -> None:

@@ -39,7 +39,7 @@ histograms refer to out-degree.
 """
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -214,21 +214,18 @@ def _degree_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]
     # No degree, on either side, ever exceeds the largest final counter.
     top = max(max(walk.out.values(), default=0), max(walk.inn.values(), default=0))
     if query.kind == "degree_histogram":
-        # A node sits in bin b once it arrived (b = 0) or moved up from b - 1,
-        # until it moves up from b; `moves` counts the moves up from each bin.
-        moves: Counter[int] = Counter()
-        nodes = 0
+        # A node enters bin 0 when it arrives, and each moved endpoint leaves
+        # the bin of its pre-edge degree d for bin d + 1 <= top.
+        count = [0] * (top + 1)
         hists: list[StatValue] = []
         for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends):
-            nodes += len(batch.nodes)
+            count[0] += len(batch.nodes)
             for side in sides:
-                moves.update(side[start:end])
+                for d in side[start:end]:
+                    count[d] -= 1
+                    count[d + 1] += 1
             if batch.time >= 1:
-                bins = (
-                    (b, (b == 0) * nodes + moves[b - 1] - moves[b])
-                    for b in range(top + 1)
-                )
-                hists.append({b: n for b, n in bins if n})
+                hists.append({b: n for b, n in enumerate(count) if n})
         return hists
     g = _degree_table(query, top)
     steps = list(map(sub, g[1:], g))

@@ -2,7 +2,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -25,7 +25,7 @@ from dpgraphseq.errors import (
 )
 from dpgraphseq.graph_core import canonical_edge
 
-from test_statistics import sequences
+from test_statistics import raw_batches, sequences
 
 
 def small_seq():
@@ -287,12 +287,195 @@ def test_edge_list_round_trip():
     assert back == seq
 
 
-@pytest.mark.parametrize("node", ["a b", "", "a\tb", " a", "a\n"])
-def test_dumps_refuses_node_ids_the_format_cannot_carry(node):
-    # Records are whitespace-split, so such an id would not load back.
-    seq = build_sequence(False, [(1, [node, "c"], [(node, "c")])])
-    with pytest.raises(ValueError, match=re.escape(repr(node))):
+@pytest.mark.parametrize(
+    "nodes, edges, bad",
+    [
+        pytest.param([node, "c"], [(node, "c")], node, id=node)
+        for node in ("a b", "", "a\tb", " a", "a\n")
+    ]
+    + [
+        pytest.param([1, 2], [(1, 2)], 1, id="int"),
+        pytest.param(["1", 1], [], 1, id="int-beside-its-str"),
+    ],
+)
+def test_dumps_refuses_node_ids_the_format_cannot_carry(nodes, edges, bad):
+    # Records are whitespace-split and every id loads back as a str, so an
+    # id with whitespace, or one that is not a str, would not load back.
+    seq = build_sequence(False, [(1, nodes, edges)])
+    with pytest.raises(ValueError, match=re.escape(f"node id {bad!r} ")):
         dumps_edge_list(seq)
+
+
+# Lines the loader skips: blank ones and comments, indented or not.
+_SKIPPED = ("", "   ", "\t", "# a comment", "   # N x 1", "\t#E a b")
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences(), st.randoms(use_true_random=False))
+def test_edge_list_loads_back_from_any_record_order(seq, rnd):
+    # The loader sorts each batch's nodes and spans the declared times, so
+    # the sequence must start and end with nodes, sorted within each batch.
+    assume(seq.batches[0].nodes and seq.batches[-1].nodes)
+    seq = build_sequence(
+        seq.directed, [(b.time, sorted(b.nodes), b.edges) for b in seq.batches]
+    )
+    header, *records = dumps_edge_list(seq).splitlines()
+    # dumps writes each batch's N records, then its E records.  Edge order
+    # within a batch is part of the sequence, so the E records of one batch
+    # keep their relative order; every other pair of records may swap.
+    group = []
+    for batch in seq.batches:
+        group += [None] * len(batch.nodes) + [batch.time] * len(batch.edges)
+    key = [rnd.random() for _ in records]
+    for t in {g for g in group if g is not None}:
+        slots = [i for i, g in enumerate(group) if g == t]
+        for i, k in zip(slots, sorted(key[i] for i in slots)):
+            key[i] = k
+    lines = [rnd.choice(_SKIPPED) for _ in range(rnd.randrange(3))] + [header]
+    # A stable sort: records whose keys tie keep their order.
+    for i in sorted(range(len(records)), key=key.__getitem__):
+        lines += [rnd.choice(_SKIPPED) for _ in range(rnd.randrange(3))]
+        lines.append(rnd.choice(("", " ", "\t")) + records[i] + rnd.choice(("", "  ")))
+    assert loads_edge_list("\n".join(lines)) == seq
+
+
+def _text(directed, batches):
+    """Edge-list text of (t, nodes, edges) triples, edges as sent."""
+    lines = ["H " + ("directed" if directed else "undirected")]
+    for t, nodes, edges in batches:
+        lines += [f"N {n} {t}" for n in nodes] + [f"E {u} {v}" for u, v in edges]
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_batches())
+def test_stored_edges_are_canonical(drawn):
+    directed, batches = drawn
+    built = build_sequence(directed, batches)
+    ingested = GraphSequence.empty(directed)
+    for t, nodes, edges in batches:
+        ingested = ingest_step(ingested, t, nodes, edges)
+    parsed = loads_edge_list(_text(directed, batches))
+    for seq in (built, ingested, parsed):
+        for batch in seq.batches:
+            for u, v in batch.edges:
+                assert canonical_edge(u, v, directed) == (u, v)
+
+
+# Malformed texts: the first fault wins.  Faults within one record are found
+# line by line, before any check that reads several records; dangling
+# endpoints next, edge by edge in file order; then the batches are checked
+# in time order.
+_MALFORMED = {
+    "self-loop": ("H undirected\nN a 1\nE a a\n", SelfLoopError, "self-loop on 'a'"),
+    "undirected-both-ways": (
+        "H undirected\nN a 1\nN b 1\nE a b\nE b a\n",
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+    "two-field-edge": (
+        "H undirected\nN a 1\nE a\n", ValueError, "line 3: bad edge record 'E a'"
+    ),
+    "four-field-edge": (
+        "H undirected\nN a 1\nN b 1\nE a b c\n",
+        ValueError,
+        "line 4: bad edge record 'E a b c'",
+    ),
+    "indented-bad-edge": (
+        "H undirected\nN a 1\n   E  a \t\n",
+        ValueError,
+        "line 3: bad edge record 'E  a'",
+    ),
+    "unknown-tag": ("H undirected\nX a 1\n", ValueError, "line 2: unknown record tag 'X'"),
+    "lowercase-tag": (
+        "H undirected\nn a 1\n", ValueError, "line 2: unknown record tag 'n'"
+    ),
+    "missing-header": ("# no header\n\n", ValueError, "missing header line"),
+    "empty-text": ("", ValueError, "missing header line"),
+    "record-before-header": (
+        "N a 1\nH undirected\n",
+        ValueError,
+        "line 1: header line must precede records",
+    ),
+    "bad-header": ("H sideways\n", ValueError, "line 1: bad header 'H sideways'"),
+    "header-extra-field": (
+        "  H directed x\n", ValueError, "line 1: bad header 'H directed x'"
+    ),
+    "second-header": (
+        "H directed\nN a 1\nH directed\n",
+        ValueError,
+        "line 3: second header 'H directed'",
+    ),
+    "bad-node-record": ("H directed\nN a\n", ValueError, "line 2: bad node record 'N a'"),
+    "bad-node-time": (
+        "H directed\nN a 1.5\n", ValueError, "line 2: bad node time 'N a 1.5'"
+    ),
+    "redeclared-node": (
+        "H directed\nN a 1\nN a 1\n",
+        DuplicateNodeError,
+        "line 3: node 'a' re-declared",
+    ),
+    "dangling-tail": (
+        "H directed\nN a 1\nE ghost a\n",
+        DanglingEdgeError,
+        "edge endpoint 'ghost' never declared",
+    ),
+    "dangling-head": (
+        "H directed\nN a 1\nE a phantom\n",
+        DanglingEdgeError,
+        "edge endpoint 'phantom' never declared",
+    ),
+    "dangling-tail-before-head": (
+        "H directed\nN a 1\nE x y\n",
+        DanglingEdgeError,
+        "edge endpoint 'x' never declared",
+    ),
+    "first-line-fault-wins": (
+        "H directed\nN a x\nN b 1\nQ\n",
+        ValueError,
+        "line 2: bad node time 'N a x'",
+    ),
+    "record-fault-before-dangling": (
+        "H directed\nN a 1\nE a ghost\nE a\n",
+        ValueError,
+        "line 4: bad edge record 'E a'",
+    ),
+    "redeclared-before-bad-tag": (
+        "H directed\nN a 1\nN a 2\nZ\n",
+        DuplicateNodeError,
+        "line 3: node 'a' re-declared",
+    ),
+    "first-dangling-edge-wins": (
+        "H directed\nN a 1\nE a x\nE y a\n",
+        DanglingEdgeError,
+        "edge endpoint 'x' never declared",
+    ),
+    "dangling-before-self-loop": (
+        "H directed\nN a 1\nE a a\nE a ghost\n",
+        DanglingEdgeError,
+        "edge endpoint 'ghost' never declared",
+    ),
+    "earlier-batch-wins": (
+        "H directed\nN a 1\nN b 1\nN c 2\nE c c\nE a b\nE b b\nE a b\n",
+        SelfLoopError,
+        "self-loop on 'b'",
+    ),
+    "earlier-edge-in-batch-wins": (
+        "H undirected\nN a 1\nN b 1\nE a b\nE b a\nE a a\n",
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, error, message", list(_MALFORMED.values()), ids=list(_MALFORMED)
+)
+def test_edge_list_malformed_text_error(text, error, message):
+    with pytest.raises(error) as info:
+        loads_edge_list(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_edge_list_shifts_raw_years_and_fills_gaps():

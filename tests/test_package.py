@@ -7,6 +7,16 @@ from pathlib import Path
 import dpgraphseq
 
 
+def _fresh_stdout(probe: str) -> str:
+    """What `probe` prints in a fresh interpreter that imports this source tree."""
+    src = str(Path(dpgraphseq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
 def test_all_names_resolve_once_in_sorted_order():
     names = dpgraphseq.__all__
     assert [name for name in names if not hasattr(dpgraphseq, name)] == []
@@ -17,27 +27,36 @@ def test_all_names_resolve_once_in_sorted_order():
 def test_import_does_not_load_numpy():
     # numpy's import dominates start-up time; only the mechanisms, harness
     # and oracle modules need it, so the package itself loads without it.
-    src = str(Path(dpgraphseq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     probe = "import sys, dpgraphseq; print('numpy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    assert _fresh_stdout(probe) == "False"
 
 
 def test_generators_run_without_networkx():
     # networkx is a test dependency only: the SIR contact graph is built by
     # the package's own Barabasi-Albert port.
-    src = str(Path(dpgraphseq.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
     probe = (
         "import sys\n"
         "from dpgraphseq.generators import SirParams, generate_sir_transmission\n"
         "generate_sir_transmission(SirParams(population=30, max_steps=5))\n"
         "print('networkx' in sys.modules)"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert _fresh_stdout(probe) == "False"
+
+
+def test_parse_ingest_and_exact_values_run_without_numpy():
+    # Turning edge-list text into a validated sequence and reading its exact
+    # statistics needs no numpy either, so neither a bench's set-up nor a
+    # CLI command that releases nothing pays numpy's import.
+    probe = (
+        "import sys\n"
+        "import dpgraphseq as dg\n"
+        "text = 'H undirected\\nN a 1\\nN b 1\\nN c 2\\nE a b\\nE c a\\n'\n"
+        "seq = dg.loads_edge_list(text)\n"
+        "seq = dg.ingest_step(seq, 3, ['d'], [('d', 'c')])\n"
+        "dg.verify_bounds(seq, dg.DegreeBounds.undirected(2))\n"
+        "for query in (dg.StatisticQuery.degree_histogram(),\n"
+        "              dg.StatisticQuery.subgraph('triangle')):\n"
+        "    dg.exact_values(query, seq)\n"
+        "print('numpy' in sys.modules)"
     )
-    assert result.stdout.strip() == "False"
+    assert _fresh_stdout(probe) == "False"

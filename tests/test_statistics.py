@@ -188,8 +188,12 @@ def _all_queries(directed):
 
 
 @st.composite
-def sequences(draw):
-    """Random valid sequences, either mode, starting at time 0 or 1."""
+def raw_batches(draw):
+    """(directed, batches) that `build_sequence` accepts, edges as sent.
+
+    Either mode, starting at time 0 or 1; an undirected edge may be sent in
+    either orientation.
+    """
     directed = draw(st.booleans())
     start = draw(st.sampled_from((0, 1)))
     names = []
@@ -210,7 +214,12 @@ def sequences(draw):
             )
         names += new
         batches.append((t, new, edges))
-    return build_sequence(directed, batches)
+    return directed, batches
+
+
+def sequences():
+    """Random valid sequences, either mode, starting at time 0 or 1."""
+    return raw_batches().map(lambda drawn: build_sequence(*drawn))
 
 
 @settings(max_examples=200, deadline=None)
