@@ -13,6 +13,7 @@ from .errors import (
     GraphSequenceError,
     InfeasibleThresholdError,
     OrderingMismatchError,
+    PatternDirectionMismatchError,
     UnsupportedBaselineQueryError,
 )
 from .generators import (
@@ -24,9 +25,7 @@ from .generators import (
 from .graph_core import DegreeBounds, dumps_edge_list, loads_edge_list
 from .harness import (
     ExperimentConfig,
-    default_projection_grid,
-    derive_bounds,
-    derive_tau,
+    release_parameters,
     rows_to_csv,
     rows_to_json,
     run_experiment,
@@ -104,7 +103,7 @@ def _thresholds_option(ctx, param, value):
 @contextlib.contextmanager
 def _usage_errors():
     """Report bounds the data exceed, thresholds of the wrong mode, or a query
-    they rule out, as a usage error."""
+    they or the data's direction rule out, as a usage error."""
     try:
         yield
     except (
@@ -112,12 +111,13 @@ def _usage_errors():
         InfeasibleThresholdError,
         BoundViolationError,
         OrderingMismatchError,
+        PatternDirectionMismatchError,
     ) as exc:
         raise click.UsageError(str(exc)) from exc
 
 
 def _read_sequence(path: str):
-    """Parse --input; a malformed or node-free file is a usage error."""
+    """Parse --input; a malformed, node-free or step-free file is a usage error."""
     with click.open_file(path) as fh:
         text = fh.read()
     try:
@@ -126,6 +126,11 @@ def _read_sequence(path: str):
         raise click.BadParameter(str(exc), param_hint="'--input'") from exc
     if not seq.node_time:
         raise click.BadParameter("sequence has no nodes", param_hint="'--input'")
+    if seq.horizon < 1:
+        raise click.BadParameter(
+            "sequence has no release step: every node arrives at time 0",
+            param_hint="'--input'",
+        )
     return seq
 
 
@@ -241,13 +246,11 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
                 trial, zero_noise, output):
     """One private release run; prints per-step estimates as JSON."""
     seq = _read_sequence(input_path)
-    if tau is None and tau_percentile is not None:
-        tau = derive_tau(seq, tau_percentile)
-    query = _parse_statistic(statistic, tau)
-    bounds = degree_bound or derive_bounds(seq, bound_granularity)
-    candidates = ()
-    if mechanism == "compose_projection" and projection_thresholds is None:
-        candidates = tuple(default_projection_grid(seq, bound_granularity))
+    query, bounds, candidates = release_parameters(
+        seq, _parse_statistic(statistic, tau), (mechanism,),
+        tau_percentile if tau is None else None, degree_bound, bound_granularity,
+        () if projection_thresholds is None else (projection_thresholds,),
+    )
     try:
         config = MechanismConfig(
             epsilon=epsilon, seed=seed, trial_id=trial, zero_noise=zero_noise
@@ -256,8 +259,7 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
         raise click.BadParameter(str(exc), param_hint="'--epsilon'") from exc
     with _usage_errors():
         series = run_release(
-            mechanism, seq, query, config,
-            bounds=bounds, thresholds=projection_thresholds, candidates=candidates,
+            mechanism, seq, query, config, bounds=bounds, candidates=candidates
         )
     estimates = [
         est.tolist() if hasattr(est, "tolist") else est for est in series.estimates
@@ -303,7 +305,7 @@ def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
                projection_thresholds, seed, zero_noise, output, fmt):
     """Error sweep over budgets and mechanisms; emits one row per trial."""
     seq = _read_sequence(input_path)
-    query = _parse_statistic(statistic, tau if tau is not None else 1)
+    query = _parse_statistic(statistic, tau)
     try:
         cfg = ExperimentConfig(
             dataset=dataset or input_path,
@@ -315,11 +317,12 @@ def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
             seed=seed,
             zero_noise=zero_noise,
             releases=releases,
-            tau=tau,
-            tau_percentile=tau_percentile,
+            tau_percentile=tau_percentile if tau is None else None,
             bounds=degree_bound,
             bound_granularity=bound_granularity,
-            thresholds=projection_thresholds,
+            candidates=(
+                () if projection_thresholds is None else (projection_thresholds,)
+            ),
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

@@ -1,9 +1,10 @@
 """Experiment harness: error sweeps over mechanisms, budgets, and datasets.
 
-The protocol mirrors a typical utility evaluation: derive public parameters
-(degree bounds, thresholds) from the data, run each mechanism over a grid of
-privacy budgets for many trials, and score each run by relative L1 error.
-Output is deterministic: identical config and seed give byte-identical CSV.
+The protocol mirrors a typical utility evaluation: fill in the public
+parameters (tau, degree bounds, projection candidates) the caller left out
+with `release_parameters`, run each mechanism over a grid of privacy budgets
+for many trials, and score each run by relative L1 error.  Output is
+deterministic: identical config and seed give byte-identical CSV.
 """
 from __future__ import annotations
 
@@ -104,17 +105,39 @@ def rebatch(seq: GraphSequence, releases: int) -> GraphSequence:
 
 def default_projection_grid(seq: GraphSequence, granularity: int = 5):
     """Candidate thresholds: multiples of `granularity` up to measured max."""
-    top = derive_bounds(seq, granularity)
+    steps = [range(granularity, cap + 1, granularity)
+             for cap in derive_bounds(seq, granularity).caps]
     if seq.directed:
-        return [
-            ProjectionThresholds.directed(i, o)
-            for i in range(granularity, top.d_in + 1, granularity)
-            for o in range(granularity, top.d_out + 1, granularity)
-        ]
-    return [
-        ProjectionThresholds.undirected(d)
-        for d in range(granularity, top.d + 1, granularity)
-    ]
+        return [ProjectionThresholds.directed(i, o) for i in steps[0] for o in steps[1]]
+    return [ProjectionThresholds.undirected(d) for d in steps[1]]
+
+
+def release_parameters(
+    seq: GraphSequence, query: StatisticQuery, mechanisms: Sequence[str],
+    tau_percentile: Optional[float] = None, bounds: Optional[DegreeBounds] = None,
+    granularity: int = 5, candidates: Sequence[ProjectionThresholds] = (),
+):
+    """(query, bounds, candidates) for a release; given values pass through.
+
+    What the caller leaves out is read off the data, spending no privacy
+    budget: a high_degree tau at `tau_percentile` (None keeps the query's;
+    without --tau the CLI's `experiment` uses p90 and `release` tau = 1
+    unless --tau-percentile is given), the bounds by `derive_bounds` (no
+    --degree-bound) and, for compose_projection without
+    --projection-thresholds, the `default_projection_grid` entries whose
+    out-cap admits tau (all of them if none does, so the release reports
+    the tau), of which each trial keeps the one with the lowest realized
+    error.  A release that relies on any of these defaults is therefore not
+    epsilon-DP end to end.
+    """
+    if query.kind == "high_degree" and tau_percentile is not None:
+        query = StatisticQuery.high_degree(derive_tau(seq, tau_percentile))
+    if "compose_projection" in mechanisms and not candidates:
+        candidates = default_projection_grid(seq, granularity)
+        if query.kind == "high_degree":
+            admits = [th for th in candidates if th.caps[1] >= query.tau]
+            candidates = admits or candidates
+    return query, bounds or derive_bounds(seq, granularity), tuple(candidates)
 
 
 @dataclass(frozen=True)
@@ -128,12 +151,10 @@ class ExperimentConfig:
     seed: int = 0
     zero_noise: bool = False
     releases: Optional[int] = None  # rebatch to this horizon when set
-    tau: Optional[int] = None
-    tau_percentile: float = 90.0
+    tau_percentile: Optional[float] = 90.0  # None keeps query.tau
     bounds: Optional[DegreeBounds] = None
     bound_granularity: int = 5
-    thresholds: Optional[ProjectionThresholds] = None
-    candidates: tuple = ()
+    candidates: tuple = ()  # fixed thresholds are a one-entry tuple
 
     def __post_init__(self):
         if self.trials < 1:
@@ -184,22 +205,13 @@ def run_experiment(cfg: ExperimentConfig):
     if cfg.releases is not None and cfg.releases != seq.horizon:
         seq = rebatch(seq, cfg.releases)
     horizon = seq.horizon
-    bounds = cfg.bounds or derive_bounds(seq, cfg.bound_granularity)
-    query = cfg.query
-    if query.kind == "high_degree" and cfg.tau is None:
-        query = StatisticQuery.high_degree(derive_tau(seq, cfg.tau_percentile))
-    elif query.kind == "high_degree":
-        query = StatisticQuery.high_degree(cfg.tau)
-    candidates = cfg.candidates
-    if (
-        "compose_projection" in cfg.mechanisms
-        and cfg.thresholds is None
-        and not candidates
-    ):
-        candidates = tuple(default_projection_grid(seq, cfg.bound_granularity))
+    query, bounds, candidates = release_parameters(
+        seq, cfg.query, cfg.mechanisms, cfg.tau_percentile, cfg.bounds,
+        cfg.bound_granularity, cfg.candidates,
+    )
     # Plans hold everything that draws no noise, so each trial only draws.
     plans = {
-        mechanism: plan(mechanism, seq, query, bounds, cfg.thresholds, candidates)
+        mechanism: plan(mechanism, seq, query, bounds, candidates=candidates)
         for mechanism in cfg.mechanisms
     }
 
@@ -208,6 +220,9 @@ def run_experiment(cfg: ExperimentConfig):
     for epsilon in cfg.epsilons:
         for mechanism in cfg.mechanisms:
             truth = plans[mechanism].truth.tolist()
+            # The columns a sweep cell's trial rows and summary share.
+            cell = dict(dataset=cfg.dataset, query=query.label(),
+                        mechanism=mechanism, epsilon=epsilon, T=horizon)
             errors = []
             for trial in range(cfg.trials):
                 mc = MechanismConfig(
@@ -221,31 +236,11 @@ def run_experiment(cfg: ExperimentConfig):
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 err, skipped = relative_l1_error(series.estimates, truth)
                 errors.append(err)
-                rows.append(
-                    ResultRow(
-                        dataset=cfg.dataset,
-                        query=query.label(),
-                        mechanism=mechanism,
-                        epsilon=epsilon,
-                        T=horizon,
-                        trial=trial,
-                        rel_l1_error=err,
-                        skipped_terms=skipped,
-                        wall_ms=wall_ms,
-                    )
-                )
-            summaries.append(
-                SummaryRow(
-                    dataset=cfg.dataset,
-                    query=query.label(),
-                    mechanism=mechanism,
-                    epsilon=epsilon,
-                    T=horizon,
-                    trials=cfg.trials,
-                    mean_error=float(np.mean(errors)),
-                    std_error=float(np.std(errors)),
-                )
-            )
+                rows.append(ResultRow(**cell, trial=trial, rel_l1_error=err,
+                                      skipped_terms=skipped, wall_ms=wall_ms))
+            summaries.append(SummaryRow(**cell, trials=cfg.trials,
+                                        mean_error=float(np.mean(errors)),
+                                        std_error=float(np.std(errors))))
     return rows, summaries
 
 

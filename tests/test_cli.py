@@ -1,11 +1,14 @@
 """Command-line interface smoke and contract tests."""
+import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from dpgraphseq import build_sequence, dumps_edge_list
 from dpgraphseq.cli import main
 from dpgraphseq.harness import CSV_COLUMNS
+from dpgraphseq.mechanisms import MECHANISMS
 
 
 @pytest.fixture
@@ -203,9 +206,24 @@ def test_malformed_statistic_is_usage_error(runner, pa_file, value):
           "--epsilon", "1"], "tau=50 exceeds"),
         (["experiment", "--statistic", "triangle", "--epsilon", "1",
           "--trials", "1"], "'triangle' incompatible"),
+        (["release", "--mechanism", "compose_projection", "--statistic",
+          "triangle", "--epsilon", "1"], "'triangle' not valid for a directed"),
+        (["experiment", "--mechanism", "compose_projection", "--statistic",
+          "triangle", "--epsilon", "1", "--trials", "1"],
+         "'triangle' not valid for a directed"),
+        (["release", "--mechanism", "compose_projection", "--statistic",
+          "high_degree", "--tau", "7", "--projection-thresholds", "5,5",
+          "--epsilon", "1"], "tau=7 exceeds"),
+        (["release", "--mechanism", "compose_projection", "--statistic",
+          "high_degree", "--tau", "50", "--epsilon", "1"], "tau=50 exceeds"),
+        (["experiment", "--mechanism", "compose_projection", "--statistic",
+          "high_degree", "--tau", "50", "--epsilon", "1", "--trials", "1"],
+         "tau=50 exceeds"),
     ],
     ids=["sens-star", "sens-tau", "sens-regime", "release-triangle",
-         "release-tau", "experiment-triangle"],
+         "release-tau", "experiment-triangle", "release-projection-triangle",
+         "experiment-projection-triangle", "release-fixed-thresholds-tau",
+         "release-grid-tau", "experiment-grid-tau"],
 )
 def test_query_the_bounds_rule_out_is_usage_error(runner, pa_file, args, message):
     if args[0] != "sensitivity":
@@ -214,6 +232,34 @@ def test_query_the_bounds_rule_out_is_usage_error(runner, pa_file, args, message
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert "Traceback" not in result.output
+
+
+def test_default_grid_keeps_the_entries_that_admit_tau(runner, pa_file, tmp_path):
+    # pa_file's grid is (5,5), (5,10): tau=7 rules out the first entry only.
+    result = runner.invoke(
+        main,
+        ["release", "--input", str(pa_file), "--mechanism", "compose_projection",
+         "--statistic", "high_degree", "--tau", "7", "--epsilon", "1",
+         "--zero-noise"],
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["query"] == "high_degree(tau=7)"
+    # Every node of K14 has degree 13, so the p90 tau is 13 and the grid
+    # 5/10/15; only 15 admits it, and it keeps every edge.
+    names = [f"v{i}" for i in range(14)]
+    path = tmp_path / "k14.txt"
+    path.write_text(dumps_edge_list(
+        build_sequence(False, [(1, names, list(itertools.combinations(names, 2)))])
+    ))
+    result = runner.invoke(
+        main,
+        ["experiment", "--input", str(path), "--statistic", "high_degree",
+         "--epsilon", "1", "--trials", "1", "--zero-noise"],
+    )
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in result.output.splitlines()[1:]]
+    assert [row[2] for row in rows] == list(MECHANISMS)
+    assert {(row[1], row[6]) for row in rows} == {("high_degree(tau=13)", "0.0")}
 
 
 @pytest.mark.parametrize("command", ["release", "experiment"])
@@ -323,8 +369,10 @@ def test_invalid_model_parameters_are_usage_errors(runner, args, message):
         ("N a 1\nH undirected\n", "header line must precede"),
         ("H directed\n", "sequence has no nodes"),
         ("H directed\nN a x\n", "line 2: bad node time"),
+        ("H undirected\nN a 0\nN b 0\nE a b\n", "sequence has no release step"),
     ],
-    ids=["bad-header", "dangling-edge", "late-header", "no-nodes", "bad-node-time"],
+    ids=["bad-header", "dangling-edge", "late-header", "no-nodes", "bad-node-time",
+         "no-release-step"],
 )
 def test_bad_input_file_is_usage_error(runner, tmp_path, command, text, message):
     path = tmp_path / "input.txt"

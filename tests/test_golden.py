@@ -12,27 +12,40 @@ t_max=3; D in {1,2,3} and directed {1,2,3}^2).  `golden_sensitivity.json`
 holds what each of the three closed-form regimes answers, value, formula
 id and regime or error class and message, for every threshold tau up to
 one past the out-cap, the histogram, all seven patterns and stars k <= 4,
-at D in 1..5 and directed caps {1..4}^2.  A change that moves any of these
-numbers must say why and regenerate the files with
+at D in 1..5 and directed caps {1..4}^2.  `golden_cli.json` holds what the
+`release` and `experiment` commands print (JSON, and CSV without the
+`wall_ms` column) on the two criterion-8 fixtures and an undirected
+Barabasi-Albert sequence, for the default flags and for each of `--tau`,
+`--tau-percentile`, `--degree-bound`, `--projection-thresholds` and
+`--releases`, across the mechanisms; a derived tau above some default grid
+entry's out-cap is left to `tests/test_cli.py`.  A change that moves any of
+these numbers must say why and regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import itertools
 import json
+import tempfile
 from pathlib import Path
+
+from click.testing import CliRunner
 
 from dpgraphseq import (
     DegreeBounds,
     ProjectionThresholds,
     StatisticQuery,
+    build_sequence,
     diff_sequence_sensitivity,
+    dumps_edge_list,
     per_release_sensitivity,
     projected_sensitivity,
 )
+from dpgraphseq.cli import main
 from dpgraphseq.errors import GraphSequenceError
 from dpgraphseq.generators import (
     PaTransmissionParams,
     SirParams,
+    barabasi_albert_graph,
     generate_pa_transmission,
     generate_sir_transmission,
 )
@@ -51,6 +64,7 @@ GOLDEN = Path(__file__).with_name("golden_releases.json")
 GOLDEN_HARNESS = Path(__file__).with_name("golden_harness.json")
 GOLDEN_ORACLE = Path(__file__).with_name("golden_oracle.json")
 GOLDEN_SENSITIVITY = Path(__file__).with_name("golden_sensitivity.json")
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
 TRIALS = (0, 1)
 ALL_MECHANISMS = {
     "edge": StatisticQuery.subgraph("edge"),
@@ -181,6 +195,79 @@ def sensitivity_grid() -> dict:
     return grid
 
 
+def _ba_sequence():
+    """An undirected Barabasi-Albert graph on 40 nodes, five arriving per step."""
+    adjacency = barabasi_albert_graph(40, 2, seed=0)
+    batches = [
+        (t, [str(u) for u in range(5 * t - 5, 5 * t)],
+         [(str(u), str(v))
+          for u in range(5 * t - 5, 5 * t) for v in adjacency[u] if v < u])
+        for t in range(1, 9)
+    ]
+    return build_sequence(False, batches)
+
+
+# Per fixture: a --degree-bound the data respect, and --projection-thresholds.
+CLI_PAIRS = {"pa": ("10,50", "3,3"), "sir": ("10,10", "3,3"), "ba": ("20", "3")}
+
+
+def _cli_flags(name: str) -> dict:
+    bound, thresholds = CLI_PAIRS[name]
+    return {
+        "defaults": ["--statistic", "edge"],
+        "tau": ["--statistic", "high_degree", "--tau", "2"],
+        "tau-percentile": ["--statistic", "high_degree", "--tau-percentile", "50"],
+        "degree-bound": ["--statistic", "edge", "--degree-bound", bound],
+        "projection-thresholds": [
+            "--statistic", "edge", "--projection-thresholds", thresholds,
+        ],
+    }
+
+
+def cli_grid() -> dict:
+    """CLI output keyed by command, fixture, then flag set (and mechanism)."""
+    runner = CliRunner()
+
+    def run(args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        return result.output
+
+    grid = {"release": {}, "experiment": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, seq in {**_fixtures(), "ba": _ba_sequence()}.items():
+            path = Path(tmp) / f"{name}.edges"
+            path.write_text(dumps_edge_list(seq))
+            flags = _cli_flags(name)
+            grid["release"][name] = {
+                f"{label}/{mechanism}": json.loads(run(
+                    ["release", "--input", str(path), "--mechanism", mechanism,
+                     "--epsilon", "1", "--trial", "1"] + args
+                ))
+                for label, args in {
+                    **flags, "high-degree": ["--statistic", "high_degree"],
+                }.items()
+                for mechanism in MECHANISMS
+            }
+            grid["experiment"][name] = {
+                label: [
+                    line.rsplit(",", 1)[0]
+                    for line in run(
+                        ["experiment", "--input", str(path), "--dataset", name,
+                         "--epsilon", "1", "--trials", "2"] + args
+                    ).splitlines()
+                ]
+                for label, args in {
+                    **flags,
+                    # The default p90 tau tops the undirected grid's first entry.
+                    "high-degree": ["--statistic", "high_degree", "--mechanism",
+                                    "sensdiff", "--mechanism", "compose_bounded"],
+                    "releases": ["--statistic", "edge", "--releases", "3"],
+                }.items()
+            }
+    return grid
+
+
 def test_seeded_releases_match_golden_file():
     expected = json.loads(GOLDEN.read_text())
     got = golden_grid()
@@ -203,8 +290,13 @@ def test_closed_form_sensitivities_match_golden_file():
     assert sensitivity_grid() == json.loads(GOLDEN_SENSITIVITY.read_text())
 
 
+def test_cli_output_matches_golden_file():
+    assert cli_grid() == json.loads(GOLDEN_CLI.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(golden_grid(), indent=1) + "\n")
     GOLDEN_HARNESS.write_text(json.dumps(harness_grid(), indent=1) + "\n")
     GOLDEN_ORACLE.write_text(json.dumps(oracle_grid(), indent=1) + "\n")
     GOLDEN_SENSITIVITY.write_text(json.dumps(sensitivity_grid(), indent=1) + "\n")
+    GOLDEN_CLI.write_text(json.dumps(cli_grid(), indent=1) + "\n")

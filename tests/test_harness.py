@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -13,8 +13,10 @@ from dpgraphseq import (
     build_sequence,
     mechanisms,
     snapshot,
+    verify_bounds,
 )
 from dpgraphseq.errors import EmptyGraphError, LengthMismatchError
+from dpgraphseq.mechanisms import MECHANISMS
 from dpgraphseq.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -23,6 +25,7 @@ from dpgraphseq.harness import (
     derive_tau,
     rebatch,
     relative_l1_error,
+    release_parameters,
     rows_to_csv,
     rows_to_json,
     run_experiment,
@@ -153,6 +156,48 @@ def test_default_projection_grid():
     assert {(th.d_in, th.d_out) for th in dgrid} == {(5, 5), (10, 5)}
 
 
+@settings(max_examples=200, deadline=None)
+@given(sequences(), st.integers(1, 3), st.floats(1, 99), st.integers(1, 8))
+def test_release_parameters_fill_in_only_what_is_missing(
+    seq, granularity, percentile, tau
+):
+    assume(seq.node_time)
+    query = StatisticQuery.high_degree(tau)
+    grid = default_projection_grid(seq, granularity)
+    derived, bounds, candidates = release_parameters(
+        seq, query, MECHANISMS, percentile, None, granularity
+    )
+    assert derived == StatisticQuery.high_degree(derive_tau(seq, percentile))
+    assert bounds == derive_bounds(seq, granularity)
+    assert verify_bounds(seq, bounds) is None
+    # A derived tau is at most the top out-cap, so some entry admits it.
+    assert candidates == tuple(th for th in grid if th.caps[1] >= derived.tau)
+    # No percentile keeps the query's tau; a tau above every entry keeps the
+    # whole grid, for the release to report.
+    kept, _, candidates = release_parameters(
+        seq, query, MECHANISMS, None, None, granularity
+    )
+    assert kept == query
+    admits = tuple(th for th in grid if th.caps[1] >= tau)
+    assert candidates == (admits or tuple(grid))
+    # Other queries take the whole grid; without compose_projection, none.
+    edge = StatisticQuery.subgraph("edge")
+    assert release_parameters(
+        seq, edge, MECHANISMS, percentile, None, granularity
+    ) == (edge, bounds, tuple(grid))
+    assert release_parameters(seq, query, ("sensdiff",), None, bounds) == (
+        query, bounds, ()
+    )
+    # Given values pass through unchanged, even where they rule tau out.
+    given_bounds, given_th = (
+        cls.directed(1, 1) if seq.directed else cls.undirected(1)
+        for cls in (DegreeBounds, ProjectionThresholds)
+    )
+    assert release_parameters(
+        seq, query, MECHANISMS, None, given_bounds, granularity, (given_th,)
+    ) == (query, given_bounds, (given_th,))
+
+
 def experiment_config(**kw):
     defaults = dict(
         dataset="toy",
@@ -222,7 +267,8 @@ def test_run_experiment_derives_tau_for_threshold_queries():
     rows, _ = run_experiment(cfg)
     assert rows[0].query == "high_degree(tau=6)"  # hub ends at degree 6
     fixed = experiment_config(
-        query=StatisticQuery.high_degree(1), mechanisms=("sensdiff",), tau=2
+        query=StatisticQuery.high_degree(2), mechanisms=("sensdiff",),
+        tau_percentile=None,
     )
     rows, _ = run_experiment(fixed)
     assert rows[0].query == "high_degree(tau=2)"

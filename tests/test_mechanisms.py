@@ -150,6 +150,17 @@ def test_projection_candidate_pick_reports_chosen_thresholds():
     assert series.thresholds == ProjectionThresholds.undirected(2)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_fixed_thresholds_release_as_a_one_entry_candidate_list(d):
+    th = ProjectionThresholds.undirected(d)
+    for trial in range(5):
+        config = MechanismConfig(epsilon=1.0, seed=3, trial_id=trial)
+        fixed = release("compose_projection", SEQ, EDGE, config, thresholds=th)
+        assert fixed == release(
+            "compose_projection", SEQ, EDGE, config, candidates=(th,)
+        )
+
+
 def test_projection_requires_exactly_one_threshold_source():
     config = MechanismConfig(epsilon=1.0)
     with pytest.raises(ValueError, match="either"):
