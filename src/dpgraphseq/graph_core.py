@@ -433,19 +433,29 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
 # --- edge-list text format ----------------------------------------------
 #
 # One record per line:
-#   H directed|undirected      (header, required first non-comment line)
+#   H directed|undirected [T]  (header, required first non-comment line;
+#                              T, when given, is the horizon)
 #   N <node-id> <time>         declares a node
 #   E <u> <v>                  declares an edge (time = max endpoint time)
 # Lines starting with '#' are ignored.
 
+# Without a horizon in the header, the node times may span at most this
+# many steps per N record.
+_SPAN_PER_NODE = 100
+
 
 def dumps_edge_list(seq: GraphSequence) -> str:
-    """The edge-list text of `seq`.
+    """The edge-list text of `seq`, its horizon in the header.
 
     Every id loads back as a `str`, so each node id must be a `str` of one
-    whitespace-free token.
+    whitespace-free token; a batch's nodes load back sorted.  A time-0
+    batch must declare a node: an empty one has no record (the loader
+    starts at 0 only for a time-0 node).
     """
-    lines = ["H " + ("directed" if seq.directed else "undirected")]
+    mode = "directed" if seq.directed else "undirected"
+    lines = [f"H {mode} {seq.horizon}"]
+    if seq.start_time == 0 and not seq.batches[0].nodes:
+        raise ValueError("an empty time-0 batch has no record")
     for batch in seq.batches:
         for n in batch.nodes:
             if not isinstance(n, str):
@@ -458,14 +468,34 @@ def dumps_edge_list(seq: GraphSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _node_line(text: str, name: str) -> int:
+    """The number of the line that declares node `name`."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "N" and parts[1] == name:
+            return lineno
+    raise KeyError(name)
+
+
 def loads_edge_list(text: str) -> GraphSequence:
     """Parse the edge-list format into a sequence.
 
-    Raw times may be arbitrary integers (e.g. years); a 0 or 1 start is kept
-    as-is and any other start is shifted to 1.  Gap years become empty
-    batches.  The one header must precede every record.
+    With a horizon T in the header (``H undirected 11``), node times are the
+    steps themselves: each lies in [0, T], the sequence starts at 0 if a
+    node declares time 0 and at 1 otherwise, and runs to T, so steps in
+    which nothing arrives, trailing ones included, are kept.
+
+    Without one, raw times may be arbitrary integers (e.g. years): a 0 or 1
+    start is kept as-is and any other start is shifted to 1, gap years
+    become empty batches, and the sequence ends at the latest time.  The
+    times may then span at most 100 steps per N record, so a parse never
+    builds more batches than its text justifies; a wider span is an error
+    that names the line of the latest time.
+
+    The one header must precede every record.
     """
     directed = None
+    horizon = None
     node_time: dict[str, int] = {}
     raw_edges: list[tuple[str, str]] = []
     add_edge = raw_edges.append
@@ -487,6 +517,10 @@ def loads_edge_list(text: str) -> GraphSequence:
                     ) from None
                 if first in node_time:
                     raise DuplicateNodeError(f"line {lineno}: node {first!r} re-declared")
+                if horizon is not None and not 0 <= t <= horizon:
+                    raise TimeOutOfRangeError(
+                        f"line {lineno}: node time {t} outside [0, {horizon}]"
+                    )
                 node_time[first] = t
                 continue
         if not parts or parts[0][0] == "#":
@@ -495,8 +529,12 @@ def loads_edge_list(text: str) -> GraphSequence:
         if tag == "H":
             if directed is not None:
                 raise ValueError(f"line {lineno}: second header {raw.strip()!r}")
-            if len(parts) != 2 or parts[1] not in ("directed", "undirected"):
+            if len(parts) not in (2, 3) or parts[1] not in ("directed", "undirected"):
                 raise ValueError(f"line {lineno}: bad header {raw.strip()!r}")
+            if len(parts) == 3:
+                if not parts[2].isdecimal():
+                    raise ValueError(f"line {lineno}: bad header {raw.strip()!r}")
+                horizon = int(parts[2])
             directed = parts[1] == "directed"
         elif directed is None:
             raise ValueError(f"line {lineno}: header line must precede records")
@@ -507,11 +545,24 @@ def loads_edge_list(text: str) -> GraphSequence:
             raise ValueError(f"line {lineno}: unknown record tag {tag!r}")
     if directed is None:
         raise ValueError("missing header line")
-    if not node_time:
-        return GraphSequence.empty(directed)
 
-    t_min = min(node_time.values())
-    t_max = max(node_time.values())
+    if horizon is not None:
+        t_min = 0 if 0 in node_time.values() else 1
+        t_max = horizon
+    elif not node_time:
+        return GraphSequence.empty(directed)
+    else:
+        t_min = min(node_time.values())
+        t_max = max(node_time.values())
+        span = t_max - t_min + 1
+        if span > _SPAN_PER_NODE * len(node_time):
+            latest = max(node_time, key=node_time.get)
+            raise TimeOutOfRangeError(
+                f"line {_node_line(text, latest)}: node time {t_max} makes the "
+                f"times span {span} steps from time {t_min}; without a horizon "
+                f"in the header, {len(node_time)} node records allow a span of "
+                f"at most {_SPAN_PER_NODE * len(node_time)}"
+            )
     origin = t_min if t_min in (0, 1) else 1
     # Nodes and edges bucketed by raw time, at index t - t_min.
     nodes_at: list[list[str]] = [[] for _ in range(t_max - t_min + 1)]

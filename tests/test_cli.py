@@ -32,7 +32,8 @@ def pa_file(tmp_path, runner):
 
 def test_generate_writes_parseable_edge_list(pa_file):
     text = pa_file.read_text()
-    assert text.startswith("H directed\n")
+    # The header carries the horizon: four years of arrivals.
+    assert text.startswith("H directed 4\n")
     assert sum(1 for line in text.splitlines() if line.startswith("N ")) == 30
 
 
@@ -43,7 +44,27 @@ def test_generate_sir(runner):
          "--initial-infected", "2", "--max-steps", "10", "--seed", "0"],
     )
     assert result.exit_code == 0, result.output
-    assert result.output.startswith("H directed\n")
+    # Steps 8, 9 and 10 bring no case, but the header keeps them.
+    assert result.output.startswith("H directed 10\n")
+
+
+def test_generated_sir_releases_every_step(runner, tmp_path):
+    # The criterion-8 SIR fixture: steps 3-11 bring no case.
+    path = tmp_path / "sir.txt"
+    result = runner.invoke(
+        main,
+        ["generate", "--model", "sir", "--population", "300",
+         "--initial-infected", "3", "--max-steps", "30", "--seed", "0",
+         "--output", str(path)],
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(
+        main,
+        ["release", "--input", str(path), "--statistic", "edge",
+         "--epsilon", "1", "--zero-noise"],
+    )
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)["estimates"]) == 11
 
 
 def test_sensitivity_reports_json(runner):

@@ -23,6 +23,12 @@ from dpgraphseq.errors import (
     SelfLoopError,
     TimeOutOfRangeError,
 )
+from dpgraphseq.generators import (
+    PaTransmissionParams,
+    SirParams,
+    generate_pa_transmission,
+    generate_sir_transmission,
+)
 from dpgraphseq.graph_core import canonical_edge
 
 from test_statistics import raw_batches, sequences
@@ -283,8 +289,78 @@ def test_degree_bounds_validation():
 def test_edge_list_round_trip():
     seq = small_seq()
     text = dumps_edge_list(seq)
+    assert text.startswith("H undirected 3\n")
     back = loads_edge_list(text)
     assert back == seq
+
+
+@st.composite
+def gapped_sequences(draw):
+    """Sequences with empty steps drawn in after each batch: interior steps
+    and trailing ones.  Nodes are sorted within a batch, as the loader
+    stores them; a drawn empty time-0 batch makes the sequence start at 1,
+    since the format has no record for it."""
+    directed, batches = draw(raw_batches())
+    start = batches[0][0]
+    if start == 0 and not batches[0][1]:
+        start = 1
+    steps = []
+    for _, nodes, edges in batches:
+        steps.append((sorted(nodes), edges))
+        steps += [([], [])] * draw(st.integers(0, 2))
+    return build_sequence(
+        directed, [(start + i, nodes, edges) for i, (nodes, edges) in enumerate(steps)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(gapped_sequences())
+def test_edge_list_round_trip_keeps_empty_steps(seq):
+    assert loads_edge_list(dumps_edge_list(seq)) == seq
+
+
+def test_dumps_refuses_an_empty_time_zero_batch():
+    seq = build_sequence(False, [(0, [], []), (1, ["a"], [])])
+    with pytest.raises(ValueError, match="an empty time-0 batch has no record"):
+        dumps_edge_list(seq)
+
+
+def test_generated_fixtures_load_back_unchanged():
+    # Criteria 5 and 8 release over these; the SIR ones end in empty steps.
+    fixtures = [
+        generate_pa_transmission(PaTransmissionParams(m0=50, arrivals=20, years=20), 0),
+        generate_sir_transmission(SirParams(population=1000, max_steps=200), 33),
+        generate_pa_transmission(PaTransmissionParams(m0=20, arrivals=10, years=8), 0),
+        generate_sir_transmission(
+            SirParams(population=300, initial_infected=3, max_steps=30), 0
+        ),
+    ]
+    assert fixtures[-1].horizon == 11
+    for seq in fixtures:
+        # The loader stores each batch's nodes sorted.
+        want = build_sequence(
+            seq.directed, [(b.time, sorted(b.nodes), b.edges) for b in seq.batches]
+        )
+        assert loads_edge_list(dumps_edge_list(seq)) == want
+
+
+def test_declared_horizon_keeps_steps_as_written():
+    seq = loads_edge_list("H directed 5\nN a 2\nN b 3\nE a b\n")
+    assert (seq.start_time, seq.horizon) == (1, 5)
+    assert seq.node_time == {"a": 2, "b": 3}
+    assert [b.nodes for b in seq.batches] == [(), ("a",), ("b",), (), ()]
+    assert seq.batch_at(3).edges == (("a", "b"),)
+    seq = loads_edge_list("H undirected 2\nN a 0\n")
+    assert [b.time for b in seq.batches] == [0, 1, 2]
+    assert loads_edge_list("H undirected 0\n") == GraphSequence.empty(False)
+    assert loads_edge_list("H undirected 2\n").horizon == 2
+
+
+def test_two_field_header_keeps_its_span_rule():
+    # Two node records allow a span of 200 steps; one more is refused.
+    assert loads_edge_list("H undirected\nN a 1\nN b 200\n").horizon == 200
+    with pytest.raises(TimeOutOfRangeError, match="line 2: node time 201 "):
+        loads_edge_list("H undirected\nN b 201\nN a 1\n")
 
 
 @pytest.mark.parametrize(
@@ -313,9 +389,9 @@ _SKIPPED = ("", "   ", "\t", "# a comment", "   # N x 1", "\t#E a b")
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.randoms(use_true_random=False))
 def test_edge_list_loads_back_from_any_record_order(seq, rnd):
-    # The loader sorts each batch's nodes and spans the declared times, so
-    # the sequence must start and end with nodes, sorted within each batch.
-    assume(seq.batches[0].nodes and seq.batches[-1].nodes)
+    # The loader sorts each batch's nodes, and starts at 0 only for a
+    # time-0 node.
+    assume(seq.batches[0].nodes or seq.start_time == 1)
     seq = build_sequence(
         seq.directed, [(b.time, sorted(b.nodes), b.edges) for b in seq.batches]
     )
@@ -362,10 +438,11 @@ def test_stored_edges_are_canonical(drawn):
                 assert canonical_edge(u, v, directed) == (u, v)
 
 
-# Malformed texts: the first fault wins.  Faults within one record are found
-# line by line, before any check that reads several records; dangling
-# endpoints next, edge by edge in file order; then the batches are checked
-# in time order.
+# Malformed texts: the first fault wins.  Faults within one record (a node
+# time outside a declared horizon among them) are found line by line, before
+# any check that reads several records: the span of undeclared times first,
+# dangling endpoints next, edge by edge in file order; then the batches are
+# checked in time order.
 _MALFORMED = {
     "self-loop": ("H undirected\nN a 1\nE a a\n", SelfLoopError, "self-loop on 'a'"),
     "undirected-both-ways": (
@@ -409,6 +486,34 @@ _MALFORMED = {
     "bad-node-record": ("H directed\nN a\n", ValueError, "line 2: bad node record 'N a'"),
     "bad-node-time": (
         "H directed\nN a 1.5\n", ValueError, "line 2: bad node time 'N a 1.5'"
+    ),
+    "header-negative-horizon": (
+        "H directed -1\n", ValueError, "line 1: bad header 'H directed -1'"
+    ),
+    "header-two-horizons": (
+        "H directed 3 4\n", ValueError, "line 1: bad header 'H directed 3 4'"
+    ),
+    "time-past-horizon": (
+        "H undirected 11\nN a 1\nN b 12\n",
+        TimeOutOfRangeError,
+        "line 3: node time 12 outside [0, 11]",
+    ),
+    "time-before-zero": (
+        "H undirected 3\n# early\nN a -1\n",
+        TimeOutOfRangeError,
+        "line 3: node time -1 outside [0, 3]",
+    ),
+    "time-out-of-range-before-bad-tag": (
+        "H directed 1\nN a 2\nQ\n",
+        TimeOutOfRangeError,
+        "line 2: node time 2 outside [0, 1]",
+    ),
+    "span-beyond-the-records": (
+        "H undirected\nN a 1\nN b 100001\nE a b\n",
+        TimeOutOfRangeError,
+        "line 3: node time 100001 makes the times span 100001 steps from time 1; "
+        "without a horizon in the header, 2 node records allow a span of at "
+        "most 200",
     ),
     "redeclared-node": (
         "H directed\nN a 1\nN a 1\n",

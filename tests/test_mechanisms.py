@@ -1,4 +1,5 @@
-"""Release mechanisms: noise law, determinism, exactness at zero noise."""
+"""Release mechanisms: noise law, determinism, exactness at zero noise, and
+the batch draw bit for bit against a per-trial reference."""
 import numpy as np
 import pytest
 
@@ -15,11 +16,22 @@ from dpgraphseq.errors import (
     NonPositiveScaleError,
     UnsupportedBaselineQueryError,
 )
+from dpgraphseq import mechanisms
+from dpgraphseq.generators import PaTransmissionParams, generate_pa_transmission
+from dpgraphseq.harness import (
+    ExperimentConfig,
+    default_projection_grid,
+    derive_bounds,
+    run_experiment,
+)
 from dpgraphseq.mechanisms import (
     MECHANISMS,
     MechanismConfig,
     laplace_sample,
+    plan,
+    relative_l1_error,
     release,
+    seed_words,
 )
 
 
@@ -226,3 +238,166 @@ def test_sensdiff_partial_sum_noise_grows_with_sqrt_t():
         errs.append(series.estimates[-1] - truth[-1])
     expected = np.sqrt(2) * BOUNDS.d * np.sqrt(9)
     assert np.isclose(np.std(errs), expected, rtol=0.05)
+
+
+# --- the batch draw against a per-trial reference ---------------------------
+
+
+def _reference_draw(p, config):
+    """One trial drawn the way a release drew it before the batch draw: a
+    generator seeded from the list [seed, trial_id, *stream] per arm, a
+    prefix sum for sensdiff, and the arm pick by a Python loop over the
+    relative L1 errors.  Returns (estimates, arm index, noise scale)."""
+    releases = 1 if p.mechanism == "sensdiff" else len(p.truth)
+    drawn = []
+    for arm in p.arms:
+        scale = 0.0 if config.zero_noise else (
+            arm.sensitivity.value * releases / config.epsilon
+        )
+        rng = np.random.default_rng(
+            np.random.SeedSequence([config.seed, config.trial_id, *arm.stream])
+        )
+        noisy = arm.series + laplace_sample(rng, scale, arm.series.shape)
+        if p.mechanism == "sensdiff":
+            noisy = np.cumsum(noisy, axis=0)
+        drawn.append((noisy, scale))
+    pick = 0
+    if len(drawn) > 1:
+        truth = p.truth.tolist()
+        errors = [_loop_rel_l1(noisy.tolist(), truth) for noisy, _ in drawn]
+        pick = errors.index(min(errors))
+    return drawn[pick][0], pick, drawn[pick][1]
+
+
+def _loop_rel_l1(estimates, truth):
+    err = 0.0
+    for est, tru in zip(estimates, truth):
+        if tru != 0:
+            err += abs(est - tru) / tru
+    return err
+
+
+def _pa_fixture():
+    return generate_pa_transmission(
+        PaTransmissionParams(m0=20, arrivals=10, years=8), seed=0
+    )
+
+
+def _plans():
+    """Every mechanism, compose_projection over a grid of candidates, and
+    sensdiff on the degree histogram."""
+    seq = _pa_fixture()
+    bounds = derive_bounds(seq)
+    grid = default_projection_grid(seq)
+    assert len(grid) > 1
+    plans = {
+        mech: plan(mech, seq, EDGE, bounds, candidates=grid) for mech in MECHANISMS
+    }
+    plans["sensdiff/histogram"] = plan(
+        "sensdiff", SEQ, StatisticQuery.degree_histogram(), BOUNDS
+    )
+    return plans
+
+
+@pytest.mark.parametrize(
+    "seed, trials",
+    [
+        (0, range(6)),
+        (2**32 - 1, [0, 7, 2**32 - 1]),
+        (2**32, [2**32, 5]),
+        (2**64 + 3, [2**40 + 1, 0, 3]),
+    ],
+)
+def test_seed_words_match_numpy_seeding(seed, trials):
+    for trial in trials:
+        for stream in [(), (0,), (2, 11)]:
+            want = np.random.SeedSequence([seed, trial, *stream]).generate_state(8)
+            words = np.array(seed_words(seed, trial, *stream), dtype=np.uint32)
+            assert (np.random.SeedSequence(words).generate_state(8) == want).all()
+            config = MechanismConfig(epsilon=1.0, seed=seed, trial_id=trial)
+            reference = np.random.default_rng(
+                np.random.SeedSequence([seed, trial, *stream])
+            )
+            assert (config.rng(*stream).random(4) == reference.random(4)).all()
+    with pytest.raises(ValueError, match="non-negative"):
+        seed_words(0, -1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("zero_noise", [False, True])
+def test_batch_rows_equal_single_draws_bit_for_bit(seed, zero_noise):
+    trial_ids = [0, 1, 2, 5, 2**32 + 1]
+    for name, p in _plans().items():
+        drawn = p.draw_trials(trial_ids, 0.5, seed, zero_noise)
+        assert drawn.estimates.shape == (len(trial_ids), *p.truth.shape)
+        for i, trial in enumerate(trial_ids):
+            config = MechanismConfig(0.5, seed, trial, zero_noise)
+            want, pick, scale = _reference_draw(p, config)
+            assert np.array_equal(drawn.estimates[i], want), (name, trial)
+            assert drawn.picks[i] == pick, name
+            assert drawn.arm_scales[pick] == scale, name
+            series = p.draw(config)
+            assert np.array_equal(np.array(series.estimates), want), (name, trial)
+            assert series.noise_scale == scale
+            assert series.thresholds == p.arms[pick].thresholds
+
+
+def test_chunk_boundaries_never_show(monkeypatch):
+    # At the module's budget: a sensdiff cell a few trials past one chunk.
+    p = plan("sensdiff", SEQ, EDGE, BOUNDS)
+    chunk = mechanisms._CHUNK_ELEMENTS // SEQ.horizon
+    drawn = p.draw_trials(range(chunk + 3), 1.0, seed=2)
+    for trial in (0, chunk - 2, chunk - 1, chunk, chunk + 1, chunk + 2):
+        want, _, _ = _reference_draw(p, MechanismConfig(1.0, 2, trial))
+        assert np.array_equal(drawn.estimates[trial], want), trial
+    plans = _plans()
+    trial_ids = list(range(23))
+    whole = {
+        name: p.draw_trials(trial_ids, 1.0, seed=4) for name, p in plans.items()
+    }
+    # Budgets that cut the cells into chunks of one, a few, or uneven sizes.
+    for budget in (1, 50, 333):
+        monkeypatch.setattr(mechanisms, "_CHUNK_ELEMENTS", budget)
+        for name, p in plans.items():
+            chunked = p.draw_trials(trial_ids, 1.0, seed=4)
+            assert np.array_equal(chunked.estimates, whole[name].estimates), name
+            assert np.array_equal(chunked.picks, whole[name].picks), name
+            for i, trial in enumerate(trial_ids):
+                want, pick, _ = _reference_draw(p, MechanismConfig(1.0, 4, trial))
+                assert np.array_equal(chunked.estimates[i], want), (name, budget)
+                assert chunked.picks[i] == pick
+
+
+def test_batch_draw_checks_epsilon():
+    p = plan("sensdiff", SEQ, EDGE, BOUNDS)
+    for epsilon in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            p.draw_trials([0], epsilon)
+    assert p.draw_trials([], 1.0).estimates.shape == (0, SEQ.horizon)
+
+
+def test_experiment_scores_equal_per_trial_scores_exactly():
+    seq = _pa_fixture()
+    cfg = ExperimentConfig(dataset="pa", seq=seq, query=EDGE, epsilons=(0.5, 4.0),
+                           trials=7, seed=9, tau_percentile=None)
+    rows, summaries = run_experiment(cfg)
+    plans = {
+        mech: plan(mech, seq, EDGE, derive_bounds(seq),
+                   candidates=default_projection_grid(seq))
+        for mech in MECHANISMS
+    }
+    for row in rows:
+        p = plans[row.mechanism]
+        series = p.draw(MechanismConfig(row.epsilon, 9, row.trial))
+        truth = p.truth.tolist()
+        assert (row.rel_l1_error, row.skipped_terms) == relative_l1_error(
+            series.estimates, truth
+        )
+        assert row.rel_l1_error == _loop_rel_l1(series.estimates, truth)
+        assert type(row.rel_l1_error) is float and type(row.skipped_terms) is int
+    for s in summaries:
+        errors = [r.rel_l1_error for r in rows
+                  if (r.mechanism, r.epsilon) == (s.mechanism, s.epsilon)]
+        assert (s.mean_error, s.std_error) == (
+            float(np.mean(errors)), float(np.std(errors))
+        )

@@ -247,3 +247,22 @@ def test_engine_matches_projected_views(seq, d_in, d_out):
     for query in _all_queries(seq.directed):
         engine = exact_values(query, projected)
         assert engine == [evaluate(query, view) for view in views], query.label()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+def test_exact_values_never_decrease_over_time(seq):
+    # Nodes and edges only arrive and degrees only rise, so every scalar
+    # statistic, and every histogram tail sum over d >= b, is nondecreasing.
+    for query in _all_queries(seq.directed):
+        values = exact_values(query, seq)
+        if query.is_scalar:
+            series = [values]
+        else:
+            top = max((d for hist in values for d in hist), default=0)
+            series = [
+                [sum(c for d, c in hist.items() if d >= b) for hist in values]
+                for b in range(top + 1)
+            ]
+        for s in series:
+            assert all(a <= b for a, b in zip(s, s[1:])), (query.label(), s)
