@@ -36,9 +36,6 @@ from .sensitivity import (
 from .statistics import (
     Histogram,
     StatisticQuery,
-    count_high_degree,
-    count_subgraph,
-    degree_histogram,
     evaluate,
     exact_values,
 )
@@ -64,9 +61,6 @@ __all__ = [
     "build_sequence",
     "build_view",
     "canonical_ordering",
-    "count_high_degree",
-    "count_subgraph",
-    "degree_histogram",
     "diff_sequence_sensitivity",
     "dumps_edge_list",
     "evaluate",

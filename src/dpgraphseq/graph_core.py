@@ -22,8 +22,8 @@ cached like `node_time`; the bound check, parameter derivation and the
 degree statistics of `statistics.exact_values` all read it.  At a
 projection's thresholds, over its edge ordering, it is `admit_edges`: the
 admitted sequence, with its walk cached.  The triangle family keeps its own
-neighbour-set walk.  `snapshot` rebuilds the whole graph at one step and is
-the reference all of these are checked against.
+neighbour-set walk.  `snapshot` rebuilds the whole graph at one step; the
+tests check the walk and the bound check against its degrees.
 """
 from __future__ import annotations
 
@@ -448,7 +448,7 @@ def dumps_edge_list(seq: GraphSequence) -> str:
     """The edge-list text of `seq`, its horizon in the header.
 
     Every id loads back as a `str`, so each node id must be a `str` of one
-    whitespace-free token; a batch's nodes load back sorted.  A time-0
+    whitespace-free token; a batch's nodes load back in order.  A time-0
     batch must declare a node: an empty one has no record (the loader
     starts at 0 only for a time-0 node).
     """
@@ -492,7 +492,8 @@ def loads_edge_list(text: str) -> GraphSequence:
     builds more batches than its text justifies; a wider span is an error
     that names the line of the latest time.
 
-    The one header must precede every record.
+    The one header must precede every record.  Each batch lists its nodes
+    in the order of their N records.
     """
     directed = None
     horizon = None
@@ -564,7 +565,8 @@ def loads_edge_list(text: str) -> GraphSequence:
                 f"at most {_SPAN_PER_NODE * len(node_time)}"
             )
     origin = t_min if t_min in (0, 1) else 1
-    # Nodes and edges bucketed by raw time, at index t - t_min.
+    # Nodes and edges bucketed by raw time, at index t - t_min, each in
+    # record order.
     nodes_at: list[list[str]] = [[] for _ in range(t_max - t_min + 1)]
     edges_at: list[list[tuple[str, str]]] = [[] for _ in nodes_at]
     for name, t in node_time.items():
@@ -583,7 +585,7 @@ def loads_edge_list(text: str) -> GraphSequence:
     return build_sequence(
         directed,
         (
-            (origin + i, sorted(nodes), edges)
+            (origin + i, nodes, edges)
             for i, (nodes, edges) in enumerate(zip(nodes_at, edges_at))
         ),
     )

@@ -28,8 +28,9 @@ keeps its lowest-error arm.  Blocks are filled a chunk of trials at a time
 (`_CHUNK_ELEMENTS`), so memory does not grow with trials x T x arms.
 `ReleasePlan.draw` is its one-trial case and `release` is
 ``plan(...).draw(config)``; the harness plans once and draws once per
-sweep cell.  `snapshot` and `evaluate` are not on this path; they are the
-reference the engine is tested against.
+sweep cell.  `snapshot` and `evaluate` (the engine at one snapshot) are
+not on this path; the tests check every release against the naive counts
+of `tests/bruteforce.py`.
 
 Determinism: a trial's noise for the arm with seed stream ``s`` comes from
 ``Generator(PCG64(SeedSequence(seed_words(seed, trial_id, *s))))``, which
@@ -112,9 +113,6 @@ class MechanismConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
-
-    def rng(self, *stream: int) -> np.random.Generator:
-        return _generator(seed_words(self.seed, self.trial_id, *stream))
 
 
 @dataclass(frozen=True)
@@ -303,8 +301,11 @@ def plan(
     sensdiff and compose_bounded need degree bounds, which the sequence must
     respect.  compose_projection needs exactly one of `thresholds` (fixed)
     or `candidates` (one arm each, picked per trial by realized error
-    against the exact unprojected statistic), and a scalar query.
+    against the exact unprojected statistic), and a scalar query.  The
+    sequence needs at least one release step, a batch at t >= 1.
     """
+    if seq.horizon < 1:
+        raise ValueError("the sequence has no release step (no batch at t >= 1)")
     if mechanism == "compose_projection":
         if (thresholds is None) == (not candidates):
             raise ValueError("give either fixed thresholds or a candidate list")

@@ -9,7 +9,9 @@ admission path: `graph_core.admit_edges`, the sequence's degree walk at the
 thresholds' caps over the ordering, which returns the kept edges as a
 sequence with that walk cached, for the mechanisms to feed to the
 statistics engine.  `project_sequence` is `check_ordering`, then `admit`,
-then a `snapshot` of the admitted sequence at each release step.
+then a `snapshot` of the admitted sequence at each release step; no release
+reads its views.  The tests check them, and the sequences `admit` returns,
+against the naive counts of `tests/bruteforce.py`.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Exact graph statistics: the incremental engine and the reference counters.
+"""Exact graph statistics: one incremental engine.
 
 Releases read their exact values from `exact_values(query, seq)`, the one
 entry point of the incremental engine.  It moves f(G) only by what each new
@@ -29,9 +29,10 @@ check and parameter derivation read too; a projected sequence comes with
 the walk its admission recorded.  The triangle family needs neighbour sets,
 not just degrees, and keeps its own walk over per-node sets.
 
-The snapshot counters (`count_high_degree`, `degree_histogram`,
-`count_subgraph`, dispatched by `evaluate`) recount a whole `GraphView`.
-They are the reference the engine is tested against.
+`evaluate(query, view)` is the engine at one snapshot: the view read as a
+single step in which every node arrives.  The reference the engine is
+tested against is not in the package: the tests enumerate every pattern
+copy and recount every degree naively (`tests/bruteforce.py`).
 
 Scalar statistics are exact integer counts; no floating point enters until
 noise is added by a mechanism.  For directed graphs, threshold counts and
@@ -47,7 +48,7 @@ from operator import add, sub
 from typing import Optional, Union
 
 from .errors import PatternDirectionMismatchError
-from .graph_core import DegreeWalk, GraphSequence, GraphView
+from .graph_core import DegreeWalk, GraphSequence, GraphView, build_sequence
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
 DIRECTED_PATTERNS = ("edge", "triangle_i", "triangle_ii", "out_k_star", "in_k_star")
@@ -110,22 +111,6 @@ class StatisticQuery:
         return self.pattern
 
 
-def count_high_degree(g: GraphView, tau: int) -> int:
-    """Number of nodes with (out-)degree >= tau."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    return sum(1 for v in g.nodes if g.out_degree(v) >= tau)
-
-
-def degree_histogram(g: GraphView) -> Histogram:
-    """Sparse (out-)degree histogram; includes degree-0 nodes."""
-    hist: Histogram = {}
-    for v in g.nodes:
-        d = g.out_degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
 def _check_pattern(pattern: str, directed: bool) -> None:
     allowed = DIRECTED_PATTERNS if directed else UNDIRECTED_PATTERNS
     if pattern not in allowed:
@@ -135,48 +120,13 @@ def _check_pattern(pattern: str, directed: bool) -> None:
         )
 
 
-def count_subgraph(g: GraphView, pattern: str, k: Optional[int] = None) -> int:
-    """Exact count of unordered copies of a fixed pattern.
-
-    A k-star copy is a pair (center, size-k subset of the center's
-    neighborhood); for undirected graphs and k=1 this counts every edge
-    twice, once per choice of center.
-    """
-    _check_pattern(pattern, g.directed)
-    if pattern == "edge":
-        return g.num_edges
-    if pattern == "k_star":
-        return sum(comb(g.degree(v), k) for v in g.nodes)
-    if pattern == "out_k_star":
-        return sum(comb(g.out_degree(v), k) for v in g.nodes)
-    if pattern == "in_k_star":
-        return sum(comb(g.in_degree(v), k) for v in g.nodes)
-    # The triangle family intersects (out-)neighbour sets.
-    out = {v: set(g.adjacency[v]) for v in g.nodes}
-    if pattern == "triangle":
-        # Each triangle is seen once per edge.
-        return sum(len(out[u] & out[v]) for u, v in g.edges) // 3
-    total = 0
-    if pattern == "triangle_i":
-        # Directed 3-cycles; each cycle matches three rotations of its edges.
-        for u, v in g.edges:
-            total += sum(1 for w in out[v] if u in out[w])
-        return total // 3
-    # triangle_ii: transitive triangles, counted once at the unique source node.
-    for v1 in g.nodes:
-        succ = g.adjacency[v1]
-        for a in succ:
-            total += sum(1 for b in succ if b != a and b in out[a])
-    return total
-
-
 def evaluate(query: StatisticQuery, g: GraphView) -> StatValue:
-    """Dispatch a query to the matching exact statistic."""
-    if query.kind == "high_degree":
-        return count_high_degree(g, query.tau)
-    if query.kind == "degree_histogram":
-        return degree_histogram(g)
-    return count_subgraph(g, query.pattern, query.k)
+    """f(g): the engine at one snapshot.
+
+    A view is one step in which every node arrives, so its value is the
+    one `exact_values` yields for that step.
+    """
+    return exact_values(query, build_sequence(g.directed, [(1, g.nodes, g.edges)]))[0]
 
 
 # --- incremental engine ---------------------------------------------------
@@ -269,8 +219,8 @@ def exact_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
     one table lookup g(d + 1) - g(d) per moved endpoint; the triangle family
     walks per-node neighbour sets.  Either way each batch costs time in its
     own size.  A time-0 batch (pre-existing nodes) is folded in without a
-    value, as `snapshot` folds it into G_1.  Histograms are sparse maps,
-    equal to `degree_histogram` of the snapshot.
+    value, as `snapshot` folds it into G_1.  Histograms are sparse maps
+    degree -> node count that include degree-0 nodes.
     """
     if query.kind == "subgraph":
         _check_pattern(query.pattern, seq.directed)

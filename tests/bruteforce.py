@@ -3,7 +3,10 @@
 Deliberately naive: enumerate candidate node tuples and test the pattern
 definition edge by edge.  Shares the k-star convention of the library (a
 copy is a (center, size-k neighbor subset) pair), so for undirected graphs
-with k=1 every edge is counted once per orientation.  `capped_digraphs`
+with k=1 every edge is counted once per orientation.  `naive_value` is the
+reference for every exact statistic the package computes: subgraph counts
+by that enumeration, threshold counts and histograms by a per-node degree
+recount; `naive_series` applies it at every release step.  `capped_digraphs`
 is the full-grid reference for the oracle's digraph enumeration,
 `signature_rows` builds and deduplicates signature rows one arrival tuple
 at a time where the oracle builds many tuples' rows at once from
@@ -13,14 +16,16 @@ attach sets where the oracle scores one pair per orbit, and
 role assignment where the oracle expands rows against a table of role
 patterns in array passes.  `naive_diff_sensitivity` is the end-to-end
 reference for the oracle: it enumerates every labelled base sequence and
-every single-node addition and evaluates each snapshot's statistic.
+every single-node addition and counts each snapshot's statistic with
+`naive_value`.  The file imports only `oracle` from the package, whose
+helpers the one-case-at-a-time rebuilds above share.
 """
 import itertools
 from collections import Counter
 
 import numpy as np
 
-from dpgraphseq import build_view, evaluate, oracle
+from dpgraphseq import oracle
 
 
 def _und_adj(nodes, edges):
@@ -92,6 +97,36 @@ def count_directed(pattern, nodes, edges, k=None):
             for _ in itertools.combinations(sorted(inc[center]), k)
         )
     raise ValueError(pattern)
+
+
+def naive_value(query, directed, nodes, edges):
+    """f(G) of the graph on `nodes` and `edges`, counted from scratch.
+
+    Threshold counts and histograms read each node's degree (out-degree if
+    directed) from one pass over the edges; histograms include degree 0.
+    """
+    if query.kind == "subgraph":
+        count = count_directed if directed else count_undirected
+        return count(query.pattern, nodes, edges, query.k)
+    degree = dict.fromkeys(nodes, 0)
+    for u, v in edges:
+        degree[u] += 1
+        if not directed:
+            degree[v] += 1
+    if query.kind == "high_degree":
+        return sum(1 for d in degree.values() if d >= query.tau)
+    return dict(Counter(degree.values()))
+
+
+def naive_series(query, seq):
+    """`naive_value` of the graph after every batch of `seq` at t >= 1."""
+    nodes, edges, values = [], [], []
+    for batch in seq.batches:
+        nodes += batch.nodes
+        edges += batch.edges
+        if batch.time >= 1:
+            values.append(naive_value(query, seq.directed, nodes, edges))
+    return values
 
 
 def capped_digraphs(n, cap_in, cap_out):
@@ -379,7 +414,7 @@ def _naive_diff_distance(query, directed, times_a, edges_a, times_b, edges_b, t_
         for t in range(1, t_max + 1):
             present = {n: tt for n, tt in node_time.items() if tt <= t}
             live = [e for e in edges if max(node_time[e[0]], node_time[e[1]]) <= t]
-            val = evaluate(query, build_view(directed, present, live))
+            val = naive_value(query, directed, present, live)
             if query.is_scalar:
                 out.append(val - prev)
             else:
@@ -428,8 +463,8 @@ def naive_diff_sensitivity(query, bounds, n_max, t_max) -> int:
 
     Every bound-respecting sequence on up to n_max labelled nodes over steps
     1..t_max, every arrival step of the added node and every legal choice of
-    its in- and out-neighbours; each statistic is evaluated snapshot by
-    snapshot.  Only viable for tiny budgets.
+    its in- and out-neighbours; each statistic is counted snapshot by
+    snapshot with `naive_value`.  Only viable for tiny budgets.
     """
     directed = bounds.is_directed
     cap_in, cap_out = bounds.caps

@@ -14,13 +14,9 @@ from dpgraphseq import (
     StatisticQuery,
     build_view,
     canonical_ordering,
-    count_high_degree,
-    count_subgraph,
-    degree_histogram,
     diff_sequence_sensitivity,
     evaluate,
     project_sequence,
-    snapshot,
 )
 from dpgraphseq.generators import (
     PaTransmissionParams,
@@ -32,7 +28,7 @@ from dpgraphseq.harness import ExperimentConfig, derive_bounds, run_experiment
 from dpgraphseq.mechanisms import MechanismConfig, release
 from dpgraphseq.oracle import oracle_diff_sensitivity
 
-from bruteforce import count_directed, count_undirected
+from bruteforce import naive_series, naive_value
 from witnesses import (
     chained_star_pair,
     directed_high_degree_pair,
@@ -46,9 +42,7 @@ def _verdict(label: str, ok: bool):
 
 
 def _diff_sequence(seq, query):
-    values = [
-        evaluate(query, snapshot(seq, t)) for t in range(1, seq.horizon + 1)
-    ]
+    values = naive_series(query, seq)
     return [values[0]] + [b - a for a, b in zip(values, values[1:])]
 
 
@@ -147,7 +141,7 @@ def test_criterion_3_projected_difference_sequence_instability():
 
     def projected_diffs(seq):
         views = project_sequence(seq, canonical_ordering(seq), th)
-        values = [count_high_degree(v, query.tau) for v in views]
+        values = [naive_value(query, False, v.nodes, v.edges) for v in views]
         return [values[0]] + [b - a for a, b in zip(values, values[1:])]
 
     da, db = projected_diffs(base), projected_diffs(extra)
@@ -178,7 +172,7 @@ def test_criterion_4_partial_sum_noise_std():
     query = StatisticQuery.high_degree(1)
     gs = diff_sequence_sensitivity(query, bounds).value
     assert gs == 7
-    truth = float(evaluate(query, snapshot(seq, 9)))
+    truth = float(naive_series(query, seq)[-1])
     start = time.perf_counter()
     errors = np.empty(100_000)
     for trial in range(errors.size):
@@ -300,6 +294,7 @@ def test_criterion_6_error_growth_slopes():
 
 
 def test_criterion_7_statistics_vs_enumeration():
+    # evaluate is the engine releases read, at one snapshot.
     rng = np.random.default_rng(2024)
     ok = True
     for _ in range(200):
@@ -307,8 +302,12 @@ def test_criterion_7_statistics_vs_enumeration():
         directed = bool(rng.integers(2))
         if directed:
             pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+            patterns = ("edge", "triangle_i", "triangle_ii")
+            stars = ("out_k_star", "in_k_star")
         else:
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            patterns = ("edge", "triangle")
+            stars = ("k_star",)
         mask = rng.random(len(pairs)) < 0.4
         edges = [p for p, keep in zip(pairs, mask) if keep]
         g = build_view(
@@ -316,33 +315,15 @@ def test_criterion_7_statistics_vs_enumeration():
             {f"n{i}": 1 for i in range(n)},
             [(f"n{u}", f"n{v}") for u, v in edges],
         )
-        nodes, named = list(g.nodes), list(g.edges)
-        if directed:
-            for p in ("edge", "triangle_i", "triangle_ii"):
-                ok &= count_subgraph(g, p) == count_directed(p, nodes, named)
-            for k in (1, 2, 3):
-                ok &= count_subgraph(g, "out_k_star", k) == count_directed(
-                    "out_k_star", nodes, named, k
-                )
-                ok &= count_subgraph(g, "in_k_star", k) == count_directed(
-                    "in_k_star", nodes, named, k
-                )
-        else:
-            for p in ("edge", "triangle"):
-                ok &= count_subgraph(g, p) == count_undirected(p, nodes, named)
-            for k in (1, 2, 3):
-                ok &= count_subgraph(g, "k_star", k) == count_undirected(
-                    "k_star", nodes, named, k
-                )
-        hist = degree_histogram(g)
-        recount = {}
-        for v in nodes:
-            d = g.out_degree(v) if directed else g.degree(v)
-            recount[d] = recount.get(d, 0) + 1
-        ok &= hist == recount
+        queries = [StatisticQuery.subgraph(p) for p in patterns]
+        queries += [StatisticQuery.subgraph(p, k) for p in stars for k in (1, 2, 3)]
+        queries += [StatisticQuery.high_degree(tau) for tau in (1, 2, 3)]
+        queries.append(StatisticQuery.degree_histogram())
+        for query in queries:
+            ok &= evaluate(query, g) == naive_value(query, directed, g.nodes, g.edges)
     _verdict(
-        "criterion 7: counts match exhaustive enumeration on 200 random "
-        "graphs (<= 6 nodes, every pattern, histogram recount)",
+        "criterion 7: evaluate matches exhaustive enumeration on 200 random "
+        "graphs (<= 6 nodes, every pattern, threshold and histogram recount)",
         ok,
     )
 
@@ -373,8 +354,8 @@ def test_criterion_8_zero_noise_exactness():
         config = MechanismConfig(epsilon=1.0, zero_noise=True)
         for query in scalars + [StatisticQuery.degree_histogram()]:
             series = release("sensdiff", seq, query, config, bounds=bounds)
-            for t, est in enumerate(series.estimates, start=1):
-                exact = evaluate(query, snapshot(seq, t))
+            exact_series = naive_series(query, seq)
+            for est, exact in zip(series.estimates, exact_series, strict=True):
                 if query.is_scalar:
                     ok &= est == exact
                 else:
@@ -383,10 +364,7 @@ def test_criterion_8_zero_noise_exactness():
                         dense[d] = c
                     ok &= bool(np.allclose(est, dense))
         for query in (StatisticQuery.high_degree(1), StatisticQuery.subgraph("edge")):
-            truth = [
-                float(evaluate(query, snapshot(seq, t)))
-                for t in range(1, seq.horizon + 1)
-            ]
+            truth = [float(v) for v in naive_series(query, seq)]
             c = release("compose_bounded", seq, query, config, bounds=bounds)
             ok &= list(c.estimates) == truth
             # Thresholds at the measured maxima drop nothing, so the

@@ -297,16 +297,15 @@ def test_edge_list_round_trip():
 @st.composite
 def gapped_sequences(draw):
     """Sequences with empty steps drawn in after each batch: interior steps
-    and trailing ones.  Nodes are sorted within a batch, as the loader
-    stores them; a drawn empty time-0 batch makes the sequence start at 1,
-    since the format has no record for it."""
+    and trailing ones.  A drawn empty time-0 batch makes the sequence start
+    at 1, since the format has no record for it."""
     directed, batches = draw(raw_batches())
     start = batches[0][0]
     if start == 0 and not batches[0][1]:
         start = 1
     steps = []
     for _, nodes, edges in batches:
-        steps.append((sorted(nodes), edges))
+        steps.append((nodes, edges))
         steps += [([], [])] * draw(st.integers(0, 2))
     return build_sequence(
         directed, [(start + i, nodes, edges) for i, (nodes, edges) in enumerate(steps)]
@@ -337,11 +336,7 @@ def test_generated_fixtures_load_back_unchanged():
     ]
     assert fixtures[-1].horizon == 11
     for seq in fixtures:
-        # The loader stores each batch's nodes sorted.
-        want = build_sequence(
-            seq.directed, [(b.time, sorted(b.nodes), b.edges) for b in seq.batches]
-        )
-        assert loads_edge_list(dumps_edge_list(seq)) == want
+        assert loads_edge_list(dumps_edge_list(seq)) == seq
 
 
 def test_declared_horizon_keeps_steps_as_written():
@@ -389,12 +384,8 @@ _SKIPPED = ("", "   ", "\t", "# a comment", "   # N x 1", "\t#E a b")
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.randoms(use_true_random=False))
 def test_edge_list_loads_back_from_any_record_order(seq, rnd):
-    # The loader sorts each batch's nodes, and starts at 0 only for a
-    # time-0 node.
+    # The loader starts at 0 only for a time-0 node.
     assume(seq.batches[0].nodes or seq.start_time == 1)
-    seq = build_sequence(
-        seq.directed, [(b.time, sorted(b.nodes), b.edges) for b in seq.batches]
-    )
     header, *records = dumps_edge_list(seq).splitlines()
     # dumps writes each batch's N records, then its E records.  Edge order
     # within a batch is part of the sequence, so the E records of one batch
@@ -408,11 +399,19 @@ def test_edge_list_loads_back_from_any_record_order(seq, rnd):
         for i, k in zip(slots, sorted(key[i] for i in slots)):
             key[i] = k
     lines = [rnd.choice(_SKIPPED) for _ in range(rnd.randrange(3))] + [header]
+    # Each batch lists its nodes in the order of their shuffled N records.
+    nodes_at = {batch.time: [] for batch in seq.batches}
     # A stable sort: records whose keys tie keep their order.
     for i in sorted(range(len(records)), key=key.__getitem__):
+        tag, name, *rest = records[i].split()
+        if tag == "N":
+            nodes_at[int(rest[0])].append(name)
         lines += [rnd.choice(_SKIPPED) for _ in range(rnd.randrange(3))]
         lines.append(rnd.choice(("", " ", "\t")) + records[i] + rnd.choice(("", "  ")))
-    assert loads_edge_list("\n".join(lines)) == seq
+    want = build_sequence(
+        seq.directed, [(b.time, nodes_at[b.time], b.edges) for b in seq.batches]
+    )
+    assert loads_edge_list("\n".join(lines)) == want
 
 
 def _text(directed, batches):

@@ -5,11 +5,10 @@ import pytest
 
 from dpgraphseq import (
     DegreeBounds,
+    GraphSequence,
     ProjectionThresholds,
     StatisticQuery,
     build_sequence,
-    snapshot,
-    evaluate,
 )
 from dpgraphseq.errors import (
     BoundViolationError,
@@ -33,6 +32,8 @@ from dpgraphseq.mechanisms import (
     release,
     seed_words,
 )
+
+from bruteforce import naive_series
 
 
 def chain_seq(steps=5):
@@ -103,7 +104,7 @@ def test_runs_are_reproducible_per_seed_and_trial():
 def test_zero_noise_sensdiff_telescopes_exactly():
     config = MechanismConfig(epsilon=1.0, zero_noise=True)
     series = release("sensdiff", SEQ, EDGE, config, bounds=BOUNDS)
-    truth = [evaluate(EDGE, snapshot(SEQ, t)) for t in range(1, SEQ.horizon + 1)]
+    truth = naive_series(EDGE, SEQ)
     assert list(series.estimates) == [float(v) for v in truth]
     assert series.noise_scale == 0.0
 
@@ -112,8 +113,7 @@ def test_zero_noise_histogram_release_is_exact():
     config = MechanismConfig(epsilon=1.0, zero_noise=True)
     hist_q = StatisticQuery.degree_histogram()
     series = release("sensdiff", SEQ, hist_q, config, bounds=BOUNDS)
-    for t, est in enumerate(series.estimates, start=1):
-        exact = evaluate(hist_q, snapshot(SEQ, t))
+    for est, exact in zip(series.estimates, naive_series(hist_q, SEQ), strict=True):
         dense = np.zeros(BOUNDS.d + 1)
         for d, cnt in exact.items():
             dense[d] = cnt
@@ -122,9 +122,7 @@ def test_zero_noise_histogram_release_is_exact():
 
 def test_zero_noise_compose_baselines_are_exact():
     config = MechanismConfig(epsilon=1.0, zero_noise=True)
-    truth = [
-        float(evaluate(EDGE, snapshot(SEQ, t))) for t in range(1, SEQ.horizon + 1)
-    ]
+    truth = [float(v) for v in naive_series(EDGE, SEQ)]
     c = release("compose_bounded", SEQ, EDGE, config, bounds=BOUNDS)
     assert list(c.estimates) == truth
     # Projection with thresholds at the true max degree drops nothing.
@@ -220,12 +218,28 @@ def test_unknown_mechanism():
         release("midpoint", SEQ, EDGE, MechanismConfig(epsilon=1.0), bounds=BOUNDS)
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [build_sequence(False, [(0, ["a", "b"], [("a", "b")])]), GraphSequence.empty()],
+    ids=["time-0-only", "empty"],
+)
+def test_a_sequence_without_release_steps_is_refused(seq):
+    # Nothing arrives at t >= 1, so there is no f(G_t) to release.
+    th = ProjectionThresholds.undirected(1)
+    config = MechanismConfig(epsilon=1.0)
+    for mech in MECHANISMS:
+        with pytest.raises(ValueError, match="no release step"):
+            release(mech, seq, EDGE, config, bounds=BOUNDS, candidates=[th])
+    cfg = ExperimentConfig(dataset="none", seq=seq, query=EDGE, epsilons=(1.0,),
+                           bounds=BOUNDS, candidates=(th,))
+    with pytest.raises(ValueError, match="no release step"):
+        run_experiment(cfg)
+
+
 def test_sensdiff_partial_sum_noise_grows_with_sqrt_t():
     """Error std at step t is sqrt(2) * (GS/eps) * sqrt(t) for sensdiff."""
     seq = chain_seq(9)
-    truth = [
-        float(evaluate(EDGE, snapshot(seq, t))) for t in range(1, seq.horizon + 1)
-    ]
+    truth = [float(v) for v in naive_series(EDGE, seq)]
     errs = []
     for trial in range(4000):
         series = release(
@@ -314,11 +328,6 @@ def test_seed_words_match_numpy_seeding(seed, trials):
             want = np.random.SeedSequence([seed, trial, *stream]).generate_state(8)
             words = np.array(seed_words(seed, trial, *stream), dtype=np.uint32)
             assert (np.random.SeedSequence(words).generate_state(8) == want).all()
-            config = MechanismConfig(epsilon=1.0, seed=seed, trial_id=trial)
-            reference = np.random.default_rng(
-                np.random.SeedSequence([seed, trial, *stream])
-            )
-            assert (config.rng(*stream).random(4) == reference.random(4)).all()
     with pytest.raises(ValueError, match="non-negative"):
         seed_words(0, -1)
 

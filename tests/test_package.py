@@ -45,8 +45,9 @@ def test_generators_run_without_networkx():
 
 def test_parse_ingest_and_exact_values_run_without_numpy():
     # Turning edge-list text into a validated sequence and reading its exact
-    # statistics needs no numpy either, so neither a bench's set-up nor a
-    # CLI command that releases nothing pays numpy's import.
+    # statistics, over the sequence or at one snapshot, needs no numpy
+    # either, so neither a bench's set-up nor a CLI command that releases
+    # nothing pays numpy's import.
     probe = (
         "import sys\n"
         "import dpgraphseq as dg\n"
@@ -57,6 +58,7 @@ def test_parse_ingest_and_exact_values_run_without_numpy():
         "for query in (dg.StatisticQuery.degree_histogram(),\n"
         "              dg.StatisticQuery.subgraph('triangle')):\n"
         "    dg.exact_values(query, seq)\n"
+        "    dg.evaluate(query, dg.snapshot(seq, 3))\n"
         "print('numpy' in sys.modules)"
     )
     assert _fresh_stdout(probe) == "False"

@@ -8,18 +8,14 @@ from dpgraphseq import (
     build_sequence,
     build_view,
     canonical_ordering,
-    count_high_degree,
-    count_subgraph,
-    degree_histogram,
     evaluate,
     exact_values,
     project_sequence,
-    snapshot,
 )
 from dpgraphseq.errors import PatternDirectionMismatchError
 from dpgraphseq.projection import admit
 
-from bruteforce import count_directed, count_undirected
+from bruteforce import naive_series, naive_value
 
 
 def make_view(directed, n, edges):
@@ -29,55 +25,56 @@ def make_view(directed, n, edges):
 
 TRIANGLE_VIEW = make_view(False, 4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 DAG_VIEW = make_view(True, 4, [(0, 1), (0, 2), (1, 2), (2, 0), (2, 3)])
+HIST = StatisticQuery.degree_histogram()
+Q = StatisticQuery.subgraph
 
 
 def test_high_degree_count():
-    assert count_high_degree(TRIANGLE_VIEW, 1) == 4
-    assert count_high_degree(TRIANGLE_VIEW, 2) == 3
-    assert count_high_degree(TRIANGLE_VIEW, 3) == 1
+    def count(g, tau):
+        return evaluate(StatisticQuery.high_degree(tau), g)
+
+    assert count(TRIANGLE_VIEW, 1) == 4
+    assert count(TRIANGLE_VIEW, 2) == 3
+    assert count(TRIANGLE_VIEW, 3) == 1
     # Directed threshold counts look at out-degree.
-    assert count_high_degree(DAG_VIEW, 1) == 3
-    assert count_high_degree(DAG_VIEW, 2) == 2
+    assert count(DAG_VIEW, 1) == 3
+    assert count(DAG_VIEW, 2) == 2
     with pytest.raises(ValueError):
-        count_high_degree(TRIANGLE_VIEW, 0)
+        StatisticQuery.high_degree(0)
 
 
 def test_degree_histogram_includes_isolated_nodes():
     g = make_view(False, 3, [(0, 1)])
-    assert degree_histogram(g) == {1: 2, 0: 1}
-    assert degree_histogram(DAG_VIEW) == {2: 2, 1: 1, 0: 1}
+    assert evaluate(HIST, g) == {1: 2, 0: 1}
+    assert evaluate(HIST, DAG_VIEW) == {2: 2, 1: 1, 0: 1}
 
 
 def test_known_pattern_counts():
-    assert count_subgraph(TRIANGLE_VIEW, "edge") == 4
-    assert count_subgraph(TRIANGLE_VIEW, "triangle") == 1
-    assert count_subgraph(TRIANGLE_VIEW, "k_star", 1) == 8
-    assert count_subgraph(TRIANGLE_VIEW, "k_star", 2) == 5
-    assert count_subgraph(DAG_VIEW, "edge") == 5
-    assert count_subgraph(DAG_VIEW, "triangle_i") == 1
-    assert count_subgraph(DAG_VIEW, "triangle_ii") == 1
-    assert count_subgraph(DAG_VIEW, "out_k_star", 2) == 2
-    assert count_subgraph(DAG_VIEW, "in_k_star", 2) == 1
+    assert evaluate(Q("edge"), TRIANGLE_VIEW) == 4
+    assert evaluate(Q("triangle"), TRIANGLE_VIEW) == 1
+    assert evaluate(Q("k_star", 1), TRIANGLE_VIEW) == 8
+    assert evaluate(Q("k_star", 2), TRIANGLE_VIEW) == 5
+    assert evaluate(Q("edge"), DAG_VIEW) == 5
+    assert evaluate(Q("triangle_i"), DAG_VIEW) == 1
+    assert evaluate(Q("triangle_ii"), DAG_VIEW) == 1
+    assert evaluate(Q("out_k_star", 2), DAG_VIEW) == 2
+    assert evaluate(Q("in_k_star", 2), DAG_VIEW) == 1
 
 
 def test_pattern_direction_mismatch():
     with pytest.raises(PatternDirectionMismatchError):
-        count_subgraph(TRIANGLE_VIEW, "triangle_i")
+        evaluate(Q("triangle_i"), TRIANGLE_VIEW)
     with pytest.raises(PatternDirectionMismatchError):
-        count_subgraph(DAG_VIEW, "triangle")
+        evaluate(Q("triangle"), DAG_VIEW)
     seq = build_sequence(True, [(1, ["a", "b"], [("a", "b")])])
     with pytest.raises(PatternDirectionMismatchError):
-        exact_values(StatisticQuery.subgraph("triangle"), seq)
+        exact_values(Q("triangle"), seq)
 
 
 def test_evaluate_dispatch():
     assert evaluate(StatisticQuery.high_degree(2), TRIANGLE_VIEW) == 3
-    assert evaluate(StatisticQuery.degree_histogram(), TRIANGLE_VIEW) == {
-        2: 2,
-        3: 1,
-        1: 1,
-    }
-    assert evaluate(StatisticQuery.subgraph("triangle"), TRIANGLE_VIEW) == 1
+    assert evaluate(HIST, TRIANGLE_VIEW) == {2: 2, 3: 1, 1: 1}
+    assert evaluate(Q("triangle"), TRIANGLE_VIEW) == 1
 
 
 def test_query_validation():
@@ -125,51 +122,26 @@ def _dir_edges(n):
     return st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
 
 
+def _matches_enumeration(directed, n, edges):
+    g = make_view(directed, n, edges)
+    for query in _all_queries(directed):
+        want = naive_value(query, directed, g.nodes, g.edges)
+        assert evaluate(query, g) == want, query.label()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), _und_edges(n))))
 def test_undirected_counts_match_enumeration(case):
-    n, edges = case
-    g = make_view(False, n, edges)
-    nodes = list(g.nodes)
-    named = list(g.edges)
-    assert count_subgraph(g, "edge") == count_undirected("edge", nodes, named)
-    assert count_subgraph(g, "triangle") == count_undirected(
-        "triangle", nodes, named
-    )
-    for k in (1, 2, 3):
-        assert count_subgraph(g, "k_star", k) == count_undirected(
-            "k_star", nodes, named, k
-        )
-    # Histogram agrees with a per-node recount.
-    hist = degree_histogram(g)
-    for v in nodes:
-        assert hist[g.degree(v)] >= 1
-    assert sum(hist.values()) == n
-    assert sum(d * c for d, c in hist.items()) == 2 * len(named)
+    _matches_enumeration(False, *case)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), _dir_edges(n))))
 def test_directed_counts_match_enumeration(case):
-    n, edges = case
-    g = make_view(True, n, edges)
-    nodes = list(g.nodes)
-    named = list(g.edges)
-    for pattern in ("edge", "triangle_i", "triangle_ii"):
-        assert count_subgraph(g, pattern) == count_directed(pattern, nodes, named)
-    for k in (1, 2, 3):
-        assert count_subgraph(g, "out_k_star", k) == count_directed(
-            "out_k_star", nodes, named, k
-        )
-        assert count_subgraph(g, "in_k_star", k) == count_directed(
-            "in_k_star", nodes, named, k
-        )
-    hist = degree_histogram(g)
-    assert sum(hist.values()) == n
-    assert sum(d * c for d, c in hist.items()) == len(named)
+    _matches_enumeration(True, *case)
 
 
-# --- the incremental engine against snapshot-by-snapshot evaluation -------
+# --- the incremental engine against enumeration at every snapshot --------
 
 
 def _all_queries(directed):
@@ -226,11 +198,7 @@ def sequences():
 @given(sequences())
 def test_engine_matches_snapshot_evaluation(seq):
     for query in _all_queries(seq.directed):
-        engine = exact_values(query, seq)
-        reference = [
-            evaluate(query, snapshot(seq, t)) for t in range(1, seq.horizon + 1)
-        ]
-        assert engine == reference, query.label()
+        assert exact_values(query, seq) == naive_series(query, seq), query.label()
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,7 +214,9 @@ def test_engine_matches_projected_views(seq, d_in, d_out):
     views = project_sequence(seq, ordering, th)
     for query in _all_queries(seq.directed):
         engine = exact_values(query, projected)
-        assert engine == [evaluate(query, view) for view in views], query.label()
+        assert engine == [
+            naive_value(query, view.directed, view.nodes, view.edges) for view in views
+        ], query.label()
 
 
 @settings(max_examples=200, deadline=None)
