@@ -178,16 +178,15 @@ def _walk(
     `steps` gives one edge order per batch of `seq`.  Returns the admitted
     edges, in one flat list, and their walk.
     """
-    out: dict[str, int] = {}
-    # An undirected degree is one counter, read as both the out- and in-side.
-    inn: dict[str, int] = {} if seq.directed else out
+    # Every node's counters start at zero, in arrival order.  An undirected
+    # degree is one counter, read as both the out- and in-side.
+    out = dict.fromkeys(seq.node_time, 0)
+    inn = dict.fromkeys(seq.node_time, 0) if seq.directed else out
     kept: list[Edge] = []
     tail: list[int] = []
     head: list[int] = []
     ends = []
-    for batch, edges in zip(seq.batches, steps):
-        for n in batch.nodes:
-            out[n] = inn[n] = 0
+    for edges in steps:
         for e in edges:
             u, v = e
             # u != v, so in an undirected walk the two reads and the two

@@ -33,16 +33,21 @@ additions one-to-one onto (d_out, d_in)-capped ones and in-stars onto
 out-stars, so the in-star answers of a directed bound are the out-star
 answers of the transposed bound's sweep.  Transposition also preserves
 directed 3-cycle and transitive-triangle counts, so each directed triangle
-sweep runs in its d_out <= d_in orientation, which enumerates fewer masks.
-Capped digraphs are built one node at a time, and a partial graph is
-dropped as soon as some node's in-degree exceeds d_in, so the full grid of
-out-mask tuples is never held.  A signature row sees a node only through
-its spare-capacity flags and, if it can send, its out-mask, so each capped
-graph reduces to one int64 (the senders' out-masks and the spare-out and
-spare-in node bitmasks) and equal graphs are merged first.  Arrival tuples
-are non-decreasing, so the nodes present at a step are the first k of them;
-tables of every node's out-degree into nodes 0..k-1, one per k, give the
-codes of many (tuple, graph) rows per array pass.  Each row is sorted and
+sweep runs in its d_out <= d_in orientation.  The capped digraphs of a
+(d_in, d_out) pair and of its mirror are each other's transposes, so each
+pair is enumerated once, in that d_out <= d_in orientation (fewer out-masks
+per node), and kept read-only in a small cache; the mirror swaps the out-
+and in-mask matrices.  A bound's degree sweep, its in-star sweep and both
+triangle sweeps read the same arrays.  Capped digraphs are built one node
+at a time, and a partial graph is dropped as soon as some node's in-degree
+exceeds d_in, so the full grid of out-mask tuples is never held.  A
+signature row sees a node only through its spare-capacity flags and, if it
+can send, its out-mask, so each capped graph reduces to one int64 (the
+senders' out-masks and the spare-out and spare-in node bitmasks) and equal
+graphs are merged first.  Arrival tuples are non-decreasing, so the nodes
+present at a step are the first k of them; tables of every node's
+out-degree into nodes 0..k-1, one per k, give the codes of many (tuple,
+graph) rows per array pass.  Each row is sorted and
 packed into int64 words, first column in the high bits, so deduplicating
 the words with a sort deduplicates the rows in lexicographic order.  Every
 deduplication here (graphs, rows, profile codes, configuration keys) is
@@ -54,7 +59,12 @@ out-degree trajectory (``min(cap, n_max - 1).bit_length()`` bits each, cap
 being d_out or D), then the spare out-degree and spare in-degree flags.
 Budgets whose code would need more than 63 bits raise
 ``BudgetTooLargeError`` before any enumeration, and so do those whose
-configuration key would.
+configuration key would.  A key is the product of a row's values with a
+0/1 shift pattern, each chosen value landing in its own field, so every
+product and partial sum is an integer below 2**(key bits).  Up to 53 key
+bits that product runs in float64, which holds such integers exactly in any
+summation order, and is cast back; wider keys stay in int64.  Budgets must
+be ints (not bools or floats), or ``TypeError`` is raised.
 """
 from __future__ import annotations
 
@@ -75,6 +85,8 @@ from .statistics import (
 _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 # Most (arrival tuple, graph) rows _signature_rows builds in one array pass.
 _GROUP_ROWS = 1 << 15
+# Widest configuration key _degree_sweep computes in float64 (the mantissa).
+_FLOAT_KEY_BITS = 53
 
 
 def _query_key(query: StatisticQuery):
@@ -90,6 +102,9 @@ def oracle_diff_sensitivity(
     t_max: int,
 ) -> int:
     """Max difference-sequence L1 distance over the budgeted search space."""
+    for name, budget in (("n_max", n_max), ("t_max", t_max)):
+        if not isinstance(budget, int) or isinstance(budget, bool):
+            raise TypeError(f"{name} must be an int, not {type(budget).__name__}")
     if n_max > 7:
         raise BudgetTooLargeError(f"n_max={n_max} exceeds the search budget cap")
     if n_max < 1 or t_max < 1:
@@ -135,6 +150,27 @@ def _directed_graphs(n, cap_in, cap_out):
         out = np.column_stack([out[prefix[keep]], mask[keep]])
         inmask = grown[keep]
     return out, inmask
+
+
+@functools.lru_cache(maxsize=4)
+def _oriented_digraphs(n, cap_in, cap_out):
+    """`_directed_graphs`, kept read-only for every sweep that reads it."""
+    out, inmask = _directed_graphs(n, cap_in, cap_out)
+    out.flags.writeable = inmask.flags.writeable = False
+    return out, inmask
+
+
+def _capped_digraphs(n, cap_in, cap_out):
+    """Read-only (out-mask, in-mask) matrices of every capped digraph.
+
+    Only the cap_out <= cap_in orientation is enumerated, which allows fewer
+    out-masks per node; the other is its transpose, whose out-masks are the
+    in-masks.  Rows are in no particular order.
+    """
+    if cap_out > cap_in:
+        inmask, out = _oriented_digraphs(n, cap_out, cap_in)
+        return out, inmask
+    return _oriented_digraphs(n, cap_in, cap_out)
 
 
 def _spare(masks, cap):
@@ -206,7 +242,7 @@ def _signature_rows(bounds, n, t_max, layout):
     arrival_bits, step_bits, flag_shift = layout
     cap_in, cap_out = bounds.caps
     if bounds.is_directed:
-        out, inmask = _directed_graphs(n, cap_in, cap_out)
+        out, inmask = _capped_digraphs(n, cap_in, cap_out)
     else:
         out = inmask = _undirected_graphs(n, bounds.d)
     # A row sees a node only through its flags and, if it can send, its
@@ -274,7 +310,9 @@ def _role_patterns(n, cap_in, budget_out):
     recv (edge from it) or both.  Send-or-both positions spend the new
     node's in-degree budget, recv-or-both positions its out-degree budget.
     """
-    roles = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.int64)
+    # Row i holds the base-4 digits of i, first position most significant.
+    digit_at = 2 * np.arange(n - 1, -1, -1)
+    roles = np.arange(4**n, dtype=np.int64)[:, None] >> digit_at & 3
     send, recv = roles & 1, roles >> 1
     keep = (send.sum(axis=1) <= cap_in) & (recv.sum(axis=1) <= budget_out)
     return send[keep], recv[keep]
@@ -375,7 +413,8 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     profile_bits = len(codes).bit_length()
     n_affected, n_peers = min(cap_in, n_max), min(budget_out, n_max)
     peer_shift = n_affected * profile_bits
-    if peer_shift + n_peers * arrival_bits > 63:
+    key_bits = peer_shift + n_peers * arrival_bits
+    if key_bits > 63:
         raise BudgetTooLargeError(
             f"{n_affected} profiles of {profile_bits} bits and {n_peers} "
             f"arrivals of {arrival_bits} bits do not fit an int64 key"
@@ -387,11 +426,19 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     recv_at = peer_shift + (np.cumsum(recv, axis=1) - 1).clip(0) * arrival_bits
     weights = (roles << np.concatenate([send_at, recv_at], axis=1)).T
     needs = roles @ bit
+    # Each product and partial sum of a key fills disjoint fields below
+    # 2**key_bits, so a float64 product is exact up to 53 bits whatever the
+    # summation order, and runs through BLAS instead of numpy's int loop.
+    dtype = np.float64 if key_bits <= _FLOAT_KEY_BITS else np.int64
+    weights = weights.astype(dtype, copy=False)
     found = []
     # Row chunks keep the (rows x patterns) expansion small.
     for lo in range(0, len(rows), 512):
         valid = (needs & ~offers[lo:lo + 512, None]) == 0
-        found.append(_unique_rows((values[lo:lo + 512] @ weights)[valid]))
+        packed = values[lo:lo + 512].astype(dtype, copy=False) @ weights
+        found.append(_unique_rows(packed[valid].astype(np.int64)))
+    # The per-row arrays are spent: free them before sorting the union.
+    del rows, flags, arrival, profile, perm, values, offers
     configs = _unique_rows(np.concatenate(found))
 
     trajs = codes[:, None] >> arrival_bits + step_bits * np.arange(t_max)
@@ -455,7 +502,7 @@ def _triangle_sweep(bounds, n_max):
     n = n_max
     if bounds.is_directed:
         cap_in, cap_out = bounds.caps
-        out, inmask = _directed_graphs(n, cap_in, cap_out)
+        out, inmask = _capped_digraphs(n, cap_in, cap_out)
         out_ok, in_ok = _spare(out, cap_out), _spare(inmask, cap_in)
         best_i = 0
         best_ii = 0

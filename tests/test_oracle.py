@@ -146,6 +146,22 @@ def test_budget_cap_and_bad_arguments(monkeypatch):
         oracle_diff_sensitivity(query, bounds, 0, 2)
 
 
+@pytest.mark.parametrize(
+    "n_max,t_max,name",
+    [(True, 2, "n_max"), (3.0, 2, "n_max"), (3, 2.0, "t_max"), (3, True, "t_max")],
+)
+def test_budgets_that_are_not_ints_are_rejected(monkeypatch, n_max, t_max, name):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated graphs for a budget that is not an int")
+
+    monkeypatch.setattr(oracle, "_directed_graphs", no_enumeration)
+    monkeypatch.setattr(oracle, "_undirected_graphs", no_enumeration)
+    for bounds in (DegreeBounds.undirected(2), DegreeBounds.directed(2, 1)):
+        for query in (StatisticQuery.high_degree(1), StatisticQuery.subgraph("edge")):
+            with pytest.raises(TypeError, match=name):
+                oracle_diff_sensitivity(query, bounds, n_max, t_max)
+
+
 def test_configuration_key_too_wide_is_rejected(monkeypatch):
     """Seven affected slots of 512 profiles need 70 bits: no int64 key."""
     bounds = DegreeBounds.undirected(7)
@@ -261,18 +277,26 @@ def _degree_case(n_max, t_max, *caps):
 
 
 # n_max below the caps (n_max = 1, 2 at cap 3) narrows the packed keys.
-@pytest.mark.parametrize(
-    "bounds,n_max,t_max",
-    [
-        _degree_case(n_max, t_max, *caps)
-        for n_max, t_max in [(1, 2), (2, 1), (2, 5), (3, 2), (3, 4), (4, 3)]
-        for caps in [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))
-    ],
-)
+DEGREE_SWEEP_GRID = [
+    _degree_case(n_max, t_max, *caps)
+    for n_max, t_max in [(1, 2), (2, 1), (2, 5), (3, 2), (3, 4), (4, 3)]
+    for caps in [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))
+]
+
+
+@pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
 def test_degree_sweep_matches_configuration_walk(bounds, n_max, t_max):
     assert oracle._degree_sweep(bounds, n_max, t_max, 4) == degree_maxima(
         bounds, n_max, t_max, 4
     )
+
+
+@pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
+def test_int64_configuration_keys_give_the_same_maxima(monkeypatch, bounds, n_max, t_max):
+    """With the float64 key product switched off, the int64 one agrees."""
+    expected = oracle._degree_sweep(bounds, n_max, t_max, 4)
+    monkeypatch.setattr(oracle, "_FLOAT_KEY_BITS", 0)
+    assert oracle._degree_sweep.__wrapped__(bounds, n_max, t_max, 4) == expected
 
 
 # Directed (3,3) at n_max=5 takes seconds in the reference.  At t_max=4 an
@@ -374,6 +398,37 @@ def test_directed_graphs_match_full_grid(n, cap_in, cap_out):
     assert out.dtype == inmask.dtype == np.int64
     assert np.array_equal(out, ref_out)
     assert np.array_equal(inmask, ref_inmask)
+
+
+def _sorted_rows(*columns):
+    rows = np.column_stack(columns)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cap_in,cap_out", list(itertools.product((1, 2, 3), repeat=2)))
+def test_capped_digraphs_match_full_grid_up_to_row_order(n, cap_in, cap_out):
+    """One family per mirrored pair: each side is the other's transpose."""
+    out, inmask = oracle._capped_digraphs(n, cap_in, cap_out)
+    ref_out, ref_inmask = capped_digraphs(n, cap_in, cap_out)
+    assert np.array_equal(_sorted_rows(out, inmask), _sorted_rows(ref_out, ref_inmask))
+    if cap_in != cap_out:
+        mirror_out, mirror_inmask = oracle._capped_digraphs(n, cap_out, cap_in)
+        assert mirror_out is inmask and mirror_inmask is out
+    for array in (out, inmask):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_role_patterns_match_product_table(n):
+    roles = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.int64)
+    send, recv = roles & 1, roles >> 1
+    for cap_in, budget_out in itertools.product((1, 2, 3), (0, 1, 2, 3)):
+        keep = (send.sum(axis=1) <= cap_in) & (recv.sum(axis=1) <= budget_out)
+        got_send, got_recv = oracle._role_patterns(n, cap_in, budget_out)
+        assert np.array_equal(got_send, send[keep])
+        assert np.array_equal(got_recv, recv[keep])
 
 
 def _triangle_case(n, *caps):
