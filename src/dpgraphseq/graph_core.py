@@ -129,6 +129,15 @@ class GraphSequence:
                 times[n] = batch.time
         return times
 
+    @cached_property
+    def _zero_counts(self) -> dict[str, int]:
+        """Every node's counter at zero, in arrival order; `_walk` copies it.
+
+        Cached like `node_time`: not a field, and a sequence extended by
+        `ingest_step` builds its own.
+        """
+        return dict.fromkeys(self.node_time, 0)
+
     def batch_at(self, t: int) -> ArrivalBatch:
         start = self.start_time
         if start is None or not start <= t <= self.horizon:
@@ -178,10 +187,12 @@ def _walk(
     `steps` gives one edge order per batch of `seq`.  Returns the admitted
     edges, in one flat list, and their walk.
     """
-    # Every node's counters start at zero, in arrival order.  An undirected
-    # degree is one counter, read as both the out- and in-side.
-    out = dict.fromkeys(seq.node_time, 0)
-    inn = dict.fromkeys(seq.node_time, 0) if seq.directed else out
+    # Every node's counters start at zero, in arrival order: copies of the
+    # sequence's zero map.  An undirected degree is one counter, read as both
+    # the out- and in-side.
+    zeros = seq._zero_counts
+    out = zeros.copy()
+    inn = zeros.copy() if seq.directed else out
     kept: list[Edge] = []
     tail: list[int] = []
     head: list[int] = []

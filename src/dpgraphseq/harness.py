@@ -21,7 +21,13 @@ import numpy as np
 from .errors import EmptyGraphError
 from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence
 # relative_l1_error is imported for the callers that import it from here.
-from .mechanisms import MECHANISMS, plan, relative_l1_error, relative_l1_errors
+from .mechanisms import (
+    MECHANISMS,
+    _check_seed,
+    plan,
+    relative_l1_error,
+    relative_l1_errors,
+)
 from .projection import ProjectionThresholds
 from .statistics import StatisticQuery
 
@@ -160,6 +166,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        _check_seed("seed", self.seed)
         if not self.epsilons or not all(0 < e < math.inf for e in self.epsilons):
             raise ValueError("epsilon grid must be finite and positive")
         unknown = set(self.mechanisms) - set(MECHANISMS)

@@ -37,10 +37,15 @@ Determinism: a trial's noise for the arm with seed stream ``s`` comes from
 draws exactly the bits of ``SeedSequence([seed, trial_id, *s])``, so a
 (seed, trial_id) pair fully reproduces a run.  `seed_words` is the one
 seeding definition; the words of the seed and of each stream are built
-once per draw, not once per trial.
+once per draw, not once per trial.  numpy builds a draw's first generator;
+every later (arm, trial) key reseeds it through ``bit_generator.state``
+with the state `_pcg64_states` computes for all keys of a chunk in one
+array pass of SeedSequence's hashing and PCG64's seeding, bit for bit the
+state numpy would build (the tests check it against numpy).
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -96,10 +101,102 @@ def seed_words(*values: int) -> list[int]:
     return words
 
 
+def _check_seed(name: str, value) -> None:
+    """`seed_words`' input rule, checked where a config names the field."""
+    if type(value) is not int:  # refuses bools and numpy ints too
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def _generator(words: list[int]) -> np.random.Generator:
     random = np.random
     return random.Generator(random.PCG64(random.SeedSequence(
         np.array(words, dtype=np.uint32))))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, calls: int):
+    """The (xor, multiply) uint32 constants of `calls` successive hashes.
+
+    Hash k xors with init * mult**k and multiplies by init * mult**(k+1),
+    whatever the data, so a run of hashes is tabled once (read-only).
+    """
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts[:-1], consts[1:]
+
+
+def _hash(values, xor, mul):
+    values = (values ^ xor) * mul
+    return values ^ (values >> 16)
+
+
+def _mix(x, y):
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _pcg64_states(entropy: np.ndarray) -> list[dict]:
+    """``PCG64(SeedSequence(row)).state`` for every row of a uint32 matrix.
+
+    SeedSequence's 4-word pool and ``generate_state(4, uint64)`` run as
+    uint32 array passes over all rows (each step of numpy's loops reads
+    columns the same step does not write); PCG64's two seeding steps run
+    on Python ints.
+    """
+    rows, width = entropy.shape
+    # Four init hashes, 12 cross-mix hashes, four per word beyond the pool.
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
+    pool = np.zeros((rows, 4), dtype=np.uint32)
+    pool[:, :width] = entropy[:, :4]
+    pool = _hash(pool, xor[:4], mul[:4])
+    at = 4
+    for src in range(4):
+        # Column src, hashed once per other column, mixes into each of them.
+        dst = [d for d in range(4) if d != src]
+        hashed = _hash(pool[:, src, None], xor[at:at + 3], mul[at:at + 3])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        at += 3
+    for src in range(4, width):
+        hashed = _hash(entropy[:, src, None], xor[at:at + 4], mul[at:at + 4])
+        pool = _mix(pool, hashed)
+        at += 4
+    # generate_state cycles the pool twice; uint64 word j is words 2j, 2j+1.
+    words = _hash(pool[:, [0, 1, 2, 3] * 2], *_hash_constants(_INIT_B, _MULT_B, 8))
+    words = words.astype(np.uint64)
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in (
+        words[:, 0::2] | words[:, 1::2] << np.uint64(32)
+    ).tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK_128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _reseed_states(keys: list[list[int]]) -> list[dict]:
+    """`_pcg64_states` of each key's entropy, in order: one pass per width."""
+    states: list = [None] * len(keys)
+    for width in {len(entropy) for entropy in keys}:
+        at = [j for j, entropy in enumerate(keys) if len(entropy) == width]
+        rows = np.array([keys[j] for j in at], dtype=np.uint32)
+        for j, state in zip(at, _pcg64_states(rows)):
+            states[j] = state
+    return states
 
 
 @dataclass(frozen=True)
@@ -113,6 +210,8 @@ class MechanismConfig:
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
+        _check_seed("seed", self.seed)
+        _check_seed("trial_id", self.trial_id)
 
 
 @dataclass(frozen=True)
@@ -234,27 +333,40 @@ class ReleasePlan:
         # sensdiff spends epsilon once on Delta; composition spends epsilon/T
         # on each of the T releases.
         releases = 1 if self.mechanism == "sensdiff" else len(self.truth)
-        scales = tuple(
+        scales = tuple([
             0.0 if zero_noise else arm.sensitivity.value * releases / epsilon
             for arm in arms
-        )
+        ])
         shape = self.truth.shape
         head = seed_words(seed)
         tails = [seed_words(*arm.stream) for arm in arms]
+        noised_arms = len(scales) - scales.count(0.0)
         chunk = max(1, _CHUNK_ELEMENTS // (len(arms) * self.truth.size))
         estimates = np.empty((len(trial_ids), *shape))
         picks = np.zeros(len(trial_ids), dtype=np.intp)
+        rng = None
         for lo in range(0, len(trial_ids), chunk):
             words = [seed_words(t) for t in trial_ids[lo:lo + chunk]]
             out = estimates[lo:lo + len(words)]
             # One (trials, T[, bins]) block per arm; a lone arm fills `out`.
             noisy = out[None] if len(arms) == 1 else np.empty((len(arms), *out.shape))
+            # Every (arm, trial) key drawn but the call's first reseeds one
+            # generator: their states come from one array pass, in draw order.
+            states = None
+            if noised_arms * len(words) > (rng is None):
+                keys = [head + trial + tail
+                        for tail, scale in zip(tails, scales) if scale for trial in words]
+                states = iter(_reseed_states(keys[rng is None:]))
             for block, arm, scale, tail in zip(noisy, arms, scales, tails):
                 if scale == 0:
                     block.fill(0.0)
                 else:
                     for i, trial in enumerate(words):
-                        rng = _generator(head + trial + tail)
+                        if rng is None:
+                            # The call's first key gets numpy's own seeding.
+                            rng = _generator(head + trial + tail)
+                        else:
+                            rng.bit_generator.state = next(states)
                         block[i] = laplace_sample(rng, scale, shape)
                 block += arm.series
             if self.mechanism == "sensdiff":

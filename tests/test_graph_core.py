@@ -29,7 +29,7 @@ from dpgraphseq.generators import (
     generate_pa_transmission,
     generate_sir_transmission,
 )
-from dpgraphseq.graph_core import canonical_edge
+from dpgraphseq.graph_core import admit_edges, canonical_edge
 
 from test_statistics import raw_batches, sequences
 
@@ -271,6 +271,49 @@ def test_degree_walk_cache_is_neither_compared_nor_inherited():
     assert child.degree_walk.ends == (1, 3, 4, 5)
     assert child.degree_walk.out["c"] == 4
     assert parent.degree_walk is walk and walk.out["c"] == 3
+
+
+def _directed_seq():
+    return build_sequence(
+        True,
+        [
+            (1, ["a", "b"], [("a", "b")]),
+            (2, ["c"], [("c", "a"), ("b", "c"), ("a", "c")]),
+            (3, ["d"], [("d", "c"), ("c", "d"), ("d", "a")]),
+        ],
+    )
+
+
+@pytest.mark.parametrize("seq", [small_seq(), _directed_seq()], ids=["undirected", "directed"])
+def test_walks_start_from_copies_of_a_cached_zero_map(seq):
+    steps = [batch.edges for batch in seq.batches]
+    walks = [seq.degree_walk] + [
+        admit_edges(seq, steps, caps).degree_walk for caps in [(1, 1), (1, 2), (2, 1), (3, 3)]
+    ]
+    zeros = seq.__dict__["_zero_counts"]
+    assert zeros == dict.fromkeys(seq.node_time, 0)
+    assert list(zeros) == list(seq.node_time)
+    for walk in walks:
+        assert walk.out is not zeros and walk.inn is not zeros
+        assert (walk.out is walk.inn) == (not seq.directed)
+        assert list(walk.out) == list(walk.inn) == list(seq.node_time)
+    # At the tightest caps each node keeps at most one edge on each side.
+    assert max(walks[1].out.values()) == max(walks[1].inn.values()) == 1
+    assert seq.degree_walk.out != zeros
+
+
+def test_zero_map_cache_is_neither_compared_nor_inherited():
+    parent = small_seq()
+    zeros = parent._zero_counts
+    assert parent._zero_counts is zeros
+    fresh = GraphSequence(directed=False, batches=parent.batches)
+    assert "_zero_counts" not in fresh.__dict__
+    assert fresh == parent
+    child = ingest_step(parent, 4, ["e"], [("e", "c")])
+    assert "_zero_counts" not in child.__dict__
+    assert child.degree_walk.out == {"a": 2, "b": 2, "c": 4, "d": 1, "e": 1}
+    assert child._zero_counts == dict.fromkeys("abcde", 0)
+    assert parent._zero_counts is zeros and zeros == dict.fromkeys("abcd", 0)
 
 
 def test_degree_bounds_validation():

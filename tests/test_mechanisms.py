@@ -2,6 +2,7 @@
 the batch draw bit for bit against a per-trial reference."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -69,6 +70,31 @@ def test_config_validation():
         MechanismConfig(epsilon=float("nan"))
     with pytest.raises(ValueError):
         MechanismConfig(epsilon=float("inf"))
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("seed", -1, ValueError),
+        ("seed", 2.0, TypeError),
+        ("seed", True, TypeError),
+        ("seed", np.int64(3), TypeError),
+        ("trial_id", -1, ValueError),
+        ("trial_id", True, TypeError),
+        ("trial_id", "4", TypeError),
+    ],
+)
+def test_config_rejects_seeds_and_trials_that_are_not_non_negative_ints(
+    field, value, error
+):
+    with pytest.raises(error, match=f"^{field} must be"):
+        MechanismConfig(1.0, **{field: value})
+    if field == "seed":
+        with pytest.raises(error, match="^seed must be"):
+            ExperimentConfig(dataset="chain", seq=SEQ, query=EDGE, epsilons=(1.0,),
+                             seed=value)
+    # Any size of non-negative int seeds a draw.
+    MechanismConfig(1.0, **{field: 2**64 + 3})
 
 
 def test_noise_scales_follow_the_budgets():
@@ -330,6 +356,23 @@ def test_seed_words_match_numpy_seeding(seed, trials):
             assert (np.random.SeedSequence(words).generate_state(8) == want).all()
     with pytest.raises(ValueError, match="non-negative"):
         seed_words(0, -1)
+
+
+_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda width: st.lists(st.lists(_WORD, min_size=width, max_size=width),
+                           min_size=1, max_size=50)
+))
+@example([[2**32 - 1] * 9])
+@example([[0]])
+def test_pcg64_states_match_numpy_seeding(rows):
+    # Widths above 4 take SeedSequence's extra mixing of words past the pool.
+    entropy = np.array(rows, dtype=np.uint32)
+    want = [np.random.PCG64(np.random.SeedSequence(row)).state for row in entropy]
+    assert mechanisms._pcg64_states(entropy) == want
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3])
