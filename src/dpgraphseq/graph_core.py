@@ -15,15 +15,19 @@ header) on its first branch and buckets nodes and edges by time, one
 node-time read per endpoint, before it hands the batches to that validator.
 
 One walk over a sequence records every edge's endpoint degrees just before
-it joins (`DegreeWalk`).  It admits the edges of each step, in a given
-order, while both endpoint counters sit below a pair of caps.  With no caps,
-in arrival order, it is the sequence's own `degree_walk`, computed once and
-cached like `node_time`; the bound check, parameter derivation and the
-degree statistics of `statistics.exact_values` all read it.  At a
-projection's thresholds, over its edge ordering, it is `admit_edges`: the
-admitted sequence, with its walk cached.  The triangle family keeps its own
-neighbour-set walk.  `snapshot` rebuilds the whole graph at one step; the
-tests check the walk and the bound check against its degrees.
+it joins (`DegreeWalk`), and each side's largest counter as it admits the
+edge, so no reader rescans every node for a maximum.  It admits the edges
+of each step, in a given order, while both endpoint counters sit below a
+pair of caps.  With no caps, in arrival order, it is the sequence's own
+`degree_walk`, computed once and cached like `node_time`; the bound check,
+parameter derivation and the degree statistics of
+`statistics.exact_values` all read it.  At a projection's thresholds, over
+its edge ordering, it is an admission walk: a projection arm of a degree
+statistic reads that walk alone, and `admitted_sequence` builds the kept
+edges into a sequence with the walk cached (`admit_edges` does both).  The
+triangle family keeps its own neighbour-set walk.  `snapshot` rebuilds the
+whole graph at one step; the tests check the walk and the bound check
+against its degrees.
 """
 from __future__ import annotations
 
@@ -165,7 +169,9 @@ class DegreeWalk:
     both read before it joins; an undirected degree is one counter, read as
     both sides.  Batch j holds edges ends[j-1] (0 for j = 0) to ends[j] - 1.
     `out` and `inn` are every node's final counters, zeros included, and the
-    same map when undirected.
+    same map when undirected.  `largest` is (largest in-counter, largest
+    out-counter), 0 for no edge; an undirected walk reports its one
+    counter's maximum on both sides.
 
     Each degree statistic moves by an amount fixed by these pre-edge
     degrees, so the bound check, parameter derivation and the degree
@@ -177,6 +183,7 @@ class DegreeWalk:
     ends: tuple[int, ...]
     out: dict[str, int]
     inn: dict[str, int]
+    largest: tuple[int, int]
 
 
 def _walk(
@@ -197,6 +204,8 @@ def _walk(
     tail: list[int] = []
     head: list[int] = []
     ends = []
+    # Each side's largest counter, raised as an admitted edge lifts it.
+    top_in = top_out = 0
     for edges in steps:
         for e in edges:
             u, v = e
@@ -210,18 +219,34 @@ def _walk(
                 head.append(d_head)
                 out[u] = d_tail + 1
                 inn[v] = d_head + 1
+                if d_tail >= top_out:
+                    top_out = d_tail + 1
+                if d_head >= top_in:
+                    top_in = d_head + 1
         ends.append(len(tail))
-    return kept, DegreeWalk(tuple(tail), tuple(head), tuple(ends), out, inn)
+    if not seq.directed:
+        # One counter: a node lifted as a tail and one lifted as a head
+        # count alike.
+        top_in = top_out = max(top_in, top_out)
+    return kept, DegreeWalk(
+        tuple(tail), tuple(head), tuple(ends), out, inn, (top_in, top_out)
+    )
 
 
 def admit_edges(
     seq: GraphSequence, steps: Iterable[Iterable[Edge]], caps: tuple[int, int]
 ) -> GraphSequence:
-    """The edges `_walk` admits at `caps` (cap_in, cap_out), walk cached.
+    """The edges `_walk` admits at `caps` (cap_in, cap_out), walk cached."""
+    return admitted_sequence(seq, *_walk(seq, steps, *caps))
+
+
+def admitted_sequence(
+    seq: GraphSequence, kept: list[Edge], walk: DegreeWalk
+) -> GraphSequence:
+    """The kept edges of a `_walk` over `seq` as a sequence, `walk` cached.
 
     Each batch keeps its time and nodes and the edges admitted at its step.
     """
-    kept, walk = _walk(seq, steps, *caps)
     batches = tuple(
         ArrivalBatch(batch.time, batch.nodes, tuple(kept[start:end]))
         for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends)
@@ -413,16 +438,16 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
 
     Returns None when every snapshot satisfies the bound, otherwise the first
     (t, node, observed degree) crossing it.  Degrees are nondecreasing, so
-    the final counters of the sequence's degree walk decide whether the bound
-    holds, and only a violated bound scans the walk for its first crossing.
+    the largest counters of the sequence's degree walk decide whether the
+    bound holds, and only a violated bound scans the walk for its first
+    crossing.
     """
     if bounds.is_directed != seq.directed:
         raise ModeMismatchError("bounds mode does not match sequence directedness")
     cap_in, cap_out = bounds.caps
     walk = seq.degree_walk
-    if max(walk.out.values(), default=0) <= cap_out and max(
-        walk.inn.values(), default=0
-    ) <= cap_in:
+    largest_in, largest_out = walk.largest
+    if largest_in <= cap_in and largest_out <= cap_out:
         return None
     # An edge whose endpoint sits at the cap before it joins lifts that
     # endpoint over the cap; the tail's side is checked first.

@@ -44,15 +44,20 @@ CSV_COLUMNS = (
 )
 
 
+def _node_walk(seq: GraphSequence):
+    """The sequence's degree walk; a sequence without nodes has no degrees."""
+    if not seq.node_time:
+        raise EmptyGraphError("sequence has no nodes")
+    return seq.degree_walk
+
+
 def _final_degrees(seq: GraphSequence):
     """(in-degrees, out-degrees) of every node at the horizon, zeros included.
 
     They are the final counters of the sequence's degree walk; an undirected
     degree is one counter, read as both sides.
     """
-    if not seq.node_time:
-        raise EmptyGraphError("sequence has no nodes")
-    walk = seq.degree_walk
+    walk = _node_walk(seq)
     return list(walk.inn.values()), list(walk.out.values())
 
 
@@ -76,7 +81,7 @@ def derive_bounds(seq: GraphSequence, granularity: int = 5) -> DegreeBounds:
     def up(d):
         return max(granularity, -(-d // granularity) * granularity)
 
-    d_in, d_out = (up(max(degrees)) for degrees in _final_degrees(seq))
+    d_in, d_out = (up(d) for d in _node_walk(seq).largest)
     if seq.directed:
         return DegreeBounds.directed(d_in, d_out)
     return DegreeBounds.undirected(d_out)

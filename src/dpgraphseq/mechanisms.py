@@ -13,19 +13,21 @@ Three mechanisms share one interface and return a ReleaseSeries:
   callers who need end-to-end privacy must fix the thresholds up front).
 
 A release has two halves.  `plan` draws no noise: it checks the inputs and
-reads every exact series from `statistics.exact_values(query, seq)`: the
-truth f(G_1..G_T) and one *arm* per series to noise, i.e. sensdiff's
-difference sequence, compose_bounded's f, or each compose_projection
-candidate's projected f.  The bound check and every degree statistic read
-a sequence's cached degree walk; each candidate is `projection.admit`, the
-same walk at the candidate's caps, which leaves the projected sequence's
-walk cached.  `ReleasePlan.draw_trials` is the only noise code: it draws
-many trials at one epsilon and seed in array passes.  Each arm fills a
+reads every exact series from the statistics engine: the truth f(G_1..G_T)
+and one *arm* per series to noise, i.e. sensdiff's difference sequence,
+compose_bounded's f, or each compose_projection candidate's projected f.
+The bound check and every degree statistic read a sequence's cached degree
+walk.  Each candidate is one `projection.admission_walk`, the same walk at
+the candidate's caps, and its arm is `statistics.admitted_values` of that
+walk: a degree statistic reads the walk over the parent's batches, and
+only the triangle family builds the projected sequence.
+`ReleasePlan.draw_trials` is the only noise code: it draws many trials at
+one epsilon and seed in array passes.  Each arm fills a
 (trials, T[, bins]) noise block, one row per trial from that trial's own
-generator; sensdiff takes one prefix sum along the step axis; several arms
-are scored against the truth at once (`relative_l1_errors`) and each trial
-keeps its lowest-error arm.  Blocks are filled a chunk of trials at a time
-(`_CHUNK_ELEMENTS`), so memory does not grow with trials x T x arms.
+generator; sensdiff takes one prefix sum along the step axis; several
+arms are scored against the truth at once (`relative_l1_errors`) and each
+trial keeps its lowest-error arm.  Blocks are filled a chunk of trials at a
+time (`_CHUNK_ELEMENTS`), so memory does not grow with trials x T x arms.
 `ReleasePlan.draw` is its one-trial case and `release` is
 ``plan(...).draw(config)``; the harness plans once and draws once per
 sweep cell.  `snapshot` and `evaluate` (the engine at one snapshot) are
@@ -60,14 +62,14 @@ from .errors import (
     UnsupportedBaselineQueryError,
 )
 from .graph_core import DegreeBounds, GraphSequence, verify_bounds
-from .projection import ProjectionThresholds, admit, canonical_ordering
+from .projection import ProjectionThresholds, admission_walk, canonical_ordering
 from .sensitivity import (
     SensitivityReport,
     diff_sequence_sensitivity,
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery, exact_values
+from .statistics import StatisticQuery, admitted_values, exact_values
 
 MECHANISMS = ("sensdiff", "compose_bounded", "compose_projection")
 
@@ -426,12 +428,17 @@ def plan(
                 "projection baseline releases scalar statistics only"
             )
         truth = _exact_scalars(query, seq)
-        # The canonical ordering covers every batch by construction.
+        # The canonical ordering covers every batch by construction.  Each
+        # arm's sensitivity is computed before its walk, so an infeasible
+        # threshold is reported first.
         ordering = canonical_ordering(seq)
         arms = tuple(
             ReleaseArm(
                 sensitivity=projected_sensitivity(query, th),
-                series=_exact_scalars(query, admit(seq, ordering, th)),
+                series=np.fromiter(
+                    admitted_values(query, seq, *admission_walk(seq, ordering, th)),
+                    dtype=float,
+                ),
                 stream=(2, i),
                 thresholds=th,
             )

@@ -4,14 +4,17 @@ Edges are considered one by one in a fixed ordering that respects edge time
 stamps; an edge is admitted only while both endpoint counters sit strictly
 below the projection thresholds.  Admission state is kept across steps, so
 projected edge sets are nested over time.  `check_ordering` validates an
-ordering once, before any number of admissions.  `admit` is the one
-admission path: `graph_core.admit_edges`, the sequence's degree walk at the
-thresholds' caps over the ordering, which returns the kept edges as a
-sequence with that walk cached, for the mechanisms to feed to the
-statistics engine.  `project_sequence` is `check_ordering`, then `admit`,
-then a `snapshot` of the admitted sequence at each release step; no release
-reads its views.  The tests check them, and the sequences `admit` returns,
-against the naive counts of `tests/bruteforce.py`.
+ordering once, before any number of admissions.  Admission has two halves,
+both on graph_core's one degree walk.  `admission_walk` checks the
+thresholds' mode, looks up each batch's step of the ordering and walks the
+sequence at the thresholds' caps: it returns the kept edges and their walk,
+which is all a degree statistic's projection arm reads
+(`statistics.admitted_values`).  `admit` builds that walk into the
+admitted sequence, its walk cached, with `graph_core.admitted_sequence`.
+`project_sequence` is `check_ordering`, then `admit`, then a `snapshot` of
+the admitted sequence at each release step; no release reads its views.
+The tests check them, and the sequences `admit` returns, against the naive
+counts of `tests/bruteforce.py`.
 """
 from __future__ import annotations
 
@@ -20,10 +23,12 @@ from dataclasses import dataclass
 from .errors import OrderingMismatchError
 from .graph_core import (
     DegreeBounds,
+    DegreeWalk,
     Edge,
     GraphSequence,
     GraphView,
-    admit_edges,
+    _walk,
+    admitted_sequence,
     snapshot,
 )
 
@@ -73,19 +78,37 @@ def check_ordering(seq: GraphSequence, ordering: EdgeOrdering) -> None:
             )
 
 
+def admission_walk(
+    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
+) -> tuple[list[Edge], DegreeWalk]:
+    """The edges the online projection keeps, in one flat list, and their walk.
+
+    Admission state is shared across steps.  A threshold mode unlike the
+    sequence's, or an ordering without a step of some batch, raises
+    `OrderingMismatchError` before the walk; that an ordering covers each
+    batch's edges exactly is `check_ordering`'s to validate.
+    """
+    if th.is_directed != seq.directed:
+        raise OrderingMismatchError("threshold mode does not match the sequence")
+    order_at = dict(ordering.steps).get
+    steps = []
+    for batch in seq.batches:
+        edges = order_at(batch.time)
+        if edges is None:
+            raise OrderingMismatchError(f"ordering has no step t={batch.time}")
+        steps.append(edges)
+    return _walk(seq, steps, *th.caps)
+
+
 def admit(
     seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
 ) -> GraphSequence:
     """Online projection as a sequence whose degree walk is already cached.
 
-    Each batch keeps its nodes and the edges admitted at its step, with
-    admission state shared across steps.  The ordering must have passed
-    `check_ordering`.
+    Each batch keeps its nodes and the edges `admission_walk` admitted at
+    its step.  The ordering must have passed `check_ordering`.
     """
-    if th.is_directed != seq.directed:
-        raise OrderingMismatchError("threshold mode does not match the sequence")
-    order_by_time = dict(ordering.steps)
-    return admit_edges(seq, [order_by_time[b.time] for b in seq.batches], th.caps)
+    return admitted_sequence(seq, *admission_walk(seq, ordering, th))
 
 
 def project_sequence(

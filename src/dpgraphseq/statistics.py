@@ -23,11 +23,15 @@ sequence f(G_t) - f(G_{t-1}) depends only on batch t.
 
 Every degree statistic is f = sum over nodes of g(degree).  For the scalar
 ones `_degree_table` is the one definition of g, read by this engine and by
-the oracle's sweep: increments are its steps g(d + 1) - g(d) at the
-pre-edge degrees d of the sequence's cached `DegreeWalk`, which the bound
-check and parameter derivation read too; a projected sequence comes with
-the walk its admission recorded.  The triangle family needs neighbour sets,
-not just degrees, and keeps its own walk over per-node sets.
+the oracle's sweep.  The degree engine reads a `DegreeWalk` plus the
+batches' times and nodes: increments are g's steps g(d + 1) - g(d) at the
+walk's pre-edge degrees d, and the table stops at the walk's largest
+counter.  `exact_values` hands it the sequence's cached walk, which the
+bound check and parameter derivation read too.  `admitted_values` hands it
+a projection's admission walk over the parent's batches, which have the
+projected sequence's times and nodes, so a degree arm builds no sequence.
+The triangle family needs neighbour sets, not just degrees, and keeps its
+own walk over per-node sets, of the kept edges for a projection.
 
 `evaluate(query, view)` is the engine at one snapshot: the view read as a
 single step in which every node arrives.  The reference the engine is
@@ -48,7 +52,14 @@ from operator import add, sub
 from typing import Optional, Union
 
 from .errors import PatternDirectionMismatchError
-from .graph_core import DegreeWalk, GraphSequence, GraphView, build_sequence
+from .graph_core import (
+    DegreeWalk,
+    Edge,
+    GraphSequence,
+    GraphView,
+    admitted_sequence,
+    build_sequence,
+)
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
 DIRECTED_PATTERNS = ("edge", "triangle_i", "triangle_ii", "out_k_star", "in_k_star")
@@ -158,11 +169,13 @@ def _moved_sides(
     return [walk.tail, walk.head]
 
 
-def _degree_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
-    walk = seq.degree_walk
+def _degree_values(
+    query: StatisticQuery, seq: GraphSequence, walk: DegreeWalk
+) -> list[StatValue]:
+    """The degree engine over `walk`, a walk of `seq`'s batches."""
     sides = _moved_sides(query, seq.directed, walk)
-    # No degree, on either side, ever exceeds the largest final counter.
-    top = max(max(walk.out.values(), default=0), max(walk.inn.values(), default=0))
+    # No degree, on either side, ever exceeds the walk's largest counter.
+    top = max(walk.largest)
     if query.kind == "degree_histogram":
         # A node enters bin 0 when it arrives, and each moved endpoint leaves
         # the bin of its pre-edge degree d for bin d + 1 <= top.
@@ -226,4 +239,23 @@ def exact_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
         _check_pattern(query.pattern, seq.directed)
         if query.pattern.startswith("triangle"):
             return _triangle_values(query.pattern, seq)
-    return _degree_values(query, seq)
+    return _degree_values(query, seq, seq.degree_walk)
+
+
+def admitted_values(
+    query: StatisticQuery, seq: GraphSequence, kept: list[Edge], walk: DegreeWalk
+) -> list[StatValue]:
+    """`exact_values` of the sequence a walk over `seq` admitted.
+
+    ``(kept, walk)`` is an admission walk over `seq`, such as
+    `projection.admission_walk`'s, so the value equals
+    ``exact_values(query, admitted_sequence(seq, kept, walk))``.  The
+    admitted sequence has `seq`'s batch times and nodes, so a degree
+    statistic reads `seq`'s batches and the walk and builds no sequence;
+    the triangle family walks the kept edges.
+    """
+    if query.kind == "subgraph":
+        _check_pattern(query.pattern, seq.directed)
+        if query.pattern.startswith("triangle"):
+            return _triangle_values(query.pattern, admitted_sequence(seq, kept, walk))
+    return _degree_values(query, seq, walk)

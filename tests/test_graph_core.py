@@ -1,8 +1,9 @@
 """Sequence ingestion, snapshots, bound checks, and the edge-list format."""
+import itertools
 import re
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -300,6 +301,26 @@ def test_walks_start_from_copies_of_a_cached_zero_map(seq):
     # At the tightest caps each node keeps at most one edge on each side.
     assert max(walks[1].out.values()) == max(walks[1].inn.values()) == 1
     assert seq.degree_walk.out != zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences())
+@example(GraphSequence.empty(False))
+@example(GraphSequence.empty(True))
+@example(build_sequence(False, [(0, ["a"], []), (1, ["b", "c"], [])]))
+@example(build_sequence(True, [(1, ["a", "b"], [])]))
+def test_walks_record_their_largest_counters(seq):
+    steps = [batch.edges for batch in seq.batches]
+    if seq.directed:
+        caps = list(itertools.product((1, 2, 3), repeat=2))
+    else:
+        caps = [(d, d) for d in (1, 2, 3)]
+    walks = [seq.degree_walk] + [admit_edges(seq, steps, c).degree_walk for c in caps]
+    for walk in walks:
+        assert walk.largest == (
+            max(walk.inn.values(), default=0),
+            max(walk.out.values(), default=0),
+        )
 
 
 def test_zero_map_cache_is_neither_compared_nor_inherited():

@@ -304,14 +304,15 @@ def test_rows_to_json_round_trip():
 def test_run_experiment_projects_each_candidate_once(monkeypatch):
     # Projection draws no noise, so its kept edges serve every trial and
     # every budget: one projection per candidate, not one per trial.
+    # `admission_walk` is the one admission call `plan` makes per candidate.
     calls = []
-    real = mechanisms.admit
+    real = mechanisms.admission_walk
 
     def counting(seq, ordering, th):
         calls.append(th)
         return real(seq, ordering, th)
 
-    monkeypatch.setattr(mechanisms, "admit", counting)
+    monkeypatch.setattr(mechanisms, "admission_walk", counting)
     candidates = (ProjectionThresholds.undirected(2), ProjectionThresholds.undirected(5))
     cfg = experiment_config(
         mechanisms=("compose_projection",), trials=5, candidates=candidates

@@ -2,7 +2,7 @@
 the batch draw bit for bit against a per-trial reference."""
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -14,9 +14,10 @@ from dpgraphseq import (
 from dpgraphseq.errors import (
     BoundViolationError,
     NonPositiveScaleError,
+    OrderingMismatchError,
     UnsupportedBaselineQueryError,
 )
-from dpgraphseq import mechanisms
+from dpgraphseq import mechanisms, projection
 from dpgraphseq.generators import PaTransmissionParams, generate_pa_transmission
 from dpgraphseq.harness import (
     ExperimentConfig,
@@ -33,8 +34,11 @@ from dpgraphseq.mechanisms import (
     release,
     seed_words,
 )
+from dpgraphseq.projection import admission_walk, admit, canonical_ordering
+from dpgraphseq.statistics import admitted_values, exact_values
 
 from bruteforce import naive_series
+from test_statistics import _all_queries, sequences
 
 
 def chain_seq(steps=5):
@@ -210,6 +214,57 @@ def test_projection_requires_exactly_one_threshold_source():
             thresholds=ProjectionThresholds.undirected(1),
             candidates=[ProjectionThresholds.undirected(2)],
         )
+
+
+def _threshold_grid(directed):
+    if directed:
+        return [
+            ProjectionThresholds.directed(i, o) for i in (1, 2, 3) for o in (1, 2, 3)
+        ]
+    return [ProjectionThresholds.undirected(d) for d in (1, 2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences())
+def test_projection_arms_equal_the_admitted_sequences_values(seq):
+    assume(seq.horizon >= 1)
+    ordering = canonical_ordering(seq)
+    grid = _threshold_grid(seq.directed)
+    admitted = {th: admit(seq, ordering, th) for th in grid}
+    # Every query the engine answers: the admission walk alone gives a
+    # degree statistic's arm, the kept edges a triangle count's.
+    for query in _all_queries(seq.directed):
+        for th in grid:
+            assert admitted_values(
+                query, seq, *admission_walk(seq, ordering, th)
+            ) == exact_values(query, admitted[th]), (query.label(), th)
+    # The queries with a projected sensitivity, through `plan`: a grid of
+    # candidates and each one fixed.
+    for query in [EDGE, StatisticQuery.high_degree(1), StatisticQuery.high_degree(2)]:
+        feasible = [th for th in grid if query.tau is None or th.caps[1] >= query.tau]
+        expected = [exact_values(query, admitted[th]) for th in feasible]
+        arms = plan("compose_projection", seq, query, candidates=feasible).arms
+        assert [arm.thresholds for arm in arms] == feasible
+        assert [arm.series.tolist() for arm in arms] == expected, query.label()
+        for th, values in zip(feasible, expected):
+            (arm,) = plan("compose_projection", seq, query, thresholds=th).arms
+            assert arm.series.tolist() == values, (query.label(), th)
+
+
+@pytest.mark.parametrize("query", [EDGE, HD], ids=["edge", "high_degree"])
+def test_wrong_mode_thresholds_are_refused_before_any_walk(monkeypatch, query):
+    walks = []
+    monkeypatch.setattr(projection, "_walk", lambda *args: walks.append(args))
+    directed = build_sequence(True, [(1, ["a", "b"], [("a", "b")])])
+    for seq, th in [
+        (SEQ, ProjectionThresholds.directed(1, 2)),
+        (directed, ProjectionThresholds.undirected(2)),
+    ]:
+        with pytest.raises(OrderingMismatchError, match="threshold mode"):
+            plan("compose_projection", seq, query, thresholds=th)
+        with pytest.raises(OrderingMismatchError, match="threshold mode"):
+            plan("compose_projection", seq, query, candidates=[th, th])
+    assert walks == []
 
 
 def test_projection_rejects_histogram_queries():

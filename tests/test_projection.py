@@ -14,7 +14,7 @@ from dpgraphseq import (
     snapshot,
 )
 from dpgraphseq.errors import OrderingMismatchError
-from dpgraphseq.projection import EdgeOrdering, admit
+from dpgraphseq.projection import EdgeOrdering, admission_walk, admit
 
 from bruteforce import naive_value
 from test_statistics import sequences
@@ -51,6 +51,18 @@ def test_ordering_must_cover_exactly_the_edges():
         project_sequence(
             seq, canonical_ordering(seq), ProjectionThresholds.directed(1, 1)
         )
+
+
+def test_admission_names_a_step_the_ordering_lacks():
+    seq = build_sequence(
+        False, [(1, ["a", "b"], [("a", "b")]), (2, ["c"], [("b", "c")])]
+    )
+    ordering = EdgeOrdering(steps=((1, (("a", "b"),)),))
+    th = ProjectionThresholds.undirected(1)
+    with pytest.raises(OrderingMismatchError, match="no step t=2"):
+        admit(seq, ordering, th)
+    with pytest.raises(OrderingMismatchError, match="no step t=2"):
+        admission_walk(seq, ordering, th)
 
 
 def test_sequence_projection_is_nested_over_time():
