@@ -5,14 +5,17 @@ the edges that arrive alongside them.  Every edge must touch at least one
 node of its own batch, so an edge's time equals the maximum of its endpoint
 time stamps and snapshots are reconstructible for every step.
 
-Sequences are built by one validation pass over their batches
-(`build_sequence`, `loads_edge_list`) or one batch at a time by
-`ingest_step`.  All three go through one validator, `_extend`, which reads
-each edge endpoint's time once for all its checks and stores each edge in
-canonical form, so a batch costs work in its own size.  `loads_edge_list`
-splits each line once, takes the common records (edges and nodes after the
-header) on its first branch and buckets nodes and edges by time, one
-node-time read per endpoint, before it hands the batches to that validator.
+Sequences are built from batches in one pass (`build_sequence`) or one
+batch at a time (`ingest_step`), both through one validator, `_extend`: per
+edge two node-time reads, one combined test and the canonical form written
+inline, and one set per batch for duplicates, so a batch costs work in its
+own size.  `loads_edge_list` splits each line once, takes the common
+records (edges and nodes after the header) on its first branch, and builds
+the sequence in its one pass over the edges: an edge goes, in canonical
+form, to the batch of its later endpoint, which it touches by
+construction.  A batch that fails these cheap tests goes to one ordered
+diagnostic, `_reject_batch`, which walks it edge by edge and raises its
+first fault, so both paths name the same error.
 
 One walk over a sequence records every edge's endpoint degrees just before
 it joins (`DegreeWalk`), and each side's largest counter as it admits the
@@ -34,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NoReturn, Optional
 
 from .errors import (
     DanglingEdgeError,
@@ -257,6 +260,39 @@ def admitted_sequence(
     return admitted
 
 
+def _reject_batch(
+    times: dict[str, int], t: int, edges: tuple[Edge, ...], directed: bool
+) -> NoReturn:
+    """Raise a faulty batch's first fault: the one place edge faults are named.
+
+    `times` holds every node declared up to time `t`, the batch's own
+    included.  Edge by edge, in order: a self-loop, an undeclared tail, an
+    undeclared head, no endpoint in the batch, a repeat of an earlier edge.
+    Callers run it once a cheaper test has found a fault, so it raises.
+    """
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise SelfLoopError(f"self-loop on {u!r}")
+        t_u = times.get(u)
+        if t_u is None:
+            raise DanglingEdgeError(f"edge endpoint {u!r} never declared")
+        t_v = times.get(v)
+        if t_v is None:
+            raise DanglingEdgeError(f"edge endpoint {v!r} never declared")
+        if t_u != t and t_v != t:
+            # Both endpoints predate this batch, so the edge should have
+            # arrived earlier.
+            raise EdgeToFutureNodeError(
+                f"edge ({u!r}, {v!r}) has no endpoint in the current batch"
+            )
+        e = canonical_edge(u, v, directed)
+        if e in seen:
+            raise DuplicateEdgeError(f"edge {e!r} already present")
+        seen.add(e)
+    raise AssertionError(f"the batch at time {t} holds no edge fault")
+
+
 def _extend(
     seq: GraphSequence,
     batches: Iterable[tuple[int, Iterable[str], Iterable[tuple[str, str]]]],
@@ -264,9 +300,12 @@ def _extend(
     """Validate (t, nodes, edges) triples and append them as arrival batches.
 
     One pass keeps one running node-time map, so a batch costs work in its
-    own size.  No scan of earlier edges is needed to reject a duplicate: an
-    edge must touch a node of its batch, and such a node has no earlier
-    edges, so only duplicates within the batch are possible.
+    own size.  Each batch is read once into tuples; per edge, two node-time
+    reads and one test (no self-loop, both endpoints declared, the later at
+    the batch's time), and the canonical form written inline.  Duplicates
+    are found by set size: an edge must touch a node of its batch, and such
+    a node has no earlier edges, so only duplicates within the batch are
+    possible.  A batch that fails goes to `_reject_batch` for its error.
     """
     # A copy: the parent keeps its map unchanged.
     times = dict(seq.node_time)
@@ -288,30 +327,25 @@ def _extend(
                 raise DuplicateNodeError(f"node {n!r} already declared")
             times[n] = t
 
-        batch_edges = []
-        batch_seen = set()
-        for u, v in edges:
-            if u == v:
-                raise SelfLoopError(f"self-loop on {u!r}")
-            # One read of each endpoint's time serves both checks below.
-            t_u = time_of(u)
-            if t_u is None:
-                raise DanglingEdgeError(f"edge endpoint {u!r} never declared")
-            t_v = time_of(v)
-            if t_v is None:
-                raise DanglingEdgeError(f"edge endpoint {v!r} never declared")
-            if t_u != t and t_v != t:
-                # Both endpoints predate this batch, so the edge should have
-                # arrived earlier.
-                raise EdgeToFutureNodeError(
-                    f"edge ({u!r}, {v!r}) has no endpoint in the current batch"
-                )
-            e = canonical_edge(u, v, directed)
-            if e in batch_seen:
-                raise DuplicateEdgeError(f"edge {e!r} already present")
-            batch_seen.add(e)
-            batch_edges.append(e)
-        appended.append(ArrivalBatch(time=t, nodes=new_nodes, edges=tuple(batch_edges)))
+        edges = tuple(edges)
+        # Declared times are at most t; an undeclared endpoint reads later.
+        late = t + 1
+        canonical = []
+        keep = canonical.append
+        try:
+            for u, v in edges:
+                t_u = time_of(u, late)
+                t_v = time_of(v, late)
+                if u == v or (t_u if t_u > t_v else t_v) != t:
+                    break
+                keep((u, v) if directed or u <= v else (v, u))
+        except (TypeError, ValueError):
+            # An item that is no pair of hashable, comparable ids: the
+            # diagnostic below raises its error, after any fault before it.
+            pass
+        if len(canonical) != len(edges) or len(set(canonical)) != len(edges):
+            _reject_batch(times, t, edges, directed)
+        appended.append(ArrivalBatch(t, new_nodes, tuple(canonical)))
 
     extended = GraphSequence(directed=seq.directed, batches=seq.batches + tuple(appended))
     # Seed the cached node_time; the cache is not a field, so equality holds.
@@ -329,14 +363,16 @@ def ingest_step(
 
     The batch time must be the previous horizon plus one (an empty sequence
     accepts t of 0 or 1).  Edge order within the batch is preserved; the
-    sequence's degree walk reads the edges in that order.
+    sequence's degree walk reads the edges in that order.  Any iterables
+    will do, one-shot ones included: the batch is read once.
 
-    The checks read only this batch and the parent's node times: one
-    node-time read per edge endpoint and one set probe per edge, so they do
-    work in the batch's size.  On top come C-level copies of the batch tuple
-    and of the node-time map; the map copy is O(nodes) per call, about 18 us
-    at 3,000 nodes on a 2-vCPU Xeon VM.  The child computes its own degree
-    walk; it does not inherit the parent's.
+    The checks read only this batch and the parent's node times (see
+    `_extend`): two node-time reads and one test per edge, and one set of
+    the batch's edges, so they do work in the batch's size; a faulty batch
+    is walked again to name its first fault.  On top come C-level copies of
+    the batch tuple and of the node-time map; the map copy is O(nodes) per
+    call, about 18 us at 3,000 nodes on a 2-vCPU Xeon VM.  The child
+    computes its own degree walk; it does not inherit the parent's.
     """
     return _extend(seq, [(t, nodes, edges)])
 
@@ -528,7 +564,11 @@ def loads_edge_list(text: str) -> GraphSequence:
     that names the line of the latest time.
 
     The one header must precede every record.  Each batch lists its nodes
-    in the order of their N records.
+    and edges in the order of their records, and `node_time` lists nodes in
+    arrival order.  Faults within a record are reported line by line, then
+    undeclared endpoints in record order; a batch with a self-loop or a
+    duplicate edge raises what `build_sequence` raises on it, through the
+    same `_reject_batch`.
     """
     directed = None
     horizon = None
@@ -601,11 +641,14 @@ def loads_edge_list(text: str) -> GraphSequence:
             )
     origin = t_min if t_min in (0, 1) else 1
     # Nodes and edges bucketed by raw time, at index t - t_min, each in
-    # record order.
+    # record order.  An edge arrives with the later of its endpoints, so it
+    # touches its batch by construction; it is stored in canonical form.
     nodes_at: list[list[str]] = [[] for _ in range(t_max - t_min + 1)]
     edges_at: list[list[tuple[str, str]]] = [[] for _ in nodes_at]
     for name, t in node_time.items():
         nodes_at[t - t_min].append(name)
+    # Indices of the buckets that hold a self-loop.
+    looped = set()
     time_of = node_time.get
     for e in raw_edges:
         u, v = e
@@ -614,13 +657,26 @@ def loads_edge_list(text: str) -> GraphSequence:
         if t_u is None or t_v is None:
             missing = u if t_u is None else v
             raise DanglingEdgeError(f"edge endpoint {missing!r} never declared")
-        # An edge arrives with the later of its endpoints.
-        edges_at[(t_u if t_u > t_v else t_v) - t_min].append(e)
+        i = (t_u if t_u > t_v else t_v) - t_min
+        if u == v:
+            looped.add(i)
+        elif not directed and v < u:
+            e = (v, u)
+        edges_at[i].append(e)
 
-    return build_sequence(
-        directed,
-        (
-            (origin + i, nodes, edges)
-            for i, (nodes, edges) in enumerate(zip(nodes_at, edges_at))
-        ),
-    )
+    # The batches in time order, node times seeded in arrival order as
+    # `_extend` leaves them; a bucket with a self-loop or a duplicate edge
+    # names its first fault, and the earliest such bucket wins.
+    times: dict[str, int] = {}
+    batches = []
+    for i, (nodes, edges) in enumerate(zip(nodes_at, edges_at)):
+        t = origin + i
+        times.update(dict.fromkeys(nodes, t))
+        edges = tuple(edges)
+        if i in looped or len(set(edges)) != len(edges):
+            _reject_batch(times, t, edges, directed)
+        batches.append(ArrivalBatch(t, tuple(nodes), edges))
+    seq = GraphSequence(directed, tuple(batches))
+    # The cache is not a field, so equality holds.
+    seq.__dict__["node_time"] = times
+    return seq

@@ -132,6 +132,183 @@ def test_ingest_carries_node_time_forward_without_touching_parent():
     assert rebuilt.node_time == child.node_time
 
 
+# Faulty batches: the first fault wins.  Batches are checked in time order:
+# the batch time first, then its nodes in order, then its edges in order,
+# each edge for a self-loop, an undeclared tail, an undeclared head, no
+# endpoint in the batch, then a repeat of an earlier edge of the batch.
+_BAD_BATCHES = {
+    "self-loop": (False, [(1, ["a"], [("a", "a")])], SelfLoopError, "self-loop on 'a'"),
+    "self-loop-on-undeclared-node": (
+        True, [(1, ["a"], [("x", "x")])], SelfLoopError, "self-loop on 'x'"
+    ),
+    "undeclared-tail": (
+        True,
+        [(1, ["a"], [("ghost", "a")])],
+        DanglingEdgeError,
+        "edge endpoint 'ghost' never declared",
+    ),
+    "undeclared-head": (
+        True,
+        [(1, ["a"], [("a", "phantom")])],
+        DanglingEdgeError,
+        "edge endpoint 'phantom' never declared",
+    ),
+    "undeclared-tail-before-head": (
+        False,
+        [(1, ["a"], [("y", "x")])],
+        DanglingEdgeError,
+        "edge endpoint 'y' never declared",
+    ),
+    "no-endpoint-in-batch": (
+        True,
+        [(1, ["a", "b"], []), (2, ["c"], [("a", "b")])],
+        EdgeToFutureNodeError,
+        "edge ('a', 'b') has no endpoint in the current batch",
+    ),
+    "no-endpoint-names-the-edge-as-sent": (
+        False,
+        [(1, ["a", "b"], []), (2, ["c"], [("c", "a"), ("b", "a")])],
+        EdgeToFutureNodeError,
+        "edge ('b', 'a') has no endpoint in the current batch",
+    ),
+    "duplicate-edge": (
+        True,
+        [(1, ["a", "b"], [("a", "b"), ("b", "a"), ("a", "b")])],
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+    "undirected-reversed-pair": (
+        False,
+        [(1, ["a", "b"], [("b", "a"), ("a", "b")])],
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+    "node-declared-earlier": (
+        False,
+        [(1, ["a"], []), (2, ["b", "a"], [])],
+        DuplicateNodeError,
+        "node 'a' already declared",
+    ),
+    "node-repeated-in-batch": (
+        False,
+        [(1, ["x", "y", "x"], [])],
+        DuplicateNodeError,
+        "node 'x' already declared",
+    ),
+    "node-fault-before-edge-fault": (
+        False,
+        [(1, ["a", "a"], [("a", "a")])],
+        DuplicateNodeError,
+        "node 'a' already declared",
+    ),
+    "batch-time-before-node-fault": (
+        False,
+        [(2, ["a", "a"], [("a", "a")])],
+        TimeOutOfRangeError,
+        "first batch time must be 0 or 1, got 2",
+    ),
+    "duplicate-before-self-loop": (
+        False,
+        [(1, ["a", "b"], [("a", "b"), ("b", "a"), ("a", "a")])],
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+    "self-loop-before-duplicate": (
+        False,
+        [(1, ["a", "b"], [("a", "b"), ("b", "b"), ("a", "b")])],
+        SelfLoopError,
+        "self-loop on 'b'",
+    ),
+    "duplicate-before-undeclared": (
+        True,
+        [(1, ["a", "b"], [("a", "b"), ("a", "b"), ("a", "ghost")])],
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+    "undeclared-before-no-endpoint": (
+        True,
+        [(1, ["a", "b"], []), (2, ["c"], [("c", "ghost"), ("a", "b")])],
+        DanglingEdgeError,
+        "edge endpoint 'ghost' never declared",
+    ),
+    "no-endpoint-before-self-loop": (
+        True,
+        [(1, ["a", "b"], []), (2, ["c"], [("b", "a"), ("c", "c")])],
+        EdgeToFutureNodeError,
+        "edge ('b', 'a') has no endpoint in the current batch",
+    ),
+    "duplicate-before-malformed-edge": (
+        False,
+        [(1, ["a", "b"], [("a", "b"), ("a", "b"), ("a",)])],
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+    "earlier-batch-wins": (
+        False,
+        [
+            (1, ["a", "b"], [("a", "b"), ("b", "a")]),
+            (2, ["c"], [("c", "c")]),
+            (4, ["d"], []),
+        ],
+        DuplicateEdgeError,
+        "edge ('a', 'b') already present",
+    ),
+    "earlier-batch-time-wins": (
+        True,
+        [(1, ["a"], []), (3, ["b"], [("b", "b")])],
+        TimeOutOfRangeError,
+        "expected batch time 2, got 3",
+    ),
+}
+
+
+def _one_shot(batches):
+    """The batches, and each batch's nodes and edges, as one-shot generators."""
+    return (
+        (t, (n for n in nodes), (e for e in edges)) for t, nodes, edges in batches
+    )
+
+
+def _streamed(directed, batches):
+    seq = GraphSequence.empty(directed)
+    for t, nodes, edges in batches:
+        seq = ingest_step(seq, t, nodes, edges)
+    return seq
+
+
+@pytest.mark.parametrize("one_shot", [False, True], ids=["tuples", "generators"])
+@pytest.mark.parametrize("build", [build_sequence, _streamed], ids=["build", "ingest"])
+@pytest.mark.parametrize(
+    "directed, batches, error, message",
+    list(_BAD_BATCHES.values()),
+    ids=list(_BAD_BATCHES),
+)
+def test_batch_fault_order(directed, batches, error, message, build, one_shot):
+    if one_shot:
+        batches = _one_shot(batches)
+    else:
+        batches = [(t, tuple(nodes), tuple(edges)) for t, nodes, edges in batches]
+    with pytest.raises(error) as info:
+        build(directed, batches)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build", [build_sequence, _streamed], ids=["build", "ingest"])
+def test_one_shot_batches_build_the_same_sequence(build):
+    batches = [
+        (0, ["s"], []),
+        (1, ["a", "b"], [("b", "a"), ("s", "a")]),
+        (2, [], []),
+        (3, ["c"], [("c", "b"), ("a", "c")]),
+    ]
+    for directed in (False, True):
+        want = build_sequence(directed, batches)
+        got = build(directed, _one_shot(batches))
+        assert got == want
+        assert list(got.node_time.items()) == list(want.node_time.items())
+
+
 def test_snapshot_accumulates_batches():
     seq = small_seq()
     g1 = snapshot(seq, 1)
@@ -476,6 +653,44 @@ def test_edge_list_loads_back_from_any_record_order(seq, rnd):
         seq.directed, [(b.time, nodes_at[b.time], b.edges) for b in seq.batches]
     )
     assert loads_edge_list("\n".join(lines)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences(), st.data())
+def test_parse_equals_stream(seq, data):
+    # The loader starts at 0 only for a time-0 node.
+    assume(seq.batches[0].nodes or seq.start_time == 1)
+    text = dumps_edge_list(seq)
+    parsed = loads_edge_list(text)
+    streamed = _streamed(seq.directed, [(b.time, b.nodes, b.edges) for b in seq.batches])
+    assert parsed == streamed
+    assert list(parsed.node_time.items()) == list(streamed.node_time.items())
+    assert list(parsed._zero_counts) == list(streamed._zero_counts)
+    assert parsed.degree_walk == streamed.degree_walk
+
+    # One faulty line appended: a self-loop on a node, or a repeat of an
+    # edge (reversed when undirected).  It joins the end of the batch of
+    # its later endpoint, and the loader reports what `build_sequence` does
+    # on those batches.
+    edges = [(b.time, e) for b in seq.batches for e in b.edges]
+    nodes = list(parsed.node_time)
+    assume(nodes)
+    if edges and data.draw(st.booleans()):
+        t, (u, v) = data.draw(st.sampled_from(edges))
+        extra = (u, v) if seq.directed else (v, u)
+    else:
+        u = data.draw(st.sampled_from(nodes))
+        t, extra = parsed.node_time[u], (u, u)
+    batches = [
+        (b.time, b.nodes, b.edges + ((extra,) if b.time == t else ()))
+        for b in seq.batches
+    ]
+    with pytest.raises((SelfLoopError, DuplicateEdgeError)) as want:
+        build_sequence(seq.directed, batches)
+    with pytest.raises(type(want.value)) as got:
+        loads_edge_list(text + "E {} {}\n".format(*extra))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def _text(directed, batches):
