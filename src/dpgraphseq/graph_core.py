@@ -27,10 +27,9 @@ parameter derivation and the degree statistics of
 `statistics.exact_values` all read it.  At a projection's thresholds, over
 its edge ordering, it is an admission walk: a projection arm of a degree
 statistic reads that walk alone, and `admitted_sequence` builds the kept
-edges into a sequence with the walk cached (`admit_edges` does both).  The
-triangle family keeps its own neighbour-set walk.  `snapshot` rebuilds the
-whole graph at one step; the tests check the walk and the bound check
-against its degrees.
+edges into a sequence with the walk cached.  The triangle family keeps its
+own neighbour-set walk.  `snapshot` rebuilds the whole graph at one step;
+the tests check the walk and the bound check against its degrees.
 """
 from __future__ import annotations
 
@@ -76,6 +75,11 @@ class DegreeBounds:
 
     def __post_init__(self):
         name = type(self).__name__
+        for field in ("d", "d_in", "d_out"):
+            cap = getattr(self, field)
+            if cap is not None and type(cap) is not int:  # refuses bools too
+                kind = type(cap).__name__
+                raise TypeError(f"{name}: {field} must be an int, not {kind}")
         if self.d is not None:
             if self.d_in is not None or self.d_out is not None:
                 raise ValueError(f"{name}: give either d or (d_in, d_out), not both")
@@ -234,13 +238,6 @@ def _walk(
     return kept, DegreeWalk(
         tuple(tail), tuple(head), tuple(ends), out, inn, (top_in, top_out)
     )
-
-
-def admit_edges(
-    seq: GraphSequence, steps: Iterable[Iterable[Edge]], caps: tuple[int, int]
-) -> GraphSequence:
-    """The edges `_walk` admits at `caps` (cap_in, cap_out), walk cached."""
-    return admitted_sequence(seq, *_walk(seq, steps, *caps))
 
 
 def admitted_sequence(
@@ -626,7 +623,8 @@ def loads_edge_list(text: str) -> GraphSequence:
         t_min = 0 if 0 in node_time.values() else 1
         t_max = horizon
     elif not node_time:
-        return GraphSequence.empty(directed)
+        # No steps: an edge still names its undeclared endpoint below.
+        t_min, t_max = 1, 0
     else:
         t_min = min(node_time.values())
         t_max = max(node_time.values())

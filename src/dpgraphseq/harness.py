@@ -51,16 +51,6 @@ def _node_walk(seq: GraphSequence):
     return seq.degree_walk
 
 
-def _final_degrees(seq: GraphSequence):
-    """(in-degrees, out-degrees) of every node at the horizon, zeros included.
-
-    They are the final counters of the sequence's degree walk; an undirected
-    degree is one counter, read as both sides.
-    """
-    walk = _node_walk(seq)
-    return list(walk.inn.values()), list(walk.out.values())
-
-
 def derive_tau(seq: GraphSequence, percentile: float) -> int:
     """numpy's "higher" percentile of the final (out-)degree multiset, >= 1.
 
@@ -68,7 +58,8 @@ def derive_tau(seq: GraphSequence, percentile: float) -> int:
     """
     if not 0 < percentile < 100:
         raise ValueError("percentile must be in (0, 100)")
-    degrees = _final_degrees(seq)[-1]
+    # The walk's final out-counters, zeros included (one counter if undirected).
+    degrees = list(_node_walk(seq).out.values())
     value = int(np.percentile(degrees, percentile, method="higher"))
     return max(value, 1)
 

@@ -9,12 +9,11 @@ both on graph_core's one degree walk.  `admission_walk` checks the
 thresholds' mode, looks up each batch's step of the ordering and walks the
 sequence at the thresholds' caps: it returns the kept edges and their walk,
 which is all a degree statistic's projection arm reads
-(`statistics.admitted_values`).  `admit` builds that walk into the
-admitted sequence, its walk cached, with `graph_core.admitted_sequence`.
-`project_sequence` is `check_ordering`, then `admit`, then a `snapshot` of
-the admitted sequence at each release step; no release reads its views.
-The tests check them, and the sequences `admit` returns, against the naive
-counts of `tests/bruteforce.py`.
+(`statistics.admitted_values`).  `graph_core.admitted_sequence` builds that
+walk into the admitted sequence, its walk cached.  `project_sequence` is
+`check_ordering`, then that sequence, then a `snapshot` of it at each
+release step; no release reads its views.  The tests check them, and the
+admitted sequences, against the naive counts of `tests/bruteforce.py`.
 """
 from __future__ import annotations
 
@@ -100,17 +99,6 @@ def admission_walk(
     return _walk(seq, steps, *th.caps)
 
 
-def admit(
-    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
-) -> GraphSequence:
-    """Online projection as a sequence whose degree walk is already cached.
-
-    Each batch keeps its nodes and the edges `admission_walk` admitted at
-    its step.  The ordering must have passed `check_ordering`.
-    """
-    return admitted_sequence(seq, *admission_walk(seq, ordering, th))
-
-
 def project_sequence(
     seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
 ) -> list[GraphView]:
@@ -120,5 +108,5 @@ def project_sequence(
     nodes) is processed first and folded into the first view.
     """
     check_ordering(seq, ordering)
-    projected = admit(seq, ordering, th)
+    projected = admitted_sequence(seq, *admission_walk(seq, ordering, th))
     return [snapshot(projected, t) for t in range(1, projected.horizon + 1)]

@@ -1,4 +1,4 @@
-"""Closed-form global sensitivities, as one catalog.
+"""Global sensitivities: one rule for the degree statistics, a catalog for the rest.
 
 Three regimes:
   * diff_sequence  — L1 sensitivity of the whole difference sequence under a
@@ -8,23 +8,24 @@ Three regimes:
   * per_release_projected — sensitivity of one release computed on the
     greedily projected graph.
 
-`_CATALOG` maps (regime, statistic, directed) to a formula id and a value
-function of the caps (cap_in, cap_out) and star size k.  At an undirected
-bound's caps (D, D) every directed formula but the edge count's gives the
-undirected one, so such twins share it.  Binomials use C(n, r) = 0 for
-r > n, which makes the star formulas total (a star larger than the degree
-bound cannot occur).
+A degree statistic is f = sum over nodes of g(degree), g from
+`statistics._degree_table` or, for the histogram, the one-bin map {d: 1}.
+In the first two regimes one total-variation rule, `_degree_tv`, gives its
+sensitivity from g.  `_CATALOG` holds formulas for the rest: the triangle
+patterns and the projected regime.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 from typing import Union
 
 from .errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
 from .graph_core import DegreeBounds
 from .projection import ProjectionThresholds
-from .statistics import StatisticQuery
+from .statistics import StatisticQuery, _degree_table
 
 
 def binom(n: int, r: int) -> int:
@@ -43,99 +44,115 @@ class SensitivityReport:
     bounds: Union[DegreeBounds, ProjectionThresholds]
 
 
-def _out_star(i, o, k):
-    """New out-k-stars of an added node: its own, and one per in-neighbour."""
-    return i * binom(o - 1, k - 1) + binom(o, k)
-
-
-# Value functions of the caps (i, o) = (cap_in, cap_out) and the star size k
-# that several rows share: the edge count's D and D_in + D_out in every
-# regime, and the formulas an undirected row shares with its directed twin.
-_CAP = lambda i, o, k: o
-_CAP_SUM = lambda i, o, k: i + o
-_DIFF_HIGH = lambda i, o, k: 2 * i + 1
-_HISTOGRAM = lambda i, o, k: 4 * o * i + 2 * o + 1
-_RELEASE_HIGH = lambda i, o, k: i + 1
-_PROJECTED_HIGH = lambda i, o, k: max(i + 1, o - 1)
+_PROJECTED_HIGH = lambda i, o: max(i + 1, o - 1)
 
 _DIFF, _RELEASE, _PROJECTED = "diff_sequence", "per_release", "per_release_projected"
 
-# (regime, statistic, directed) -> (formula id, value function).  Subgraph
-# counts in the diff_sequence regime are the most new copies one extra
-# bound-respecting node can create.
+# (regime, statistic, directed) -> (formula id, value function of the caps
+# (i, o) = (cap_in, cap_out)).  Subgraph counts in the diff_sequence regime
+# are the most new copies one extra bound-respecting node can create.
 _CATALOG = {
-    (_DIFF, "high_degree", False): ("diff/high_degree/2D+1", _DIFF_HIGH),
-    (_DIFF, "high_degree", True): ("diff/high_out_degree/2Din+1", _DIFF_HIGH),
-    (_DIFF, "degree_histogram", False): ("diff/degree_histogram/4D^2+2D+1", _HISTOGRAM),
-    (_DIFF, "degree_histogram", True): (
-        "diff/out_degree_histogram/4DoutDin+2Dout+1",
-        _HISTOGRAM,
-    ),
-    (_DIFF, "edge", False): ("diff/edge/D", _CAP),
-    (_DIFF, "edge", True): ("diff/edge/Din+Dout", _CAP_SUM),
-    (_DIFF, "triangle", False): ("diff/triangle/C(D,2)", lambda i, o, k: binom(o, 2)),
-    (_DIFF, "triangle_i", True): ("diff/triangle_i/DinDout", lambda i, o, k: i * o),
+    (_DIFF, "triangle", False): ("diff/triangle/C(D,2)", lambda i, o: binom(o, 2)),
+    (_DIFF, "triangle_i", True): ("diff/triangle_i/DinDout", lambda i, o: i * o),
     # Every new transitive triangle uses two of the added node's incident
     # edges and one forced base edge -- except that a pair of two in-edges (or
     # two out-edges) admits both base-edge directions, so those pairs count
     # twice.  C(Din+Dout, 2) alone undercounts exactly there.
     (_DIFF, "triangle_ii", True): (
         "diff/triangle_ii/DinDout+2C(Din,2)+2C(Dout,2)",
-        lambda i, o, k: i * o + 2 * binom(i, 2) + 2 * binom(o, 2),
+        lambda i, o: i * o + 2 * binom(i, 2) + 2 * binom(o, 2),
     ),
-    (_DIFF, "k_star", False): ("diff/k_star/DC(D-1,k-1)+C(D,k)", _out_star),
-    (_DIFF, "out_k_star", True): (
-        "diff/out_k_star/DinC(Dout-1,k-1)+C(Dout,k)",
-        _out_star,
-    ),
-    # An in-star is an out-star of the transposed digraph: caps swapped.
-    (_DIFF, "in_k_star", True): (
-        "diff/in_k_star/DoutC(Din-1,k-1)+C(Din,k)",
-        lambda i, o, k: _out_star(o, i, k),
-    ),
-    (_RELEASE, "high_degree", False): ("per_release/high_degree/D+1", _RELEASE_HIGH),
-    (_RELEASE, "high_degree", True): (
-        "per_release/high_out_degree/Din+1",
-        _RELEASE_HIGH,
-    ),
-    (_RELEASE, "edge", False): ("per_release/edge/D", _CAP),
-    (_RELEASE, "edge", True): ("per_release/edge/Din+Dout", _CAP_SUM),
     (_PROJECTED, "high_degree", False): ("projected/high_degree/D~+1", _PROJECTED_HIGH),
     (_PROJECTED, "high_degree", True): (
         "projected/high_out_degree/max(Din~+1,Dout~-1)",
         _PROJECTED_HIGH,
     ),
-    (_PROJECTED, "edge", False): ("projected/edge/D~", _CAP),
-    (_PROJECTED, "edge", True): ("projected/edge/Din~+Dout~", _CAP_SUM),
+    (_PROJECTED, "edge", False): ("projected/edge/D~", lambda i, o: o),
+    (_PROJECTED, "edge", True): ("projected/edge/Din~+Dout~", lambda i, o: i + o),
 }
 
-# Per regime: what its caps bound, and its message for a query it lacks.
+# Per regime: its formula-id prefix, what its caps bound, and its message
+# for a query it lacks.
 _REGIMES = {
-    _DIFF: ("", "pattern {pattern!r} incompatible with the given bounds"),
-    _RELEASE: ("", "no per-release sensitivity for {label}"),
-    _PROJECTED: ("projected ", "no projected sensitivity for {label}"),
+    _DIFF: ("diff", "", "pattern {pattern!r} incompatible with the given bounds"),
+    _RELEASE: ("per_release", "", "no per-release sensitivity for {label}"),
+    _PROJECTED: ("projected", "projected ", "no projected sensitivity for {label}"),
 }
+# (regime, directed) -> the degree statistics `_degree_tv` answers there;
+# per_release takes no stars or histograms until an oracle certifies it.
+_RULE_COVERS = {
+    (_DIFF, False): {"high_degree", "degree_histogram", "edge", "k_star"},
+    (_DIFF, True): {"high_degree", "degree_histogram", "edge", "out_k_star", "in_k_star"},
+    (_RELEASE, False): {"high_degree", "edge"},
+    (_RELEASE, True): {"high_degree", "edge"},
+}
+
+# Difference and L1 norm of sparse histogram bin maps.
+_bins_minus = lambda x, y: {b: x.get(b, 0) - y.get(b, 0) for b in x.keys() | y.keys()}
+_bins_norm = lambda x: sum(map(abs, x.values()))
+
+
+def _reach(norms: list[int], steps: list[int]) -> int:
+    """max over a of norms[a] + steps[a] + ... + steps[-1]."""
+    return max(map(add, reversed(norms), accumulate(reversed(steps), initial=0)))
+
+
+def _degree_tv(regime: str, g: list, cap_in: int) -> int:
+    """Sensitivity of f = sum over nodes of g(degree), for g on 0..cap_out.
+
+    g(d) is an int, or a sparse bin map measured in L1 (the histogram).
+    Proof sketch: with v the added node, h(t) = f(G'_t) - f(G_t) is v's
+    term g(d_v(t)) from v's arrival on, plus, for each of the <= cap_in
+    nodes w whose counted degree v raises, Δg(d_w(t)) = g(d_w + 1) - g(d_w)
+    from their edge's step on.  d_v stays in [0, cap_out], d_w (without v)
+    in [0, cap_out - 1], and both only rise.  So one release moves by at
+    most max |g| + cap_in * max |Δg| (per_release).  The L1 distance of the
+    difference sequences is h's total variation from h = 0; a term entering
+    at a varies by at most its entry plus its variation over [a, top], so
+
+        GS <= max_a (|g(a)| + TV_[a, cap_out] g)
+              + cap_in * max_a (|Δg(a)| + TV_[a, cap_out - 1] Δg).
+
+    Neither bound uses a property of g.
+    """
+    minus, norm = (_bins_minus, _bins_norm) if isinstance(g[0], dict) else (sub, abs)
+    dg = list(map(minus, g[1:], g))
+    g_norms, dg_norms = list(map(norm, g)), list(map(norm, dg))
+    if regime == _RELEASE:
+        return max(g_norms) + cap_in * max(dg_norms)
+    ddg_norms = list(map(norm, map(minus, dg[1:], dg)))
+    return _reach(g_norms, dg_norms) + cap_in * _reach(dg_norms, ddg_norms)
 
 
 def _lookup(regime: str, query: StatisticQuery, bounds: DegreeBounds):
-    """The catalog row for `query` under `bounds`, evaluated at their caps."""
-    capped, missing = _REGIMES[regime]
-    row = _CATALOG.get((regime, query.pattern or query.kind, bounds.is_directed))
-    if row is None:
+    """The rule's or the catalog's answer for `query` at the bound's caps."""
+    prefix, capped, missing = _REGIMES[regime]
+    statistic, directed = query.pattern or query.kind, bounds.is_directed
+    row = _CATALOG.get((regime, statistic, directed))
+    if row is None and statistic not in _RULE_COVERS.get((regime, directed), ()):
         raise UnsupportedBaselineQueryError(
             missing.format(pattern=query.pattern, label=query.label())
         )
-    cap_in, cap_out = bounds.caps
+    # An in-star is an out-star of the transposed digraph: caps swapped.
+    cap_in, cap_out = bounds.caps[::-1] if statistic == "in_k_star" else bounds.caps
     if query.kind == "high_degree" and query.tau > cap_out:
-        side = "out-degree" if bounds.is_directed else "degree"
+        side = "out-degree" if directed else "degree"
         raise InfeasibleThresholdError(
             f"threshold tau={query.tau} exceeds the {capped}{side} bound "
             f"{cap_out}: no node can reach it"
         )
-    formula_id, value = row
-    return SensitivityReport(
-        value(cap_in, cap_out, query.k), formula_id, regime, query, bounds
-    )
+    if row is not None:
+        formula_id, value = row
+        return SensitivityReport(value(cap_in, cap_out), formula_id, regime, query, bounds)
+    if query.kind == "degree_histogram":
+        g = [{d: 1} for d in range(cap_out + 1)]
+    else:
+        g = _degree_table(query, cap_out)
+    value = _degree_tv(regime, g, cap_in)
+    # The undirected edge count is half the degree sum.
+    if statistic == "edge" and not directed:
+        value //= 2
+    return SensitivityReport(value, f"{prefix}/degree_tv", regime, query, bounds)
 
 
 def diff_sequence_sensitivity(

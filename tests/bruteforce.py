@@ -345,22 +345,29 @@ def eval_side(affected, peer_arrivals, t_max, tables):
     return np.abs(np.diff(change, axis=1, prepend=0)).sum(axis=1)
 
 
-def degree_maxima(bounds, n_max, t_max, max_k):
+def degree_maxima(bounds, n_max, t_max, max_k=3, tables=None):
     """The oracle's out-side degree maxima, one configuration at a time.
 
     Walks every sub-multiset of every signature row, every role assignment
     of its nodes within the new node's degree budgets, and scores each
     distinct (affected profiles, peer arrivals) configuration on its own.
+    Given `tables`, a matrix whose columns are tables g(d), d = 0..cap_out,
+    it scores f = sum of g(out-degree) for each column instead, and returns
+    the maxima keyed by column index.
     """
     directed = bounds.is_directed
     cap_in, cap_out = bounds.caps
     budget_out = cap_out if directed else 0
-    keys, tables = oracle._degree_tables(
-        cap_out,
-        range(1, cap_out + 1),
-        range(1, max_k + 1),
-        "out_k_star" if directed else "k_star",
-    )
+    named = tables is None
+    if named:
+        keys, tables = oracle._degree_tables(
+            cap_out,
+            range(1, cap_out + 1),
+            range(1, max_k + 1),
+            "out_k_star" if directed else "k_star",
+        )
+    else:
+        keys = range(tables.shape[1])
     starts = np.arange(len(keys))
     best = np.zeros(len(keys), dtype=np.int64)
     best_edges = 0
@@ -396,7 +403,8 @@ def degree_maxima(bounds, n_max, t_max, max_k):
             score = np.add.reduceat(dist, starts, axis=1).max(axis=0)
             np.maximum(best, score, out=best)
     maxima = {key: int(v) for key, v in zip(keys, best)}
-    maxima[("edge",)] = best_edges
+    if named:
+        maxima[("edge",)] = best_edges
     return maxima
 
 

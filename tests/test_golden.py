@@ -22,6 +22,9 @@ entry's out-cap is left to `tests/test_cli.py`.  A change that moves any of
 these numbers must say why and regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each moved entry as ``file key/path: old -> new`` and rewrites
+only the files whose contents changed.
 """
 import itertools
 import json
@@ -294,9 +297,32 @@ def test_cli_output_matches_golden_file():
     assert cli_grid() == json.loads(GOLDEN_CLI.read_text())
 
 
+_ABSENT = "<absent>"
+
+
+def moved_entries(old, new, path=""):
+    """(key path, old, new) of every leaf that differs; lists are leaves."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        if old != new:
+            yield path, old, new
+        return
+    for key in {**old, **new}:
+        where = f"{path}/{key}" if path else key
+        yield from moved_entries(old.get(key, _ABSENT), new.get(key, _ABSENT), where)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(golden_grid(), indent=1) + "\n")
-    GOLDEN_HARNESS.write_text(json.dumps(harness_grid(), indent=1) + "\n")
-    GOLDEN_ORACLE.write_text(json.dumps(oracle_grid(), indent=1) + "\n")
-    GOLDEN_SENSITIVITY.write_text(json.dumps(sensitivity_grid(), indent=1) + "\n")
-    GOLDEN_CLI.write_text(json.dumps(cli_grid(), indent=1) + "\n")
+    for path, grid in (
+        (GOLDEN, golden_grid),
+        (GOLDEN_HARNESS, harness_grid),
+        (GOLDEN_ORACLE, oracle_grid),
+        (GOLDEN_SENSITIVITY, sensitivity_grid),
+        (GOLDEN_CLI, cli_grid),
+    ):
+        new = grid()
+        text = json.dumps(new, indent=1) + "\n"
+        old = json.loads(path.read_text()) if path.exists() else {}
+        for key, before, after in moved_entries(old, new):
+            print(f"{path.name} {key}: {json.dumps(before)} -> {json.dumps(after)}")
+        if not path.exists() or path.read_text() != text:
+            path.write_text(text)

@@ -2,12 +2,14 @@
 import itertools
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
     GraphSequence,
+    ProjectionThresholds,
     build_sequence,
     dumps_edge_list,
     ingest_step,
@@ -30,7 +32,7 @@ from dpgraphseq.generators import (
     generate_pa_transmission,
     generate_sir_transmission,
 )
-from dpgraphseq.graph_core import admit_edges, canonical_edge
+from dpgraphseq.graph_core import _walk, canonical_edge
 
 from test_statistics import raw_batches, sequences
 
@@ -466,7 +468,7 @@ def _directed_seq():
 def test_walks_start_from_copies_of_a_cached_zero_map(seq):
     steps = [batch.edges for batch in seq.batches]
     walks = [seq.degree_walk] + [
-        admit_edges(seq, steps, caps).degree_walk for caps in [(1, 1), (1, 2), (2, 1), (3, 3)]
+        _walk(seq, steps, *caps)[1] for caps in [(1, 1), (1, 2), (2, 1), (3, 3)]
     ]
     zeros = seq.__dict__["_zero_counts"]
     assert zeros == dict.fromkeys(seq.node_time, 0)
@@ -492,7 +494,7 @@ def test_walks_record_their_largest_counters(seq):
         caps = list(itertools.product((1, 2, 3), repeat=2))
     else:
         caps = [(d, d) for d in (1, 2, 3)]
-    walks = [seq.degree_walk] + [admit_edges(seq, steps, c).degree_walk for c in caps]
+    walks = [seq.degree_walk] + [_walk(seq, steps, *c)[1] for c in caps]
     for walk in walks:
         assert walk.largest == (
             max(walk.inn.values(), default=0),
@@ -525,6 +527,28 @@ def test_degree_bounds_validation():
     assert not DegreeBounds.undirected(1).is_directed
     assert DegreeBounds.directed(1, 2).caps == (1, 2)
     assert DegreeBounds.undirected(3).caps == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "cls, caps, message",
+    [
+        (DegreeBounds, (2.5,), "DegreeBounds: d must be an int, not float"),
+        (DegreeBounds, (True,), "DegreeBounds: d must be an int, not bool"),
+        (DegreeBounds, (2, 3.0), "DegreeBounds: d_out must be an int, not float"),
+        (DegreeBounds, (np.int64(2), 3), "DegreeBounds: d_in must be an int, not int64"),
+        (
+            ProjectionThresholds,
+            (False, 2),
+            "ProjectionThresholds: d_in must be an int, not bool",
+        ),
+    ],
+)
+def test_degree_bounds_refuse_caps_that_are_not_ints(cls, caps, message):
+    # A cap indexes the degree tables g(0..cap) of the sensitivity rule.
+    make = cls.undirected if len(caps) == 1 else cls.directed
+    with pytest.raises(TypeError) as info:
+        make(*caps)
+    assert str(info.value) == message
 
 
 def test_edge_list_round_trip():
@@ -837,6 +861,23 @@ _MALFORMED = {
         "H directed\nN a 1\nE a a\nE a ghost\n",
         DanglingEdgeError,
         "edge endpoint 'ghost' never declared",
+    ),
+    # With no node record and no horizon there are no steps, yet an edge
+    # still names its first undeclared endpoint.
+    "dangling-without-nodes": (
+        "H undirected\nE a b\nE c c\n",
+        DanglingEdgeError,
+        "edge endpoint 'a' never declared",
+    ),
+    "dangling-without-nodes-directed": (
+        "H directed\nE c c\nE a b\n",
+        DanglingEdgeError,
+        "edge endpoint 'c' never declared",
+    ),
+    "dangling-with-horizon": (
+        "H undirected 3\nE a b\n",
+        DanglingEdgeError,
+        "edge endpoint 'a' never declared",
     ),
     "earlier-batch-wins": (
         "H directed\nN a 1\nN b 1\nN c 2\nE c c\nE a b\nE b b\nE a b\n",

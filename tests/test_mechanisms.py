@@ -19,6 +19,7 @@ from dpgraphseq.errors import (
 )
 from dpgraphseq import mechanisms, projection
 from dpgraphseq.generators import PaTransmissionParams, generate_pa_transmission
+from dpgraphseq.graph_core import admitted_sequence
 from dpgraphseq.harness import (
     ExperimentConfig,
     default_projection_grid,
@@ -34,7 +35,7 @@ from dpgraphseq.mechanisms import (
     release,
     seed_words,
 )
-from dpgraphseq.projection import admission_walk, admit, canonical_ordering
+from dpgraphseq.projection import admission_walk, canonical_ordering
 from dpgraphseq.statistics import admitted_values, exact_values
 
 from bruteforce import naive_series
@@ -230,7 +231,9 @@ def test_projection_arms_equal_the_admitted_sequences_values(seq):
     assume(seq.horizon >= 1)
     ordering = canonical_ordering(seq)
     grid = _threshold_grid(seq.directed)
-    admitted = {th: admit(seq, ordering, th) for th in grid}
+    admitted = {
+        th: admitted_sequence(seq, *admission_walk(seq, ordering, th)) for th in grid
+    }
     # Every query the engine answers: the admission walk alone gives a
     # degree statistic's arm, the kept edges a triangle count's.
     for query in _all_queries(seq.directed):

@@ -13,7 +13,8 @@ from dpgraphseq import (
     project_sequence,
 )
 from dpgraphseq.errors import PatternDirectionMismatchError
-from dpgraphseq.projection import admit
+from dpgraphseq.graph_core import admitted_sequence
+from dpgraphseq.projection import admission_walk
 
 from bruteforce import naive_series, naive_value
 
@@ -210,7 +211,7 @@ def test_engine_matches_projected_views(seq, d_in, d_out):
         else ProjectionThresholds.undirected(d_out)
     )
     ordering = canonical_ordering(seq)
-    projected = admit(seq, ordering, th)
+    projected = admitted_sequence(seq, *admission_walk(seq, ordering, th))
     views = project_sequence(seq, ordering, th)
     for query in _all_queries(seq.directed):
         engine = exact_values(query, projected)
