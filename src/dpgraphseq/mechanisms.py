@@ -24,7 +24,7 @@ only the triangle family builds the projected sequence.
 `ReleasePlan.draw_trials` is the only noise code: it draws many trials at
 one epsilon and seed in array passes.  Each arm fills a
 (trials, T[, bins]) noise block, one row per trial from that trial's own
-generator; sensdiff takes one prefix sum along the step axis; several
+PCG64 stream; sensdiff takes one prefix sum along the step axis; several
 arms are scored against the truth at once (`relative_l1_errors`) and each
 trial keeps its lowest-error arm.  Blocks are filled a chunk of trials at a
 time (`_CHUNK_ELEMENTS`), so memory does not grow with trials x T x arms.
@@ -34,16 +34,22 @@ sweep cell.  `snapshot` and `evaluate` (the engine at one snapshot) are
 not on this path; the tests check every release against the naive counts
 of `tests/bruteforce.py`.
 
-Determinism: a trial's noise for the arm with seed stream ``s`` comes from
-``Generator(PCG64(SeedSequence(seed_words(seed, trial_id, *s))))``, which
-draws exactly the bits of ``SeedSequence([seed, trial_id, *s])``, so a
-(seed, trial_id) pair fully reproduces a run.  `seed_words` is the one
-seeding definition; the words of the seed and of each stream are built
-once per draw, not once per trial.  numpy builds a draw's first generator;
-every later (arm, trial) key reseeds it through ``bit_generator.state``
-with the state `_pcg64_states` computes for all keys of a chunk in one
-array pass of SeedSequence's hashing and PCG64's seeding, bit for bit the
-state numpy would build (the tests check it against numpy).
+Determinism: a trial's noise for the arm with seed stream ``s`` is, bit for
+bit, ``Generator(PCG64(SeedSequence([seed, trial_id, *s]))).laplace(0.0,
+scale, shape)``, so a (seed, trial_id) pair fully reproduces a run.  The
+module never imports ``numpy.random``; the tests check every path against
+numpy's own Generator.  `seed_words` is the one seeding definition; the
+words of the seed and of each stream are built once per draw, not once per
+trial.  `_laplace` draws every noised (arm, trial) key of a chunk in one
+call.  `_pcg64_states` runs SeedSequence's hashing and PCG64's seeding as
+one array pass over all keys, and `_laplace_rows` finds every key's k-th
+state by jump-ahead (`_jump_table`), then applies PCG64's output function
+and numpy's inverse-CDF sampler.  Its log is `math.log`, the libm function
+numpy's C sampler calls (numpy's SIMD `np.log` can differ in the last bit),
+so releases also depend on the platform's libm.  A draw of only a few
+values (`_SMALL_DRAW`) runs the same steps on Python ints, which skips
+numpy's per-call cost; so does a row whose uniform is exactly 0, which
+numpy rejects for the next word.
 """
 from __future__ import annotations
 
@@ -111,19 +117,26 @@ def _check_seed(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-def _generator(words: list[int]) -> np.random.Generator:
-    random = np.random
-    return random.Generator(random.PCG64(random.SeedSequence(
-        np.array(words, dtype=np.uint32))))
-
-
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit LCG multiplier (pcg64.h).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_32 = 0xFFFFFFFF
+_MASK_64 = (1 << 64) - 1
 _MASK_128 = (1 << 128) - 1
+# numpy's per-call cost outweighs its per-element speed on small draws: up to
+# _FEW_KEYS keys are seeded on Python ints, and drawn on them too if they take
+# at most _SMALL_DRAW values in all.
+_FEW_KEYS = 12
+_SMALL_DRAW = 128
+
+# Every operand of the array kernel is np.uint64: numpy 1.x turns a Python
+# int mixed with an np.uint64 scalar into float64.
+_U1, _U11, _U32 = np.uint64(1), np.uint64(11), np.uint64(32)
+_U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
+_LOW = np.uint64(_MASK_32)
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,14 +144,16 @@ def _hash_constants(init: int, mult: int, calls: int):
     """The (xor, multiply) uint32 constants of `calls` successive hashes.
 
     Hash k xors with init * mult**k and multiplies by init * mult**(k+1),
-    whatever the data, so a run of hashes is tabled once (read-only).
+    whatever the data, so a run of hashes is tabled once.
     """
     consts = [init]
     for _ in range(calls):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    consts = np.array(consts, dtype=np.uint32)
-    consts.flags.writeable = False
-    return consts[:-1], consts[1:]
+        consts.append(consts[-1] * mult & _MASK_32)
+    return tuple(consts[:-1]), tuple(consts[1:])
+
+
+def _hash_arrays(init: int, mult: int, calls: int):
+    return [np.array(c, dtype=np.uint32) for c in _hash_constants(init, mult, calls)]
 
 
 def _hash(values, xor, mul):
@@ -147,21 +162,22 @@ def _hash(values, xor, mul):
 
 
 def _mix(x, y):
-    mixed = _MIX_L * x - _MIX_R * y
+    mixed = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
     return mixed ^ (mixed >> 16)
 
 
-def _pcg64_states(entropy: np.ndarray) -> list[dict]:
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
     """``PCG64(SeedSequence(row)).state`` for every row of a uint32 matrix.
 
-    SeedSequence's 4-word pool and ``generate_state(4, uint64)`` run as
-    uint32 array passes over all rows (each step of numpy's loops reads
-    columns the same step does not write); PCG64's two seeding steps run
-    on Python ints.
+    Returns a (rows, 4) uint64 array of the 128-bit state and increment as
+    columns (state high, state low, inc high, inc low).  SeedSequence's
+    4-word pool and ``generate_state(4, uint64)`` run as uint32 array passes
+    over all rows (each step of numpy's loops reads columns the same step
+    does not write); PCG64's seeding is one `_affine` pass.
     """
     rows, width = entropy.shape
     # Four init hashes, 12 cross-mix hashes, four per word beyond the pool.
-    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
+    xor, mul = _hash_arrays(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
     pool = np.zeros((rows, 4), dtype=np.uint32)
     pool[:, :width] = entropy[:, :4]
     pool = _hash(pool, xor[:4], mul[:4])
@@ -177,28 +193,193 @@ def _pcg64_states(entropy: np.ndarray) -> list[dict]:
         pool = _mix(pool, hashed)
         at += 4
     # generate_state cycles the pool twice; uint64 word j is words 2j, 2j+1.
-    words = _hash(pool[:, [0, 1, 2, 3] * 2], *_hash_constants(_INIT_B, _MULT_B, 8))
+    words = _hash(pool[:, [0, 1, 2, 3] * 2], *_hash_arrays(_INIT_B, _MULT_B, 8))
     words = words.astype(np.uint64)
-    states = []
-    for seed_hi, seed_lo, seq_hi, seq_lo in (
-        words[:, 0::2] | words[:, 1::2] << np.uint64(32)
-    ).tolist():
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK_128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[:, 0::2] | words[:, 1::2] << _U32).T
+    # pcg64_srandom_r: inc = seq << 1 | 1, state = M * (seed + inc) + inc.
+    inc_hi = seq_hi << _U1 | seq_lo >> _U63
+    inc_lo = seq_lo << _U1 | _U1
+    inc = _limbs(inc_hi, inc_lo)
+    states = np.empty((rows, 4), dtype=np.uint64)
+    states[:, 0], states[:, 1] = _affine(
+        _int_limbs(_PCG_MULT), _limbs(seed_hi, seed_lo), _int_limbs(_PCG_MULT + 1), inc
+    )
+    states[:, 2], states[:, 3] = inc_hi, inc_lo
     return states
 
 
-def _reseed_states(keys: list[list[int]]) -> list[dict]:
-    """`_pcg64_states` of each key's entropy, in order: one pass per width."""
-    states: list = [None] * len(keys)
-    for width in {len(entropy) for entropy in keys}:
-        at = [j for j, entropy in enumerate(keys) if len(entropy) == width]
-        rows = np.array([keys[j] for j in at], dtype=np.uint32)
-        for j, state in zip(at, _pcg64_states(rows)):
-            states[j] = state
-    return states
+def _seed_ints(words: list[int]) -> tuple[int, int]:
+    """`_pcg64_states` of one entropy row on Python ints: (state, inc)."""
+    width = len(words)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
+    pool = []
+    for k in range(4):
+        v = ((words[k] if k < width else 0) ^ xor[k]) * mul[k] & _MASK_32
+        pool.append(v ^ v >> 16)
+    at = 4
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                v = (pool[src] ^ xor[at]) * mul[at] & _MASK_32
+                v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK_32
+                pool[dst] = v ^ v >> 16
+                at += 1
+    for word in words[4:]:
+        for dst in range(4):
+            v = (word ^ xor[at]) * mul[at] & _MASK_32
+            v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK_32
+            pool[dst] = v ^ v >> 16
+            at += 1
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
+    out = []
+    for k in range(8):
+        v = (pool[k % 4] ^ xor[k]) * mul[k] & _MASK_32
+        out.append(v ^ v >> 16)
+    # uint64 word j is out[2j] | out[2j+1] << 32; seed and sequence take
+    # two words each, the first high.
+    seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
+    inc = ((out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 | 1) & _MASK_128
+    return ((seed + inc) * _PCG_MULT + inc) & _MASK_128, inc
+
+
+def _limbs(hi, lo):
+    """The four 32-bit limbs, low first, of 128-bit values split in uint64."""
+    return lo & _LOW, lo >> _U32, hi & _LOW, hi >> _U32
+
+
+def _int_limbs(value: int):
+    return tuple(np.uint64(value >> shift & _MASK_32) for shift in (0, 32, 64, 96))
+
+
+def _affine(a, x, b, y):
+    """``(a * x + b * y) mod 2**128`` as (high, low) uint64 arrays.
+
+    Each operand is four 32-bit limbs, low first (`_limbs`), in uint64 arrays
+    that broadcast.  A limb product at 2**64 or 2**96 is summed whole and
+    wraps, since only its bits below 2**128 count; the products below 2**64
+    are split in 32-bit halves so the low word's carry is exact.
+    """
+    a0, a1, a2, a3 = a
+    x0, x1, x2, x3 = x
+    b0, b1, b2, b3 = b
+    y0, y1, y2, y3 = y
+    p00, q00 = a0 * x0, b0 * y0
+    p01, p10, q01, q10 = a0 * x1, a1 * x0, b0 * y1, b1 * y0
+    low = (p00 & _LOW) + (q00 & _LOW)
+    mid = ((low >> _U32) + (p00 >> _U32) + (q00 >> _U32)
+           + (p01 & _LOW) + (p10 & _LOW) + (q01 & _LOW) + (q10 & _LOW))
+    top = a0 * x3 + a1 * x2 + a2 * x1 + a3 * x0 + b0 * y3 + b1 * y2 + b2 * y1 + b3 * y0
+    high = ((mid >> _U32) + (p01 >> _U32) + (p10 >> _U32) + (q01 >> _U32)
+            + (q10 >> _U32) + a0 * x2 + a1 * x1 + a2 * x0 + b0 * y2 + b1 * y1
+            + b2 * y0 + (top << _U32))
+    return high, (low & _LOW) | (mid << _U32)
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_table(bits: int) -> np.ndarray:
+    """Limbs of M**k and of B(k) = sum_{j<k} M**j mod 2**128, k = 1..2**bits.
+
+    Rows 0-3 and 4-7 of an (8, 2**bits) read-only uint64 array: k steps of
+    PCG64's LCG take a state s to M**k * s + B(k) * inc.  Each table doubles
+    the one before: k + m steps are k steps after m, so M**(k+m) is
+    M**k * M**m + B(k) * 0 and B(k+m) is M**k * B(m) + B(k) * 1.
+    """
+    if bits == 0:
+        table = np.array(_int_limbs(_PCG_MULT) + _int_limbs(1))[:, None]
+    else:
+        half = _jump_table(bits - 1)
+        # Limb i of (M**m, B(m)) and of (0, 1), shape (4, 2, 1).
+        x = half[:, -1].reshape(2, 4).T[..., None]
+        y = np.array(_int_limbs(0) + _int_limbs(1)).reshape(2, 4).T[..., None]
+        later = np.stack(_limbs(*_affine(half[:4, None], x, half[4:, None], y)))
+        table = np.concatenate([half, later.transpose(1, 0, 2).reshape(8, -1)], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _xsl_rr(high, low):
+    """PCG64's 64-bit output of 128-bit states: (high ^ low) rotated right
+    by the top six bits."""
+    x = high ^ low
+    r = high >> _U58
+    return x >> r | x << ((_U64 - r) & _U63)
+
+
+def _laplace_rows(states: np.ndarray, scales: np.ndarray, size: int) -> np.ndarray:
+    """`size` Laplace draws from each row's PCG64 state, as numpy draws them.
+
+    `states` is `_pcg64_states`' (rows, 4) form and `scales` one scale per
+    row.  Row i equals ``Generator(PCG64)`` at that state calling
+    ``.laplace(0.0, scales[i], size)``, bit for bit: draw k reads the word of
+    the state k + 1 steps on, found by `_jump_table` for every row at once.
+    """
+    table = _jump_table(max(size - 1, 0).bit_length())[:, :size]
+    state = _limbs(states[:, 0, None], states[:, 1, None])
+    inc = _limbs(states[:, 2, None], states[:, 3, None])
+    words = _xsl_rr(*_affine(table[:4], state, table[4:], inc))
+    u = (words >> _U11).astype(np.float64) * 2.0 ** -53
+    if not u.all():
+        # numpy rejects U == 0 and takes the next word, which shifts the row:
+        # those rows are redrawn word by word (odds 2**-53 per draw).
+        redraw = np.flatnonzero((u == 0).any(axis=1))
+        u[redraw] = 0.5
+    else:
+        redraw = ()
+    high = u >= 0.5
+    # numpy's sampler calls libm's log, as math.log does; np.log's SIMD loops
+    # can differ from it in the last bit.
+    logs = np.fromiter(
+        map(math.log, np.where(high, (2.0 - u) - u, u + u).ravel().tolist()),
+        dtype=np.float64, count=u.size,
+    ).reshape(u.shape)
+    logs *= scales[:, None]
+    # loc - b * log on the upper half, loc + b * log below, with loc 0.0 kept:
+    # it makes a zero draw (U = 0.5, or scale 0) positive.
+    draws = np.where(high, 0.0 - logs, 0.0 + logs)
+    for row in redraw:
+        draws[row] = _laplace_ints(
+            int(states[row, 0]) << 64 | int(states[row, 1]),
+            int(states[row, 2]) << 64 | int(states[row, 3]),
+            float(scales[row]), size,
+        )
+    return draws
+
+
+def _laplace_ints(state: int, inc: int, scale: float, size: int) -> list[float]:
+    """`_laplace_rows` of one state on Python ints, one word at a time."""
+    log = math.log
+    draws = []
+    while len(draws) < size:
+        state = (state * _PCG_MULT + inc) & _MASK_128
+        x = (state ^ state >> 64) & _MASK_64
+        u = ((x << 64 | x) >> (state >> 122) & _MASK_64) >> 11
+        if u:  # numpy rejects U == 0 and takes the next word
+            u *= 2.0 ** -53
+            if u >= 0.5:
+                draws.append(0.0 - scale * log((2.0 - u) - u))
+            else:
+                draws.append(0.0 + scale * log(u + u))
+    return draws
+
+
+def _laplace(keys: list[list[int]], scales: list[float], size: int) -> np.ndarray:
+    """Laplace(0, scales[i]) draws of shape (len(keys), size), row i from
+    ``Generator(PCG64(SeedSequence(keys[i])))``, bit for bit."""
+    if min(scales) < 0:
+        raise NonPositiveScaleError(f"noise scale must be >= 0, got {min(scales)}")
+    if len(keys) > _FEW_KEYS:
+        states = np.empty((len(keys), 4), dtype=np.uint64)
+        for width in {len(words) for words in keys}:
+            at = [j for j, words in enumerate(keys) if len(words) == width]
+            states[at] = _pcg64_states(np.array([keys[j] for j in at], dtype=np.uint32))
+        return _laplace_rows(states, np.array(scales), size)
+    seeded = [_seed_ints(words) for words in keys]
+    if len(keys) * size <= _SMALL_DRAW:
+        return np.array([_laplace_ints(state, inc, scale, size)
+                         for (state, inc), scale in zip(seeded, scales)])
+    states = np.array([[state >> 64, state & _MASK_64, inc >> 64, inc & _MASK_64]
+                       for state, inc in seeded], dtype=np.uint64)
+    return _laplace_rows(states, np.array(scales), size)
 
 
 @dataclass(frozen=True)
@@ -229,15 +410,6 @@ class ReleaseSeries:
     noise_scale: float
     sensitivity: SensitivityReport
     thresholds: Optional[ProjectionThresholds] = None
-
-
-def laplace_sample(rng: np.random.Generator, scale: float, size=None):
-    """Laplace(0, scale) draw; scale 0 means no noise."""
-    if scale < 0:
-        raise NonPositiveScaleError(f"noise scale must be >= 0, got {scale}")
-    if scale == 0:
-        return 0.0 if size is None else np.zeros(size)
-    return rng.laplace(0.0, scale, size)
 
 
 def relative_l1_errors(estimates, truth):
@@ -346,31 +518,27 @@ class ReleasePlan:
         chunk = max(1, _CHUNK_ELEMENTS // (len(arms) * self.truth.size))
         estimates = np.empty((len(trial_ids), *shape))
         picks = np.zeros(len(trial_ids), dtype=np.intp)
-        rng = None
         for lo in range(0, len(trial_ids), chunk):
             words = [seed_words(t) for t in trial_ids[lo:lo + chunk]]
             out = estimates[lo:lo + len(words)]
             # One (trials, T[, bins]) block per arm; a lone arm fills `out`.
             noisy = out[None] if len(arms) == 1 else np.empty((len(arms), *out.shape))
-            # Every (arm, trial) key drawn but the call's first reseeds one
-            # generator: their states come from one array pass, in draw order.
-            states = None
-            if noised_arms * len(words) > (rng is None):
-                keys = [head + trial + tail
-                        for tail, scale in zip(tails, scales) if scale for trial in words]
-                states = iter(_reseed_states(keys[rng is None:]))
-            for block, arm, scale, tail in zip(noisy, arms, scales, tails):
+            # Every noised (arm, trial) key of the chunk in one kernel call.
+            if noised_arms:
+                noise = _laplace(
+                    [head + trial + tail
+                     for tail, scale in zip(tails, scales) if scale for trial in words],
+                    [scale for scale in scales if scale for _ in words],
+                    self.truth.size,
+                ).reshape(noised_arms, *out.shape)
+            at = 0
+            for block, arm, scale in zip(noisy, arms, scales):
                 if scale == 0:
                     block.fill(0.0)
+                    block += arm.series
                 else:
-                    for i, trial in enumerate(words):
-                        if rng is None:
-                            # The call's first key gets numpy's own seeding.
-                            rng = _generator(head + trial + tail)
-                        else:
-                            rng.bit_generator.state = next(states)
-                        block[i] = laplace_sample(rng, scale, shape)
-                block += arm.series
+                    np.add(noise[at], arm.series, out=block)
+                    at += 1
             if self.mechanism == "sensdiff":
                 # np.cumsum's loop, in place, without its wrapper's cost.
                 np.add.accumulate(noisy, axis=2, out=noisy)

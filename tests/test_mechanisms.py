@@ -1,5 +1,9 @@
 """Release mechanisms: noise law, determinism, exactness at zero noise, and
 the batch draw bit for bit against a per-trial reference."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,7 +33,6 @@ from dpgraphseq.harness import (
 from dpgraphseq.mechanisms import (
     MECHANISMS,
     MechanismConfig,
-    laplace_sample,
     plan,
     relative_l1_error,
     release,
@@ -56,14 +59,14 @@ HD = StatisticQuery.high_degree(1)
 
 
 def test_laplace_sample_moments():
-    rng = np.random.default_rng(7)
-    draws = laplace_sample(rng, 2.0, size=200_000)
+    # The kernel's 200,000 draws: 200 seeded keys of 1,000 values each.
+    keys = [seed_words(7, i) for i in range(200)]
+    draws = mechanisms._laplace(keys, [2.0] * len(keys), 1_000)
+    assert draws.shape == (200, 1_000)
     assert abs(draws.mean()) < 0.05
     assert np.isclose(draws.std(), 2.0 * np.sqrt(2), rtol=0.02)
-    assert laplace_sample(rng, 0.0) == 0.0
-    assert not laplace_sample(rng, 0.0, size=3).any()
     with pytest.raises(NonPositiveScaleError):
-        laplace_sample(rng, -1.0)
+        mechanisms._laplace(keys[:1], [-1.0], 3)
 
 
 def test_config_validation():
@@ -341,6 +344,15 @@ def test_sensdiff_partial_sum_noise_grows_with_sqrt_t():
 # --- the batch draw against a per-trial reference ---------------------------
 
 
+def laplace_sample(rng: np.random.Generator, scale: float, size=None):
+    """Laplace(0, scale) draw from a numpy Generator; scale 0 means no noise."""
+    if scale < 0:
+        raise NonPositiveScaleError(f"noise scale must be >= 0, got {scale}")
+    if scale == 0:
+        return 0.0 if size is None else np.zeros(size)
+    return rng.laplace(0.0, scale, size)
+
+
 def _reference_draw(p, config):
     """One trial drawn the way a release drew it before the batch draw: a
     generator seeded from the list [seed, trial_id, *stream] per arm, a
@@ -419,6 +431,10 @@ def test_seed_words_match_numpy_seeding(seed, trials):
 _WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
+def _as_int(high, low):
+    return int(high) << 64 | int(low)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 9).flatmap(
     lambda width: st.lists(st.lists(_WORD, min_size=width, max_size=width),
@@ -429,8 +445,133 @@ _WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
 def test_pcg64_states_match_numpy_seeding(rows):
     # Widths above 4 take SeedSequence's extra mixing of words past the pool.
     entropy = np.array(rows, dtype=np.uint32)
-    want = [np.random.PCG64(np.random.SeedSequence(row)).state for row in entropy]
-    assert mechanisms._pcg64_states(entropy) == want
+    want = [np.random.PCG64(np.random.SeedSequence(row)).state["state"]
+            for row in entropy]
+    states = mechanisms._pcg64_states(entropy)
+    assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
+    assert [{"state": _as_int(*row[:2]), "inc": _as_int(*row[2:])}
+            for row in states.tolist()] == want
+    # The Python-int seeding of small draws, row by row.
+    assert [dict(zip(("state", "inc"), mechanisms._seed_ints(row)))
+            for row in rows] == want
+
+
+_MASK_64 = 2**64 - 1
+
+
+def _numpy_pcg64(state, inc):
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return bit_generator
+
+
+def _numpy_laplace(state, inc, scale, size):
+    """numpy's own Laplace draws from a PCG64 at (state, inc)."""
+    return np.random.Generator(_numpy_pcg64(state, inc)).laplace(0.0, scale, size)
+
+
+def _kernel_paths(pairs, scales, size):
+    """Each kernel path's draws from the (state, inc) pairs, as uint64 bits:
+    the array pass over all rows, and each row on Python ints."""
+    states = np.array(
+        [[s >> 64, s & _MASK_64, i >> 64, i & _MASK_64] for s, i in pairs],
+        dtype=np.uint64,
+    )
+    rows = mechanisms._laplace_rows(states, np.array(scales), size)
+    ints = np.array([mechanisms._laplace_ints(s, i, scale, size)
+                     for (s, i), scale in zip(pairs, scales)])
+    return {"array": rows.view(np.uint64), "ints": ints.view(np.uint64)}
+
+
+_U128 = st.integers(0, 2**128 - 1)
+# Seeding makes inc odd, which gives the LCG its full period; at an even inc
+# a state can repeat word 0 forever, and numpy's sampler would not return.
+_INC = _U128.map(lambda inc: inc | 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_U128, _INC), min_size=1, max_size=4),
+    st.sampled_from([1, 9, 300, 300 * 9]),
+    st.floats(1e-3, 1e6) | st.just(0.0),
+)
+@example([(0, 1)], 9, 1.0)
+@example([(2**128 - 1, 2**128 - 1)], 300, 7.0)
+def test_kernel_paths_equal_numpy_laplace_bit_for_bit(pairs, size, scale):
+    scales = [scale * (k + 1) for k in range(len(pairs))]
+    want = np.array([_numpy_laplace(s, i, b, size) for (s, i), b in zip(pairs, scales)])
+    for path, got in _kernel_paths(pairs, scales, size).items():
+        assert np.array_equal(got, want.view(np.uint64)), path
+
+
+def _state_before(word_state, inc):
+    """The state one PCG64 step before `word_state`."""
+    return (word_state - inc) * pow(mechanisms._PCG_MULT, -1, 2**128) % 2**128
+
+
+@pytest.mark.parametrize("size", [1, 5, 300])
+def test_kernel_rejects_a_zero_uniform_and_keeps_a_half_positive(size):
+    inc = 0x9E3779B97F4A7C15F39CC0605CEDC835
+    # Equal 64-bit halves give output word 0, so U == 0: numpy draws again.
+    half = 0x0123456789ABCDEF
+    zero = _state_before(half << 64 | half, inc)
+    # Word 2**63 (high half 0, no rotation) gives U == 0.5 and a draw of +0.0.
+    middle = _state_before(1 << 63, inc)
+    assert _numpy_pcg64(zero, inc).random_raw(1).tolist() == [0]
+    assert np.signbit(_numpy_laplace(middle, inc, 3.0, 1)).tolist() == [False]
+    pairs = [(zero, inc), (middle, inc), (12345, 67891)]
+    scales = [2.0, 3.0, 4.0]
+    want = np.array([_numpy_laplace(s, i, b, size) for (s, i), b in zip(pairs, scales)])
+    for path, got in _kernel_paths(pairs, scales, size).items():
+        assert np.array_equal(got, want.view(np.uint64)), path
+
+
+@pytest.mark.parametrize(
+    "few_keys, small_draw", [(0, 0), (10**9, 0), (10**9, 10**9)],
+    ids=["array", "int-seeded-array", "ints"],
+)
+def test_kernel_draws_equal_numpy_seeded_generators(monkeypatch, few_keys, small_draw):
+    monkeypatch.setattr(mechanisms, "_FEW_KEYS", few_keys)
+    monkeypatch.setattr(mechanisms, "_SMALL_DRAW", small_draw)
+    keys = [seed_words(0, 5, 0), seed_words(2**32, 1, 2, 3), seed_words(2**70, 2**40, 9),
+            seed_words(1), seed_words(2**32 - 1, 7)]
+    scales = [0.5, 1.0, 7.0, 2.0, 3.5]
+    got = mechanisms._laplace(keys, scales, 9)
+    for row, words, scale in zip(got, keys, scales):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        assert np.array_equal(row, rng.laplace(0.0, scale, 9))
+
+
+def test_releases_never_import_numpy_random():
+    # numpy.random's import costs a fresh process ~12 ms and ~5 MB.
+    code = """
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("numpy imports numpy.random itself")
+    sys.exit()
+from dpgraphseq import DegreeBounds, StatisticQuery, build_sequence
+from dpgraphseq.harness import ExperimentConfig, run_experiment
+from dpgraphseq.mechanisms import MechanismConfig, release
+seq = build_sequence(False, [(t, [f"n{t}"], [(f"n{t - 1}", f"n{t}")] if t > 1 else [])
+                             for t in range(1, 6)])
+edge = StatisticQuery.subgraph("edge")
+release("sensdiff", seq, edge, MechanismConfig(1.0), bounds=DegreeBounds.undirected(2))
+run_experiment(ExperimentConfig(dataset="chain", seq=seq, query=edge, epsilons=(1.0,),
+                                trials=60))
+print("numpy.random" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(mechanisms.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    if run.stdout.startswith("numpy imports"):
+        pytest.skip("this numpy imports numpy.random on `import numpy`")
+    assert run.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3])
