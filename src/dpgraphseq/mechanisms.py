@@ -43,8 +43,8 @@ words of the seed and of each stream are built once per draw, not once per
 trial.  `_laplace` draws every noised (arm, trial) key of a chunk in one
 call.  `_pcg64_states` runs SeedSequence's hashing and PCG64's seeding as
 one array pass over all keys, and `_laplace_rows` finds every key's k-th
-state by jump-ahead (`_jump_table`), then applies PCG64's output function
-and numpy's inverse-CDF sampler.  Its log is `math.log`, the libm function
+state by jump-ahead (`_jump_table`), a bounded block of steps at a time,
+then applies PCG64's output function and numpy's inverse-CDF sampler.  Its log is `math.log`, the libm function
 numpy's C sampler calls (numpy's SIMD `np.log` can differ in the last bit),
 so releases also depend on the platform's libm.  A draw of only a few
 values (`_SMALL_DRAW`) runs the same steps on Python ints, which skips
@@ -126,17 +126,21 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK_32 = 0xFFFFFFFF
 _MASK_64 = (1 << 64) - 1
 _MASK_128 = (1 << 128) - 1
-# numpy's per-call cost outweighs its per-element speed on small draws: up to
-# _FEW_KEYS keys are seeded on Python ints, and drawn on them too if they take
-# at most _SMALL_DRAW values in all.
-_FEW_KEYS = 12
+# A draw of at most _SMALL_DRAW values over all its keys is seeded and drawn
+# on Python ints: the array path's fixed ~0.2 ms per call would make a
+# one-trial release several times slower.
 _SMALL_DRAW = 128
+# The array path draws each row in blocks of 2**_BLOCK_BITS steps, so its jump
+# tables and temporaries stay bounded however long the draw.
+_BLOCK_BITS = 12
 
-# Every operand of the array kernel is np.uint64: numpy 1.x turns a Python
-# int mixed with an np.uint64 scalar into float64.
+# Every operand of the array kernel is np.uint64 (np.uint32 in SeedSequence's
+# hashing): numpy 1.x turns a Python int mixed with an np.uint64 scalar into
+# float64.
 _U1, _U11, _U32 = np.uint64(1), np.uint64(11), np.uint64(32)
 _U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
 _LOW = np.uint64(_MASK_32)
+_MIX_L32, _MIX_R32 = np.uint32(_MIX_L), np.uint32(_MIX_R)
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,8 +156,13 @@ def _hash_constants(init: int, mult: int, calls: int):
     return tuple(consts[:-1]), tuple(consts[1:])
 
 
+@functools.lru_cache(maxsize=None)
 def _hash_arrays(init: int, mult: int, calls: int):
-    return [np.array(c, dtype=np.uint32) for c in _hash_constants(init, mult, calls)]
+    """`_hash_constants` as read-only uint32 arrays, for the array pass."""
+    arrays = tuple(np.array(c, dtype=np.uint32) for c in _hash_constants(init, mult, calls))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _hash(values, xor, mul):
@@ -162,7 +171,7 @@ def _hash(values, xor, mul):
 
 
 def _mix(x, y):
-    mixed = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    mixed = _MIX_L32 * x - _MIX_R32 * y
     return mixed ^ (mixed >> 16)
 
 
@@ -282,7 +291,9 @@ def _jump_table(bits: int) -> np.ndarray:
     Rows 0-3 and 4-7 of an (8, 2**bits) read-only uint64 array: k steps of
     PCG64's LCG take a state s to M**k * s + B(k) * inc.  Each table doubles
     the one before: k + m steps are k steps after m, so M**(k+m) is
-    M**k * M**m + B(k) * 0 and B(k+m) is M**k * B(m) + B(k) * 1.
+    M**k * M**m + B(k) * 0 and B(k+m) is M**k * B(m) + B(k) * 1.  Draws ask
+    for at most `_BLOCK_BITS`, so the cache holds under 2**(_BLOCK_BITS + 1)
+    columns in all.
     """
     if bits == 0:
         table = np.array(_int_limbs(_PCG_MULT) + _int_limbs(1))[:, None]
@@ -311,36 +322,46 @@ def _laplace_rows(states: np.ndarray, scales: np.ndarray, size: int) -> np.ndarr
     `states` is `_pcg64_states`' (rows, 4) form and `scales` one scale per
     row.  Row i equals ``Generator(PCG64)`` at that state calling
     ``.laplace(0.0, scales[i], size)``, bit for bit: draw k reads the word of
-    the state k + 1 steps on, found by `_jump_table` for every row at once.
+    the state k + 1 steps on, found by `_jump_table` for every row at once, a
+    block of 2**_BLOCK_BITS draws at a time.
     """
-    table = _jump_table(max(size - 1, 0).bit_length())[:, :size]
     state = _limbs(states[:, 0, None], states[:, 1, None])
     inc = _limbs(states[:, 2, None], states[:, 3, None])
-    words = _xsl_rr(*_affine(table[:4], state, table[4:], inc))
-    u = (words >> _U11).astype(np.float64) * 2.0 ** -53
-    if not u.all():
-        # numpy rejects U == 0 and takes the next word, which shifts the row:
-        # those rows are redrawn word by word (odds 2**-53 per draw).
-        redraw = np.flatnonzero((u == 0).any(axis=1))
-        u[redraw] = 0.5
-    else:
-        redraw = ()
-    high = u >= 0.5
-    # numpy's sampler calls libm's log, as math.log does; np.log's SIMD loops
-    # can differ from it in the last bit.
-    logs = np.fromiter(
-        map(math.log, np.where(high, (2.0 - u) - u, u + u).ravel().tolist()),
-        dtype=np.float64, count=u.size,
-    ).reshape(u.shape)
-    logs *= scales[:, None]
-    # loc - b * log on the upper half, loc + b * log below, with loc 0.0 kept:
-    # it makes a zero draw (U = 0.5, or scale 0) positive.
-    draws = np.where(high, 0.0 - logs, 0.0 + logs)
-    for row in redraw:
+    scales = scales[:, None]
+    draws = np.empty((len(states), size))
+    zero = np.zeros(len(states), dtype=bool)
+    block = 1 << _BLOCK_BITS
+    for lo in range(0, size, block):
+        out = draws[:, lo:lo + block]
+        width = out.shape[1]
+        table = _jump_table((width - 1).bit_length())[:, :width]
+        words = _xsl_rr(*_affine(table[:4], state, table[4:], inc))
+        u = (words >> _U11).astype(np.float64) * 2.0 ** -53
+        if not u.all():
+            # numpy rejects U == 0 and takes the next word, which shifts the
+            # row: such rows are redrawn below (odds 2**-53 per draw).
+            zero |= (u == 0).any(axis=1)
+            u[u == 0] = 0.5
+        high = u >= 0.5
+        # numpy's sampler calls libm's log, as math.log does; np.log's SIMD
+        # loops can differ from it in the last bit.
+        logs = np.fromiter(
+            map(math.log, np.where(high, (2.0 - u) - u, u + u).ravel().tolist()),
+            dtype=np.float64, count=u.size,
+        ).reshape(u.shape)
+        logs *= scales
+        # loc - b * log on the upper half, loc + b * log below, with loc 0.0
+        # kept: it makes a zero draw (U = 0.5, or scale 0) positive.
+        np.copyto(out, np.where(high, 0.0 - logs, 0.0 + logs))
+        if lo + block < size:
+            # The next block starts from the state `block` steps on, the last
+            # column of this full block's table.
+            state = _limbs(*_affine(table[:4, -1:], state, table[4:, -1:], inc))
+    for row in np.flatnonzero(zero):
         draws[row] = _laplace_ints(
             int(states[row, 0]) << 64 | int(states[row, 1]),
             int(states[row, 2]) << 64 | int(states[row, 3]),
-            float(scales[row]), size,
+            float(scales[row, 0]), size,
         )
     return draws
 
@@ -367,18 +388,13 @@ def _laplace(keys: list[list[int]], scales: list[float], size: int) -> np.ndarra
     ``Generator(PCG64(SeedSequence(keys[i])))``, bit for bit."""
     if min(scales) < 0:
         raise NonPositiveScaleError(f"noise scale must be >= 0, got {min(scales)}")
-    if len(keys) > _FEW_KEYS:
-        states = np.empty((len(keys), 4), dtype=np.uint64)
-        for width in {len(words) for words in keys}:
-            at = [j for j, words in enumerate(keys) if len(words) == width]
-            states[at] = _pcg64_states(np.array([keys[j] for j in at], dtype=np.uint32))
-        return _laplace_rows(states, np.array(scales), size)
-    seeded = [_seed_ints(words) for words in keys]
     if len(keys) * size <= _SMALL_DRAW:
-        return np.array([_laplace_ints(state, inc, scale, size)
-                         for (state, inc), scale in zip(seeded, scales)])
-    states = np.array([[state >> 64, state & _MASK_64, inc >> 64, inc & _MASK_64]
-                       for state, inc in seeded], dtype=np.uint64)
+        return np.array([_laplace_ints(*_seed_ints(words), scale, size)
+                         for words, scale in zip(keys, scales)])
+    states = np.empty((len(keys), 4), dtype=np.uint64)
+    for width in {len(words) for words in keys}:
+        at = [j for j, words in enumerate(keys) if len(words) == width]
+        states[at] = _pcg64_states(np.array([keys[j] for j in at], dtype=np.uint32))
     return _laplace_rows(states, np.array(scales), size)
 
 

@@ -65,6 +65,9 @@ def test_laplace_sample_moments():
     assert draws.shape == (200, 1_000)
     assert abs(draws.mean()) < 0.05
     assert np.isclose(draws.std(), 2.0 * np.sqrt(2), rtol=0.02)
+    # Scale 0 draws +0.0 only, as a zero-noise release relies on.
+    zero = mechanisms._laplace(keys[:2], [0.0, 0.0], 3)
+    assert not zero.any() and not np.signbit(zero).any()
     with pytest.raises(NonPositiveScaleError):
         mechanisms._laplace(keys[:1], [-1.0], 3)
 
@@ -528,12 +531,8 @@ def test_kernel_rejects_a_zero_uniform_and_keeps_a_half_positive(size):
         assert np.array_equal(got, want.view(np.uint64)), path
 
 
-@pytest.mark.parametrize(
-    "few_keys, small_draw", [(0, 0), (10**9, 0), (10**9, 10**9)],
-    ids=["array", "int-seeded-array", "ints"],
-)
-def test_kernel_draws_equal_numpy_seeded_generators(monkeypatch, few_keys, small_draw):
-    monkeypatch.setattr(mechanisms, "_FEW_KEYS", few_keys)
+@pytest.mark.parametrize("small_draw", [0, 10**9], ids=["array", "ints"])
+def test_kernel_draws_equal_numpy_seeded_generators(monkeypatch, small_draw):
     monkeypatch.setattr(mechanisms, "_SMALL_DRAW", small_draw)
     keys = [seed_words(0, 5, 0), seed_words(2**32, 1, 2, 3), seed_words(2**70, 2**40, 9),
             seed_words(1), seed_words(2**32 - 1, 7)]
@@ -542,6 +541,23 @@ def test_kernel_draws_equal_numpy_seeded_generators(monkeypatch, few_keys, small
     for row, words, scale in zip(got, keys, scales):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
         assert np.array_equal(row, rng.laplace(0.0, scale, 9))
+
+
+def test_kernel_rows_longer_than_a_block_equal_numpy():
+    # Rows run on past a block of jump-ahead steps; the second row's zero
+    # uniform falls in the second block.
+    block = 1 << mechanisms._BLOCK_BITS
+    size = 2 * block + 3
+    inc = 0x9E3779B97F4A7C15F39CC0605CEDC835
+    half = 0x0123456789ABCDEF
+    zero = half << 64 | half
+    for _ in range(block + 7):
+        zero = _state_before(zero, inc)
+    pairs = [(12345, 67891), (zero, inc)]
+    scales = [2.0, 3.0]
+    want = np.array([_numpy_laplace(s, i, b, size) for (s, i), b in zip(pairs, scales)])
+    for path, got in _kernel_paths(pairs, scales, size).items():
+        assert np.array_equal(got, want.view(np.uint64)), path
 
 
 def test_releases_never_import_numpy_random():
