@@ -124,7 +124,7 @@ def _read_sequence(path: str):
         seq = loads_edge_list(text)
     except (ValueError, GraphSequenceError) as exc:
         raise click.BadParameter(str(exc), param_hint="'--input'") from exc
-    if not seq.node_time:
+    if not seq._node_times:
         raise click.BadParameter("sequence has no nodes", param_hint="'--input'")
     if seq.horizon < 1:
         raise click.BadParameter(

@@ -46,7 +46,7 @@ CSV_COLUMNS = (
 
 def _node_walk(seq: GraphSequence):
     """The sequence's degree walk; a sequence without nodes has no degrees."""
-    if not seq.node_time:
+    if not seq._node_times:
         raise EmptyGraphError("sequence has no nodes")
     return seq.degree_walk
 

@@ -1,6 +1,8 @@
 """Sequence ingestion, snapshots, bound checks, and the edge-list format."""
+import copy
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +311,164 @@ def test_one_shot_batches_build_the_same_sequence(build):
         got = build(directed, _one_shot(batches))
         assert got == want
         assert list(got.node_time.items()) == list(want.node_time.items())
+
+
+def test_node_time_is_a_copy_that_no_ingest_changes():
+    parent = small_seq()
+    before = parent.node_time
+    child = ingest_step(parent, 4, ["e"], [("e", "a")])
+    assert before == {"a": 1, "b": 1, "c": 2, "d": 3}
+    assert child.node_time == {**before, "e": 4}
+    got = child.node_time
+    got["ghost"] = 9
+    del got["a"]
+    assert child.node_time == {**before, "e": 4}
+    # A node put into a handed-out map is not declared: an edge to it dangles.
+    with pytest.raises(DanglingEdgeError):
+        ingest_step(child, 5, ["f"], [("f", "ghost")])
+
+
+def test_ingest_moves_the_node_time_map_to_the_child():
+    parent = small_seq()
+    times = parent._node_times
+    shallow, deep = copy.copy(parent), copy.deepcopy(parent)
+    child = ingest_step(parent, 4, ["e"])
+    assert child.__dict__["_node_times"] is times
+    assert "_node_times" not in parent.__dict__
+    # Asked again, the parent rebuilds its own map from its batches.
+    assert parent._node_times == {"a": 1, "b": 1, "c": 2, "d": 3}
+    assert parent._node_times is not times
+    assert times == {"a": 1, "b": 1, "c": 2, "d": 3, "e": 4}
+    # No copy shares the map that moved.
+    for other in (shallow, deep):
+        assert other == parent
+        assert other.node_time == {"a": 1, "b": 1, "c": 2, "d": 3}
+
+
+# One fault per row, in the batch that `small_seq()` would take next.
+_FAILED_INGESTS = {
+    "duplicate-node": ((4, ["e", "a"], []), DuplicateNodeError),
+    "self-loop": ((4, ["e", "f"], [("e", "a"), ("f", "f")]), SelfLoopError),
+    "bad-batch-time": ((5, ["e"], []), TimeOutOfRangeError),
+    "unhashable-node": ((4, ["e", ["f"]], []), TypeError),
+    "unhashable-endpoint": ((4, ["e"], [("e", ["a"])]), TypeError),
+    "bare-str-nodes": ((4, "ef", []), TypeError),
+}
+
+
+@pytest.mark.parametrize(
+    "batch, error", list(_FAILED_INGESTS.values()), ids=list(_FAILED_INGESTS)
+)
+def test_failed_ingest_leaves_the_parent_unchanged(batch, error):
+    parent = small_seq()
+    before = list(parent.node_time.items())
+    with pytest.raises(error):
+        ingest_step(parent, *batch)
+    assert list(parent.node_time.items()) == before
+    child = ingest_step(parent, 4, ["e"], [("e", "c")])
+    batches = [(b.time, b.nodes, b.edges) for b in parent.batches]
+    want = build_sequence(False, batches + [(4, ["e"], [("e", "c")])])
+    assert child == want
+    assert list(child.node_time.items()) == list(want.node_time.items())
+    assert child.degree_walk == want.degree_walk
+
+
+@pytest.mark.parametrize("build", [build_sequence, _streamed], ids=["build", "ingest"])
+@pytest.mark.parametrize("field", ["nodes", "edges"])
+@pytest.mark.parametrize("text", ["v1", b"v1", ""], ids=["str", "bytes", "empty-str"])
+def test_bare_text_is_no_batch_collection(build, field, text):
+    batch = (2, text, []) if field == "nodes" else (2, ["v1", "v2"], text)
+    kind = type(text).__name__
+    message = f"batch at time 2: {field} must be a collection, not a bare {kind}"
+    with pytest.raises(TypeError) as info:
+        build(False, [(1, ["a"], []), batch])
+    assert str(info.value) == message
+
+
+# The faults a batch drawn below may carry, each with the error it raises.
+_DRAWN_FAULTS = {
+    "duplicate-node": DuplicateNodeError,
+    "self-loop": SelfLoopError,
+    "bad-batch-time": TimeOutOfRangeError,
+    "unhashable-node": TypeError,
+    "bare-str-nodes": TypeError,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.data())
+def test_interleaved_ingests_match_a_dict_model(directed, data):
+    """Ingests on the newest sequence and on older ones, failed ingests and
+    reads, in any order: each sequence matches its batches."""
+    # Every sequence made so far, with the batches it was built from.
+    pool = [(GraphSequence.empty(directed), [])]
+    fresh = (f"n{i}" for i in itertools.count())
+    for _ in range(data.draw(st.integers(1, 12), label="ops")):
+        newest = len(pool) - 1
+        i = data.draw(st.one_of(st.just(newest), st.integers(0, newest)), label="seq")
+        seq, batches = pool[i]
+        model = {n: t for t, nodes, _ in batches for n in nodes}
+        op = data.draw(st.sampled_from(["ingest", "fault", "node_time", "degree_walk"]))
+        if op == "node_time":
+            assert list(seq.node_time.items()) == list(model.items())
+            continue
+        if op == "degree_walk":
+            assert seq.degree_walk == build_sequence(directed, batches).degree_walk
+            continue
+        t = seq.horizon + 1 if batches else data.draw(st.sampled_from((0, 1)))
+        new = [next(fresh) for _ in range(data.draw(st.integers(0, 2)))]
+        names = list(model) + new
+        pairs = [(a, b) for a in names for b in names if a != b and (a in new or b in new)]
+        edges = []
+        if pairs:
+            unique = (lambda e: e) if directed else frozenset
+            edges = data.draw(st.lists(st.sampled_from(pairs), max_size=4, unique_by=unique))
+        if op == "ingest":
+            pool.append((ingest_step(seq, t, new, edges), batches + [(t, new, edges)]))
+            continue
+        fault = data.draw(st.sampled_from(sorted(_DRAWN_FAULTS)))
+        nodes = new
+        if fault == "duplicate-node":
+            # An earlier node declared again, or one node twice in the batch.
+            dup = next(iter(model), "x")
+            nodes = new + [dup, dup]
+        elif fault == "self-loop":
+            loop = next(fresh)
+            nodes, edges = new + [loop], edges + [(loop, loop)]
+        elif fault == "bad-batch-time":
+            t = t + 1 if batches else 2
+        elif fault == "unhashable-node":
+            nodes = new + [[next(fresh)]]
+        else:
+            nodes = "".join(new) or "x"
+        with pytest.raises(_DRAWN_FAULTS[fault]):
+            ingest_step(seq, t, nodes, edges)
+    for seq, batches in pool:
+        want = build_sequence(directed, batches)
+        assert seq == want
+        assert list(seq.node_time.items()) == list(want.node_time.items())
+        assert seq.degree_walk == want.degree_walk
+
+
+def test_one_more_ingest_allocates_in_the_batch_size():
+    """A clock-free guard: no ingest copies the node-time map.
+
+    After 2,000 steps of 10 nodes, one more one-node step must allocate
+    well under what a copy of the 20,000-node map would (over 400 KB).
+    The 20,001st entry needs no resize of the map's table.
+    """
+    seq = GraphSequence.empty(False)
+    for t in range(1, 2001):
+        nodes = [f"v{t}.{i}" for i in range(10)]
+        seq = ingest_step(seq, t, nodes, [(nodes[0], f"v{t - 1}.0")] if t > 1 else [])
+    nodes, edges = ["last"], [("last", "v2000.0")]
+    tracemalloc.start()
+    try:
+        ingest_step(seq, 2001, nodes, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_snapshot_accumulates_batches():
