@@ -12,9 +12,7 @@ from .graph_core import (
     ArrivalBatch,
     DegreeBounds,
     GraphSequence,
-    GraphView,
     build_sequence,
-    build_view,
     dumps_edge_list,
     ingest_step,
     loads_edge_list,
@@ -50,7 +48,6 @@ __all__ = [
     "EdgeOrdering",
     "GraphSequence",
     "GraphSequenceError",
-    "GraphView",
     "Histogram",
     "InfeasibleThresholdError",
     "ProjectionThresholds",
@@ -59,7 +56,6 @@ __all__ = [
     "UnsupportedBaselineQueryError",
     "UnsupportedQueryError",
     "build_sequence",
-    "build_view",
     "canonical_ordering",
     "diff_sequence_sensitivity",
     "dumps_edge_list",

@@ -30,8 +30,12 @@ check, parameter derivation and the degree statistics of
 its edge ordering, it is an admission walk: a projection arm of a degree
 statistic reads that walk alone, and `admitted_sequence` builds the kept
 edges into a sequence with the walk cached.  The triangle family keeps its
-own neighbour-set walk.  `snapshot` rebuilds the whole graph at one step;
-the tests check the walk and the bound check against its degrees.
+own neighbour-set walk.
+
+The graph at step t is the first batches of the sequence, so `snapshot`
+returns that prefix, a `GraphSequence` itself: the package has one graph
+type.  The tests recount a snapshot's degrees over its edges to check the
+walk and the bound check.
 """
 from __future__ import annotations
 
@@ -62,6 +66,12 @@ def canonical_edge(u: str, v: str, directed: bool) -> Edge:
     return (v, u)
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse a field that is not an int, bools and numpy ints included."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ArrivalBatch:
     time: int
@@ -81,9 +91,8 @@ class DegreeBounds:
         name = type(self).__name__
         for field in ("d", "d_in", "d_out"):
             cap = getattr(self, field)
-            if cap is not None and type(cap) is not int:  # refuses bools too
-                kind = type(cap).__name__
-                raise TypeError(f"{name}: {field} must be an int, not {kind}")
+            if cap is not None:
+                _check_int(f"{name}: {field}", cap)
         if self.d is not None:
             if self.d_in is not None or self.d_out is not None:
                 raise ValueError(f"{name}: give either d or (d_in, d_out), not both")
@@ -147,6 +156,24 @@ class GraphSequence:
         return self.batches[-1].time if self.batches else 0
 
     @property
+    def nodes(self) -> tuple[str, ...]:
+        """Every node, in arrival order."""
+        return tuple(n for batch in self.batches for n in batch.nodes)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge, in canonical form and arrival order."""
+        return tuple(e for batch in self.batches for e in batch.edges)
+
+    @property
+    def num_nodes(self) -> int:
+        return sum(len(batch.nodes) for batch in self.batches)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(batch.edges) for batch in self.batches)
+
+    @property
     def node_time(self) -> dict[str, int]:
         """Every node's arrival time, in arrival order: a copy of its own."""
         return dict(self._node_times)
@@ -187,7 +214,7 @@ class GraphSequence:
         equality, and a sequence extended by `ingest_step` computes its own.
         """
         # No counter reaches the number of edges, so that cap admits all.
-        edges = sum(len(batch.edges) for batch in self.batches)
+        edges = self.num_edges
         return _walk(self, [batch.edges for batch in self.batches], edges, edges)[1]
 
 
@@ -422,80 +449,12 @@ def build_sequence(
     return _extend(GraphSequence.empty(directed), batches)
 
 
-@dataclass(frozen=True)
-class GraphView:
-    """Static snapshot of a sequence at one time step.
-
-    Node iteration order is deterministic: sorted by (arrival time, id).
-    For directed views `adjacency` holds out-neighbors and `in_adjacency`
-    in-neighbors; undirected views only fill `adjacency`.
-    """
-
-    directed: bool
-    nodes: tuple[str, ...]
-    adjacency: dict[str, tuple[str, ...]]
-    in_adjacency: dict[str, tuple[str, ...]]
-    edges: tuple[Edge, ...]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: str) -> int:
-        if self.directed:
-            return len(self.adjacency[v]) + len(self.in_adjacency[v])
-        return len(self.adjacency[v])
-
-    def out_degree(self, v: str) -> int:
-        """Out-degree; the degree itself in an undirected view."""
-        return len(self.adjacency[v])
-
-    def in_degree(self, v: str) -> int:
-        if not self.directed:
-            raise ModeMismatchError("in_degree on an undirected view")
-        return len(self.in_adjacency[v])
-
-
-def build_view(
-    directed: bool,
-    node_time: dict[str, int],
-    edges: Iterable[Edge],
-) -> GraphView:
-    nodes = tuple(sorted(node_time, key=lambda n: (node_time[n], n)))
-    edges = tuple(edges)
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    in_adj: dict[str, list[str]] = {n: [] for n in nodes} if directed else {}
-    for u, v in edges:
-        adj[u].append(v)
-        if directed:
-            in_adj[v].append(u)
-        else:
-            adj[v].append(u)
-    return GraphView(
-        directed=directed,
-        nodes=nodes,
-        adjacency={n: tuple(ns) for n, ns in adj.items()},
-        in_adjacency={n: tuple(ns) for n, ns in in_adj.items()},
-        edges=edges,
-    )
-
-
-def snapshot(seq: GraphSequence, t: int) -> GraphView:
-    """The graph formed by all batches up to and including time t."""
+def snapshot(seq: GraphSequence, t: int) -> GraphSequence:
+    """G_t: the prefix of `seq` formed by its batches up to and including t."""
     start = seq.start_time
     if start is None or not start <= t <= seq.horizon:
         raise TimeOutOfRangeError(f"time {t} outside [{start}, {seq.horizon}]")
-    node_time: dict[str, int] = {}
-    edges: list[Edge] = []
-    for batch in seq.batches[: t - start + 1]:
-        for n in batch.nodes:
-            node_time[n] = batch.time
-        edges.extend(batch.edges)
-    return build_view(seq.directed, node_time, edges)
+    return GraphSequence(seq.directed, seq.batches[: t - start + 1])
 
 
 @dataclass(frozen=True)

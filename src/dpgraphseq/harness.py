@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError
-from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence
+from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence, _check_int
 # relative_l1_error is imported for the callers that import it from here.
 from .mechanisms import (
     MECHANISMS,
@@ -160,6 +160,10 @@ class ExperimentConfig:
     candidates: tuple = ()  # fixed thresholds are a one-entry tuple
 
     def __post_init__(self):
+        _check_int("trials", self.trials)
+        _check_int("bound_granularity", self.bound_granularity)
+        if self.releases is not None:
+            _check_int("releases", self.releases)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_seed("seed", self.seed)

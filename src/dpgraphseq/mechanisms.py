@@ -40,13 +40,14 @@ scale, shape)``, so a (seed, trial_id) pair fully reproduces a run.  The
 module never imports ``numpy.random``; the tests check every path against
 numpy's own Generator.  `seed_words` is the one seeding definition; the
 words of the seed and of each stream are built once per draw, not once per
-trial.  `_laplace` draws every noised (arm, trial) key of a chunk in one
-call.  `_pcg64_states` runs SeedSequence's hashing and PCG64's seeding as
-one array pass over all keys, and `_laplace_rows` finds every key's k-th
-state by jump-ahead (`_jump_table`), a bounded block of steps at a time,
-then applies PCG64's output function and numpy's inverse-CDF sampler.  Its log is `math.log`, the libm function
-numpy's C sampler calls (numpy's SIMD `np.log` can differ in the last bit),
-so releases also depend on the platform's libm.  A draw of only a few
+trial.  `_laplace` draws every (arm, trial) key of a chunk in one call,
+zero-noise arms included (scale 0 draws +0.0).  `_pcg64_states` runs
+SeedSequence's hashing and PCG64's seeding as one array pass over all
+keys, and `_laplace_rows` finds every key's k-th state by jump-ahead
+(`_jump_table`), a bounded block of steps at a time, then applies PCG64's
+output function and numpy's inverse-CDF sampler.  Its log is `math.log`,
+the libm function numpy's C sampler calls (numpy's SIMD `np.log` can
+differ in the last bit), so releases also depend on the platform's libm.  A draw of only a few
 values (`_SMALL_DRAW`) runs the same steps on Python ints, which skips
 numpy's per-call cost; so does a row whose uniform is exactly 0, which
 numpy rejects for the next word.
@@ -67,7 +68,7 @@ from .errors import (
     NonPositiveScaleError,
     UnsupportedBaselineQueryError,
 )
-from .graph_core import DegreeBounds, GraphSequence, verify_bounds
+from .graph_core import DegreeBounds, GraphSequence, _check_int, verify_bounds
 from .projection import ProjectionThresholds, admission_walk, canonical_ordering
 from .sensitivity import (
     SensitivityReport,
@@ -111,8 +112,7 @@ def seed_words(*values: int) -> list[int]:
 
 def _check_seed(name: str, value) -> None:
     """`seed_words`' input rule, checked where a config names the field."""
-    if type(value) is not int:  # refuses bools and numpy ints too
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    _check_int(name, value)
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
@@ -530,31 +530,21 @@ class ReleasePlan:
         shape = self.truth.shape
         head = seed_words(seed)
         tails = [seed_words(*arm.stream) for arm in arms]
-        noised_arms = len(scales) - scales.count(0.0)
         chunk = max(1, _CHUNK_ELEMENTS // (len(arms) * self.truth.size))
         estimates = np.empty((len(trial_ids), *shape))
         picks = np.zeros(len(trial_ids), dtype=np.intp)
         for lo in range(0, len(trial_ids), chunk):
             words = [seed_words(t) for t in trial_ids[lo:lo + chunk]]
             out = estimates[lo:lo + len(words)]
-            # One (trials, T[, bins]) block per arm; a lone arm fills `out`.
-            noisy = out[None] if len(arms) == 1 else np.empty((len(arms), *out.shape))
-            # Every noised (arm, trial) key of the chunk in one kernel call.
-            if noised_arms:
-                noise = _laplace(
-                    [head + trial + tail
-                     for tail, scale in zip(tails, scales) if scale for trial in words],
-                    [scale for scale in scales if scale for _ in words],
-                    self.truth.size,
-                ).reshape(noised_arms, *out.shape)
-            at = 0
-            for block, arm, scale in zip(noisy, arms, scales):
-                if scale == 0:
-                    block.fill(0.0)
-                    block += arm.series
-                else:
-                    np.add(noise[at], arm.series, out=block)
-                    at += 1
+            # Every (arm, trial) key of the chunk in one kernel call, one
+            # (trials, T[, bins]) block per arm; scale 0 draws only +0.0.
+            noisy = _laplace(
+                [head + trial + tail for tail in tails for trial in words],
+                [scale for scale in scales for _ in words],
+                self.truth.size,
+            ).reshape(len(arms), *out.shape)
+            for block, arm in zip(noisy, arms):
+                block += arm.series
             if self.mechanism == "sensdiff":
                 # np.cumsum's loop, in place, without its wrapper's cost.
                 np.add.accumulate(noisy, axis=2, out=noisy)
@@ -562,6 +552,8 @@ class ReleasePlan:
                 pick = np.argmin(relative_l1_errors(noisy, self.truth)[0], axis=0)
                 picks[lo:lo + len(words)] = pick
                 out[...] = noisy[pick, np.arange(len(words))]
+            else:
+                out[...] = noisy[0]
         return TrialDraws(estimates, picks, scales)
 
     def draw(self, config: MechanismConfig) -> ReleaseSeries:

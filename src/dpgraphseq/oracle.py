@@ -38,9 +38,11 @@ sweep runs in its d_out <= d_in orientation.  The capped digraphs of a
 pair is enumerated once, in that d_out <= d_in orientation (fewer out-masks
 per node), and kept read-only in a small cache; the mirror swaps the out-
 and in-mask matrices.  A bound's degree sweep, its in-star sweep and both
-triangle sweeps read the same arrays.  Capped digraphs are built one node
-at a time, and a partial graph is dropped as soon as some node's in-degree
-exceeds d_in, so the full grid of out-mask tuples is never held.  A
+triangle sweeps read the same arrays, and an undirected bound's degree and
+triangle sweeps share one cached enumeration of its capped graphs.  Capped
+digraphs are built one node at a time, and a partial graph is dropped as
+soon as some node's in-degree exceeds d_in, so the full grid of out-mask
+tuples is never held.  A
 signature row sees a node only through its spare-capacity flags and, if it
 can send, its out-mask, so each capped graph reduces to one int64 (the
 senders' out-masks and the spare-out and spare-in node bitmasks) and equal
@@ -196,6 +198,14 @@ def _undirected_graphs(n, cap):
     return adj[keep]
 
 
+@functools.lru_cache(maxsize=4)
+def _capped_graphs(n, cap):
+    """`_undirected_graphs`, kept read-only for both sweeps that read it."""
+    adj = _undirected_graphs(n, cap)
+    adj.flags.writeable = False
+    return adj
+
+
 # --- degree-determined statistics ----------------------------------------
 
 
@@ -244,7 +254,7 @@ def _signature_rows(bounds, n, t_max, layout):
     if bounds.is_directed:
         out, inmask = _capped_digraphs(n, cap_in, cap_out)
     else:
-        out = inmask = _undirected_graphs(n, bounds.d)
+        out = inmask = _capped_graphs(n, bounds.d)
     # A row sees a node only through its flags and, if it can send, its
     # out-mask: the senders' n-bit out-masks, node 0 lowest, then the
     # spare-out and spare-in bitmasks pack a graph into n * (n + 2) bits.
@@ -526,7 +536,7 @@ def _triangle_sweep(bounds, n_max):
             best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
         return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
 
-    adj = _undirected_graphs(n, bounds.d)
+    adj = _capped_graphs(n, bounds.d)
     cap_mask = _spare(adj, bounds.d)
     best = 0
     for m in range(min(bounds.d, n) + 1):

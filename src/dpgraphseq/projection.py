@@ -11,9 +11,9 @@ sequence at the thresholds' caps: it returns the kept edges and their walk,
 which is all a degree statistic's projection arm reads
 (`statistics.admitted_values`).  `graph_core.admitted_sequence` builds that
 walk into the admitted sequence, its walk cached.  `project_sequence` is
-`check_ordering`, then that sequence, then a `snapshot` of it at each
-release step; no release reads its views.  The tests check them, and the
-admitted sequences, against the naive counts of `tests/bruteforce.py`.
+`check_ordering`, then that sequence's prefix (`snapshot`) at each release
+step; no release reads them.  The tests check them, and the admitted
+sequences, against the naive counts of `tests/bruteforce.py`.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .graph_core import (
     DegreeWalk,
     Edge,
     GraphSequence,
-    GraphView,
     _walk,
     admitted_sequence,
     snapshot,
@@ -101,11 +100,12 @@ def admission_walk(
 
 def project_sequence(
     seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
-) -> list[GraphView]:
+) -> list[GraphSequence]:
     """Online projection: one projected snapshot per step, shared state.
 
-    Returns views for release steps 1..horizon; a time-0 batch (pre-existing
-    nodes) is processed first and folded into the first view.
+    Returns the admitted sequence's prefixes for release steps 1..horizon; a
+    time-0 batch (pre-existing nodes) is processed first and folded into
+    the first.
     """
     check_ordering(seq, ordering)
     projected = admitted_sequence(seq, *admission_walk(seq, ordering, th))

@@ -33,10 +33,11 @@ projected sequence's times and nodes, so a degree arm builds no sequence.
 The triangle family needs neighbour sets, not just degrees, and keeps its
 own walk over per-node sets, of the kept edges for a projection.
 
-`evaluate(query, view)` is the engine at one snapshot: the view read as a
-single step in which every node arrives.  The reference the engine is
-tested against is not in the package: the tests enumerate every pattern
-copy and recount every degree naively (`tests/bruteforce.py`).
+`evaluate(query, g)` is the engine at one graph, such as a snapshot (a
+prefix of a sequence): g read as a single step in which every node
+arrives.  The reference the engine is tested against is not in the
+package: the tests enumerate every pattern copy and recount every degree
+naively (`tests/bruteforce.py`).
 
 Scalar statistics are exact integer counts; no floating point enters until
 noise is added by a mechanism.  For directed graphs, threshold counts and
@@ -53,12 +54,12 @@ from typing import Optional, Union
 
 from .errors import PatternDirectionMismatchError
 from .graph_core import (
+    ArrivalBatch,
     DegreeWalk,
     Edge,
     GraphSequence,
-    GraphView,
+    _check_int,
     admitted_sequence,
-    build_sequence,
 )
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
@@ -79,6 +80,9 @@ class StatisticQuery:
     k: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("tau", "k"):
+            if getattr(self, name) is not None:
+                _check_int(f"{type(self).__name__}: {name}", getattr(self, name))
         star = self.kind == "subgraph" and str(self.pattern).endswith("k_star")
         if self.kind == "high_degree":
             if self.tau is None or self.tau < 1:
@@ -131,13 +135,14 @@ def _check_pattern(pattern: str, directed: bool) -> None:
         )
 
 
-def evaluate(query: StatisticQuery, g: GraphView) -> StatValue:
-    """f(g): the engine at one snapshot.
+def evaluate(query: StatisticQuery, g: GraphSequence) -> StatValue:
+    """f(g), the graph of all of g's batches: f(G_t) for ``snapshot(seq, t)``.
 
-    A view is one step in which every node arrives, so its value is the
-    one `exact_values` yields for that step.
+    g is read as one step in which every node arrives, so its value is the
+    one `exact_values` yields for that step; a time-0 snapshot has one too.
     """
-    return exact_values(query, build_sequence(g.directed, [(1, g.nodes, g.edges)]))[0]
+    step = ArrivalBatch(1, g.nodes, g.edges)
+    return exact_values(query, GraphSequence(g.directed, (step,)))[0]
 
 
 # --- incremental engine ---------------------------------------------------

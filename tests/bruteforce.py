@@ -6,7 +6,8 @@ copy is a (center, size-k neighbor subset) pair), so for undirected graphs
 with k=1 every edge is counted once per orientation.  `naive_value` is the
 reference for every exact statistic the package computes: subgraph counts
 by that enumeration, threshold counts and histograms by a per-node degree
-recount; `naive_series` applies it at every release step.  `capped_digraphs`
+recount; `naive_series` applies it at every release step, and `degrees`
+is that recount of a snapshot, the reference for the degree walk.  `capped_digraphs`
 is the full-grid reference for the oracle's digraph enumeration,
 `signature_rows` builds and deduplicates signature rows one arrival tuple
 at a time where the oracle builds many tuples' rows at once from
@@ -99,6 +100,24 @@ def count_directed(pattern, nodes, edges, k=None):
     raise ValueError(pattern)
 
 
+def _degree_maps(directed, nodes, edges):
+    """(out-degree, in-degree) of every node, counted over `edges`.
+
+    An undirected degree is one count, so both sides are the same map.
+    """
+    out = dict.fromkeys(nodes, 0)
+    inn = dict.fromkeys(nodes, 0) if directed else out
+    for u, v in edges:
+        out[u] += 1
+        inn[v] += 1
+    return out, inn
+
+
+def degrees(g):
+    """`_degree_maps` of graph `g`, such as a snapshot, over its edges."""
+    return _degree_maps(g.directed, g.nodes, g.edges)
+
+
 def naive_value(query, directed, nodes, edges):
     """f(G) of the graph on `nodes` and `edges`, counted from scratch.
 
@@ -108,11 +127,7 @@ def naive_value(query, directed, nodes, edges):
     if query.kind == "subgraph":
         count = count_directed if directed else count_undirected
         return count(query.pattern, nodes, edges, query.k)
-    degree = dict.fromkeys(nodes, 0)
-    for u, v in edges:
-        degree[u] += 1
-        if not directed:
-            degree[v] += 1
+    degree = _degree_maps(directed, nodes, edges)[0]
     if query.kind == "high_degree":
         return sum(1 for d in degree.values() if d >= query.tau)
     return dict(Counter(degree.values()))

@@ -12,7 +12,7 @@ from dpgraphseq import (
     DegreeBounds,
     ProjectionThresholds,
     StatisticQuery,
-    build_view,
+    build_sequence,
     canonical_ordering,
     diff_sequence_sensitivity,
     evaluate,
@@ -310,10 +310,9 @@ def test_criterion_7_statistics_vs_enumeration():
             stars = ("k_star",)
         mask = rng.random(len(pairs)) < 0.4
         edges = [p for p, keep in zip(pairs, mask) if keep]
-        g = build_view(
+        g = build_sequence(
             directed,
-            {f"n{i}": 1 for i in range(n)},
-            [(f"n{u}", f"n{v}") for u, v in edges],
+            [(1, [f"n{i}" for i in range(n)], [(f"n{u}", f"n{v}") for u, v in edges])],
         )
         queries = [StatisticQuery.subgraph(p) for p in patterns]
         queries += [StatisticQuery.subgraph(p, k) for p in stars for k in (1, 2, 3)]

@@ -36,6 +36,7 @@ from dpgraphseq.generators import (
 )
 from dpgraphseq.graph_core import _walk, canonical_edge
 
+from bruteforce import degrees
 from test_statistics import raw_batches, sequences
 
 
@@ -479,20 +480,40 @@ def test_snapshot_accumulates_batches():
     assert g1.num_edges == 1
     assert g3.num_nodes == 4
     assert g3.num_edges == 4
-    assert g3.degree("c") == 3
+    assert degrees(g3)[0]["c"] == 3
     with pytest.raises(TimeOutOfRangeError):
         snapshot(seq, 4)
+    with pytest.raises(TimeOutOfRangeError, match=r"time 0 outside \[1, 3\]"):
+        snapshot(seq, 0)
+    with pytest.raises(TimeOutOfRangeError, match=r"time 1 outside \[None, 0\]"):
+        snapshot(GraphSequence.empty(), 1)
 
 
 def test_directed_snapshot_degrees():
     seq = build_sequence(True, [(1, ["a", "b", "c"], [("a", "b"), ("c", "b")])])
-    g = snapshot(seq, 1)
-    assert g.out_degree("a") == 1
-    assert g.in_degree("b") == 2
-    assert g.degree("b") == 2
-    und = snapshot(small_seq(), 1)
-    with pytest.raises(ModeMismatchError):
-        und.in_degree("a")
+    out, inn = degrees(snapshot(seq, 1))
+    assert out["a"] == 1
+    assert inn["b"] == 2
+    assert out["b"] + inn["b"] == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_batches())
+def test_snapshot_is_the_sequence_of_the_first_batches(drawn):
+    directed, batches = drawn
+    seq = build_sequence(directed, batches)
+    for k, (t, _, _) in enumerate(batches):
+        g = snapshot(seq, t)
+        assert type(g) is GraphSequence
+        assert g == build_sequence(directed, batches[: k + 1])
+        assert g.nodes == tuple(n for _, nodes, _ in batches[: k + 1] for n in nodes)
+        assert g.num_nodes == sum(len(nodes) for _, nodes, _ in batches[: k + 1])
+        assert g.num_edges == sum(len(edges) for _, _, edges in batches[: k + 1])
+        assert g.edges == tuple(
+            canonical_edge(u, v, directed)
+            for _, _, edges in batches[: k + 1]
+            for u, v in edges
+        )
 
 
 def test_verify_bounds_finds_first_violation():
@@ -518,14 +539,6 @@ def test_verify_bounds_directed_modes():
         verify_bounds(seq, DegreeBounds.undirected(2))
 
 
-def _side_degree(view, node, kind):
-    if kind == "out":
-        return view.out_degree(node)
-    if kind == "in":
-        return view.in_degree(node)
-    return view.degree(node)
-
-
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.integers(1, 3), st.integers(1, 3))
 def test_verify_bounds_matches_snapshot_degrees(seq, d_in, d_out):
@@ -536,12 +549,14 @@ def test_verify_bounds_matches_snapshot_degrees(seq, d_in, d_out):
         bounds = DegreeBounds.undirected(d_out)
         caps = {"degree": d_out}
 
-    def over(view):
+    def over(g):
+        out, inn = degrees(g)
+        side = {"out": out, "in": inn, "degree": out}
         return {
             (v, kind)
-            for v in view.nodes
+            for v in g.nodes
             for kind, cap in caps.items()
-            if _side_degree(view, v, kind) > cap
+            if side[kind][v] > cap
         }
 
     for t in range(seq.start_time, seq.horizon + 1):
@@ -556,17 +571,6 @@ def test_verify_bounds_matches_snapshot_degrees(seq, d_in, d_out):
     assert (violation.node, violation.kind) in crossings
     # The walk stops at the edge that crosses the cap.
     assert violation.degree == caps[violation.kind] + 1
-
-
-def _side_degrees(view):
-    """(out-degree, in-degree) maps of a snapshot; an undirected degree is both."""
-    if view.directed:
-        return (
-            {v: view.out_degree(v) for v in view.nodes},
-            {v: view.in_degree(v) for v in view.nodes},
-        )
-    degree = {v: view.degree(v) for v in view.nodes}
-    return degree, degree
 
 
 @settings(max_examples=200, deadline=None)
@@ -589,7 +593,7 @@ def test_degree_walk_reads_snapshot_degrees(seq):
             assert (walk.tail[i], walk.head[i]) == (tail, head)
             i += 1
         assert end == i
-        out, inn = _side_degrees(snapshot(seq, batch.time))
+        out, inn = degrees(snapshot(seq, batch.time))
     assert len(walk.tail) == len(walk.head) == i
     assert (walk.out, walk.inn) == (out, inn)
 

@@ -31,6 +31,7 @@ from dpgraphseq.harness import (
     run_experiment,
 )
 
+from bruteforce import degrees
 from test_statistics import sequences
 
 
@@ -108,14 +109,14 @@ def test_parameter_derivation_reads_final_snapshot_degrees(seq, granularity, per
         with pytest.raises(EmptyGraphError):
             derive_bounds(seq, granularity)
         return
-    final = snapshot(seq, seq.horizon)
-    out = [final.out_degree(v) for v in final.nodes]
+    final_out, final_in = degrees(snapshot(seq, seq.horizon))
+    out = list(final_out.values())
 
     def up(d):
         return max(granularity, -(-d // granularity) * granularity)
 
     if seq.directed:
-        d_in = max(final.in_degree(v) for v in final.nodes)
+        d_in = max(final_in.values())
         expected = DegreeBounds.directed(up(d_in), up(max(out)))
     else:
         expected = DegreeBounds.undirected(up(max(out)))
@@ -224,6 +225,15 @@ def test_experiment_config_validation():
         experiment_config(epsilons=(float("inf"),))
     with pytest.raises(ValueError):
         experiment_config(mechanisms=("sensdiff", "oracle"))
+
+
+@pytest.mark.parametrize("field", ["trials", "releases", "bound_granularity"])
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, np.int64(3), "3"])
+def test_experiment_config_integer_fields_refuse_other_types(field, value):
+    # A bool would run one trial and a float would fail deep in the sweep.
+    with pytest.raises(TypeError, match=f"^{field} must be an int, not"):
+        experiment_config(**{field: value})
+    experiment_config(**{field: 3})
 
 
 def test_experiment_config_rejects_histogram_queries():

@@ -1,4 +1,5 @@
 """Brute-force sensitivity search: engine agreement and known exact values."""
+import functools
 import itertools
 import json
 from collections import Counter
@@ -190,6 +191,33 @@ def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch)
     for query, bounds in cases:
         with pytest.raises(UnsupportedQueryError, match="oracle does not cover"):
             oracle_diff_sensitivity(query, bounds, 3, 2)
+
+
+def test_undirected_bound_enumerates_its_graphs_once(monkeypatch):
+    # Fresh caches for this test alone; monkeypatch restores the shared ones.
+    for name in ("_capped_graphs", "_degree_sweep", "_triangle_sweep"):
+        cached = getattr(oracle, name)
+        fresh = functools.lru_cache(cached.cache_info().maxsize)(cached.__wrapped__)
+        monkeypatch.setattr(oracle, name, fresh)
+    calls = []
+    enumerate_graphs = oracle._undirected_graphs
+
+    def spy(n, cap):
+        calls.append((n, cap))
+        return enumerate_graphs(n, cap)
+
+    monkeypatch.setattr(oracle, "_undirected_graphs", spy)
+    bounds = DegreeBounds.undirected(2)
+    degree = oracle_diff_sensitivity(StatisticQuery.subgraph("k_star", 2), bounds, 4, 2)
+    triangle = oracle_diff_sensitivity(StatisticQuery.subgraph("triangle"), bounds, 4, 2)
+    # The degree sweep and the triangle sweep read one enumeration ...
+    assert calls == [(4, 2)]
+    # ... which no reader can change, and which answers as a fresh one does.
+    assert not oracle._capped_graphs(4, 2).flags.writeable
+    assert (degree, triangle) == (
+        naive_diff_sensitivity(StatisticQuery.subgraph("k_star", 2), bounds, 4, 2),
+        naive_diff_sensitivity(StatisticQuery.subgraph("triangle"), bounds, 4, 2),
+    )
 
 
 def _degree_distances(affected, peer_arrivals, tstar, t_max, cap, max_k):

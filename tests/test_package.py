@@ -17,11 +17,48 @@ def _fresh_stdout(probe: str) -> str:
     return result.stdout.strip()
 
 
+# The public API, written out: adding or removing a name changes this list.
+PUBLIC_NAMES = [
+    "ArrivalBatch",
+    "BoundViolationError",
+    "BudgetTooLargeError",
+    "DegreeBounds",
+    "EdgeOrdering",
+    "GraphSequence",
+    "GraphSequenceError",
+    "Histogram",
+    "InfeasibleThresholdError",
+    "ProjectionThresholds",
+    "SensitivityReport",
+    "StatisticQuery",
+    "UnsupportedBaselineQueryError",
+    "UnsupportedQueryError",
+    "build_sequence",
+    "canonical_ordering",
+    "diff_sequence_sensitivity",
+    "dumps_edge_list",
+    "evaluate",
+    "exact_values",
+    "ingest_step",
+    "loads_edge_list",
+    "per_release_sensitivity",
+    "project_sequence",
+    "projected_sensitivity",
+    "snapshot",
+    "verify_bounds",
+]
+
+
 def test_all_names_resolve_once_in_sorted_order():
     names = dpgraphseq.__all__
     assert [name for name in names if not hasattr(dpgraphseq, name)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def test_all_is_the_pinned_public_api():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert dpgraphseq.__all__ == PUBLIC_NAMES
 
 
 def test_import_does_not_load_numpy():

@@ -1,4 +1,5 @@
 """Exact statistics vs an independent subset-enumeration counter."""
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,11 +7,11 @@ from dpgraphseq import (
     ProjectionThresholds,
     StatisticQuery,
     build_sequence,
-    build_view,
     canonical_ordering,
     evaluate,
     exact_values,
     project_sequence,
+    snapshot,
 )
 from dpgraphseq.errors import PatternDirectionMismatchError
 from dpgraphseq.graph_core import admitted_sequence
@@ -20,8 +21,9 @@ from bruteforce import naive_series, naive_value
 
 
 def make_view(directed, n, edges):
-    nodes = {f"n{i}": 1 for i in range(n)}
-    return build_view(directed, nodes, [(f"n{u}", f"n{v}") for u, v in edges])
+    """The graph on n0..n{n-1} and `edges`, as a one-step sequence."""
+    nodes = [f"n{i}" for i in range(n)]
+    return build_sequence(directed, [(1, nodes, [(f"n{u}", f"n{v}") for u, v in edges])])
 
 
 TRIANGLE_VIEW = make_view(False, 4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -88,6 +90,15 @@ def test_query_validation():
     assert StatisticQuery.subgraph("k_star", 2).label() == "k_star(k=2)"
     assert StatisticQuery.high_degree(3).label() == "high_degree(tau=3)"
     assert not StatisticQuery.degree_histogram().is_scalar
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, np.int64(2), "2"])
+def test_query_integer_fields_refuse_other_types(value):
+    # A float k reached math.comb, and a float or bool tau got a label.
+    with pytest.raises(TypeError, match="^StatisticQuery: tau must be an int"):
+        StatisticQuery.high_degree(value)
+    with pytest.raises(TypeError, match="^StatisticQuery: k must be an int"):
+        StatisticQuery.subgraph("k_star", value)
 
 
 @pytest.mark.parametrize(
@@ -200,6 +211,18 @@ def sequences():
 def test_engine_matches_snapshot_evaluation(seq):
     for query in _all_queries(seq.directed):
         assert exact_values(query, seq) == naive_series(query, seq), query.label()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences())
+def test_evaluate_at_each_snapshot_counts_its_graph(seq):
+    # A time-0 snapshot (pre-existing nodes only) has a value too.
+    for query in _all_queries(seq.directed):
+        for t in range(seq.start_time, seq.horizon + 1):
+            g = snapshot(seq, t)
+            want = naive_value(query, seq.directed, g.nodes, g.edges)
+            assert evaluate(query, g) == want, (query.label(), t)
+    assert evaluate(HIST, build_sequence(seq.directed, [])) == {}
 
 
 @settings(max_examples=100, deadline=None)
