@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -23,6 +22,7 @@ from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence, _check_int
 # relative_l1_error is imported for the callers that import it from here.
 from .mechanisms import (
     MECHANISMS,
+    _check_epsilon,
     _check_seed,
     plan,
     relative_l1_error,
@@ -167,8 +167,10 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_seed("seed", self.seed)
-        if not self.epsilons or not all(0 < e < math.inf for e in self.epsilons):
-            raise ValueError("epsilon grid must be finite and positive")
+        if not self.epsilons:
+            raise ValueError("epsilon grid is empty")
+        for epsilon in self.epsilons:
+            _check_epsilon(epsilon)
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown:
             raise ValueError(f"unknown mechanisms: {sorted(unknown)}")

@@ -12,27 +12,27 @@ Three mechanisms share one interface and return a ReleaseSeries:
   candidate list by realized error (the pick spends no extra budget;
   callers who need end-to-end privacy must fix the thresholds up front).
 
-A release has two halves.  `plan` draws no noise: it checks the inputs and
-reads every exact series from the statistics engine: the truth f(G_1..G_T)
-and one *arm* per series to noise, i.e. sensdiff's difference sequence,
-compose_bounded's f, or each compose_projection candidate's projected f.
-The bound check and every degree statistic read a sequence's cached degree
-walk.  Each candidate is one `projection.admission_walk`, the same walk at
-the candidate's caps, and its arm is `statistics.admitted_values` of that
-walk: a degree statistic reads the walk over the parent's batches, and
-only the triangle family builds the projected sequence.
-`ReleasePlan.draw_trials` is the only noise code: it draws many trials at
-one epsilon and seed in array passes.  Each arm fills a
-(trials, T[, bins]) noise block, one row per trial from that trial's own
-PCG64 stream; sensdiff takes one prefix sum along the step axis; several
-arms are scored against the truth at once (`relative_l1_errors`) and each
-trial keeps its lowest-error arm.  Blocks are filled a chunk of trials at a
-time (`_CHUNK_ELEMENTS`), so memory does not grow with trials x T x arms.
-`ReleasePlan.draw` is its one-trial case and `release` is
-``plan(...).draw(config)``; the harness plans once and draws once per
-sweep cell.  `snapshot` and `evaluate` (the engine at one snapshot) are
-not on this path; the tests check every release against the naive counts
-of `tests/bruteforce.py`.
+A release has two halves.  `plan` draws no noise and is the one place a
+mechanism is named.  It checks the inputs and reads every exact series from
+the statistics engine: the truth f(G_1..G_T) and one *arm* per series to
+noise (sensdiff's difference sequence, compose_bounded's f, or each
+compose_projection candidate's projected f) with its noise law: how many
+releases share epsilon, and whether prefix sums are released.  The bound
+check and every degree statistic read a sequence's cached degree walk.  Each
+candidate is one `projection.admission_walk` at its caps, and its arm is
+`statistics.admitted_values` of that walk: a degree statistic reads the
+walk over the parent's batches; only triangles build the projected
+sequence.  `ReleasePlan.draw_trials` is the only noise code and reads only
+arms.  It draws many trials at one epsilon and seed in array passes: each
+arm fills a (trials, T[, bins]) noise block, a row per trial from its own
+PCG64 stream, prefix-summed along the steps if cumulative; several arms are
+scored against the truth at once (`relative_l1_errors`) and each trial
+keeps its lowest-error arm.  Chunks of trials (`_CHUNK_ELEMENTS`) bound its
+memory.  `ReleasePlan.draw` is its one-trial case and `release` is
+``plan(...).draw(config)``; the harness plans once and draws once per sweep
+cell.  `snapshot` and `evaluate` (the engine at one snapshot) are not on
+this path; the tests check every release against the naive counts of
+`tests/bruteforce.py`.
 
 Determinism: a trial's noise for the arm with seed stream ``s`` is, bit for
 bit, ``Generator(PCG64(SeedSequence([seed, trial_id, *s]))).laplace(0.0,
@@ -86,6 +86,8 @@ _CHUNK_ELEMENTS = 1 << 16
 
 
 def _check_epsilon(epsilon: float) -> None:
+    if isinstance(epsilon, bool):
+        raise TypeError("epsilon must be a number, not bool")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
@@ -479,7 +481,12 @@ class ReleaseArm:
     sensitivity: SensitivityReport
     series: np.ndarray
     stream: tuple[int, ...]  # seed stream of its Laplace draw
+    releases: int  # epsilon is split evenly over this many releases
+    cumulative: bool  # release the prefix sums of the noisy series
     thresholds: Optional[ProjectionThresholds] = None
+
+    def scale(self, epsilon: float) -> float:
+        return self.sensitivity.value * self.releases / epsilon
 
 
 class TrialDraws(NamedTuple):
@@ -503,7 +510,7 @@ class ReleasePlan:
     dense row per step over bins 0..degree bound.
     """
 
-    mechanism: str
+    mechanism: str  # the label `draw` gives its ReleaseSeries
     truth: np.ndarray
     arms: tuple[ReleaseArm, ...]
 
@@ -519,19 +526,13 @@ class ReleasePlan:
         zero_noise))`` bit for bit.
         """
         _check_epsilon(epsilon)
+        _check_seed("seed", seed)
         arms = self.arms
-        # sensdiff spends epsilon once on Delta; composition spends epsilon/T
-        # on each of the T releases.
-        releases = 1 if self.mechanism == "sensdiff" else len(self.truth)
-        scales = tuple([
-            0.0 if zero_noise else arm.sensitivity.value * releases / epsilon
-            for arm in arms
-        ])
-        shape = self.truth.shape
+        scales = tuple([0.0 if zero_noise else arm.scale(epsilon) for arm in arms])
         head = seed_words(seed)
         tails = [seed_words(*arm.stream) for arm in arms]
         chunk = max(1, _CHUNK_ELEMENTS // (len(arms) * self.truth.size))
-        estimates = np.empty((len(trial_ids), *shape))
+        estimates = np.empty((len(trial_ids), *self.truth.shape))
         picks = np.zeros(len(trial_ids), dtype=np.intp)
         for lo in range(0, len(trial_ids), chunk):
             words = [seed_words(t) for t in trial_ids[lo:lo + chunk]]
@@ -545,9 +546,9 @@ class ReleasePlan:
             ).reshape(len(arms), *out.shape)
             for block, arm in zip(noisy, arms):
                 block += arm.series
-            if self.mechanism == "sensdiff":
-                # np.cumsum's loop, in place, without its wrapper's cost.
-                np.add.accumulate(noisy, axis=2, out=noisy)
+                if arm.cumulative:
+                    # np.cumsum's loop, in place, without its wrapper's cost.
+                    np.add.accumulate(block, axis=1, out=block)
             if len(arms) > 1:
                 pick = np.argmin(relative_l1_errors(noisy, self.truth)[0], axis=0)
                 picks[lo:lo + len(words)] = pick
@@ -616,6 +617,7 @@ def plan(
                     dtype=float,
                 ),
                 stream=(2, i),
+                releases=len(truth), cumulative=False,
                 thresholds=th,
             )
             for i, th in enumerate(candidates or (thresholds,))
@@ -629,7 +631,8 @@ def plan(
     if mechanism == "compose_bounded":
         report = per_release_sensitivity(query, bounds)
         truth = _exact_scalars(query, seq)
-        return ReleasePlan(mechanism, truth, (ReleaseArm(report, truth, (1,)),))
+        arm = ReleaseArm(report, truth, (1,), len(truth), False)
+        return ReleasePlan(mechanism, truth, (arm,))
     report = diff_sequence_sensitivity(query, bounds)
     if query.is_scalar:
         truth = _exact_scalars(query, seq)
@@ -641,7 +644,7 @@ def plan(
             for d, count in hist.items():
                 truth[t, d] = count
     delta = np.diff(truth, axis=0, prepend=0.0)
-    return ReleasePlan(mechanism, truth, (ReleaseArm(report, delta, (0,)),))
+    return ReleasePlan(mechanism, truth, (ReleaseArm(report, delta, (0,), 1, True),))
 
 
 def release(

@@ -76,7 +76,7 @@ import itertools
 import numpy as np
 
 from .errors import BudgetTooLargeError, UnsupportedQueryError
-from .graph_core import DegreeBounds
+from .graph_core import DegreeBounds, _check_int
 from .statistics import (
     DIRECTED_PATTERNS,
     UNDIRECTED_PATTERNS,
@@ -104,9 +104,8 @@ def oracle_diff_sensitivity(
     t_max: int,
 ) -> int:
     """Max difference-sequence L1 distance over the budgeted search space."""
-    for name, budget in (("n_max", n_max), ("t_max", t_max)):
-        if not isinstance(budget, int) or isinstance(budget, bool):
-            raise TypeError(f"{name} must be an int, not {type(budget).__name__}")
+    _check_int("n_max", n_max)
+    _check_int("t_max", t_max)
     if n_max > 7:
         raise BudgetTooLargeError(f"n_max={n_max} exceeds the search budget cap")
     if n_max < 1 or t_max < 1:

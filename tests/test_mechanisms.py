@@ -1,5 +1,6 @@
 """Release mechanisms: noise law, determinism, exactness at zero noise, and
 the batch draw bit for bit against a per-trial reference."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -93,19 +94,27 @@ def test_config_validation():
         ("trial_id", -1, ValueError),
         ("trial_id", True, TypeError),
         ("trial_id", "4", TypeError),
+        ("epsilon", True, TypeError),
     ],
 )
 def test_config_rejects_seeds_and_trials_that_are_not_non_negative_ints(
     field, value, error
 ):
     with pytest.raises(error, match=f"^{field} must be"):
-        MechanismConfig(1.0, **{field: value})
-    if field == "seed":
-        with pytest.raises(error, match="^seed must be"):
-            ExperimentConfig(dataset="chain", seq=SEQ, query=EDGE, epsilons=(1.0,),
-                             seed=value)
+        MechanismConfig(**{"epsilon": 1.0, field: value})
+    if field != "trial_id":
+        # The experiment grid and the batch draw hold seed and epsilon to the
+        # same rule.
+        grid = {"epsilons": (value,)} if field == "epsilon" else {field: value}
+        with pytest.raises(error, match=f"^{field} must be"):
+            ExperimentConfig(dataset="chain", seq=SEQ, query=EDGE,
+                             **{"epsilons": (1.0,), **grid})
+        with pytest.raises(error, match=f"^{field} must be"):
+            plan("sensdiff", SEQ, EDGE, BOUNDS).draw_trials(
+                [0], **{"epsilon": 1.0, field: value}
+            )
     # Any size of non-negative int seeds a draw.
-    MechanismConfig(1.0, **{field: 2**64 + 3})
+    MechanismConfig(**{"epsilon": 1.0, field: 2**64 + 3})
 
 
 def test_noise_scales_follow_the_budgets():
@@ -607,6 +616,21 @@ def test_batch_rows_equal_single_draws_bit_for_bit(seed, zero_noise):
             assert np.array_equal(np.array(series.estimates), want), (name, trial)
             assert series.noise_scale == scale
             assert series.thresholds == p.arms[pick].thresholds
+
+
+def test_draws_read_the_arms_not_the_mechanism_name():
+    # The arms carry the noise law; the plan's mechanism is only a label.
+    trial_ids = [0, 3, 2**32 + 1]
+    for name, p in _plans().items():
+        renamed = dataclasses.replace(p, mechanism="renamed")
+        for zero_noise in (False, True):
+            want = p.draw_trials(trial_ids, 0.5, 7, zero_noise)
+            got = renamed.draw_trials(trial_ids, 0.5, 7, zero_noise)
+            assert np.array_equal(
+                got.estimates.view(np.uint64), want.estimates.view(np.uint64)
+            ), name
+            assert np.array_equal(got.picks, want.picks), name
+            assert got.arm_scales == want.arm_scales, name
 
 
 def test_chunk_boundaries_never_show(monkeypatch):
