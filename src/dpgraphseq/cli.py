@@ -147,40 +147,32 @@ def main():
     """Differentially private continual release over graph sequences."""
 
 
+_MODELS = {
+    "pa": (PaTransmissionParams, generate_pa_transmission),
+    "sir": (SirParams, generate_sir_transmission),
+}
+
+
+def _model_options(command):
+    """One --field-name option per field of each model's params, with its default."""
+    fields = [f for cls, _ in _MODELS.values() for f in dataclasses.fields(cls)]
+    # Decorators apply bottom-up, so the last field goes on first.
+    for field in reversed(fields):
+        name = "--" + field.name.replace("_", "-")
+        command = click.option(name, default=field.default, show_default=True)(command)
+    return command
+
+
 @main.command()
-@click.option("--model", type=click.Choice(["pa", "sir"]), required=True)
-@click.option("--m0", default=500, show_default=True)
-@click.option("--arrivals", default=70, show_default=True)
-@click.option("--years", default=20, show_default=True)
-@click.option("--k", default=1, show_default=True)
-@click.option("--p-isolated", default=0.5, show_default=True)
-@click.option("--decay", default=1.0, show_default=True)
-@click.option("--population", default=10000, show_default=True)
-@click.option("--contacts", default=2, show_default=True)
-@click.option("--p-recover", default=0.1, show_default=True)
-@click.option("--p-infect", default=0.18, show_default=True)
-@click.option("--initial-infected", default=1, show_default=True)
-@click.option("--max-steps", default=200, show_default=True)
+@click.option("--model", type=click.Choice(list(_MODELS)), required=True)
+@_model_options
 @click.option("--seed", type=_NON_NEGATIVE, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default=None)
-def generate(model, m0, arrivals, years, k, p_isolated, decay, population,
-             contacts, p_recover, p_infect, initial_infected, max_steps,
-             seed, output):
+def generate(model, seed, output, **options):
     """Generate a synthetic transmission sequence as an edge list."""
+    cls, make = _MODELS[model]
     try:
-        if model == "pa":
-            params = PaTransmissionParams(
-                m0=m0, arrivals=arrivals, years=years, k=k,
-                p_isolated=p_isolated, decay=decay,
-            )
-            make = generate_pa_transmission
-        else:
-            params = SirParams(
-                population=population, contacts=contacts, p_recover=p_recover,
-                p_infect=p_infect, initial_infected=initial_infected,
-                max_steps=max_steps,
-            )
-            make = generate_sir_transmission
+        params = cls(**{f.name: options[f.name] for f in dataclasses.fields(cls)})
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     _emit(dumps_edge_list(make(params, seed=seed)), output)
@@ -289,7 +281,7 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
               multiple=True, default=MECHANISMS, show_default=True)
 @click.option("--releases", type=_AT_LEAST_ONE, default=None,
               help="merge batches into this many release windows")
-@click.option("--trials", default=100, show_default=True)
+@click.option("--trials", type=_AT_LEAST_ONE, default=100, show_default=True)
 @click.option("--tau", type=_AT_LEAST_ONE, default=None)
 @click.option("--tau-percentile", type=_PERCENTILE, default=90.0, show_default=True)
 @click.option("--degree-bound", default=None, callback=_bounds_option)

@@ -200,12 +200,6 @@ class GraphSequence:
         """
         return dict.fromkeys(self._node_times, 0)
 
-    def batch_at(self, t: int) -> ArrivalBatch:
-        start = self.start_time
-        if start is None or not start <= t <= self.horizon:
-            raise TimeOutOfRangeError(f"no batch at time {t}")
-        return self.batches[t - start]
-
     @cached_property
     def degree_walk(self) -> DegreeWalk:
         """The sequence's uncapped walk in arrival order, computed on first use.
@@ -366,6 +360,7 @@ def _extend(
     horizon = seq.horizon if seq.batches else None
     appended = []
     for t, nodes, edges in batches:
+        _check_int("batch time", t)
         if horizon is not None:
             if t != horizon + 1:
                 raise TimeOutOfRangeError(f"expected batch time {horizon + 1}, got {t}")

@@ -66,6 +66,7 @@ def derive_tau(seq: GraphSequence, percentile: float) -> int:
 
 def derive_bounds(seq: GraphSequence, granularity: int = 5) -> DegreeBounds:
     """Measured max degree rounded up to the next multiple of granularity."""
+    _check_int("granularity", granularity)
     if granularity < 1:
         raise ValueError("granularity must be >= 1")
 
@@ -85,6 +86,7 @@ def rebatch(seq: GraphSequence, releases: int) -> GraphSequence:
     batch stays at time 0.  Use this to study how error scales with the
     number of releases over a fixed data span.
     """
+    _check_int("releases", releases)
     horizon = seq.horizon
     if releases < 1 or horizon < 1:
         raise ValueError("need at least one release and one step")

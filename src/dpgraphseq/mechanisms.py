@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -98,10 +97,12 @@ def seed_words(*values: int) -> list[int]:
     Each int becomes its 32-bit words, low word first, and 0 becomes [0],
     so ``SeedSequence(np.array(seed_words(*v), dtype=np.uint32))`` has the
     state of ``SeedSequence(list(v))`` without numpy's per-call coercion.
+    Bools and numpy ints raise `TypeError`, as in `_check_seed`.
     """
     words = []
     for n in values:
-        n = operator.index(n)
+        if type(n) is not int:
+            raise TypeError(f"expected an int, got {type(n).__name__}")
         if n < 0:
             raise ValueError(f"expected non-negative integer, got {n}")
         words.append(n & 0xFFFFFFFF)

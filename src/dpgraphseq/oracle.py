@@ -331,15 +331,15 @@ def _degree_tables(cap, taus, ks, star):
     """Query keys and the table g(d), d = 0..cap, of each of their columns.
 
     Every degree-determined query is f(G_t) = sum over present nodes of
-    g(deg_t(v)): the engine's `_degree_table` for a threshold or star count,
-    and one column [d = b] per bin b of the histogram, which is the last key
-    and owns the last cap + 1 columns.
+    g(deg_t(v)), g the engine's `_degree_table`: one column for a threshold
+    or star count, and for the histogram, the last key, one per bin b.
     """
     queries = [StatisticQuery.high_degree(tau) for tau in taus]
     queries += [StatisticQuery.subgraph(star, k) for k in ks]
-    columns = [_degree_table(query, cap) for query in queries]
-    columns += np.eye(cap + 1, dtype=np.int64).tolist()
-    keys = [_query_key(query) for query in queries] + [("degree_histogram",)]
+    queries.append(StatisticQuery.degree_histogram())
+    *columns, bins = [_degree_table(query, cap) for query in queries]
+    columns += [[g.get(b, 0) for g in bins] for b in range(cap + 1)]
+    keys = [_query_key(query) for query in queries]
     return keys, np.array(columns, dtype=np.int64).T
 
 

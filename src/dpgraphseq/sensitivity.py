@@ -8,17 +8,17 @@ Three regimes:
   * per_release_projected — sensitivity of one release computed on the
     greedily projected graph.
 
-A degree statistic is f = sum over nodes of g(degree), g from
-`statistics._degree_table` or, for the histogram, the one-bin map {d: 1}.
+A degree statistic is f = sum over nodes of g(degree), g defined once in
+`statistics._degree_table` (the histogram's g is the one-bin map {d: 1}).
 In the first two regimes one total-variation rule, `_degree_tv`, gives its
 sensitivity from g.  `_CATALOG` holds formulas for the rest: the triangle
 patterns and the projected regime.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from operator import add, sub
 from typing import Union
 
@@ -26,13 +26,6 @@ from .errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
 from .graph_core import DegreeBounds
 from .projection import ProjectionThresholds
 from .statistics import StatisticQuery, _degree_table
-
-
-def binom(n: int, r: int) -> int:
-    """C(n, r), zero when r > n or either argument is negative."""
-    if r < 0 or n < 0 or r > n:
-        return 0
-    return math.comb(n, r)
 
 
 @dataclass(frozen=True)
@@ -50,9 +43,10 @@ _DIFF, _RELEASE, _PROJECTED = "diff_sequence", "per_release", "per_release_proje
 
 # (regime, statistic, directed) -> (formula id, value function of the caps
 # (i, o) = (cap_in, cap_out)).  Subgraph counts in the diff_sequence regime
-# are the most new copies one extra bound-respecting node can create.
+# are the most new copies one extra bound-respecting node can create.  Caps
+# are >= 1 (`DegreeBounds` refuses less), so `comb` sees no negative.
 _CATALOG = {
-    (_DIFF, "triangle", False): ("diff/triangle/C(D,2)", lambda i, o: binom(o, 2)),
+    (_DIFF, "triangle", False): ("diff/triangle/C(D,2)", lambda i, o: comb(o, 2)),
     (_DIFF, "triangle_i", True): ("diff/triangle_i/DinDout", lambda i, o: i * o),
     # Every new transitive triangle uses two of the added node's incident
     # edges and one forced base edge -- except that a pair of two in-edges (or
@@ -60,7 +54,7 @@ _CATALOG = {
     # twice.  C(Din+Dout, 2) alone undercounts exactly there.
     (_DIFF, "triangle_ii", True): (
         "diff/triangle_ii/DinDout+2C(Din,2)+2C(Dout,2)",
-        lambda i, o: i * o + 2 * binom(i, 2) + 2 * binom(o, 2),
+        lambda i, o: i * o + 2 * comb(i, 2) + 2 * comb(o, 2),
     ),
     (_PROJECTED, "high_degree", False): ("projected/high_degree/D~+1", _PROJECTED_HIGH),
     (_PROJECTED, "high_degree", True): (
@@ -144,11 +138,7 @@ def _lookup(regime: str, query: StatisticQuery, bounds: DegreeBounds):
     if row is not None:
         formula_id, value = row
         return SensitivityReport(value(cap_in, cap_out), formula_id, regime, query, bounds)
-    if query.kind == "degree_histogram":
-        g = [{d: 1} for d in range(cap_out + 1)]
-    else:
-        g = _degree_table(query, cap_out)
-    value = _degree_tv(regime, g, cap_in)
+    value = _degree_tv(regime, _degree_table(query, cap_out), cap_in)
     # The undirected edge count is half the degree sum.
     if statistic == "edge" and not directed:
         value //= 2

@@ -21,17 +21,18 @@ Each copy of a pattern is counted once, when the last of its edges
 arrives, so the running values are the exact counts, and the difference
 sequence f(G_t) - f(G_{t-1}) depends only on batch t.
 
-Every degree statistic is f = sum over nodes of g(degree).  For the scalar
-ones `_degree_table` is the one definition of g, read by this engine and by
-the oracle's sweep.  The degree engine reads a `DegreeWalk` plus the
-batches' times and nodes: increments are g's steps g(d + 1) - g(d) at the
-walk's pre-edge degrees d, and the table stops at the walk's largest
-counter.  `exact_values` hands it the sequence's cached walk, which the
-bound check and parameter derivation read too.  `admitted_values` hands it
-a projection's admission walk over the parent's batches, which have the
-projected sequence's times and nodes, so a degree arm builds no sequence.
-The triangle family needs neighbour sets, not just degrees, and keeps its
-own walk over per-node sets, of the kept edges for a projection.
+Every degree statistic is f = sum over nodes of g(degree).  `_degree_table`
+is the one definition of g, read by the sensitivity rule, the oracle's sweep
+and this engine, which counts a histogram's bins directly.  The degree engine
+reads a `DegreeWalk` plus the batches' times and nodes: increments are g's
+steps g(d + 1) - g(d) at the walk's pre-edge degrees d, and the table stops
+at the walk's largest counter.  `exact_values` hands it the sequence's cached
+walk, which the bound check and parameter derivation read too.
+`admitted_values` hands it a projection's admission walk over the parent's
+batches, which have the projected sequence's times and nodes, so a degree arm
+builds no sequence.  The triangle family needs neighbour sets, not just
+degrees, and keeps its own walk over per-node sets, of the kept edges for a
+projection.
 
 `evaluate(query, g)` is the engine at one graph, such as a snapshot (a
 prefix of a sequence): g read as a single step in which every node
@@ -148,13 +149,15 @@ def evaluate(query: StatisticQuery, g: GraphSequence) -> StatValue:
 # --- incremental engine ---------------------------------------------------
 
 
-def _degree_table(query: StatisticQuery, top: int) -> list[int]:
-    """g(d), d = 0..top, of a scalar degree statistic f = sum of g(degree).
+def _degree_table(query: StatisticQuery, top: int) -> list[StatValue]:
+    """g(d), d = 0..top, of a degree statistic f = sum of g(degree).
 
-    g is [d >= tau] for a threshold count and C(d, k) for a star count.  The
-    edge count is g(d) = d read on the tail side only, so that each edge
-    counts once.
+    g is [d >= tau] for a threshold count, C(d, k) for a star count and the
+    one-bin map {d: 1} for the histogram.  The edge count is g(d) = d read
+    on the tail side only, so that each edge counts once.
     """
+    if query.kind == "degree_histogram":
+        return [{d: 1} for d in range(top + 1)]
     if query.kind == "high_degree":
         return [int(d >= query.tau) for d in range(top + 1)]
     if query.pattern == "edge":

@@ -1,4 +1,5 @@
 """Command-line interface smoke and contract tests."""
+import dataclasses
 import itertools
 import json
 
@@ -6,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from dpgraphseq import build_sequence, dumps_edge_list
-from dpgraphseq.cli import main
+from dpgraphseq.cli import generate, main
+from dpgraphseq.generators import PaTransmissionParams, SirParams
 from dpgraphseq.harness import CSV_COLUMNS
 from dpgraphseq.mechanisms import MECHANISMS
 
@@ -65,6 +67,20 @@ def test_generated_sir_releases_every_step(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert len(json.loads(result.output)["estimates"]) == 11
+
+
+def test_generate_options_are_the_models_fields():
+    fields = [
+        f for params in (PaTransmissionParams, SirParams)
+        for f in dataclasses.fields(params)
+    ]
+    # A name two models shared would register one flag twice.
+    assert len({f.name for f in fields}) == len(fields)
+    options = [
+        (p.name, p.default) for p in generate.params
+        if p.name not in ("model", "seed", "output")
+    ]
+    assert options == [(f.name, f.default) for f in fields]
 
 
 def test_sensitivity_reports_json(runner):
@@ -345,11 +361,14 @@ def test_non_finite_epsilon_is_usage_error(runner, pa_file, command, epsilon):
         (["experiment", "--statistic", "edge", "--epsilon", "1", "--trials",
           "1", "--seed", "-1"], "--seed"),
         (["generate", "--model", "pa", "--m0", "3", "--seed", "-1"], "--seed"),
+        (["experiment", "--statistic", "edge", "--epsilon", "1", "--trials",
+          "0"], "--trials"),
     ],
     ids=["release-epsilon-0", "release-epsilon-neg", "release-tau",
          "sens-tau", "release-percentile", "experiment-percentile",
          "experiment-releases", "release-granularity", "release-seed",
-         "release-trial", "experiment-seed", "generate-seed"],
+         "release-trial", "experiment-seed", "generate-seed",
+         "experiment-trials"],
 )
 def test_out_of_range_number_is_usage_error(runner, pa_file, args, flag):
     if args[0] in ("release", "experiment"):

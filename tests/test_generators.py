@@ -24,9 +24,9 @@ def test_pa_shape_and_node_budget():
     assert seq.directed
     assert seq.start_time == 0
     assert seq.horizon == 4
-    assert len(seq.batch_at(0).nodes) == 10
+    assert len(seq.batches[0].nodes) == 10
     for t in range(1, 5):
-        assert len(seq.batch_at(t).nodes) == 5
+        assert len(seq.batches[t].nodes) == 5
     # Infector edges always point from an earlier case to the new one.
     for batch in seq.batches:
         for u, v in batch.edges:
@@ -94,7 +94,7 @@ def test_sir_shape_and_in_degree():
     seq = generate_sir_transmission(params, seed=0)
     assert seq.directed
     assert seq.start_time == 0
-    assert len(seq.batch_at(0).nodes) == 3
+    assert len(seq.batches[0].nodes) == 3
     g = snapshot(seq, seq.horizon)
     # Every case names exactly one infector (seeds have none).
     assert all(d <= 1 for d in degrees(g)[1].values())

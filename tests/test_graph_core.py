@@ -61,7 +61,7 @@ def test_ingest_builds_consecutive_batches():
     assert seq.start_time == 1
     assert seq.horizon == 3
     assert seq.node_time == {"a": 1, "b": 1, "c": 2, "d": 3}
-    assert seq.batch_at(2).edges == (("b", "c"), ("a", "c"))
+    assert seq.batches[1].edges == (("b", "c"), ("a", "c"))
 
 
 def test_first_batch_may_sit_at_time_zero():
@@ -75,6 +75,19 @@ def test_first_batch_may_sit_at_time_zero():
 def test_first_batch_time_must_be_zero_or_one(t):
     with pytest.raises(TimeOutOfRangeError):
         ingest_step(GraphSequence.empty(False), t, ["a"], [])
+
+
+@pytest.mark.parametrize("t", [1.0, True, np.int64(1)])
+def test_batch_times_must_be_ints(t):
+    # Each would otherwise pass for time 1, and a float time would be
+    # written into a header that `loads_edge_list` refuses.
+    with pytest.raises(TypeError, match="^batch time must be an int"):
+        build_sequence(False, [(t, ["x"], [])])
+    with pytest.raises(TypeError, match="^batch time must be an int"):
+        ingest_step(GraphSequence.empty(True), t, ["x"])
+    seeded = ingest_step(GraphSequence.empty(False), 0, ["s"])
+    with pytest.raises(TypeError, match="^batch time must be an int"):
+        ingest_step(seeded, t, ["x"], [("s", "x")])
 
 
 def test_batch_times_must_be_consecutive():
@@ -111,7 +124,7 @@ def test_duplicate_edge_rejected_across_batches_and_orientations():
         )
     # Directed mode treats the two orientations as distinct edges.
     d = ingest_step(GraphSequence.empty(True), 1, ["a", "b"], [("a", "b"), ("b", "a")])
-    assert d.batch_at(1).edges == (("a", "b"), ("b", "a"))
+    assert d.batches[0].edges == (("a", "b"), ("b", "a"))
     # An earlier edge re-sent in a later batch, in either orientation,
     # touches no node of that batch, so it is rejected without any scan of
     # earlier edges.
@@ -773,7 +786,7 @@ def test_declared_horizon_keeps_steps_as_written():
     assert (seq.start_time, seq.horizon) == (1, 5)
     assert seq.node_time == {"a": 2, "b": 3}
     assert [b.nodes for b in seq.batches] == [(), ("a",), ("b",), (), ()]
-    assert seq.batch_at(3).edges == (("a", "b"),)
+    assert seq.batches[2].edges == (("a", "b"),)
     seq = loads_edge_list("H undirected 2\nN a 0\n")
     assert [b.time for b in seq.batches] == [0, 1, 2]
     assert loads_edge_list("H undirected 0\n") == GraphSequence.empty(False)
@@ -1081,10 +1094,10 @@ def test_edge_list_shifts_raw_years_and_fills_gaps():
     seq = loads_edge_list(text)
     assert seq.start_time == 1
     assert seq.horizon == 4
-    assert seq.batch_at(2).nodes == ()
+    assert seq.batches[1].nodes == ()
     assert seq.node_time == {"a": 1, "b": 1, "c": 4}
     # Edge time is the max endpoint time.
-    assert seq.batch_at(4).edges == (("b", "c"),)
+    assert seq.batches[3].edges == (("b", "c"),)
 
 
 def test_edge_list_parse_errors():

@@ -157,6 +157,20 @@ def test_default_projection_grid():
     assert {(th.d_in, th.d_out) for th in dgrid} == {(5, 5), (10, 5)}
 
 
+@pytest.mark.parametrize("value", [True, 2.5, np.int64(2)])
+def test_window_and_granularity_counts_must_be_ints(value):
+    seq = star_seq(13)
+    with pytest.raises(TypeError, match="^releases must be an int"):
+        rebatch(seq, value)
+    for derive in (derive_bounds, default_projection_grid):
+        with pytest.raises(TypeError, match="^granularity must be an int"):
+            derive(seq, value)
+    with pytest.raises(TypeError, match="^granularity must be an int"):
+        release_parameters(
+            seq, StatisticQuery.subgraph("edge"), MECHANISMS, granularity=value
+        )
+
+
 @settings(max_examples=200, deadline=None)
 @given(sequences(), st.integers(1, 3), st.floats(1, 99), st.integers(1, 8))
 def test_release_parameters_fill_in_only_what_is_missing(

@@ -94,6 +94,7 @@ def test_config_validation():
         ("trial_id", -1, ValueError),
         ("trial_id", True, TypeError),
         ("trial_id", "4", TypeError),
+        ("trial_id", np.int64(0), TypeError),
         ("epsilon", True, TypeError),
     ],
 )
@@ -102,7 +103,11 @@ def test_config_rejects_seeds_and_trials_that_are_not_non_negative_ints(
 ):
     with pytest.raises(error, match=f"^{field} must be"):
         MechanismConfig(**{"epsilon": 1.0, field: value})
-    if field != "trial_id":
+    if field == "trial_id":
+        # The batch draw's trial ids follow the same rule.
+        with pytest.raises(error, match="^expected"):
+            plan("sensdiff", SEQ, EDGE, BOUNDS).draw_trials([value], 1.0)
+    else:
         # The experiment grid and the batch draw hold seed and epsilon to the
         # same rule.
         grid = {"epsilons": (value,)} if field == "epsilon" else {field: value}

@@ -296,6 +296,13 @@ def test_eval_configs_matches_degree_statistics(data):
             assert dict(zip(keys, got.tolist())) == expected
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_histogram_columns_are_one_per_bin(cap):
+    keys, tables = oracle._degree_tables(cap, range(1, cap + 1), range(1, 4), "k_star")
+    assert keys[-1] == ("degree_histogram",)
+    assert np.array_equal(tables[:, -(cap + 1):], np.eye(cap + 1, dtype=np.int64))
+
+
 def _degree_case(n_max, t_max, *caps):
     if len(caps) == 1:
         bounds, name = DegreeBounds.undirected(*caps), f"D{caps[0]}"

@@ -13,7 +13,7 @@ from dpgraphseq import (
     projected_sensitivity,
 )
 from dpgraphseq.errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
-from dpgraphseq.sensitivity import _CATALOG, _degree_tv, binom
+from dpgraphseq.sensitivity import _CATALOG, _degree_tv
 
 from bruteforce import degree_maxima
 from test_acceptance import CRITERION_1_BOUNDS, _catalog_queries
@@ -31,13 +31,6 @@ NOT_YET_CERTIFIED = {
 
 def q(pattern, k=None):
     return StatisticQuery.subgraph(pattern, k)
-
-
-def test_binom_is_total():
-    assert binom(5, 2) == 10
-    assert binom(2, 5) == 0
-    assert binom(-1, 0) == 0
-    assert binom(3, -1) == 0
 
 
 @pytest.mark.parametrize(
