@@ -20,7 +20,6 @@ from .graph_core import (
     verify_bounds,
 )
 from .projection import (
-    EdgeOrdering,
     ProjectionThresholds,
     canonical_ordering,
     project_sequence,
@@ -45,7 +44,6 @@ __all__ = [
     "BoundViolationError",
     "BudgetTooLargeError",
     "DegreeBounds",
-    "EdgeOrdering",
     "GraphSequence",
     "GraphSequenceError",
     "Histogram",

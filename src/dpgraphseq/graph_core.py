@@ -127,7 +127,7 @@ class GraphSequence:
 
     Batch times are consecutive integers; the first batch may sit at time 0
     (pre-existing nodes) or 1.  Statistics releases always run over steps
-    1..horizon.
+    1..horizon, of a sequence the builders built or would (`_check_built`).
 
     The node-time map is a private cache, `_node_times`, that `ingest_step`
     moves to the child; the parent rebuilds it from its batches if it is
@@ -404,8 +404,10 @@ def _extend(
         appended.append(ArrivalBatch(t, new_nodes, tuple(canonical)))
 
     extended = GraphSequence(directed=seq.directed, batches=seq.batches + tuple(appended))
-    # Seed the moved map; the cache is not a field, so equality holds.
+    # Seed the moved map and, from a built or empty parent, the mark.
     extended.__dict__["_node_times"] = times
+    if not seq.batches or "_built" in seq.__dict__:
+        extended.__dict__["_built"] = True
     return extended
 
 
@@ -442,6 +444,19 @@ def build_sequence(
 ) -> GraphSequence:
     """Convenience constructor from (t, nodes, edges) triples."""
     return _extend(GraphSequence.empty(directed), batches)
+
+
+def _check_built(seq: GraphSequence) -> None:
+    """Raise unless `build_sequence` would store `seq` as it is; mark it if so.
+
+    Builders mark what they build, so that costs one lookup; `build_sequence`
+    raises its own error on a batch it refuses.
+    """
+    if "_built" not in seq.__dict__:
+        batches = [(b.time, b.nodes, b.edges) for b in seq.batches]
+        if build_sequence(seq.directed, batches) != seq:
+            raise ValueError("the builders would store these batches differently")
+        seq.__dict__["_built"] = True
 
 
 def snapshot(seq: GraphSequence, t: int) -> GraphSequence:
@@ -669,6 +684,6 @@ def loads_edge_list(text: str) -> GraphSequence:
             _reject_batch(times, t, edges, directed)
         batches.append(ArrivalBatch(t, tuple(nodes), edges))
     seq = GraphSequence(directed, tuple(batches))
-    # The cache is not a field, so equality holds.
-    seq.__dict__["_node_times"] = times
+    # The caches are not fields, so equality holds.
+    seq.__dict__.update(_node_times=times, _built=True)
     return seq

@@ -67,7 +67,9 @@ from .errors import (
     NonPositiveScaleError,
     UnsupportedBaselineQueryError,
 )
-from .graph_core import DegreeBounds, GraphSequence, _check_int, verify_bounds
+from .graph_core import (
+    DegreeBounds, GraphSequence, _check_built, _check_int, verify_bounds
+)
 from .projection import ProjectionThresholds, admission_walk, canonical_ordering
 from .sensitivity import (
     SensitivityReport,
@@ -594,8 +596,10 @@ def plan(
     respect.  compose_projection needs exactly one of `thresholds` (fixed)
     or `candidates` (one arm each, picked per trial by realized error
     against the exact unprojected statistic), and a scalar query.  The
-    sequence needs at least one release step, a batch at t >= 1.
+    sequence needs at least one release step, a batch at t >= 1, and must be
+    one the builders build (`_check_built`): a node-arrival sequence.
     """
+    _check_built(seq)
     if seq.horizon < 1:
         raise ValueError("the sequence has no release step (no batch at t >= 1)")
     if mechanism == "compose_projection":

@@ -111,7 +111,9 @@ def oracle_diff_sensitivity(
     if n_max < 1 or t_max < 1:
         raise ValueError("budgets must be >= 1")
     patterns = DIRECTED_PATTERNS if bounds.is_directed else UNDIRECTED_PATTERNS
-    if query.kind == "subgraph" and query.pattern not in patterns:
+    # The degree sweep has a threshold column for each tau up to the out-cap.
+    too_high = query.tau is not None and query.tau > bounds.caps[1]
+    if too_high or query.kind == "subgraph" and query.pattern not in patterns:
         raise UnsupportedQueryError(f"oracle does not cover {query.label()}")
     key = _query_key(query)
     if key[0] in ("triangle", "triangle_i", "triangle_ii"):
@@ -120,10 +122,7 @@ def oracle_diff_sensitivity(
         # In-stars of a digraph are the out-stars of its transpose.
         bounds = DegreeBounds.directed(bounds.d_out, bounds.d_in)
         key = ("out_k_star", key[1])
-    results = _degree_sweep(bounds, n_max, t_max, max_k=max(3, query.k or 0))
-    if key not in results:
-        raise UnsupportedQueryError(f"oracle does not cover {query.label()}")
-    return results[key]
+    return _degree_sweep(bounds, n_max, t_max, max_k=max(3, query.k or 0))[key]
 
 
 # --- capped graph enumeration (vectorized) -------------------------------
@@ -153,14 +152,7 @@ def _directed_graphs(n, cap_in, cap_out):
     return out, inmask
 
 
-@functools.lru_cache(maxsize=4)
-def _oriented_digraphs(n, cap_in, cap_out):
-    """`_directed_graphs`, kept read-only for every sweep that reads it."""
-    out, inmask = _directed_graphs(n, cap_in, cap_out)
-    out.flags.writeable = inmask.flags.writeable = False
-    return out, inmask
-
-
+@functools.lru_cache(maxsize=8)
 def _capped_digraphs(n, cap_in, cap_out):
     """Read-only (out-mask, in-mask) matrices of every capped digraph.
 
@@ -169,9 +161,11 @@ def _capped_digraphs(n, cap_in, cap_out):
     in-masks.  Rows are in no particular order.
     """
     if cap_out > cap_in:
-        inmask, out = _oriented_digraphs(n, cap_out, cap_in)
+        inmask, out = _capped_digraphs(n, cap_out, cap_in)
         return out, inmask
-    return _oriented_digraphs(n, cap_in, cap_out)
+    out, inmask = _directed_graphs(n, cap_in, cap_out)
+    out.flags.writeable = inmask.flags.writeable = False
+    return out, inmask
 
 
 def _spare(masks, cap):

@@ -1,14 +1,14 @@
 """Greedy degree-bounding projection.
 
-Edges are considered one by one in a fixed ordering that respects edge time
-stamps; an edge is admitted only while both endpoint counters sit strictly
-below the projection thresholds.  Admission state is kept across steps, so
-projected edge sets are nested over time.  `check_ordering` validates an
-ordering once, before any number of admissions.  Admission has two halves,
-both on graph_core's one degree walk.  `admission_walk` checks the
-thresholds' mode, looks up each batch's step of the ordering and walks the
-sequence at the thresholds' caps: it returns the kept edges and their walk,
-which is all a degree statistic's projection arm reads
+Edges are considered one by one in a fixed ordering, one tuple of edges per
+batch in batch order (`canonical_ordering`); an edge is admitted only while
+both endpoint counters sit strictly below the projection thresholds.
+Admission state is kept across steps, so projected edge sets are nested over
+time.  `check_ordering` validates an ordering once, before any number of
+admissions.  Admission has two halves, both on graph_core's one degree walk.
+`admission_walk` checks the thresholds' mode and the ordering's step count,
+then walks the ordering at the thresholds' caps: it returns the kept edges
+and their walk, which is all a degree statistic's projection arm reads
 (`statistics.admitted_values`).  `graph_core.admitted_sequence` builds that
 walk into the admitted sequence, its walk cached.  `project_sequence` is
 `check_ordering`, then that sequence's prefix (`snapshot`) at each release
@@ -16,8 +16,6 @@ step; no release reads them.  The tests check them, and the admitted
 sequences, against the naive counts of `tests/bruteforce.py`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import OrderingMismatchError
 from .graph_core import (
@@ -31,6 +29,9 @@ from .graph_core import (
 )
 
 
+Ordering = tuple[tuple[Edge, ...], ...]  # one tuple of edges per batch
+
+
 class ProjectionThresholds(DegreeBounds):
     """Projection parameter: D-tilde, or (in, out) for directed graphs.
 
@@ -39,67 +40,45 @@ class ProjectionThresholds(DegreeBounds):
     """
 
 
-@dataclass(frozen=True)
-class EdgeOrdering:
-    """Per-step edge lists; concatenation is the total order Lambda.
+def canonical_ordering(seq: GraphSequence) -> Ordering:
+    """The ordering Lambda: one tuple of edges per batch, in batch order.
 
-    Within the list for one step every edge has that step's time stamp, and
-    all edges of step t precede all edges of any later step.  Removing the
+    Steps come in time order, so every edge of step t precedes all edges of
+    any later step in the concatenated total order.  Each step is its
+    batch's edges sorted as stored (in canonical form), so removing the
     edges incident to one node preserves the relative order of the rest,
     which is the stability the projection's privacy argument needs.
     """
-
-    steps: tuple[tuple[int, tuple[Edge, ...]], ...]
-
-
-def canonical_ordering(seq: GraphSequence) -> EdgeOrdering:
-    """Edges sorted by (time, canonical endpoint pair); deterministic.
-
-    A sequence stores its edges in canonical form, so each step sorts its
-    batch's edges as stored.
-    """
-    return EdgeOrdering(
-        steps=tuple((batch.time, tuple(sorted(batch.edges))) for batch in seq.batches)
-    )
+    return tuple(tuple(sorted(batch.edges)) for batch in seq.batches)
 
 
-def check_ordering(seq: GraphSequence, ordering: EdgeOrdering) -> None:
+def check_ordering(seq: GraphSequence, ordering: Ordering) -> None:
     """Raise unless `ordering` covers each batch's edges exactly, step by step."""
-    order_by_time = dict(ordering.steps)
-    if set(order_by_time) != {b.time for b in seq.batches}:
-        raise OrderingMismatchError("ordering steps must match the sequence's batches")
-    # The canonical ordering is each batch's canonical edges, sorted.
-    for t, edges in canonical_ordering(seq).steps:
-        if sorted(order_by_time[t]) != list(edges):
-            raise OrderingMismatchError(
-                f"ordering at t={t} must cover exactly that batch's edges"
-            )
+    if [sorted(step) for step in ordering] != [sorted(b.edges) for b in seq.batches]:
+        raise OrderingMismatchError("each step must cover exactly its batch's edges")
 
 
 def admission_walk(
-    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
+    seq: GraphSequence, ordering: Ordering, th: ProjectionThresholds
 ) -> tuple[list[Edge], DegreeWalk]:
     """The edges the online projection keeps, in one flat list, and their walk.
 
     Admission state is shared across steps.  A threshold mode unlike the
-    sequence's, or an ordering without a step of some batch, raises
-    `OrderingMismatchError` before the walk; that an ordering covers each
+    sequence's, or an ordering without exactly one step per batch, raises
+    `OrderingMismatchError` before the walk; that each step covers its
     batch's edges exactly is `check_ordering`'s to validate.
     """
     if th.is_directed != seq.directed:
         raise OrderingMismatchError("threshold mode does not match the sequence")
-    order_at = dict(ordering.steps).get
-    steps = []
-    for batch in seq.batches:
-        edges = order_at(batch.time)
-        if edges is None:
-            raise OrderingMismatchError(f"ordering has no step t={batch.time}")
-        steps.append(edges)
-    return _walk(seq, steps, *th.caps)
+    if len(ordering) != len(seq.batches):
+        raise OrderingMismatchError(
+            f"ordering has {len(ordering)} steps for {len(seq.batches)} batches"
+        )
+    return _walk(seq, ordering, *th.caps)
 
 
 def project_sequence(
-    seq: GraphSequence, ordering: EdgeOrdering, th: ProjectionThresholds
+    seq: GraphSequence, ordering: Ordering, th: ProjectionThresholds
 ) -> list[GraphSequence]:
     """Online projection: one projected snapshot per step, shared state.
 

@@ -237,6 +237,8 @@ def test_malformed_statistic_is_usage_error(runner, pa_file, value):
           "--degree-bound", "3"], "tau=5 exceeds"),
         (["sensitivity", "--statistic", "triangle", "--degree-bound", "3",
           "--regime", "per_release"], "no per-release sensitivity"),
+        (["sensitivity", "--statistic", "edge", "--regime", "projected"],
+         "projected regime needs --projection-thresholds"),
         (["release", "--statistic", "triangle", "--epsilon", "1"],
          "'triangle' incompatible"),
         (["release", "--statistic", "high_degree", "--tau", "50",
@@ -257,7 +259,8 @@ def test_malformed_statistic_is_usage_error(runner, pa_file, value):
           "high_degree", "--tau", "50", "--epsilon", "1", "--trials", "1"],
          "tau=50 exceeds"),
     ],
-    ids=["sens-star", "sens-tau", "sens-regime", "release-triangle",
+    ids=["sens-star", "sens-tau", "sens-regime", "sens-projected-no-thresholds",
+         "release-triangle",
          "release-tau", "experiment-triangle", "release-projection-triangle",
          "experiment-projection-triangle", "release-fixed-thresholds-tau",
          "release-grid-tau", "experiment-grid-tau"],

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dpgraphseq import (
+    ArrivalBatch,
     DegreeBounds,
     GraphSequence,
     ProjectionThresholds,
@@ -18,11 +19,13 @@ from dpgraphseq import (
 )
 from dpgraphseq.errors import (
     BoundViolationError,
+    DuplicateEdgeError,
+    EdgeToFutureNodeError,
     NonPositiveScaleError,
     OrderingMismatchError,
     UnsupportedBaselineQueryError,
 )
-from dpgraphseq import mechanisms, projection
+from dpgraphseq import graph_core, mechanisms, projection
 from dpgraphseq.generators import PaTransmissionParams, generate_pa_transmission
 from dpgraphseq.graph_core import admitted_sequence
 from dpgraphseq.harness import (
@@ -338,6 +341,63 @@ def test_a_sequence_without_release_steps_is_refused(seq):
                            bounds=BOUNDS, candidates=(th,))
     with pytest.raises(ValueError, match="no release step"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "batches, error, match",
+    [
+        # A float time and a gap: the horizon reads 5 with two batches.
+        ([(1.0, ("x",), ()), (5, ("y",), ())], TypeError, "batch time"),
+        ([(1, ("a", "b"), ()), (2, ("c",), (("a", "b"),))],
+         EdgeToFutureNodeError, "no endpoint in the current batch"),
+        ([(1, ("a", "b"), (("a", "b"), ("a", "b")))], DuplicateEdgeError, "already"),
+        # An undirected edge the builders would store as ("a", "b").
+        ([(1, ("a", "b"), (("b", "a"),))], ValueError, "store these batches"),
+    ],
+    ids=["float-time-gap", "edge-between-earlier-nodes", "duplicate-edge",
+         "non-canonical-edge"],
+)
+def test_a_hand_built_sequence_the_builders_refuse_is_refused(batches, error, match):
+    seq = GraphSequence(False, tuple(ArrivalBatch(*b) for b in batches))
+    th = ProjectionThresholds.undirected(1)
+    config = MechanismConfig(epsilon=1.0)
+    bounds = DegreeBounds.undirected(3)
+    for mech in MECHANISMS:
+        with pytest.raises(error, match=match):
+            release(mech, seq, EDGE, config, bounds=bounds, candidates=[th])
+        cfg = ExperimentConfig(dataset="bad", seq=seq, query=EDGE, epsilons=(1.0,),
+                               mechanisms=(mech,), tau_percentile=None,
+                               bounds=bounds, candidates=(th,))
+        with pytest.raises(error, match=match):
+            run_experiment(cfg)
+
+
+def test_only_a_sequence_no_builder_made_is_rebuilt(monkeypatch):
+    text = "H undirected 2\nN a 1\nN b 1\nE a b\nN c 2\nE b c\n"
+    parsed = graph_core.loads_edge_list(text)
+    built = build_sequence(False, [(1, ["a", "b"], [("a", "b")]), (2, ["c"], [])])
+    ingested = graph_core.ingest_step(built, 3, ["d"], [("c", "d")])
+    by_hand = GraphSequence(False, parsed.batches)
+    rebuilt = []
+    real = graph_core.build_sequence
+
+    def spy(directed, batches):
+        rebuilt.append(batches)
+        return real(directed, batches)
+
+    monkeypatch.setattr(graph_core, "build_sequence", spy)
+    config = MechanismConfig(epsilon=1.0)
+    for seq in (parsed, built, ingested):
+        for mech in MECHANISMS:
+            release(mech, seq, EDGE, config, bounds=BOUNDS,
+                    candidates=[ProjectionThresholds.undirected(1)])
+    assert rebuilt == []
+    # A valid hand-built sequence is rebuilt on its first plan only.
+    for _ in range(2):
+        assert release("sensdiff", by_hand, EDGE, config, bounds=BOUNDS) == release(
+            "sensdiff", parsed, EDGE, config, bounds=BOUNDS
+        )
+    assert len(rebuilt) == 1
 
 
 def test_sensdiff_partial_sum_noise_grows_with_sqrt_t():

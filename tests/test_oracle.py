@@ -187,6 +187,9 @@ def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch)
         (StatisticQuery.subgraph("k_star", 2), DegreeBounds.directed(2, 2)),
         (StatisticQuery.subgraph("out_k_star", 2), DegreeBounds.undirected(3)),
         (StatisticQuery.subgraph("in_k_star", 2), DegreeBounds.undirected(3)),
+        # No threshold column above the out-cap (the degree, if undirected).
+        (StatisticQuery.high_degree(3), DegreeBounds.directed(3, 2)),
+        (StatisticQuery.high_degree(4), DegreeBounds.undirected(3)),
     ]
     for query, bounds in cases:
         with pytest.raises(UnsupportedQueryError, match="oracle does not cover"):

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "BoundViolationError",
     "BudgetTooLargeError",
     "DegreeBounds",
-    "EdgeOrdering",
     "GraphSequence",
     "GraphSequenceError",
     "Histogram",
