@@ -105,7 +105,13 @@ def rebatch(seq: GraphSequence, releases: int) -> GraphSequence:
     for w in range(1, releases + 1):
         nodes, edges = merged.get(w, ([], []))
         batches.append(ArrivalBatch(time=w, nodes=tuple(nodes), edges=tuple(edges)))
-    return GraphSequence(directed=seq.directed, batches=tuple(batches))
+    merged_seq = GraphSequence(directed=seq.directed, batches=tuple(batches))
+    if "_built" in seq.__dict__:
+        # Each edge keeps the batch of the node it brought, and the nodes
+        # keep their order, so `build_sequence` would store these batches
+        # as they are: the output carries the builders' mark.
+        merged_seq.__dict__["_built"] = True
+    return merged_seq
 
 
 def default_projection_grid(seq: GraphSequence, granularity: int = 5):

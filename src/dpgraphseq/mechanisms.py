@@ -43,14 +43,17 @@ words of the seed and of each stream are built once per draw, not once per
 trial.  `_laplace` draws every (arm, trial) key of a chunk in one call,
 zero-noise arms included (scale 0 draws +0.0).  `_pcg64_states` runs
 SeedSequence's hashing and PCG64's seeding as one array pass over all
-keys, and `_laplace_rows` finds every key's k-th state by jump-ahead
-(`_jump_table`), a bounded block of steps at a time, then applies PCG64's
+keys; a draw of only a few keys (`_FEW_KEYS`, such as a one-trial release)
+seeds each on Python ints instead (`_seed_ints`), below the array pass's
+fixed cost.  `_laplace_rows` finds every key's k-th state by jump-ahead
+(`_jump_table`, built per size from a few Python-int products in two
+array passes), a bounded block of steps at a time, then applies PCG64's
 output function and numpy's inverse-CDF sampler.  Its log is `math.log`,
 the libm function numpy's C sampler calls (numpy's SIMD `np.log` can
-differ in the last bit), so releases also depend on the platform's libm.  A draw of only a few
-values (`_SMALL_DRAW`) runs the same steps on Python ints, which skips
-numpy's per-call cost; so does a row whose uniform is exactly 0, which
-numpy rejects for the next word.
+differ in the last bit), so releases also depend on the platform's libm.
+A draw of only a few values (`_SMALL_DRAW`) runs the same steps on Python
+ints, which skips numpy's per-call cost; so does a row whose uniform is
+exactly 0, which numpy rejects for the next word.
 """
 from __future__ import annotations
 
@@ -135,6 +138,9 @@ _MASK_128 = (1 << 128) - 1
 # on Python ints: the array path's fixed ~0.2 ms per call would make a
 # one-trial release several times slower.
 _SMALL_DRAW = 128
+# A longer draw of at most _FEW_KEYS keys still seeds them on Python ints
+# (~15 us a key), below the array pass's fixed ~0.2 ms.
+_FEW_KEYS = 12
 # The array path draws each row in blocks of 2**_BLOCK_BITS steps, so its jump
 # tables and temporaries stay bounded however long the draw.
 _BLOCK_BITS = 12
@@ -261,8 +267,10 @@ def _limbs(hi, lo):
     return lo & _LOW, lo >> _U32, hi & _LOW, hi >> _U32
 
 
-def _int_limbs(value: int):
-    return tuple(np.uint64(value >> shift & _MASK_32) for shift in (0, 32, 64, 96))
+def _int_limbs(*values: int) -> np.ndarray:
+    """The four 32-bit limbs, low first, of 128-bit ints: (4, len(values))."""
+    raw = b"".join(v.to_bytes(16, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
 
 
 def _affine(a, x, b, y):
@@ -294,21 +302,30 @@ def _jump_table(bits: int) -> np.ndarray:
     """Limbs of M**k and of B(k) = sum_{j<k} M**j mod 2**128, k = 1..2**bits.
 
     Rows 0-3 and 4-7 of an (8, 2**bits) read-only uint64 array: k steps of
-    PCG64's LCG take a state s to M**k * s + B(k) * inc.  Each table doubles
-    the one before: k + m steps are k steps after m, so M**(k+m) is
-    M**k * M**m + B(k) * 0 and B(k+m) is M**k * B(m) + B(k) * 1.  Draws ask
-    for at most `_BLOCK_BITS`, so the cache holds under 2**(_BLOCK_BITS + 1)
-    columns in all.
+    PCG64's LCG take a state s to M**k * s + B(k) * inc.  Column k - 1 holds
+    k = a + b, with a a multiple of the stride 2**ceil(bits/2) and b in
+    1..stride: b steps then a steps give M**k = M**a * M**b and B(k) =
+    M**a * B(b) + B(a).  So the a-rows and b-columns are a few Python-int
+    pairs, and two `_affine` passes over their grid fill the table.  Each
+    draw asks for the smallest table that covers it, at most `_BLOCK_BITS`,
+    so the cache holds under 2**(_BLOCK_BITS + 1) columns in all.
     """
-    if bits == 0:
-        table = np.array(_int_limbs(_PCG_MULT) + _int_limbs(1))[:, None]
-    else:
-        half = _jump_table(bits - 1)
-        # Limb i of (M**m, B(m)) and of (0, 1), shape (4, 2, 1).
-        x = half[:, -1].reshape(2, 4).T[..., None]
-        y = np.array(_int_limbs(0) + _int_limbs(1)).reshape(2, 4).T[..., None]
-        later = np.stack(_limbs(*_affine(half[:4, None], x, half[4:, None], y)))
-        table = np.concatenate([half, later.transpose(1, 0, 2).reshape(8, -1)], axis=1)
+    stride = 1 << (bits + 1) // 2
+    cols = [(_PCG_MULT, 1)]
+    while len(cols) < stride:
+        m, b = cols[-1]
+        cols.append((m * _PCG_MULT & _MASK_128, (b * _PCG_MULT + 1) & _MASK_128))
+    m_stride, b_stride = cols[-1]
+    rows = [(1, 0)]
+    while len(rows) * stride < 1 << bits:
+        m, b = rows[-1]
+        rows.append((m * m_stride & _MASK_128, (m * b_stride + b) & _MASK_128))
+    m_a, b_a = (_int_limbs(*side)[:, :, None] for side in zip(*rows))
+    m_b, b_b = (_int_limbs(*side)[:, None, :] for side in zip(*cols))
+    table = np.empty((8, len(rows), stride), dtype=np.uint64)
+    table[:4] = _limbs(*_affine(m_a, m_b, b_a, _int_limbs(0)))
+    table[4:] = _limbs(*_affine(m_a, b_b, b_a, _int_limbs(1)))
+    table = table.reshape(8, -1)
     table.flags.writeable = False
     return table
 
@@ -396,10 +413,17 @@ def _laplace(keys: list[list[int]], scales: list[float], size: int) -> np.ndarra
     if len(keys) * size <= _SMALL_DRAW:
         return np.array([_laplace_ints(*_seed_ints(words), scale, size)
                          for words, scale in zip(keys, scales)])
-    states = np.empty((len(keys), 4), dtype=np.uint64)
-    for width in {len(words) for words in keys}:
-        at = [j for j, words in enumerate(keys) if len(words) == width]
-        states[at] = _pcg64_states(np.array([keys[j] for j in at], dtype=np.uint32))
+    if len(keys) <= _FEW_KEYS:
+        states = np.array(
+            [(s >> 64, s & _MASK_64, inc >> 64, inc & _MASK_64)
+             for s, inc in map(_seed_ints, keys)],
+            dtype=np.uint64,
+        )
+    else:
+        states = np.empty((len(keys), 4), dtype=np.uint64)
+        for width in {len(words) for words in keys}:
+            at = [j for j, words in enumerate(keys) if len(words) == width]
+            states[at] = _pcg64_states(np.array([keys[j] for j in at], dtype=np.uint32))
     return _laplace_rows(states, np.array(scales), size)
 
 

@@ -46,7 +46,6 @@ histograms refer to out-degree.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -210,24 +209,35 @@ def _degree_values(
 
 
 def _triangle_values(pattern: str, seq: GraphSequence) -> list[StatValue]:
-    # Neighbour sets appear on a node's first edge; an undirected graph
-    # keeps one set per node, read as both out- and in-neighbours.
-    out: dict[str, set[str]] = defaultdict(set)
-    inn: dict[str, set[str]] = defaultdict(set) if seq.directed else out
-    increment = {
-        "triangle": lambda u, v: len(out[u] & out[v]),
-        "triangle_i": lambda u, v: len(out[v] & inn[u]),
-        "triangle_ii": lambda u, v: (
-            len(out[u] & out[v]) + len(inn[u] & inn[v]) + len(out[u] & inn[v])
-        ),
-    }[pattern]
+    # One neighbour set per node, made up front; an undirected graph keeps
+    # one set per node, read as both out- and in-neighbours.
+    out = {node: set() for node in seq._node_times}
+    inn = {node: set() for node in out} if seq.directed else out
     value = 0
     values: list[StatValue] = []
     for batch in seq.batches:
-        for u, v in batch.edges:
-            value += increment(u, v)
-            out[u].add(v)
-            inn[v].add(u)
+        # Most edges close no copy; for the one-term increments `isdisjoint`,
+        # which builds no set, says so before `&` builds one.
+        if pattern == "triangle":
+            for u, v in batch.edges:
+                out_u, out_v = out[u], out[v]
+                if not out_u.isdisjoint(out_v):
+                    value += len(out_u & out_v)
+                out_u.add(v)
+                out_v.add(u)
+        elif pattern == "triangle_i":
+            for u, v in batch.edges:
+                out_v, in_u = out[v], inn[u]
+                if not out_v.isdisjoint(in_u):
+                    value += len(out_v & in_u)
+                out[u].add(v)
+                inn[v].add(u)
+        else:
+            for u, v in batch.edges:
+                out_u, in_v = out[u], inn[v]
+                value += len(out_u & out[v]) + len(inn[u] & in_v) + len(out_u & in_v)
+                out_u.add(v)
+                in_v.add(u)
         if batch.time >= 1:
             values.append(value)
     return values

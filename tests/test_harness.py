@@ -1,4 +1,5 @@
 """Experiment harness: metrics, parameter derivation, sweeps, CSV output."""
+import dataclasses
 import json
 import re
 
@@ -11,6 +12,7 @@ from dpgraphseq import (
     ProjectionThresholds,
     StatisticQuery,
     build_sequence,
+    graph_core,
     mechanisms,
     snapshot,
     verify_bounds,
@@ -145,6 +147,59 @@ def test_rebatch_merges_into_even_windows():
     assert merged0.horizon == 2
     with pytest.raises(ValueError):
         rebatch(seq, 0)
+
+
+def _rebuilt(seq):
+    return build_sequence(seq.directed, [(b.time, b.nodes, b.edges) for b in seq.batches])
+
+
+@pytest.mark.parametrize("start", [0, 1], ids=["time-0", "time-1"])
+@pytest.mark.parametrize("releases", [2, 5, 8], ids=["fewer", "equal", "more"])
+def test_rebatch_of_a_built_sequence_is_marked_built(start, releases):
+    # Five steps, merged into fewer windows, as many, and more (with empty
+    # windows); a time-0 batch holds its own nodes and edge.
+    batches = [(0, ["s0", "s1"], [("s0", "s1")])] if start == 0 else []
+    batches += [(t, [f"n{t}", f"m{t}"], [(f"n{t}", "s0" if start == 0 else f"m{t}")])
+                for t in range(1, 6)]
+    seq = build_sequence(False, batches)
+    merged = rebatch(seq, releases)
+    assert merged.horizon == releases
+    assert "_built" in merged.__dict__
+    assert _rebuilt(merged) == merged
+    # A sequence the builders never saw stays unmarked.
+    unbuilt = dataclasses.replace(seq)
+    assert "_built" not in rebatch(unbuilt, releases).__dict__
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(), st.integers(1, 8))
+def test_rebatch_output_is_what_the_builders_store(seq, releases):
+    assume(seq.horizon >= 1)
+    merged = rebatch(seq, releases)
+    assert "_built" in merged.__dict__
+    assert _rebuilt(merged) == merged
+
+
+def test_plan_of_a_rebatched_built_sequence_rebuilds_nothing(monkeypatch):
+    calls = []
+    build = graph_core.build_sequence
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    seq = build_sequence(
+        False, [(t, [f"n{t}"], [(f"n{t-1}", f"n{t}")] if t > 1 else []) for t in range(1, 9)]
+    )
+    monkeypatch.setattr(graph_core, "build_sequence", counted)
+    bounds = DegreeBounds.undirected(2)
+    mechanisms.plan("sensdiff", rebatch(seq, 3), StatisticQuery.subgraph("edge"),
+                    bounds=bounds)
+    assert calls == []
+    # The counter sees the check an unmarked sequence takes.
+    mechanisms.plan("sensdiff", dataclasses.replace(rebatch(seq, 3)),
+                    StatisticQuery.subgraph("edge"), bounds=bounds)
+    assert len(calls) == 1
 
 
 def test_default_projection_grid():

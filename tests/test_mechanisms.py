@@ -605,16 +605,73 @@ def test_kernel_rejects_a_zero_uniform_and_keeps_a_half_positive(size):
         assert np.array_equal(got, want.view(np.uint64)), path
 
 
-@pytest.mark.parametrize("small_draw", [0, 10**9], ids=["array", "ints"])
-def test_kernel_draws_equal_numpy_seeded_generators(monkeypatch, small_draw):
+def _assert_numpy_seeded(got, keys, scales, size):
+    assert got.shape == (len(keys), size)
+    for row, words, scale in zip(got, keys, scales):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+        assert np.array_equal(row, rng.laplace(0.0, scale, size))
+
+
+# Array draws seeded in one array pass, array draws seeded on Python ints,
+# and draws seeded and drawn on Python ints.
+@pytest.mark.parametrize(
+    "small_draw, few_keys", [(0, 0), (0, 10**9), (10**9, 0)],
+    ids=["array", "few-keys", "ints"],
+)
+def test_kernel_draws_equal_numpy_seeded_generators(monkeypatch, small_draw, few_keys):
     monkeypatch.setattr(mechanisms, "_SMALL_DRAW", small_draw)
+    monkeypatch.setattr(mechanisms, "_FEW_KEYS", few_keys)
     keys = [seed_words(0, 5, 0), seed_words(2**32, 1, 2, 3), seed_words(2**70, 2**40, 9),
             seed_words(1), seed_words(2**32 - 1, 7)]
     scales = [0.5, 1.0, 7.0, 2.0, 3.5]
-    got = mechanisms._laplace(keys, scales, 9)
-    for row, words, scale in zip(got, keys, scales):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-        assert np.array_equal(row, rng.laplace(0.0, scale, 9))
+    _assert_numpy_seeded(mechanisms._laplace(keys, scales, 9), keys, scales, 9)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_kernel_draws_around_the_few_key_threshold_equal_numpy(offset):
+    # Key counts either side of the threshold, each call mixing keys of 1 to
+    # 12 words, in draws too long for the Python-int path.
+    n = mechanisms._FEW_KEYS + offset
+    keys = [seed_words(*[2**(32 * (i % 4)) + i] * (1 + i % 3)) for i in range(n)]
+    scales = [1.0 + i for i in range(n)]
+    size = mechanisms._SMALL_DRAW // n + 1
+    assert n * size > mechanisms._SMALL_DRAW
+    _assert_numpy_seeded(mechanisms._laplace(keys, scales, size), keys, scales, size)
+
+
+@pytest.mark.parametrize("bits", range(mechanisms._BLOCK_BITS + 1))
+def test_jump_table_matches_repeated_multiplication(bits):
+    # Column k - 1 holds M**k and B(k) = 1 + M + ... + M**(k-1), mod 2**128,
+    # each as four 32-bit limbs, low first.
+    def limbs(value):
+        return [value >> shift & 0xFFFFFFFF for shift in (0, 32, 64, 96)]
+
+    power, partial, columns = 1, 0, []
+    for _ in range(2**bits):
+        partial = (partial + power) % 2**128
+        power = power * mechanisms._PCG_MULT % 2**128
+        columns.append(limbs(power) + limbs(partial))
+    table = mechanisms._jump_table(bits)
+    assert table.dtype == np.uint64 and not table.flags.writeable
+    assert table.T.tolist() == columns
+
+
+def test_one_trial_releases_seed_without_the_array_pass(monkeypatch):
+    # A one-trial release longer than a small draw seeds its one key on
+    # Python ints; a 100-trial draw still seeds in one array pass.
+    seq = chain_seq(mechanisms._SMALL_DRAW + 20)
+    sensdiff = plan("sensdiff", seq, EDGE, bounds=BOUNDS)
+    want = sensdiff.draw_trials(range(100), 1.0, seed=3).estimates[4]
+
+    def refuse(entropy):
+        raise AssertionError("_pcg64_states called")
+
+    monkeypatch.setattr(mechanisms, "_pcg64_states", refuse)
+    config = MechanismConfig(1.0, seed=3, trial_id=4)
+    got = release("sensdiff", seq, EDGE, config, bounds=BOUNDS).estimates
+    assert got == tuple(want.tolist())
+    with pytest.raises(AssertionError, match="_pcg64_states called"):
+        sensdiff.draw_trials(range(100), 1.0, seed=3)
 
 
 def test_kernel_rows_longer_than_a_block_equal_numpy():

@@ -16,6 +16,7 @@ from dpgraphseq import (
 from dpgraphseq.errors import PatternDirectionMismatchError
 from dpgraphseq.graph_core import admitted_sequence
 from dpgraphseq.projection import admission_walk
+from dpgraphseq.statistics import admitted_values
 
 from bruteforce import naive_series, naive_value
 
@@ -260,3 +261,68 @@ def test_exact_values_never_decrease_over_time(seq):
             ]
         for s in series:
             assert all(a <= b for a, b in zip(s, s[1:])), (query.label(), s)
+
+
+# --- the triangle family on hand-made arrival orders ----------------------
+
+# A time-0 batch with an edge; e (undirected) and y (directed) arrive with
+# no edge and get their first one steps later; x receives an edge before it
+# sends one; t = 4 is an empty step.
+LATE_EDGES = {
+    False: [
+        (0, ["a", "b", "c"], [("a", "b"), ("b", "c")]),
+        (1, ["d", "e"], [("a", "d"), ("d", "b")]),
+        (2, ["f"], [("f", "e"), ("a", "f"), ("f", "b")]),
+        (3, ["g"], [("e", "g"), ("g", "f")]),
+        (4, [], []),
+        (5, ["h"], [("h", "c"), ("b", "h")]),
+    ],
+    True: [
+        (0, ["a", "b"], [("a", "b")]),
+        (1, ["x", "y"], [("a", "x")]),
+        (2, ["z"], [("x", "z"), ("z", "a"), ("b", "z")]),
+        (3, ["w"], [("y", "w"), ("w", "x"), ("a", "w"), ("w", "z")]),
+        (4, [], []),
+        (5, ["v"], [("v", "y"), ("x", "v"), ("w", "v")]),
+    ],
+}
+TRIANGLES = {False: ("triangle",), True: ("triangle_i", "triangle_ii")}
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_triangle_engine_matches_enumeration_on_late_edges(directed):
+    seq = build_sequence(directed, LATE_EDGES[directed])
+    for pattern in TRIANGLES[directed]:
+        values = exact_values(Q(pattern), seq)
+        assert values == naive_series(Q(pattern), seq), pattern
+        # The late edges close patterns of their own.
+        assert len(values) == 5 and values[-1] > values[1], pattern
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_triangle_admitted_values_match_projected_views(directed, cap):
+    # The projected sequence is rebuilt from the kept edges, so its node-time
+    # map is rebuilt from its batches.
+    seq = build_sequence(directed, LATE_EDGES[directed])
+    th = (ProjectionThresholds.directed(cap, cap) if directed
+          else ProjectionThresholds.undirected(cap))
+    ordering = canonical_ordering(seq)
+    kept, walk = admission_walk(seq, ordering, th)
+    views = project_sequence(seq, ordering, th)
+    for pattern in TRIANGLES[directed]:
+        want = [naive_value(Q(pattern), directed, v.nodes, v.edges) for v in views]
+        assert admitted_values(Q(pattern), seq, kept, walk) == want, pattern
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(), st.integers(1, 3))
+def test_triangle_admitted_values_match_enumeration(seq, cap):
+    th = (ProjectionThresholds.directed(cap, cap) if seq.directed
+          else ProjectionThresholds.undirected(cap))
+    ordering = canonical_ordering(seq)
+    kept, walk = admission_walk(seq, ordering, th)
+    views = project_sequence(seq, ordering, th)
+    for pattern in TRIANGLES[seq.directed]:
+        want = [naive_value(Q(pattern), seq.directed, v.nodes, v.edges) for v in views]
+        assert admitted_values(Q(pattern), seq, kept, walk) == want, pattern
