@@ -3,7 +3,10 @@
 A sequence grows by per-time-step arrival batches: a set of new nodes plus
 the edges that arrive alongside them.  Every edge must touch at least one
 node of its own batch, so an edge's time equals the maximum of its endpoint
-time stamps and snapshots are reconstructible for every step.
+time stamps and snapshots are reconstructible for every step.  Every
+`GraphSequence` holds to this: its constructor rebuilds its batches through
+`build_sequence`, and what the package derives from checked batches skips
+that through `_sequence`.
 
 Sequences are built from batches in one pass (`build_sequence`) or one
 batch at a time (`ingest_step`), both through one validator, `_extend`: per
@@ -127,7 +130,10 @@ class GraphSequence:
 
     Batch times are consecutive integers; the first batch may sit at time 0
     (pre-existing nodes) or 1.  Statistics releases always run over steps
-    1..horizon, of a sequence the builders built or would (`_check_built`).
+    1..horizon.  Every sequence is one `build_sequence` stores: the
+    constructor rebuilds its batches through it, raising its error, or
+    `ValueError` if it would store them differently.  Sequences derived from
+    checked batches come from `_sequence`, which skips that check.
 
     The node-time map is a private cache, `_node_times`, that `ingest_step`
     moves to the child; the parent rebuilds it from its batches if it is
@@ -137,6 +143,15 @@ class GraphSequence:
 
     directed: bool
     batches: tuple[ArrivalBatch, ...] = ()
+
+    def __post_init__(self):
+        if self.batches:
+            built = build_sequence(
+                self.directed, [(b.time, b.nodes, b.edges) for b in self.batches]
+            )
+            if built != self:
+                raise ValueError("the builders would store these batches differently")
+            self.__dict__["_node_times"] = built._node_times
 
     @classmethod
     def empty(cls, directed: bool = False) -> "GraphSequence":
@@ -210,6 +225,16 @@ class GraphSequence:
         # No counter reaches the number of edges, so that cap admits all.
         edges = self.num_edges
         return _walk(self, [batch.edges for batch in self.batches], edges, edges)[1]
+
+
+def _sequence(directed: bool, batches: tuple, **caches) -> GraphSequence:
+    """A sequence of already checked batches: no `__init__`, `caches` seeded.
+
+    The caches are not fields, so they take no part in equality.
+    """
+    seq = object.__new__(GraphSequence)
+    seq.__dict__.update(directed=directed, batches=batches, **caches)
+    return seq
 
 
 @dataclass(frozen=True)
@@ -296,10 +321,7 @@ def admitted_sequence(
         ArrivalBatch(batch.time, batch.nodes, tuple(kept[start:end]))
         for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends)
     )
-    admitted = GraphSequence(seq.directed, batches)
-    # The cache is not a field, so equality holds.
-    admitted.__dict__["degree_walk"] = walk
-    return admitted
+    return _sequence(seq.directed, batches, degree_walk=walk)
 
 
 def _reject_batch(
@@ -403,12 +425,7 @@ def _extend(
             _reject_batch(times, t, edges, directed)
         appended.append(ArrivalBatch(t, new_nodes, tuple(canonical)))
 
-    extended = GraphSequence(directed=seq.directed, batches=seq.batches + tuple(appended))
-    # Seed the moved map and, from a built or empty parent, the mark.
-    extended.__dict__["_node_times"] = times
-    if not seq.batches or "_built" in seq.__dict__:
-        extended.__dict__["_built"] = True
-    return extended
+    return _sequence(directed, seq.batches + tuple(appended), _node_times=times)
 
 
 def ingest_step(
@@ -446,25 +463,12 @@ def build_sequence(
     return _extend(GraphSequence.empty(directed), batches)
 
 
-def _check_built(seq: GraphSequence) -> None:
-    """Raise unless `build_sequence` would store `seq` as it is; mark it if so.
-
-    Builders mark what they build, so that costs one lookup; `build_sequence`
-    raises its own error on a batch it refuses.
-    """
-    if "_built" not in seq.__dict__:
-        batches = [(b.time, b.nodes, b.edges) for b in seq.batches]
-        if build_sequence(seq.directed, batches) != seq:
-            raise ValueError("the builders would store these batches differently")
-        seq.__dict__["_built"] = True
-
-
 def snapshot(seq: GraphSequence, t: int) -> GraphSequence:
     """G_t: the prefix of `seq` formed by its batches up to and including t."""
     start = seq.start_time
     if start is None or not start <= t <= seq.horizon:
         raise TimeOutOfRangeError(f"time {t} outside [{start}, {seq.horizon}]")
-    return GraphSequence(seq.directed, seq.batches[: t - start + 1])
+    return _sequence(seq.directed, seq.batches[: t - start + 1])
 
 
 @dataclass(frozen=True)
@@ -683,7 +687,4 @@ def loads_edge_list(text: str) -> GraphSequence:
         if i in looped or len(set(edges)) != len(edges):
             _reject_batch(times, t, edges, directed)
         batches.append(ArrivalBatch(t, tuple(nodes), edges))
-    seq = GraphSequence(directed, tuple(batches))
-    # The caches are not fields, so equality holds.
-    seq.__dict__.update(_node_times=times, _built=True)
-    return seq
+    return _sequence(directed, tuple(batches), _node_times=times)

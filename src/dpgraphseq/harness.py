@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError
-from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence, _check_int
+from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence, _check_int, _sequence
 # relative_l1_error is imported for the callers that import it from here.
 from .mechanisms import (
     MECHANISMS,
@@ -51,13 +51,19 @@ def _node_walk(seq: GraphSequence):
     return seq.degree_walk
 
 
+def _check_percentile(percentile: float) -> None:
+    if isinstance(percentile, bool):
+        raise TypeError("percentile must be a number, not bool")
+    if not 0 < percentile < 100:
+        raise ValueError(f"percentile must be in (0, 100), got {percentile}")
+
+
 def derive_tau(seq: GraphSequence, percentile: float) -> int:
     """numpy's "higher" percentile of the final (out-)degree multiset, >= 1.
 
     Not nearest-rank: p90 of degrees 1..10 is 10, where nearest-rank gives 9.
     """
-    if not 0 < percentile < 100:
-        raise ValueError("percentile must be in (0, 100)")
+    _check_percentile(percentile)
     # The walk's final out-counters, zeros included (one counter if undirected).
     degrees = list(_node_walk(seq).out.values())
     value = int(np.percentile(degrees, percentile, method="higher"))
@@ -105,13 +111,9 @@ def rebatch(seq: GraphSequence, releases: int) -> GraphSequence:
     for w in range(1, releases + 1):
         nodes, edges = merged.get(w, ([], []))
         batches.append(ArrivalBatch(time=w, nodes=tuple(nodes), edges=tuple(edges)))
-    merged_seq = GraphSequence(directed=seq.directed, batches=tuple(batches))
-    if "_built" in seq.__dict__:
-        # Each edge keeps the batch of the node it brought, and the nodes
-        # keep their order, so `build_sequence` would store these batches
-        # as they are: the output carries the builders' mark.
-        merged_seq.__dict__["_built"] = True
-    return merged_seq
+    # Each edge keeps the batch of the node it brought, and the nodes keep
+    # their order, so `build_sequence` would store these batches as they are.
+    return _sequence(seq.directed, tuple(batches))
 
 
 def default_projection_grid(seq: GraphSequence, granularity: int = 5):
@@ -179,6 +181,8 @@ class ExperimentConfig:
             raise ValueError("epsilon grid is empty")
         for epsilon in self.epsilons:
             _check_epsilon(epsilon)
+        if self.tau_percentile is not None:
+            _check_percentile(self.tau_percentile)
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown:
             raise ValueError(f"unknown mechanisms: {sorted(unknown)}")

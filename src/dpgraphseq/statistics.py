@@ -59,6 +59,7 @@ from .graph_core import (
     Edge,
     GraphSequence,
     _check_int,
+    _sequence,
     admitted_sequence,
 )
 
@@ -142,7 +143,7 @@ def evaluate(query: StatisticQuery, g: GraphSequence) -> StatValue:
     one `exact_values` yields for that step; a time-0 snapshot has one too.
     """
     step = ArrivalBatch(1, g.nodes, g.edges)
-    return exact_values(query, GraphSequence(g.directed, (step,)))[0]
+    return exact_values(query, _sequence(g.directed, (step,)))[0]
 
 
 # --- incremental engine ---------------------------------------------------
@@ -216,8 +217,8 @@ def _triangle_values(pattern: str, seq: GraphSequence) -> list[StatValue]:
     value = 0
     values: list[StatValue] = []
     for batch in seq.batches:
-        # Most edges close no copy; for the one-term increments `isdisjoint`,
-        # which builds no set, says so before `&` builds one.
+        # Most edges close no copy; for each term `isdisjoint`, which builds
+        # no set, says so before `&` builds one.
         if pattern == "triangle":
             for u, v in batch.edges:
                 out_u, out_v = out[u], out[v]
@@ -234,8 +235,13 @@ def _triangle_values(pattern: str, seq: GraphSequence) -> list[StatValue]:
                 inn[v].add(u)
         else:
             for u, v in batch.edges:
-                out_u, in_v = out[u], inn[v]
-                value += len(out_u & out[v]) + len(inn[u] & in_v) + len(out_u & in_v)
+                out_u, out_v, in_u, in_v = out[u], out[v], inn[u], inn[v]
+                if not out_u.isdisjoint(out_v):
+                    value += len(out_u & out_v)
+                if not in_u.isdisjoint(in_v):
+                    value += len(in_u & in_v)
+                if not out_u.isdisjoint(in_v):
+                    value += len(out_u & in_v)
                 out_u.add(v)
                 in_v.add(u)
         if batch.time >= 1:

@@ -340,6 +340,19 @@ def test_non_finite_epsilon_is_usage_error(runner, pa_file, command, epsilon):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["release", "experiment"])
+def test_degree_bound_of_the_wrong_mode_is_usage_error(runner, pa_file, command):
+    # The PA file is directed, and a lone D is an undirected bound.
+    args = [command, "--input", str(pa_file), "--statistic", "edge",
+            "--epsilon", "1", "--degree-bound", "3"]
+    if command == "experiment":
+        args += ["--trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "bound mode does not match the sequence" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize(
     "args,flag",
     [

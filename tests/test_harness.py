@@ -76,6 +76,21 @@ def test_derive_tau_nearest_rank():
         derive_tau(seq, 100.0)
 
 
+@pytest.mark.parametrize(
+    "percentile, error",
+    [(True, TypeError), (False, TypeError), (0.0, ValueError), (100, ValueError),
+     (250.0, ValueError), (-5, ValueError), (float("nan"), ValueError)],
+    ids=["true", "false", "zero", "hundred", "above", "negative", "nan"],
+)
+def test_tau_percentile_is_refused_where_it_is_given(percentile, error):
+    seq = star_seq(9)
+    with pytest.raises(error, match="percentile"):
+        derive_tau(seq, percentile)
+    with pytest.raises(error, match="percentile"):
+        ExperimentConfig(dataset="star", seq=seq, query=StatisticQuery.subgraph("edge"),
+                         epsilons=(1.0,), tau_percentile=percentile)
+
+
 def test_derive_tau_floors_at_one():
     lonely = build_sequence(False, [(1, ["a", "b"], [])])
     assert derive_tau(lonely, 90.0) == 1
@@ -164,11 +179,9 @@ def test_rebatch_of_a_built_sequence_is_marked_built(start, releases):
     seq = build_sequence(False, batches)
     merged = rebatch(seq, releases)
     assert merged.horizon == releases
-    assert "_built" in merged.__dict__
     assert _rebuilt(merged) == merged
-    # A sequence the builders never saw stays unmarked.
-    unbuilt = dataclasses.replace(seq)
-    assert "_built" not in rebatch(unbuilt, releases).__dict__
+    # A hand-built copy is rebatched alike.
+    assert rebatch(dataclasses.replace(seq), releases) == merged
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,7 +189,6 @@ def test_rebatch_of_a_built_sequence_is_marked_built(start, releases):
 def test_rebatch_output_is_what_the_builders_store(seq, releases):
     assume(seq.horizon >= 1)
     merged = rebatch(seq, releases)
-    assert "_built" in merged.__dict__
     assert _rebuilt(merged) == merged
 
 
@@ -196,9 +208,10 @@ def test_plan_of_a_rebatched_built_sequence_rebuilds_nothing(monkeypatch):
     mechanisms.plan("sensdiff", rebatch(seq, 3), StatisticQuery.subgraph("edge"),
                     bounds=bounds)
     assert calls == []
-    # The counter sees the check an unmarked sequence takes.
-    mechanisms.plan("sensdiff", dataclasses.replace(rebatch(seq, 3)),
-                    StatisticQuery.subgraph("edge"), bounds=bounds)
+    # The counter sees the check a hand-built copy takes when it is made.
+    by_hand = dataclasses.replace(rebatch(seq, 3))
+    assert len(calls) == 1
+    mechanisms.plan("sensdiff", by_hand, StatisticQuery.subgraph("edge"), bounds=bounds)
     assert len(calls) == 1
 
 

@@ -1,7 +1,9 @@
 """Release mechanisms: noise law, determinism, exactness at zero noise, and
 the batch draw bit for bit against a per-trial reference."""
+import copy
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 
@@ -32,6 +34,7 @@ from dpgraphseq.harness import (
     ExperimentConfig,
     default_projection_grid,
     derive_bounds,
+    rebatch,
     run_experiment,
 )
 from dpgraphseq.mechanisms import (
@@ -43,7 +46,7 @@ from dpgraphseq.mechanisms import (
     seed_words,
 )
 from dpgraphseq.projection import admission_walk, canonical_ordering
-from dpgraphseq.statistics import admitted_values, exact_values
+from dpgraphseq.statistics import admitted_values, evaluate, exact_values
 
 from bruteforce import naive_series
 from test_statistics import _all_queries, sequences
@@ -358,26 +361,17 @@ def test_a_sequence_without_release_steps_is_refused(seq):
          "non-canonical-edge"],
 )
 def test_a_hand_built_sequence_the_builders_refuse_is_refused(batches, error, match):
-    seq = GraphSequence(False, tuple(ArrivalBatch(*b) for b in batches))
-    th = ProjectionThresholds.undirected(1)
-    config = MechanismConfig(epsilon=1.0)
-    bounds = DegreeBounds.undirected(3)
-    for mech in MECHANISMS:
-        with pytest.raises(error, match=match):
-            release(mech, seq, EDGE, config, bounds=bounds, candidates=[th])
-        cfg = ExperimentConfig(dataset="bad", seq=seq, query=EDGE, epsilons=(1.0,),
-                               mechanisms=(mech,), tau_percentile=None,
-                               bounds=bounds, candidates=(th,))
-        with pytest.raises(error, match=match):
-            run_experiment(cfg)
+    # Such a sequence cannot be made, so no release, bound check or dump
+    # ever reads one.
+    hand_built = tuple(ArrivalBatch(*b) for b in batches)
+    with pytest.raises(error, match=match):
+        GraphSequence(False, hand_built)
+    valid = build_sequence(False, [(1, ["a"], [])])
+    with pytest.raises(error, match=match):
+        dataclasses.replace(valid, batches=hand_built)
 
 
 def test_only_a_sequence_no_builder_made_is_rebuilt(monkeypatch):
-    text = "H undirected 2\nN a 1\nN b 1\nE a b\nN c 2\nE b c\n"
-    parsed = graph_core.loads_edge_list(text)
-    built = build_sequence(False, [(1, ["a", "b"], [("a", "b")]), (2, ["c"], [])])
-    ingested = graph_core.ingest_step(built, 3, ["d"], [("c", "d")])
-    by_hand = GraphSequence(False, parsed.batches)
     rebuilt = []
     real = graph_core.build_sequence
 
@@ -386,13 +380,30 @@ def test_only_a_sequence_no_builder_made_is_rebuilt(monkeypatch):
         return real(directed, batches)
 
     monkeypatch.setattr(graph_core, "build_sequence", spy)
+    text = "H undirected 3\nN a 1\nN b 1\nE a b\nN c 2\nE b c\nN d 3\nE c d\n"
+    parsed = graph_core.loads_edge_list(text)
+    built = build_sequence(False, [(1, ["a", "b"], [("a", "b")]), (2, ["c"], [])])
+    ingested = graph_core.ingest_step(built, 3, ["d"], [("c", "d")])
+    th = ProjectionThresholds.undirected(1)
+    ordering = canonical_ordering(parsed)
+    derived = [
+        rebatch(parsed, 2),
+        graph_core.snapshot(parsed, 2),
+        admitted_sequence(parsed, *admission_walk(parsed, ordering, th)),
+        *projection.project_sequence(parsed, ordering, th),
+        pickle.loads(pickle.dumps(parsed)),
+        copy.deepcopy(parsed),
+    ]
     config = MechanismConfig(epsilon=1.0)
-    for seq in (parsed, built, ingested):
+    for seq in (parsed, built, ingested, *derived):
+        evaluate(EDGE, seq)
         for mech in MECHANISMS:
-            release(mech, seq, EDGE, config, bounds=BOUNDS,
-                    candidates=[ProjectionThresholds.undirected(1)])
+            release(mech, seq, EDGE, config, bounds=BOUNDS, candidates=[th])
     assert rebuilt == []
-    # A valid hand-built sequence is rebuilt on its first plan only.
+    # A valid hand-built sequence is rebuilt once, when it is made, and
+    # never by a plan.
+    by_hand = GraphSequence(False, parsed.batches)
+    assert len(rebuilt) == 1
     for _ in range(2):
         assert release("sensdiff", by_hand, EDGE, config, bounds=BOUNDS) == release(
             "sensdiff", parsed, EDGE, config, bounds=BOUNDS

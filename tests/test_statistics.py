@@ -299,6 +299,32 @@ def test_triangle_engine_matches_enumeration_on_late_edges(directed):
         assert len(values) == 5 and values[-1] > values[1], pattern
 
 
+# Transitive triangles s->m, m->t, s->t whose last edge (a, b) closes the
+# copy through one term of its increment alone: a->b as source->middle
+# (out(a) & out(b)), as middle->sink (in(a) & in(b)), as source->sink
+# (out(a) & in(b)).
+TRANSITIVE_TERMS = {
+    "out-out": [("a", "c"), ("b", "c"), ("a", "b")],
+    "in-in": [("c", "a"), ("c", "b"), ("a", "b")],
+    "out-in": [("a", "c"), ("c", "b"), ("a", "b")],
+}
+
+
+@pytest.mark.parametrize("edges", TRANSITIVE_TERMS.values(), ids=TRANSITIVE_TERMS)
+def test_each_triangle_ii_term_alone_matches_enumeration(edges):
+    # One step, and again with each node in a step of its own (c, a, b).
+    one_step = build_sequence(True, [(1, ["a", "b", "c"], edges)])
+    late = build_sequence(True, [
+        (1, ["c"], []),
+        (2, ["a"], [e for e in edges if "b" not in e]),
+        (3, ["b"], [e for e in edges if "b" in e]),
+    ])
+    for seq in (one_step, late):
+        values = exact_values(Q("triangle_ii"), seq)
+        assert values == naive_series(Q("triangle_ii"), seq)
+        assert values[-1] == 1
+
+
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_triangle_admitted_values_match_projected_views(directed, cap):
