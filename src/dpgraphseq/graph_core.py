@@ -29,11 +29,9 @@ of each step, in a given order, while both endpoint counters sit below a
 pair of caps.  With no caps, in arrival order, it is the sequence's own
 `degree_walk`, computed once and cached like the node-time map; the bound
 check, parameter derivation and the degree statistics of
-`statistics.exact_values` all read it.  At a projection's thresholds, over
-its edge ordering, it is an admission walk: a projection arm of a degree
-statistic reads that walk alone, and `admitted_sequence` builds the kept
-edges into a sequence with the walk cached.  The triangle family keeps its
-own neighbour-set walk.
+`statistics.exact_values` all read it.  Capped, over another edge order,
+it is a projection's admission walk, and graph_core knows nothing more of
+projections.  The triangle family keeps its own neighbour-set walk.
 
 The graph at step t is the first batches of the sequence, so `snapshot`
 returns that prefix, a `GraphSequence` itself: the package has one graph
@@ -131,9 +129,11 @@ class GraphSequence:
     Batch times are consecutive integers; the first batch may sit at time 0
     (pre-existing nodes) or 1.  Statistics releases always run over steps
     1..horizon.  Every sequence is one `build_sequence` stores: the
-    constructor rebuilds its batches through it, raising its error, or
-    `ValueError` if it would store them differently.  Sequences derived from
-    checked batches come from `_sequence`, which skips that check.
+    constructor refuses a `directed` that is not a bool and `batches` that
+    are not a tuple of `ArrivalBatch` (`TypeError`), then rebuilds the
+    batches through it, raising its error, or `ValueError` if it would store
+    them differently.  Sequences derived from checked batches come from
+    `_sequence`, which skips these checks.
 
     The node-time map is a private cache, `_node_times`, that `ingest_step`
     moves to the child; the parent rebuilds it from its batches if it is
@@ -145,6 +145,22 @@ class GraphSequence:
     batches: tuple[ArrivalBatch, ...] = ()
 
     def __post_init__(self):
+        if type(self.directed) is not bool:
+            raise TypeError(
+                f"GraphSequence: directed must be a bool, "
+                f"not {type(self.directed).__name__}"
+            )
+        if not isinstance(self.batches, tuple):
+            raise TypeError(
+                f"GraphSequence: batches must be a tuple, "
+                f"not {type(self.batches).__name__}"
+            )
+        for i, batch in enumerate(self.batches):
+            if not isinstance(batch, ArrivalBatch):
+                raise TypeError(
+                    f"GraphSequence: batches[{i}] must be an ArrivalBatch, "
+                    f"not {type(batch).__name__}"
+                )
         if self.batches:
             built = build_sequence(
                 self.directed, [(b.time, b.nodes, b.edges) for b in self.batches]
@@ -308,20 +324,6 @@ def _walk(
     return kept, DegreeWalk(
         tuple(tail), tuple(head), tuple(ends), out, inn, (top_in, top_out)
     )
-
-
-def admitted_sequence(
-    seq: GraphSequence, kept: list[Edge], walk: DegreeWalk
-) -> GraphSequence:
-    """The kept edges of a `_walk` over `seq` as a sequence, `walk` cached.
-
-    Each batch keeps its time and nodes and the edges admitted at its step.
-    """
-    batches = tuple(
-        ArrivalBatch(batch.time, batch.nodes, tuple(kept[start:end]))
-        for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends)
-    )
-    return _sequence(seq.directed, batches, degree_walk=walk)
 
 
 def _reject_batch(

@@ -186,6 +186,11 @@ class ExperimentConfig:
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown:
             raise ValueError(f"unknown mechanisms: {sorted(unknown)}")
+        # A repeated value would run, and report, its sweep cells twice.
+        for name, values in (("epsilon", self.epsilons), ("mechanism", self.mechanisms)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} {value!r} is given more than once")
         if not self.query.is_scalar:
             # relative_l1_error scores scalar series only.
             raise ValueError(

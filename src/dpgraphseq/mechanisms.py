@@ -20,9 +20,10 @@ compose_projection candidate's projected f) with its noise law: how many
 releases share epsilon, and whether prefix sums are released.  The bound
 check and every degree statistic read a sequence's cached degree walk.  Each
 candidate is one `projection.admission_walk` at its caps, and its arm is
-`statistics.admitted_values` of that walk: a degree statistic reads the
-walk over the parent's batches; only triangles build the projected
-sequence.  `ReleasePlan.draw_trials` is the only noise code and reads only
+`statistics._degree_values` of that walk over the parent's batches, the
+engine `exact_values` runs on the cached walk: every query with a projected
+sensitivity is a degree statistic, and none builds the projected sequence.
+`ReleasePlan.draw_trials` is the only noise code and reads only
 arms.  It draws many trials at one epsilon and seed in array passes: each
 arm fills a (trials, T[, bins]) noise block, a row per trial from its own
 PCG64 stream, prefix-summed along the steps if cumulative; several arms are
@@ -78,7 +79,7 @@ from .sensitivity import (
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery, admitted_values, exact_values
+from .statistics import StatisticQuery, _degree_values, exact_values
 
 MECHANISMS = ("sensdiff", "compose_bounded", "compose_projection")
 
@@ -633,13 +634,14 @@ def plan(
         truth = _exact_scalars(query, seq)
         # The canonical ordering covers every batch by construction.  Each
         # arm's sensitivity is computed before its walk, so an infeasible
-        # threshold is reported first.
+        # threshold, or a query with no projected formula, is refused first;
+        # every query that has one is a degree statistic.
         ordering = canonical_ordering(seq)
         arms = tuple(
             ReleaseArm(
                 sensitivity=projected_sensitivity(query, th),
                 series=np.fromiter(
-                    admitted_values(query, seq, *admission_walk(seq, ordering, th)),
+                    _degree_values(query, seq, admission_walk(seq, ordering, th)[1]),
                     dtype=float,
                 ),
                 stream=(2, i),

@@ -4,28 +4,28 @@ Edges are considered one by one in a fixed ordering, one tuple of edges per
 batch in batch order (`canonical_ordering`); an edge is admitted only while
 both endpoint counters sit strictly below the projection thresholds.
 Admission state is kept across steps, so projected edge sets are nested over
-time.  `check_ordering` validates an ordering once, before any number of
-admissions.  Admission has two halves, both on graph_core's one degree walk.
-`admission_walk` checks the thresholds' mode and the ordering's step count,
-then walks the ordering at the thresholds' caps: it returns the kept edges
-and their walk, which is all a degree statistic's projection arm reads
-(`statistics.admitted_values`).  `graph_core.admitted_sequence` builds that
-walk into the admitted sequence, its walk cached.  `project_sequence` is
-`check_ordering`, then that sequence's prefix (`snapshot`) at each release
-step; no release reads them.  The tests check them, and the admitted
-sequences, against the naive counts of `tests/bruteforce.py`.
+time.  `admission_walk` checks the thresholds' mode and the ordering's step
+count, then walks the ordering at the thresholds' caps on graph_core's one
+degree walk: it returns the kept edges and their walk.  The walk runs over
+the parent's batches, which have the projected sequence's times and nodes,
+so it is all a degree statistic's projection arm reads (`mechanisms.plan`
+hands it to `statistics._degree_values`).  `project_sequence`, the one
+reader of the kept edges, checks that the ordering covers each batch's
+edges, builds the admitted batches and returns their prefix at each
+release step; no release reads them.  The tests check them against the
+naive counts of `tests/bruteforce.py`.
 """
 from __future__ import annotations
 
 from .errors import OrderingMismatchError
 from .graph_core import (
+    ArrivalBatch,
     DegreeBounds,
     DegreeWalk,
     Edge,
     GraphSequence,
+    _sequence,
     _walk,
-    admitted_sequence,
-    snapshot,
 )
 
 
@@ -52,12 +52,6 @@ def canonical_ordering(seq: GraphSequence) -> Ordering:
     return tuple(tuple(sorted(batch.edges)) for batch in seq.batches)
 
 
-def check_ordering(seq: GraphSequence, ordering: Ordering) -> None:
-    """Raise unless `ordering` covers each batch's edges exactly, step by step."""
-    if [sorted(step) for step in ordering] != [sorted(b.edges) for b in seq.batches]:
-        raise OrderingMismatchError("each step must cover exactly its batch's edges")
-
-
 def admission_walk(
     seq: GraphSequence, ordering: Ordering, th: ProjectionThresholds
 ) -> tuple[list[Edge], DegreeWalk]:
@@ -66,7 +60,7 @@ def admission_walk(
     Admission state is shared across steps.  A threshold mode unlike the
     sequence's, or an ordering without exactly one step per batch, raises
     `OrderingMismatchError` before the walk; that each step covers its
-    batch's edges exactly is `check_ordering`'s to validate.
+    batch's edges exactly is `project_sequence`'s to validate.
     """
     if th.is_directed != seq.directed:
         raise OrderingMismatchError("threshold mode does not match the sequence")
@@ -82,10 +76,21 @@ def project_sequence(
 ) -> list[GraphSequence]:
     """Online projection: one projected snapshot per step, shared state.
 
-    Returns the admitted sequence's prefixes for release steps 1..horizon; a
-    time-0 batch (pre-existing nodes) is processed first and folded into
-    the first.
+    Raises `OrderingMismatchError` unless each step of `ordering` covers its
+    batch's edges exactly, then as `admission_walk` does.  Each admitted
+    batch keeps its time and nodes and the edges kept at its step.  Returns
+    the admitted batches' prefixes for release steps 1..horizon; a time-0
+    batch (pre-existing nodes) is processed first and folded into the first.
     """
-    check_ordering(seq, ordering)
-    projected = admitted_sequence(seq, *admission_walk(seq, ordering, th))
-    return [snapshot(projected, t) for t in range(1, projected.horizon + 1)]
+    if [sorted(step) for step in ordering] != [sorted(b.edges) for b in seq.batches]:
+        raise OrderingMismatchError("each step must cover exactly its batch's edges")
+    kept, walk = admission_walk(seq, ordering, th)
+    batches = tuple(
+        ArrivalBatch(batch.time, batch.nodes, tuple(kept[start:end]))
+        for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends)
+    )
+    return [
+        _sequence(seq.directed, batches[: i + 1])
+        for i, batch in enumerate(batches)
+        if batch.time >= 1
+    ]

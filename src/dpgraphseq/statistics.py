@@ -27,12 +27,13 @@ and this engine, which counts a histogram's bins directly.  The degree engine
 reads a `DegreeWalk` plus the batches' times and nodes: increments are g's
 steps g(d + 1) - g(d) at the walk's pre-edge degrees d, and the table stops
 at the walk's largest counter.  `exact_values` hands it the sequence's cached
-walk, which the bound check and parameter derivation read too.
-`admitted_values` hands it a projection's admission walk over the parent's
-batches, which have the projected sequence's times and nodes, so a degree arm
-builds no sequence.  The triangle family needs neighbour sets, not just
-degrees, and keeps its own walk over per-node sets, of the kept edges for a
-projection.
+walk, which the bound check and parameter derivation read too.  A
+projection arm (`mechanisms.plan`) hands `_degree_values` a projection's
+admission walk over the parent's batches, which have the projected
+sequence's times and nodes, so a degree arm builds no sequence.  The
+triangle family needs neighbour sets, not just degrees, and keeps its own
+walk over per-node sets; no release projects it, and `exact_values` of a
+`projection.project_sequence` snapshot counts it on the kept edges.
 
 `evaluate(query, g)` is the engine at one graph, such as a snapshot (a
 prefix of a sequence): g read as a single step in which every node
@@ -53,15 +54,7 @@ from operator import add, sub
 from typing import Optional, Union
 
 from .errors import PatternDirectionMismatchError
-from .graph_core import (
-    ArrivalBatch,
-    DegreeWalk,
-    Edge,
-    GraphSequence,
-    _check_int,
-    _sequence,
-    admitted_sequence,
-)
+from .graph_core import ArrivalBatch, DegreeWalk, GraphSequence, _check_int, _sequence
 
 UNDIRECTED_PATTERNS = ("edge", "triangle", "k_star")
 DIRECTED_PATTERNS = ("edge", "triangle_i", "triangle_ii", "out_k_star", "in_k_star")
@@ -180,7 +173,13 @@ def _moved_sides(
 def _degree_values(
     query: StatisticQuery, seq: GraphSequence, walk: DegreeWalk
 ) -> list[StatValue]:
-    """The degree engine over `walk`, a walk of `seq`'s batches."""
+    """The degree engine: a degree statistic's value at each release step.
+
+    `walk` is a walk over `seq`'s batches, either `seq`'s cached uncapped
+    `degree_walk` or an admission walk (`projection.admission_walk`) of
+    them; `seq` supplies only the batch times and nodes.  So the values are
+    those of the sequence the walk admitted.
+    """
     sides = _moved_sides(query, seq.directed, walk)
     # No degree, on either side, ever exceeds the walk's largest counter.
     top = max(walk.largest)
@@ -264,22 +263,3 @@ def exact_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
         if query.pattern.startswith("triangle"):
             return _triangle_values(query.pattern, seq)
     return _degree_values(query, seq, seq.degree_walk)
-
-
-def admitted_values(
-    query: StatisticQuery, seq: GraphSequence, kept: list[Edge], walk: DegreeWalk
-) -> list[StatValue]:
-    """`exact_values` of the sequence a walk over `seq` admitted.
-
-    ``(kept, walk)`` is an admission walk over `seq`, such as
-    `projection.admission_walk`'s, so the value equals
-    ``exact_values(query, admitted_sequence(seq, kept, walk))``.  The
-    admitted sequence has `seq`'s batch times and nodes, so a degree
-    statistic reads `seq`'s batches and the walk and builds no sequence;
-    the triangle family walks the kept edges.
-    """
-    if query.kind == "subgraph":
-        _check_pattern(query.pattern, seq.directed)
-        if query.pattern.startswith("triangle"):
-            return _triangle_values(query.pattern, admitted_sequence(seq, kept, walk))
-    return _degree_values(query, seq, walk)

@@ -183,6 +183,20 @@ def test_experiment_json_format_and_rebatch(runner, pa_file):
     assert all(r["T"] == 2 for r in records)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--epsilon", "1", "epsilon 1.0"), ("--mechanism", "sensdiff", "'sensdiff'")],
+    ids=["epsilon", "mechanism"],
+)
+def test_repeated_sweep_value_is_usage_error(runner, pa_file, flag, value, message):
+    args = ["experiment", "--input", str(pa_file), "--statistic", "edge",
+            "--epsilon", "1", "--mechanism", "sensdiff", "--trials", "2"]
+    result = runner.invoke(main, args + [flag, value])
+    assert result.exit_code == 2, result.output
+    assert f"{message} is given more than once" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_experiment_rejects_histogram_as_usage_error(runner, pa_file):
     result = runner.invoke(
         main,

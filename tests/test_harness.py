@@ -294,6 +294,21 @@ def experiment_config(**kw):
     return ExperimentConfig(**defaults)
 
 
+@pytest.mark.parametrize(
+    "field, values, match",
+    [
+        ("epsilons", (1.0, 2.0, 1.0), "epsilon 1.0 is given more than once"),
+        # Equal numbers are one budget, whatever their types.
+        ("epsilons", (1, 1.0), "epsilon 1.0 is given more than once"),
+        ("mechanisms", ("sensdiff", "sensdiff"), "mechanism 'sensdiff' is given"),
+    ],
+    ids=["epsilon", "int-and-float-epsilon", "mechanism"],
+)
+def test_experiment_config_refuses_a_repeated_value(field, values, match):
+    with pytest.raises(ValueError, match=match):
+        experiment_config(**{field: values})
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         experiment_config(trials=0)

@@ -23,13 +23,14 @@ from dpgraphseq.errors import (
     BoundViolationError,
     DuplicateEdgeError,
     EdgeToFutureNodeError,
+    InfeasibleThresholdError,
     NonPositiveScaleError,
     OrderingMismatchError,
+    PatternDirectionMismatchError,
     UnsupportedBaselineQueryError,
 )
-from dpgraphseq import graph_core, mechanisms, projection
+from dpgraphseq import graph_core, mechanisms, projection, sensitivity, statistics
 from dpgraphseq.generators import PaTransmissionParams, generate_pa_transmission
-from dpgraphseq.graph_core import admitted_sequence
 from dpgraphseq.harness import (
     ExperimentConfig,
     default_projection_grid,
@@ -45,8 +46,13 @@ from dpgraphseq.mechanisms import (
     release,
     seed_words,
 )
-from dpgraphseq.projection import admission_walk, canonical_ordering
-from dpgraphseq.statistics import admitted_values, evaluate, exact_values
+from dpgraphseq.projection import admission_walk, canonical_ordering, project_sequence
+from dpgraphseq.statistics import (
+    _degree_table,
+    _degree_values,
+    evaluate,
+    exact_values,
+)
 
 from bruteforce import naive_series
 from test_statistics import _all_queries, sequences
@@ -257,16 +263,18 @@ def test_projection_arms_equal_the_admitted_sequences_values(seq):
     assume(seq.horizon >= 1)
     ordering = canonical_ordering(seq)
     grid = _threshold_grid(seq.directed)
-    admitted = {
-        th: admitted_sequence(seq, *admission_walk(seq, ordering, th)) for th in grid
-    }
-    # Every query the engine answers: the admission walk alone gives a
-    # degree statistic's arm, the kept edges a triangle count's.
+    # The last view of a projection is the whole admitted sequence.
+    admitted = {th: project_sequence(seq, ordering, th)[-1] for th in grid}
+    # Every degree query the engine answers: the admission walk over the
+    # parent's batches alone gives the admitted sequence's values.
     for query in _all_queries(seq.directed):
+        if str(query.pattern).startswith("triangle"):
+            continue
         for th in grid:
-            assert admitted_values(
-                query, seq, *admission_walk(seq, ordering, th)
-            ) == exact_values(query, admitted[th]), (query.label(), th)
+            _, walk = admission_walk(seq, ordering, th)
+            assert _degree_values(query, seq, walk) == exact_values(
+                query, admitted[th]
+            ), (query.label(), th)
     # The queries with a projected sensitivity, through `plan`: a grid of
     # candidates and each one fixed.
     for query in [EDGE, StatisticQuery.high_degree(1), StatisticQuery.high_degree(2)]:
@@ -293,6 +301,79 @@ def test_wrong_mode_thresholds_are_refused_before_any_walk(monkeypatch, query):
             plan("compose_projection", seq, query, thresholds=th)
         with pytest.raises(OrderingMismatchError, match="threshold mode"):
             plan("compose_projection", seq, query, candidates=[th, th])
+    assert walks == []
+
+
+# A sequence of each mode with stars, triangles and degrees above 2.
+MODE_SEQS = {
+    False: build_sequence(False, [
+        (1, ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]),
+        (2, ["d"], [("d", "a"), ("d", "b"), ("d", "c")]),
+    ]),
+    True: build_sequence(True, [
+        (1, ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")]),
+        (2, ["d"], [("d", "a"), ("d", "b"), ("d", "c"), ("b", "d")]),
+    ]),
+}
+
+
+def _query_named(statistic):
+    if statistic == "high_degree":
+        return StatisticQuery.high_degree(1)
+    if statistic == "degree_histogram":
+        return StatisticQuery.degree_histogram()
+    return StatisticQuery.subgraph(statistic, 2 if statistic.endswith("k_star") else None)
+
+
+def test_every_projected_formula_is_for_a_degree_statistic():
+    # A projection arm is the degree engine read off its admission walk, so
+    # a projected formula for any other statistic would noise wrong values.
+    keys = [key for key in sensitivity._CATALOG if key[0] == "per_release_projected"]
+    assert keys
+    for _, statistic, directed in keys:
+        query = _query_named(statistic)
+        seq = MODE_SEQS[directed]
+        assert len(_degree_table(query, 3)) == 4, statistic
+        assert _degree_values(query, seq, seq.degree_walk) == naive_series(
+            query, seq
+        ), statistic
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_plan_refuses_every_query_without_a_projected_formula_before_any_walk(
+    monkeypatch, directed
+):
+    seq = MODE_SEQS[directed]
+    # The truth's own uncapped walk is cached first; any walk after it would
+    # be a candidate's.
+    seq.degree_walk
+    walks = []
+    real = graph_core._walk
+
+    def spy(*args):
+        walks.append(args)
+        return real(*args)
+
+    for module in (graph_core, projection):
+        monkeypatch.setattr(module, "_walk", spy)
+    th, wrong = (
+        (ProjectionThresholds.directed(2, 2), ProjectionThresholds.undirected(2))
+        if directed
+        else (ProjectionThresholds.undirected(2), ProjectionThresholds.directed(2, 2))
+    )
+    names = ("triangle", "triangle_i", "triangle_ii", "k_star", "out_k_star",
+             "in_k_star", "degree_histogram")
+    refused = [(_query_named(name), th) for name in names]
+    refused += [(EDGE, wrong), (HD, wrong), (StatisticQuery.high_degree(3), th)]
+    for query, thresholds in refused:
+        for kwargs in ({"thresholds": thresholds}, {"candidates": [thresholds] * 2}):
+            with pytest.raises((
+                UnsupportedBaselineQueryError,
+                PatternDirectionMismatchError,
+                OrderingMismatchError,
+                InfeasibleThresholdError,
+            )):
+                plan("compose_projection", seq, query, **kwargs)
     assert walks == []
 
 
@@ -371,6 +452,49 @@ def test_a_hand_built_sequence_the_builders_refuse_is_refused(batches, error, ma
         dataclasses.replace(valid, batches=hand_built)
 
 
+@pytest.mark.parametrize(
+    "directed, batches, match",
+    [
+        ("no", (ArrivalBatch(1, ("a", "b"), (("b", "a"),)),),
+         "directed must be a bool, not str"),
+        (1, (), "directed must be a bool, not int"),
+        (np.bool_(False), (), "directed must be a bool"),
+        (False, ((1, ("a",), ()),), r"batches\[0\] must be an ArrivalBatch, not tuple"),
+        (False, [ArrivalBatch(1, ("a",), ())], "batches must be a tuple, not list"),
+    ],
+    ids=["str-directed", "int-directed", "numpy-bool-directed", "raw-triple",
+         "list-of-batches"],
+)
+def test_a_sequence_with_fields_of_the_wrong_type_is_refused(directed, batches, match):
+    with pytest.raises(TypeError, match=match):
+        GraphSequence(directed, batches)
+    valid = build_sequence(False, [(1, ["a"], [])])
+    with pytest.raises(TypeError, match=match):
+        dataclasses.replace(valid, directed=directed, batches=batches)
+    if not batches:
+        # An empty sequence is checked too.
+        with pytest.raises(TypeError, match=match):
+            GraphSequence.empty(directed)
+
+
+def test_a_projection_plan_builds_no_sequence(monkeypatch):
+    # A degree arm reads its admission walk over the parent's batches.
+    built = []
+    real = graph_core._sequence
+
+    def spy(*args, **caches):
+        built.append(args)
+        return real(*args, **caches)
+
+    for module in (graph_core, projection, statistics):
+        monkeypatch.setattr(module, "_sequence", spy)
+    for directed, seq in MODE_SEQS.items():
+        grid = _threshold_grid(directed)
+        plan("compose_projection", seq, EDGE, candidates=grid)
+        plan("compose_projection", seq, HD, thresholds=grid[-1])
+    assert built == []
+
+
 def test_only_a_sequence_no_builder_made_is_rebuilt(monkeypatch):
     rebuilt = []
     real = graph_core.build_sequence
@@ -389,7 +513,6 @@ def test_only_a_sequence_no_builder_made_is_rebuilt(monkeypatch):
     derived = [
         rebatch(parsed, 2),
         graph_core.snapshot(parsed, 2),
-        admitted_sequence(parsed, *admission_walk(parsed, ordering, th)),
         *projection.project_sequence(parsed, ordering, th),
         pickle.loads(pickle.dumps(parsed)),
         copy.deepcopy(parsed),

@@ -14,7 +14,6 @@ from dpgraphseq import (
     snapshot,
 )
 from dpgraphseq.errors import OrderingMismatchError
-from dpgraphseq.graph_core import admitted_sequence
 from dpgraphseq.projection import admission_walk
 
 from bruteforce import degrees, naive_value
@@ -116,14 +115,24 @@ def test_admission_records_the_walk_of_the_kept_edges(seq, d_in, d_out):
         else ProjectionThresholds.undirected(d_out)
     )
     ordering = canonical_ordering(seq)
-    projected = admitted_sequence(seq, *admission_walk(seq, ordering, th))
+    views = project_sequence(seq, ordering, th)
+    if seq.horizon == 0:
+        # No release step, so no view holds the projected sequence.
+        assert views == []
+        return
+    projected = views[-1]
     # Each batch keeps its time and nodes and a subsequence of its ordering.
+    assert len(projected.batches) == len(seq.batches)
     for batch, kept, order in zip(seq.batches, projected.batches, ordering):
         assert (kept.time, kept.nodes) == (batch.time, batch.nodes)
         rest = iter(order)
         assert all(e in rest for e in kept.edges)
-    recomputed = GraphSequence(seq.directed, projected.batches).degree_walk
-    assert projected.degree_walk == recomputed
+    # A plan's degree arm reads the admission walk as the projected
+    # sequence's own: its uncapped walk, recomputed from its batches.
+    kept, walk = admission_walk(seq, ordering, th)
+    assert list(projected.edges) == kept
+    assert walk == projected.degree_walk
+    assert GraphSequence(seq.directed, projected.batches) == projected
 
 
 def test_threshold_validation():
