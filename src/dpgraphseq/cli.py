@@ -49,10 +49,15 @@ _PERCENTILE = click.FloatRange(0, 100, min_open=True, max_open=True)
 def _parse_statistic(spec: str, tau) -> StatisticQuery:
     """Parse 'high_degree', 'degree_histogram', or a pattern like 'k_star:2'.
 
-    Malformed specs are usage errors naming --statistic.
+    Malformed specs are usage errors naming --statistic, and a tau given
+    for any statistic but high_degree is one naming --tau.
     """
     if spec == "high_degree":
         return StatisticQuery.high_degree(tau if tau is not None else 1)
+    if tau is not None:
+        raise click.BadParameter(
+            f"only high_degree reads a threshold, not {spec!r}", param_hint="'--tau'"
+        )
     if spec == "degree_histogram":
         return StatisticQuery.degree_histogram()
     pattern, sep, k = spec.partition(":")

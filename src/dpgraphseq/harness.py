@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,18 +30,6 @@ from .mechanisms import (
 )
 from .projection import ProjectionThresholds
 from .statistics import StatisticQuery
-
-CSV_COLUMNS = (
-    "dataset",
-    "query",
-    "mechanism",
-    "epsilon",
-    "T",
-    "trial",
-    "rel_l1_error",
-    "skipped_terms",
-    "wall_ms",
-)
 
 
 def _node_walk(seq: GraphSequence):
@@ -212,6 +200,9 @@ class ResultRow:
 
     def as_record(self) -> dict:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)

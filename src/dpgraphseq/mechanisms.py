@@ -23,6 +23,8 @@ candidate is one `projection.admission_walk` at its caps, and its arm is
 `statistics._degree_values` of that walk over the parent's batches, the
 engine `exact_values` runs on the cached walk: every query with a projected
 sensitivity is a degree statistic, and none builds the projected sequence.
+Every candidate's sensitivity and threshold mode is checked before the
+truth or any walk is computed.
 `ReleasePlan.draw_trials` is the only noise code and reads only
 arms.  It draws many trials at one epsilon and seed in array passes: each
 arm fills a (trials, T[, bins]) noise block, a row per trial from its own
@@ -46,12 +48,16 @@ zero-noise arms included (scale 0 draws +0.0).  `_pcg64_states` runs
 SeedSequence's hashing and PCG64's seeding as one array pass over all
 keys; a draw of only a few keys (`_FEW_KEYS`, such as a one-trial release)
 seeds each on Python ints instead (`_seed_ints`), below the array pass's
-fixed cost.  `_laplace_rows` finds every key's k-th state by jump-ahead
-(`_jump_table`, built per size from a few Python-int products in two
-array passes), a bounded block of steps at a time, then applies PCG64's
-output function and numpy's inverse-CDF sampler.  Its log is `math.log`,
-the libm function numpy's C sampler calls (numpy's SIMD `np.log` can
-differ in the last bit), so releases also depend on the platform's libm.
+fixed cost.  Both call one `_hash` and one `_mix`, masked to 32 bits so
+they run on Python ints and uint32 arrays alike, read one constant table
+(`_hash_constants`), and give a state as the same four uint64 words (state
+high, state low, inc high, inc low).  `_laplace_rows` finds every key's
+k-th state by jump-ahead (`_jump_table`, built per size from a few
+Python-int products in two array passes), a bounded block of steps at a
+time, then applies PCG64's output function and numpy's inverse-CDF
+sampler.  Its log is `math.log`, the libm function numpy's C sampler calls
+(numpy's SIMD `np.log` can differ in the last bit), so releases also
+depend on the platform's libm.
 A draw of only a few values (`_SMALL_DRAW`) runs the same steps on Python
 ints, which skips numpy's per-call cost; so does a row whose uniform is
 exactly 0, which numpy rejects for the next word.
@@ -72,14 +78,19 @@ from .errors import (
     UnsupportedBaselineQueryError,
 )
 from .graph_core import DegreeBounds, GraphSequence, _check_int, verify_bounds
-from .projection import ProjectionThresholds, admission_walk, canonical_ordering
+from .projection import (
+    ProjectionThresholds,
+    _check_mode,
+    admission_walk,
+    canonical_ordering,
+)
 from .sensitivity import (
     SensitivityReport,
     diff_sequence_sensitivity,
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery, _degree_values, exact_values
+from .statistics import StatisticQuery, _check_pattern, _degree_values, exact_values
 
 MECHANISMS = ("sensdiff", "compose_bounded", "compose_projection")
 
@@ -144,13 +155,14 @@ _FEW_KEYS = 12
 # tables and temporaries stay bounded however long the draw.
 _BLOCK_BITS = 12
 
-# Every operand of the array kernel is np.uint64 (np.uint32 in SeedSequence's
-# hashing): numpy 1.x turns a Python int mixed with an np.uint64 scalar into
-# float64.
+# Every operand of the uint64 kernel is np.uint64: numpy 1.x turns a Python
+# int mixed with an np.uint64 scalar into float64.  SeedSequence's hashing
+# takes Python-int constants below 2**32, against Python ints or uint32
+# arrays, which keep their type under numpy 1.x's value-based casting and
+# numpy 2's rules alike.
 _U1, _U11, _U32 = np.uint64(1), np.uint64(11), np.uint64(32)
 _U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
 _LOW = np.uint64(_MASK_32)
-_MIX_L32, _MIX_R32 = np.uint32(_MIX_L), np.uint32(_MIX_R)
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,23 +178,16 @@ def _hash_constants(init: int, mult: int, calls: int):
     return tuple(consts[:-1]), tuple(consts[1:])
 
 
-@functools.lru_cache(maxsize=None)
-def _hash_arrays(init: int, mult: int, calls: int):
-    """`_hash_constants` as read-only uint32 arrays, for the array pass."""
-    arrays = tuple(np.array(c, dtype=np.uint32) for c in _hash_constants(init, mult, calls))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
+# SeedSequence's hash and mix, masked to 32 bits, so each runs on Python ints
+# and on uint32 arrays alike.
 def _hash(values, xor, mul):
-    values = (values ^ xor) * mul
-    return values ^ (values >> 16)
+    values = (values ^ xor) * mul & _MASK_32
+    return values ^ values >> 16
 
 
 def _mix(x, y):
-    mixed = _MIX_L32 * x - _MIX_R32 * y
-    return mixed ^ (mixed >> 16)
+    mixed = (_MIX_L * x - _MIX_R * y) & _MASK_32
+    return mixed ^ mixed >> 16
 
 
 def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
@@ -196,7 +201,8 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
     """
     rows, width = entropy.shape
     # Four init hashes, 12 cross-mix hashes, four per word beyond the pool.
-    xor, mul = _hash_arrays(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
+    calls = 16 + 4 * max(width - 4, 0)
+    xor, mul = np.array(_hash_constants(_INIT_A, _MULT_A, calls), dtype=np.uint32)
     pool = np.zeros((rows, 4), dtype=np.uint32)
     pool[:, :width] = entropy[:, :4]
     pool = _hash(pool, xor[:4], mul[:4])
@@ -212,8 +218,8 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
         pool = _mix(pool, hashed)
         at += 4
     # generate_state cycles the pool twice; uint64 word j is words 2j, 2j+1.
-    words = _hash(pool[:, [0, 1, 2, 3] * 2], *_hash_arrays(_INIT_B, _MULT_B, 8))
-    words = words.astype(np.uint64)
+    xor, mul = np.array(_hash_constants(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+    words = _hash(pool[:, [0, 1, 2, 3] * 2], xor, mul).astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = (words[:, 0::2] | words[:, 1::2] << _U32).T
     # pcg64_srandom_r: inc = seq << 1 | 1, state = M * (seed + inc) + inc.
     inc_hi = seq_hi << _U1 | seq_lo >> _U63
@@ -227,38 +233,28 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
     return states
 
 
-def _seed_ints(words: list[int]) -> tuple[int, int]:
-    """`_pcg64_states` of one entropy row on Python ints: (state, inc)."""
+def _seed_ints(words: list[int]) -> tuple[int, int, int, int]:
+    """`_pcg64_states` of one entropy row on Python ints: the row's four words."""
     width = len(words)
     xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(width - 4, 0))
-    pool = []
-    for k in range(4):
-        v = ((words[k] if k < width else 0) ^ xor[k]) * mul[k] & _MASK_32
-        pool.append(v ^ v >> 16)
+    pool = list(map(_hash, words[:4] + [0] * (4 - width), xor, mul))
     at = 4
     for src in range(4):
         for dst in range(4):
             if dst != src:
-                v = (pool[src] ^ xor[at]) * mul[at] & _MASK_32
-                v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK_32
-                pool[dst] = v ^ v >> 16
+                pool[dst] = _mix(pool[dst], _hash(pool[src], xor[at], mul[at]))
                 at += 1
     for word in words[4:]:
         for dst in range(4):
-            v = (word ^ xor[at]) * mul[at] & _MASK_32
-            v = (_MIX_L * pool[dst] - _MIX_R * (v ^ v >> 16)) & _MASK_32
-            pool[dst] = v ^ v >> 16
+            pool[dst] = _mix(pool[dst], _hash(word, xor[at], mul[at]))
             at += 1
-    xor, mul = _hash_constants(_INIT_B, _MULT_B, 8)
-    out = []
-    for k in range(8):
-        v = (pool[k % 4] ^ xor[k]) * mul[k] & _MASK_32
-        out.append(v ^ v >> 16)
+    out = list(map(_hash, pool * 2, *_hash_constants(_INIT_B, _MULT_B, 8)))
     # uint64 word j is out[2j] | out[2j+1] << 32; seed and sequence take
     # two words each, the first high.
     seed = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
     inc = ((out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 | 1) & _MASK_128
-    return ((seed + inc) * _PCG_MULT + inc) & _MASK_128, inc
+    state = ((seed + inc) * _PCG_MULT + inc) & _MASK_128
+    return state >> 64, state & _MASK_64, inc >> 64, inc & _MASK_64
 
 
 def _limbs(hi, lo):
@@ -379,16 +375,15 @@ def _laplace_rows(states: np.ndarray, scales: np.ndarray, size: int) -> np.ndarr
             # column of this full block's table.
             state = _limbs(*_affine(table[:4, -1:], state, table[4:, -1:], inc))
     for row in np.flatnonzero(zero):
-        draws[row] = _laplace_ints(
-            int(states[row, 0]) << 64 | int(states[row, 1]),
-            int(states[row, 2]) << 64 | int(states[row, 3]),
-            float(scales[row, 0]), size,
-        )
+        draws[row] = _laplace_ints(states[row].tolist(), float(scales[row, 0]), size)
     return draws
 
 
-def _laplace_ints(state: int, inc: int, scale: float, size: int) -> list[float]:
-    """`_laplace_rows` of one state on Python ints, one word at a time."""
+def _laplace_ints(row: Sequence[int], scale: float, size: int) -> list[float]:
+    """`_laplace_rows` of one state row's four words on Python ints, one word
+    at a time."""
+    state_hi, state_lo, inc_hi, inc_lo = row
+    state, inc = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
     log = math.log
     draws = []
     while len(draws) < size:
@@ -410,14 +405,10 @@ def _laplace(keys: list[list[int]], scales: list[float], size: int) -> np.ndarra
     if min(scales) < 0:
         raise NonPositiveScaleError(f"noise scale must be >= 0, got {min(scales)}")
     if len(keys) * size <= _SMALL_DRAW:
-        return np.array([_laplace_ints(*_seed_ints(words), scale, size)
+        return np.array([_laplace_ints(_seed_ints(words), scale, size)
                          for words, scale in zip(keys, scales)])
     if len(keys) <= _FEW_KEYS:
-        states = np.array(
-            [(s >> 64, s & _MASK_64, inc >> 64, inc & _MASK_64)
-             for s, inc in map(_seed_ints, keys)],
-            dtype=np.uint64,
-        )
+        states = np.array(list(map(_seed_ints, keys)), dtype=np.uint64)
     else:
         states = np.empty((len(keys), 4), dtype=np.uint64)
         for width in {len(words) for words in keys}:
@@ -631,15 +622,22 @@ def plan(
             raise UnsupportedBaselineQueryError(
                 "projection baseline releases scalar statistics only"
             )
+        # Every check precedes the engine: the pattern's mode, then each
+        # candidate's sensitivity (an infeasible threshold, or a query with
+        # no projected formula; every query that has one is a degree
+        # statistic), then each candidate's mode.
+        if query.kind == "subgraph":
+            _check_pattern(query.pattern, seq.directed)
+        candidates = candidates or (thresholds,)
+        reports = [projected_sensitivity(query, th) for th in candidates]
+        for th in candidates:
+            _check_mode(seq, th)
         truth = _exact_scalars(query, seq)
-        # The canonical ordering covers every batch by construction.  Each
-        # arm's sensitivity is computed before its walk, so an infeasible
-        # threshold, or a query with no projected formula, is refused first;
-        # every query that has one is a degree statistic.
+        # The canonical ordering covers every batch by construction.
         ordering = canonical_ordering(seq)
         arms = tuple(
             ReleaseArm(
-                sensitivity=projected_sensitivity(query, th),
+                sensitivity=report,
                 series=np.fromiter(
                     _degree_values(query, seq, admission_walk(seq, ordering, th)[1]),
                     dtype=float,
@@ -648,7 +646,7 @@ def plan(
                 releases=len(truth), cumulative=False,
                 thresholds=th,
             )
-            for i, th in enumerate(candidates or (thresholds,))
+            for i, (th, report) in enumerate(zip(candidates, reports))
         )
         return ReleasePlan(mechanism, truth, arms)
     if mechanism not in MECHANISMS:

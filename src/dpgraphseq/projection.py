@@ -4,16 +4,17 @@ Edges are considered one by one in a fixed ordering, one tuple of edges per
 batch in batch order (`canonical_ordering`); an edge is admitted only while
 both endpoint counters sit strictly below the projection thresholds.
 Admission state is kept across steps, so projected edge sets are nested over
-time.  `admission_walk` checks the thresholds' mode and the ordering's step
-count, then walks the ordering at the thresholds' caps on graph_core's one
-degree walk: it returns the kept edges and their walk.  The walk runs over
-the parent's batches, which have the projected sequence's times and nodes,
-so it is all a degree statistic's projection arm reads (`mechanisms.plan`
-hands it to `statistics._degree_values`).  `project_sequence`, the one
-reader of the kept edges, checks that the ordering covers each batch's
-edges, builds the admitted batches and returns their prefix at each
-release step; no release reads them.  The tests check them against the
-naive counts of `tests/bruteforce.py`.
+time.  `admission_walk` checks the thresholds' mode (`_check_mode`, which
+`mechanisms.plan` runs on every candidate before any walk) and the
+ordering's step count, then walks the ordering at the thresholds' caps on
+graph_core's one degree walk: it returns the kept edges and their walk.
+The walk runs over the parent's batches, which have the projected
+sequence's times and nodes, so it is all a degree statistic's projection
+arm reads (`mechanisms.plan` hands it to `statistics._degree_values`).
+`project_sequence`, the one reader of the kept edges, checks that the
+ordering covers each batch's edges, builds the admitted batches and
+returns their prefix at each release step; no release reads them.  The
+tests check them against the naive counts of `tests/bruteforce.py`.
 """
 from __future__ import annotations
 
@@ -52,6 +53,11 @@ def canonical_ordering(seq: GraphSequence) -> Ordering:
     return tuple(tuple(sorted(batch.edges)) for batch in seq.batches)
 
 
+def _check_mode(seq: GraphSequence, th: ProjectionThresholds) -> None:
+    if th.is_directed != seq.directed:
+        raise OrderingMismatchError("threshold mode does not match the sequence")
+
+
 def admission_walk(
     seq: GraphSequence, ordering: Ordering, th: ProjectionThresholds
 ) -> tuple[list[Edge], DegreeWalk]:
@@ -62,8 +68,7 @@ def admission_walk(
     `OrderingMismatchError` before the walk; that each step covers its
     batch's edges exactly is `project_sequence`'s to validate.
     """
-    if th.is_directed != seq.directed:
-        raise OrderingMismatchError("threshold mode does not match the sequence")
+    _check_mode(seq, th)
     if len(ordering) != len(seq.batches):
         raise OrderingMismatchError(
             f"ordering has {len(ordering)} steps for {len(seq.batches)} batches"

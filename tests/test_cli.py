@@ -410,6 +410,24 @@ def test_out_of_range_number_is_usage_error(runner, pa_file, args, flag):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["release", "--epsilon", "1"],
+        ["experiment", "--epsilon", "1", "--trials", "1"],
+        ["sensitivity", "--degree-bound", "3"],
+    ],
+    ids=["release", "experiment", "sensitivity"],
+)
+def test_tau_for_a_statistic_that_reads_none_is_usage_error(runner, pa_file, args):
+    if args[0] != "sensitivity":
+        args = args[:1] + ["--input", str(pa_file)] + args[1:]
+    result = runner.invoke(main, args + ["--statistic", "edge", "--tau", "3"])
+    assert result.exit_code == 2, result.output
+    assert "--tau" in result.output and "only high_degree" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
     "args,message",
     [
         (["--model", "pa", "--m0", "0"], "population parameters must be positive"),

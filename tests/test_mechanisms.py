@@ -343,19 +343,21 @@ def test_every_projected_formula_is_for_a_degree_statistic():
 def test_plan_refuses_every_query_without_a_projected_formula_before_any_walk(
     monkeypatch, directed
 ):
+    # A copy whose degree walk is not cached: the truth's walk would show too.
     seq = MODE_SEQS[directed]
-    # The truth's own uncapped walk is cached first; any walk after it would
-    # be a candidate's.
-    seq.degree_walk
-    walks = []
-    real = graph_core._walk
+    seq = GraphSequence(seq.directed, seq.batches)
+    assert "degree_walk" not in vars(seq)
+    calls = []
 
-    def spy(*args):
-        walks.append(args)
-        return real(*args)
+    def spy(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
 
     for module in (graph_core, projection):
-        monkeypatch.setattr(module, "_walk", spy)
+        monkeypatch.setattr(module, "_walk", spy(graph_core._walk))
+    monkeypatch.setattr(mechanisms, "exact_values", spy(exact_values))
     th, wrong = (
         (ProjectionThresholds.directed(2, 2), ProjectionThresholds.undirected(2))
         if directed
@@ -374,7 +376,11 @@ def test_plan_refuses_every_query_without_a_projected_formula_before_any_walk(
                 InfeasibleThresholdError,
             )):
                 plan("compose_projection", seq, query, **kwargs)
-    assert walks == []
+    # Candidates of mixed modes are refused before the right-mode one walks.
+    for query in (EDGE, HD):
+        with pytest.raises(OrderingMismatchError, match="threshold mode"):
+            plan("compose_projection", seq, query, candidates=[th, wrong])
+    assert calls == []
 
 
 def test_projection_rejects_histogram_queries():
@@ -663,8 +669,24 @@ def test_pcg64_states_match_numpy_seeding(rows):
     assert [{"state": _as_int(*row[:2]), "inc": _as_int(*row[2:])}
             for row in states.tolist()] == want
     # The Python-int seeding of small draws, row by row.
-    assert [dict(zip(("state", "inc"), mechanisms._seed_ints(row)))
-            for row in rows] == want
+    assert [{"state": _as_int(*row[:2]), "inc": _as_int(*row[2:])}
+            for row in map(mechanisms._seed_ints, rows)] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WORD, _WORD, _WORD, st.lists(_WORD, min_size=1, max_size=6))
+@example(2**32 - 1, 2**32 - 1, 2**32 - 1, [2**32 - 1] * 6)
+@example(5, 7, 2**31 + 3, [0])
+def test_seeding_steps_agree_on_python_ints_and_uint32_arrays(x, y, z, words):
+    # The one hash and mix serve both seeding paths, and both give a state
+    # row in one layout.
+    def one(value):
+        return np.array([value], dtype=np.uint32)
+
+    assert [mechanisms._hash(x, y, z)] == mechanisms._hash(one(x), one(y), one(z)).tolist()
+    assert [mechanisms._mix(x, y)] == mechanisms._mix(one(x), one(y)).tolist()
+    row = mechanisms._pcg64_states(np.array([words], dtype=np.uint32))[0]
+    assert list(mechanisms._seed_ints(words)) == row.tolist()
 
 
 _MASK_64 = 2**64 - 1
@@ -691,8 +713,8 @@ def _kernel_paths(pairs, scales, size):
         dtype=np.uint64,
     )
     rows = mechanisms._laplace_rows(states, np.array(scales), size)
-    ints = np.array([mechanisms._laplace_ints(s, i, scale, size)
-                     for (s, i), scale in zip(pairs, scales)])
+    ints = np.array([mechanisms._laplace_ints(row, scale, size)
+                     for row, scale in zip(states.tolist(), scales)])
     return {"array": rows.view(np.uint64), "ints": ints.view(np.uint64)}
 
 
