@@ -7,6 +7,7 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from .errors import (
     BoundViolationError,
@@ -49,9 +50,15 @@ _PERCENTILE = click.FloatRange(0, 100, min_open=True, max_open=True)
 def _parse_statistic(spec: str, tau) -> StatisticQuery:
     """Parse 'high_degree', 'degree_histogram', or a pattern like 'k_star:2'.
 
-    Malformed specs are usage errors naming --statistic, and a tau given
-    for any statistic but high_degree is one naming --tau.
+    Malformed specs are usage errors naming --statistic, and a tau or a
+    typed --tau-percentile the query would drop is one naming its option.
     """
+    source = click.get_current_context().get_parameter_source("tau_percentile")
+    typed = source not in (None, click.core.ParameterSource.DEFAULT)
+    if typed and (tau is not None or spec != "high_degree"):
+        raise click.BadParameter(
+            "only high_degree without --tau reads it", param_hint="'--tau-percentile'"
+        )
     if spec == "high_degree":
         return StatisticQuery.high_degree(tau if tau is not None else 1)
     if tau is not None:
@@ -230,7 +237,8 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
 @click.option("--statistic", required=True)
 @click.option("--epsilon", type=_POSITIVE, required=True)
 @click.option("--tau", type=_AT_LEAST_ONE, default=None)
-@click.option("--tau-percentile", type=_PERCENTILE, default=None)
+@click.option("--tau-percentile", type=_PERCENTILE, default=None,
+              help="high_degree only: its tau at this degree percentile; not with --tau")
 @click.option("--degree-bound", default=None, callback=_bounds_option)
 @click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
 @click.option("--projection-thresholds", default=None, callback=_thresholds_option)
@@ -245,7 +253,7 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
     seq = _read_sequence(input_path)
     query, bounds, candidates = release_parameters(
         seq, _parse_statistic(statistic, tau), (mechanism,),
-        tau_percentile if tau is None else None, degree_bound, bound_granularity,
+        tau_percentile, degree_bound, bound_granularity,
         () if projection_thresholds is None else (projection_thresholds,),
     )
     try:
@@ -258,9 +266,6 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
         series = run_release(
             mechanism, seq, query, config, bounds=bounds, candidates=candidates
         )
-    estimates = [
-        est.tolist() if hasattr(est, "tolist") else est for est in series.estimates
-    ]
     _emit(
         json.dumps(
             {
@@ -268,7 +273,7 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
                 "query": query.label(),
                 "epsilon": epsilon,
                 "noise_scale": series.noise_scale,
-                "estimates": estimates,
+                "estimates": np.asarray(series.estimates).tolist(),
             },
             indent=2,
         )
@@ -288,7 +293,8 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
               help="merge batches into this many release windows")
 @click.option("--trials", type=_AT_LEAST_ONE, default=100, show_default=True)
 @click.option("--tau", type=_AT_LEAST_ONE, default=None)
-@click.option("--tau-percentile", type=_PERCENTILE, default=90.0, show_default=True)
+@click.option("--tau-percentile", type=_PERCENTILE, default=90.0, show_default=True,
+              help="tau at this degree percentile; if typed, high_degree only, not with --tau")
 @click.option("--degree-bound", default=None, callback=_bounds_option)
 @click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
 @click.option("--projection-thresholds", default=None, callback=_thresholds_option)

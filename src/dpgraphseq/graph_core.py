@@ -29,7 +29,7 @@ of each step, in a given order, while both endpoint counters sit below a
 pair of caps.  With no caps, in arrival order, it is the sequence's own
 `degree_walk`, computed once and cached like the node-time map; the bound
 check, parameter derivation and the degree statistics of
-`statistics.exact_values` all read it.  Capped, over another edge order,
+`statistics._series` all read it.  Capped, over another edge order,
 it is a projection's admission walk, and graph_core knows nothing more of
 projections.  The triangle family keeps its own neighbour-set walk.
 

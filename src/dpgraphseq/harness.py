@@ -123,8 +123,9 @@ def release_parameters(
     What the caller leaves out is read off the data, spending no privacy
     budget: a high_degree tau at `tau_percentile` (None keeps the query's;
     without --tau the CLI's `experiment` uses p90 and `release` tau = 1
-    unless --tau-percentile is given), the bounds by `derive_bounds` (no
-    --degree-bound) and, for compose_projection without
+    unless --tau-percentile is given, which both refuse beside --tau or for
+    another statistic, where it would be dropped), the bounds by
+    `derive_bounds` (no --degree-bound) and, for compose_projection without
     --projection-thresholds, the `default_projection_grid` entries whose
     out-cap admits tau (all of them if none does, so the release reports
     the tau), of which each trial keeps the one with the lowest realized

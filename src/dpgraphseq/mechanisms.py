@@ -14,14 +14,15 @@ Three mechanisms share one interface and return a ReleaseSeries:
 
 A release has two halves.  `plan` draws no noise and is the one place a
 mechanism is named.  It checks the inputs and reads every exact series from
-the statistics engine: the truth f(G_1..G_T) and one *arm* per series to
-noise (sensdiff's difference sequence, compose_bounded's f, or each
+the statistics engine: the truth f(G_1..G_T), one `statistics._series` call
+(dense bin counts for a histogram), and one *arm* per series to noise
+(sensdiff's difference sequence, compose_bounded's f, or each
 compose_projection candidate's projected f) with its noise law: how many
 releases share epsilon, and whether prefix sums are released.  The bound
 check and every degree statistic read a sequence's cached degree walk.  Each
 candidate is one `projection.admission_walk` at its caps, and its arm is
 `statistics._degree_values` of that walk over the parent's batches, the
-engine `exact_values` runs on the cached walk: every query with a projected
+engine `_series` runs on the cached walk: every query with a projected
 sensitivity is a degree statistic, and none builds the projected sequence.
 Every candidate's sensitivity and threshold mode is checked before the
 truth or any walk is computed.
@@ -75,7 +76,6 @@ from .errors import (
     BoundViolationError,
     LengthMismatchError,
     NonPositiveScaleError,
-    UnsupportedBaselineQueryError,
 )
 from .graph_core import DegreeBounds, GraphSequence, _check_int, verify_bounds
 from .projection import (
@@ -90,7 +90,7 @@ from .sensitivity import (
     per_release_sensitivity,
     projected_sensitivity,
 )
-from .statistics import StatisticQuery, _check_pattern, _degree_values, exact_values
+from .statistics import StatisticQuery, _check_pattern, _degree_values, _series
 
 MECHANISMS = ("sensdiff", "compose_bounded", "compose_projection")
 
@@ -592,10 +592,6 @@ class ReleasePlan:
         )
 
 
-def _exact_scalars(query: StatisticQuery, seq: GraphSequence) -> np.ndarray:
-    return np.fromiter(exact_values(query, seq), dtype=float)
-
-
 def plan(
     mechanism: str,
     seq: GraphSequence,
@@ -609,19 +605,17 @@ def plan(
     sensdiff and compose_bounded need degree bounds, which the sequence must
     respect.  compose_projection needs exactly one of `thresholds` (fixed)
     or `candidates` (one arm each, picked per trial by realized error
-    against the exact unprojected statistic), and a scalar query.  The
-    sequence needs at least one release step, a batch at t >= 1; it is a
-    node-arrival sequence by construction (`GraphSequence`).
+    against the exact unprojected statistic).  A regime's sensitivity lookup
+    refuses a query it lacks, such as a histogram under compose_projection.
+    Every truth is one `_series` call; sensdiff widens histogram rows to
+    bins 0..cap_out.  The sequence needs at least one release step, a batch at
+    t >= 1; it is a node-arrival sequence by construction (`GraphSequence`).
     """
     if seq.horizon < 1:
         raise ValueError("the sequence has no release step (no batch at t >= 1)")
     if mechanism == "compose_projection":
         if (thresholds is None) == (not candidates):
             raise ValueError("give either fixed thresholds or a candidate list")
-        if not query.is_scalar:
-            raise UnsupportedBaselineQueryError(
-                "projection baseline releases scalar statistics only"
-            )
         # Every check precedes the engine: the pattern's mode, then each
         # candidate's sensitivity (an infeasible threshold, or a query with
         # no projected formula; every query that has one is a degree
@@ -632,23 +626,15 @@ def plan(
         reports = [projected_sensitivity(query, th) for th in candidates]
         for th in candidates:
             _check_mode(seq, th)
-        truth = _exact_scalars(query, seq)
+        truth = np.array(_series(query, seq), dtype=float)
         # The canonical ordering covers every batch by construction.
         ordering = canonical_ordering(seq)
-        arms = tuple(
-            ReleaseArm(
-                sensitivity=report,
-                series=np.fromiter(
-                    _degree_values(query, seq, admission_walk(seq, ordering, th)[1]),
-                    dtype=float,
-                ),
-                stream=(2, i),
-                releases=len(truth), cumulative=False,
-                thresholds=th,
-            )
-            for i, (th, report) in enumerate(zip(candidates, reports))
-        )
-        return ReleasePlan(mechanism, truth, arms)
+        arms = []
+        for i, (th, report) in enumerate(zip(candidates, reports)):
+            walk = admission_walk(seq, ordering, th)[1]
+            series = np.array(_degree_values(query, seq, walk), dtype=float)
+            arms.append(ReleaseArm(report, series, (2, i), len(truth), False, th))
+        return ReleasePlan(mechanism, truth, tuple(arms))
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if bounds is None:
@@ -656,19 +642,15 @@ def plan(
     _check_bounds(seq, bounds)
     if mechanism == "compose_bounded":
         report = per_release_sensitivity(query, bounds)
-        truth = _exact_scalars(query, seq)
+        truth = np.array(_series(query, seq), dtype=float)
         arm = ReleaseArm(report, truth, (1,), len(truth), False)
         return ReleasePlan(mechanism, truth, (arm,))
     report = diff_sequence_sensitivity(query, bounds)
-    if query.is_scalar:
-        truth = _exact_scalars(query, seq)
-    else:
-        hists = exact_values(query, seq)
-        _, cap_out = bounds.caps
-        truth = np.zeros((len(hists), cap_out + 1))
-        for t, hist in enumerate(hists):
-            for d, count in hist.items():
-                truth[t, d] = count
+    truth = np.array(_series(query, seq), dtype=float)
+    if truth.ndim == 2:
+        # Histogram rows stop at the largest degree, a release at the out-cap.
+        rows, truth = truth, np.zeros((len(truth), bounds.caps[1] + 1))
+        truth[:, :rows.shape[1]] = rows
     delta = np.diff(truth, axis=0, prepend=0.0)
     return ReleasePlan(mechanism, truth, (ReleaseArm(report, delta, (0,), 1, True),))
 

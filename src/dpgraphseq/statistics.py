@@ -1,8 +1,8 @@
 """Exact graph statistics: one incremental engine.
 
-Releases read their exact values from `exact_values(query, seq)`, the one
-entry point of the incremental engine.  It moves f(G) only by what each new
-edge (u, v) adds, read from the state just before the edge joins:
+Releases read `_series(query, seq)`, the incremental engine (a histogram as
+dense bin counts, which `exact_values` maps to sparse dicts).  It moves f(G)
+only by what each new edge (u, v) adds, read from the state before it joins:
 
     edge          +1
     triangle      |N(u) & N(v)|
@@ -23,17 +23,18 @@ sequence f(G_t) - f(G_{t-1}) depends only on batch t.
 
 Every degree statistic is f = sum over nodes of g(degree).  `_degree_table`
 is the one definition of g, read by the sensitivity rule, the oracle's sweep
-and this engine, which counts a histogram's bins directly.  The degree engine
-reads a `DegreeWalk` plus the batches' times and nodes: increments are g's
-steps g(d + 1) - g(d) at the walk's pre-edge degrees d, and the table stops
-at the walk's largest counter.  `exact_values` hands it the sequence's cached
-walk, which the bound check and parameter derivation read too.  A
-projection arm (`mechanisms.plan`) hands `_degree_values` a projection's
-admission walk over the parent's batches, which have the projected
-sequence's times and nodes, so a degree arm builds no sequence.  The
-triangle family needs neighbour sets, not just degrees, and keeps its own
-walk over per-node sets; no release projects it, and `exact_values` of a
-`projection.project_sequence` snapshot counts it on the kept edges.
+and this engine, which counts a histogram's bins directly.  The degree
+engine reads a `DegreeWalk` plus the batches' times and nodes: increments
+are g's steps g(d + 1) - g(d) at the walk's pre-edge degrees d, and the
+table, like a histogram row, stops at the moved side's largest counter.
+`_series` hands it the sequence's cached walk, which the bound check and
+parameter derivation read too.  A projection arm (`mechanisms.plan`) hands
+`_degree_values` a projection's admission walk over the parent's batches,
+which have the projected sequence's times and nodes, so a degree arm
+builds no sequence.  The triangle family needs neighbour sets, not just
+degrees, and keeps its own walk over per-node sets; no release projects
+it, and `_series` of a `projection.project_sequence` snapshot counts it on
+the kept edges.
 
 `evaluate(query, g)` is the engine at one graph, such as a snapshot (a
 prefix of a sequence): g read as a single step in which every node
@@ -41,7 +42,7 @@ arrives.  The reference the engine is tested against is not in the
 package: the tests enumerate every pattern copy and recount every degree
 naively (`tests/bruteforce.py`).
 
-Scalar statistics are exact integer counts; no floating point enters until
+Every value is an exact integer count; no floating point enters until
 noise is added by a mechanism.  For directed graphs, threshold counts and
 histograms refer to out-degree.
 """
@@ -172,22 +173,24 @@ def _moved_sides(
 
 def _degree_values(
     query: StatisticQuery, seq: GraphSequence, walk: DegreeWalk
-) -> list[StatValue]:
+) -> list:
     """The degree engine: a degree statistic's value at each release step.
 
     `walk` is a walk over `seq`'s batches, either `seq`'s cached uncapped
     `degree_walk` or an admission walk (`projection.admission_walk`) of
     them; `seq` supplies only the batch times and nodes.  So the values are
-    those of the sequence the walk admitted.
+    those of the sequence the walk admitted; a histogram's are its bin
+    counts over degrees 0..top.
     """
     sides = _moved_sides(query, seq.directed, walk)
-    # No degree, on either side, ever exceeds the walk's largest counter.
-    top = max(walk.largest)
+    # No moved degree exceeds its side's largest counter: `largest` is (in,
+    # out), and the tail reads out-degrees.
+    top = max(walk.largest[side is walk.tail] for side in sides)
     if query.kind == "degree_histogram":
         # A node enters bin 0 when it arrives, and each moved endpoint leaves
         # the bin of its pre-edge degree d for bin d + 1 <= top.
         count = [0] * (top + 1)
-        hists: list[StatValue] = []
+        rows = []
         for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends):
             count[0] += len(batch.nodes)
             for side in sides:
@@ -195,8 +198,8 @@ def _degree_values(
                     count[d] -= 1
                     count[d + 1] += 1
             if batch.time >= 1:
-                hists.append({b: n for b, n in enumerate(count) if n})
-        return hists
+                rows.append(tuple(count))
+        return rows
     g = _degree_table(query, top)
     steps = list(map(sub, g[1:], g))
     lifted = [map(steps.__getitem__, side) for side in sides]
@@ -248,18 +251,25 @@ def _triangle_values(pattern: str, seq: GraphSequence) -> list[StatValue]:
     return values
 
 
-def exact_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
-    """f(G_t) after every batch of `seq` with time t >= 1.
+def _series(query: StatisticQuery, seq: GraphSequence) -> list:
+    """f(G_t) after every batch of `seq` with t >= 1: ints, or histogram rows.
 
     Degree statistics are read from the sequence's cached degree walk, by
     one table lookup g(d + 1) - g(d) per moved endpoint; the triangle family
     walks per-node neighbour sets.  Either way each batch costs time in its
     own size.  A time-0 batch (pre-existing nodes) is folded in without a
-    value, as `snapshot` folds it into G_1.  Histograms are sparse maps
-    degree -> node count that include degree-0 nodes.
+    value, as `snapshot` folds it into G_1.
     """
     if query.kind == "subgraph":
         _check_pattern(query.pattern, seq.directed)
         if query.pattern.startswith("triangle"):
             return _triangle_values(query.pattern, seq)
     return _degree_values(query, seq, seq.degree_walk)
+
+
+def exact_values(query: StatisticQuery, seq: GraphSequence) -> list[StatValue]:
+    """`_series`, with each histogram row as a sparse map degree -> count
+    (degree-0 nodes included): the one place that map is built."""
+    if query.kind != "degree_histogram":
+        return _series(query, seq)
+    return [{b: n for b, n in enumerate(row) if n} for row in _series(query, seq)]

@@ -6,10 +6,16 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from dpgraphseq import build_sequence, dumps_edge_list
+from dpgraphseq import (
+    StatisticQuery,
+    build_sequence,
+    dumps_edge_list,
+    exact_values,
+    loads_edge_list,
+)
 from dpgraphseq.cli import generate, main
 from dpgraphseq.generators import PaTransmissionParams, SirParams
-from dpgraphseq.harness import CSV_COLUMNS
+from dpgraphseq.harness import CSV_COLUMNS, derive_bounds
 from dpgraphseq.mechanisms import MECHANISMS
 
 
@@ -134,7 +140,14 @@ def test_release_histogram_and_tau_derivation(runner, pa_file):
     )
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)
-    assert isinstance(payload["estimates"][0], list)
+    # Zero noise releases the exact histogram over bins 0..cap_out of the
+    # derived bound.
+    seq = loads_edge_list(pa_file.read_text())
+    _, cap_out = derive_bounds(seq).caps
+    hists = exact_values(StatisticQuery.degree_histogram(), seq)
+    assert payload["estimates"] == [
+        [hist.get(d, 0) for d in range(cap_out + 1)] for hist in hists
+    ]
     result = runner.invoke(
         main,
         ["release", "--input", str(pa_file), "--statistic", "high_degree",
@@ -142,6 +155,21 @@ def test_release_histogram_and_tau_derivation(runner, pa_file):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["query"].startswith("high_degree(tau=")
+
+
+@pytest.mark.parametrize("command", ["release", "experiment"])
+@pytest.mark.parametrize(
+    "statistic", [["edge"], ["high_degree", "--tau", "2"]], ids=["edge", "tau"]
+)
+def test_tau_percentile_it_would_drop_is_usage_error(runner, pa_file, command, statistic):
+    args = [command, "--input", str(pa_file), "--epsilon", "1", "--statistic",
+            *statistic, "--tau-percentile", "50"]
+    if command == "experiment":
+        args += ["--trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "'--tau-percentile'" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_release_projection_mechanism(runner, pa_file):
