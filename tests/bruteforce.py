@@ -7,15 +7,16 @@ with k=1 every edge is counted once per orientation.  `naive_value` is the
 reference for every exact statistic the package computes: subgraph counts
 by that enumeration, threshold counts and histograms by a per-node degree
 recount; `naive_series` applies it at every release step, and `degrees`
-is that recount of a snapshot, the reference for the degree walk.  `capped_digraphs`
-is the full-grid reference for the oracle's digraph enumeration,
-`signature_rows` builds and deduplicates signature rows one arrival tuple
-at a time where the oracle builds many tuples' rows at once from
-deduplicated graphs, `triangle_maxima` scores every labelled pair of
-attach sets where the oracle scores one pair per orbit, and
-`degree_maxima` walks every sub-multiset of every signature row and every
-role assignment where the oracle expands rows against a table of role
-patterns in array passes.  `naive_diff_sensitivity` is the end-to-end
+is that recount of a snapshot, the reference for the degree walk.
+`capped_digraphs` and `capped_graphs` filter the full grids of out-mask
+tuples and of edge subsets where the oracle builds its capped digraphs and
+graphs one node at a time, `signature_rows` builds and deduplicates
+signature rows one arrival tuple at a time where the oracle builds many
+tuples' rows at once from deduplicated graphs, `triangle_maxima` scores
+every labelled pair of attach sets where the oracle scores one pair per
+orbit, and `degree_maxima` walks every sub-multiset of every signature row
+and every role assignment where the oracle expands rows against a table of
+role patterns in array passes.  `naive_diff_sensitivity` is the end-to-end
 reference for the oracle: it enumerates every labelled base sequence and
 every single-node addition and counts each snapshot's statistic with
 `naive_value`.  The file imports only `oracle` from the package, whose
@@ -171,18 +172,19 @@ _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
 def capped_graphs(n, cap):
-    """Neighbor-mask rows of every degree-capped undirected graph on n nodes."""
+    """Neighbor-mask rows of every degree-capped undirected graph on n nodes.
+
+    Grid over all 2**C(n, 2) edge subsets (bit i selects the i-th node pair),
+    then keep the rows whose degrees are all within cap.
+    """
     pairs = list(itertools.combinations(range(n), 2))
-    rows = []
-    for chosen in itertools.product((0, 1), repeat=len(pairs)):
-        adj = [0] * n
-        for on, (a, b) in zip(chosen, pairs):
-            if on:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        if all(bin(m).count("1") <= cap for m in adj):
-            rows.append(adj)
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    sel = np.arange(1 << len(pairs), dtype=np.int64)
+    adj = np.zeros((len(sel), n), dtype=np.int64)
+    for i, (a, b) in enumerate(pairs):
+        present = sel >> i & 1
+        adj[:, a] |= present << b
+        adj[:, b] |= present << a
+    return adj[(_POP[adj] <= cap).all(axis=1)]
 
 
 def _masks_up_to(n, size):

@@ -2,6 +2,7 @@
 import functools
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -17,6 +18,7 @@ from dpgraphseq.oracle import oracle_diff_sensitivity
 
 from bruteforce import (
     capped_digraphs,
+    capped_graphs,
     degree_maxima,
     naive_diff_sensitivity,
     naive_value,
@@ -314,12 +316,16 @@ def _degree_case(n_max, t_max, *caps):
     return pytest.param(bounds, n_max, t_max, id=f"{name}-n{n_max}-t{t_max}")
 
 
+# Profile codes of 19 bits (D2 and in1out2 at t_max=7) and of 34 bits (D2
+# at t_max=14) run in int32 and int64 instead of int16.
+WIDE_CODES = [_degree_case(3, 7, 2), _degree_case(3, 7, 1, 2), _degree_case(3, 14, 2)]
+
 # n_max below the caps (n_max = 1, 2 at cap 3) narrows the packed keys.
 DEGREE_SWEEP_GRID = [
     _degree_case(n_max, t_max, *caps)
     for n_max, t_max in [(1, 2), (2, 1), (2, 5), (3, 2), (3, 4), (4, 3)]
     for caps in [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))
-]
+] + WIDE_CODES
 
 
 @pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
@@ -347,7 +353,8 @@ def test_int64_configuration_keys_give_the_same_maxima(monkeypatch, bounds, n_ma
         for caps in [(1,), (2,), (3,)] + list(itertools.product((1, 2, 3), repeat=2))
         if (n_max, caps) != (5, (3, 3))
     ]
-    + [_degree_case(5, 4, *caps) for caps in [(1,), (2,), (1, 1), (1, 2), (2, 1)]],
+    + [_degree_case(5, 4, *caps) for caps in [(1,), (2,), (1, 1), (1, 2), (2, 1)]]
+    + WIDE_CODES,
 )
 def test_signature_rows_match_per_tuple_loop(bounds, n_max, t_max):
     layout = oracle._profile_layout(bounds, n_max, t_max)
@@ -369,6 +376,43 @@ def test_signature_rows_do_not_depend_on_group_size(monkeypatch, bounds, group_r
     expected = oracle._signature_rows(bounds, 4, 3, layout)
     monkeypatch.setattr(oracle, "_GROUP_ROWS", group_rows)
     assert np.array_equal(oracle._signature_rows(bounds, 4, 3, layout), expected)
+
+
+# Traced peaks (MB) of cold sweeps at in1out3, in1out2 and D3 (n_max=5,
+# t_max=3), the benchmark's three largest: 4.93, 4.45 and 4.23 with int64
+# codes and per-row arrays built for all rows at once, 1.28, 1.06 and 0.73
+# with narrow codes and rows decoded in 512-row chunks.
+SWEEP_PEAK_MB = 3.0
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        DegreeBounds.directed(1, 3),
+        DegreeBounds.directed(1, 2),
+        DegreeBounds.undirected(3),
+    ],
+    ids=["in1out3", "in1out2", "D3"],
+)
+def test_cold_degree_sweep_holds_a_bounded_working_set(monkeypatch, bounds):
+    # Fresh caches for this test alone; monkeypatch restores the shared ones.
+    for name in ("_capped_graphs", "_capped_digraphs", "_degree_sweep"):
+        cached = getattr(oracle, name)
+        fresh = functools.lru_cache(cached.cache_info().maxsize)(cached.__wrapped__)
+        monkeypatch.setattr(oracle, name, fresh)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        oracle._degree_sweep(bounds, 5, 3)
+        peak = (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    print(f"\ntraced peak {peak:.2f} MB")
+    assert peak < SWEEP_PEAK_MB
 
 
 def test_six_nodes_stay_within_formula_and_reach_five_node_values():
@@ -456,6 +500,15 @@ def test_capped_digraphs_match_full_grid_up_to_row_order(n, cap_in, cap_out):
     for array in (out, inmask):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_undirected_graphs_match_full_grid_up_to_row_order(n, cap):
+    """Node-by-node growth with degree pruning keeps every capped graph once."""
+    adj = oracle._undirected_graphs(n, cap)
+    assert adj.dtype == np.uint8
+    assert np.array_equal(_sorted_rows(adj), _sorted_rows(capped_graphs(n, cap)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
