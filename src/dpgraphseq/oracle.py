@@ -33,20 +33,19 @@ additions one-to-one onto (d_out, d_in)-capped ones and in-stars onto
 out-stars, so the in-star answers of a directed bound are the out-star
 answers of the transposed bound's sweep.  Transposition also preserves
 directed 3-cycle and transitive-triangle counts, so each directed triangle
-sweep runs in its d_out <= d_in orientation.  The capped digraphs of a
-(d_in, d_out) pair and of its mirror are each other's transposes, so each
-pair is enumerated once, in that d_out <= d_in orientation (fewer out-masks
-per node), and kept read-only in a small cache; the mirror swaps the out-
-and in-mask matrices.  A bound's degree sweep, its in-star sweep and both
-triangle sweeps read the same arrays, and an undirected bound's degree and
-triangle sweeps share one cached enumeration of its capped graphs.  Both
-kinds of capped graph are built one node at a time, and a partial graph is
-dropped as soon as some node's in-degree exceeds d_in (its degree exceeds
-D), so neither the full grid of out-mask tuples nor that of edge subsets
-is ever held.  A signature row sees a node only through its spare-capacity
-flags and, if it can send, its out-mask, so each capped graph reduces to
-one int64 (the senders' out-masks and the spare-out and spare-in node
-bitmasks) and equal graphs are merged first.  Arrival tuples are
+sweep runs in its d_out <= d_in orientation.  One builder makes the capped
+graphs of both modes one node at a time, in uint8, and drops a partial
+graph as soon as some node's in-degree exceeds d_in (its degree exceeds
+D), so no full grid of out-mask tuples or edge subsets is ever held; an
+undirected graph is the symmetric case, one matrix of both out- and
+in-masks.  One small read-only cache hands each family to all the sweeps
+that read it.  A (d_in, d_out) pair's digraphs are its mirror's transposes,
+so the pair is built once, in the d_out <= d_in orientation (fewer
+out-masks per node), and the mirror swaps the two matrices.  A signature
+row sees a node only through its spare-capacity flags and, if it can
+send, its out-mask, so each capped graph reduces to one int64 (the
+senders' out-masks and the spare-out and spare-in node bitmasks) and
+equal graphs are merged first.  Arrival tuples are
 non-decreasing, so the nodes present at a step are the first k of them;
 tables of every node's out-degree into nodes 0..k-1, one per k, give the
 codes of many (tuple, graph) rows per array pass.  Each row is sorted and
@@ -73,7 +72,8 @@ floats), or ``TypeError`` is raised.
 Every array holds the narrowest integer type its bound allows, so the
 working set stays small:
 
-- neighbor masks and spare-capacity bitmasks are uint8, since n_max <= 7;
+- neighbor masks, as built and as cached, and spare-capacity bitmasks
+  are uint8, since n_max <= 7;
 - per-node degrees are int8, at most n_max - 1;
 - profile codes are built in the narrowest signed type holding their
   width (int16 up to 15 bits, int32 up to 31, else int64; int8 up to 7),
@@ -160,43 +160,53 @@ def oracle_diff_sensitivity(
 # --- capped graph enumeration (vectorized) -------------------------------
 
 
-def _directed_graphs(n, cap_in, cap_out):
-    """Out-neighbor bitmask matrix of every capped digraph on n nodes.
+def _build_graphs(n, cap_in, cap_out, directed):
+    """Out-mask and in-mask matrices, uint8, of every capped graph on n nodes.
 
-    Built one node at a time: node v's allowed out-masks are appended to
-    every surviving prefix, and a prefix is dropped as soon as one of its
-    partial in-neighbor masks holds more than cap_in nodes.  Rows come out
-    in the order of a full meshgrid over all nodes' masks (node 0 slowest),
-    filtered.
+    Built one node at a time: node v's allowed masks are added to every
+    surviving prefix, and a prefix is dropped as soon as one of its partial
+    in-masks holds more than cap_in nodes, so no full grid is ever held.
+    Rows come out in the order of a full meshgrid over all nodes' masks
+    (node 0 slowest), filtered.  An undirected node v links only to earlier
+    nodes, so each mask is both v's column and, spread bit by bit, its
+    neighbors' in-masks: the one symmetric matrix is both outputs.
     """
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(n)) & 1  # bits[m, w]: m has w
-    out = np.zeros((1, 0), dtype=np.int64)
-    inmask = np.zeros((1, n), dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.uint8)
+    bits = masks[:, None] >> np.arange(n, dtype=np.uint8) & 1  # m has w
+    out = np.zeros((1, 0), dtype=np.uint8)
+    inmask = np.zeros((1, n), dtype=np.uint8)
     for v in range(n):
-        allowed = masks[(_POP[masks] <= cap_out) & (bits[:, v] == 0)]
-        prefix = np.repeat(np.arange(len(out)), len(allowed))
-        mask = np.tile(allowed, len(out))
-        grown = inmask[prefix] | (bits[mask] << v)
-        keep = (_POP[grown] <= cap_in).all(axis=1)
-        out = np.column_stack([out[prefix[keep]], mask[keep]])
+        linked = bits[:, v] == 0 if directed else masks >> v == 0
+        allowed = masks[linked & (_POP[masks] <= cap_out)]
+        # grown[p, a]: prefix p with node v's mask allowed[a].
+        grown = inmask[:, None] | bits[allowed] << v
+        if not directed:
+            grown[:, :, v] = allowed
+        keep = (_POP[grown] <= cap_in).all(axis=2)
         inmask = grown[keep]
+        if directed:
+            # Each prefix is repeated once per mask kept after it.
+            kept = np.broadcast_to(allowed, keep.shape)[keep]
+            out = np.column_stack([np.repeat(out, keep.sum(axis=1), axis=0), kept])
+        else:
+            out = inmask
     return out, inmask
 
 
-@functools.lru_cache(maxsize=8)
-def _capped_digraphs(n, cap_in, cap_out):
-    """Read-only (out-mask, in-mask) matrices of every capped digraph.
+# Criterion 1's twelve bounds, mirrors included, at one n_max.
+@functools.lru_cache(maxsize=12)
+def _capped_graphs(n, bounds):
+    """`_build_graphs` of a bound, kept read-only for every sweep that reads it.
 
-    Only the cap_out <= cap_in orientation is enumerated, which allows fewer
-    out-masks per node; the other is its transpose, whose out-masks are the
-    in-masks.  Rows are in no particular order; masks of n <= 7 nodes are
-    kept in uint8, like the undirected ones.
+    A digraph family is built only in its cap_out <= cap_in orientation,
+    which allows fewer out-masks per node; its mirror is its transpose,
+    whose out-masks are the in-masks.
     """
+    cap_in, cap_out = bounds.caps
     if cap_out > cap_in:
-        inmask, out = _capped_digraphs(n, cap_out, cap_in)
+        inmask, out = _capped_graphs(n, DegreeBounds.directed(cap_out, cap_in))
         return out, inmask
-    out, inmask = (m.astype(np.uint8) for m in _directed_graphs(n, cap_in, cap_out))
+    out, inmask = _build_graphs(n, cap_in, cap_out, bounds.is_directed)
     out.flags.writeable = inmask.flags.writeable = False
     return out, inmask
 
@@ -208,35 +218,6 @@ def _spare(masks, cap):
     edge, with in-masks and cap d_in those that can still receive one.
     """
     return np.packbits(_POP[masks] < cap, axis=1, bitorder="little")[:, 0]
-
-
-def _undirected_graphs(n, cap):
-    """Neighbor bitmask matrix, uint8, of every degree-capped graph on n nodes.
-
-    Built one node at a time: node v joins every surviving graph on nodes
-    0..v-1 through each allowed mask of earlier neighbors, and a graph is
-    dropped as soon as some node's degree exceeds cap, so the grid of all
-    2**C(n, 2) edge subsets is never held.
-    """
-    masks = np.arange(1 << n, dtype=np.uint8)
-    bits = masks[:, None] >> np.arange(n, dtype=np.uint8) & 1  # m has w
-    adj = np.zeros((1, n), dtype=np.uint8)
-    for v in range(n):
-        allowed = masks[(masks >> v == 0) & (_POP[masks] <= cap)]
-        prefix = np.repeat(np.arange(len(adj)), len(allowed))
-        mask = np.tile(allowed, len(adj))
-        grown = adj[prefix] | bits[mask] << v
-        grown[:, v] = mask
-        adj = grown[(_POP[grown] <= cap).all(axis=1)]
-    return adj
-
-
-@functools.lru_cache(maxsize=4)
-def _capped_graphs(n, cap):
-    """`_undirected_graphs`, kept read-only for both sweeps that read it."""
-    adj = _undirected_graphs(n, cap)
-    adj.flags.writeable = False
-    return adj
 
 
 # --- degree-determined statistics ----------------------------------------
@@ -308,10 +289,7 @@ def _signature_rows(bounds, n, t_max, layout):
     """
     arrival_bits, step_bits, flag_shift = layout
     cap_in, cap_out = bounds.caps
-    if bounds.is_directed:
-        out, inmask = _capped_digraphs(n, cap_in, cap_out)
-    else:
-        out = inmask = _capped_graphs(n, bounds.d)
+    out, inmask = _capped_graphs(n, bounds)
     # A row sees a node only through its flags and, if it can send, its
     # out-mask: the senders' n-bit out-masks, node 0 lowest, then the
     # spare-out and spare-in bitmasks pack a graph into n * (n + 2) bits.
@@ -600,7 +578,7 @@ def _triangle_sweep(bounds, n_max):
     n = n_max
     if bounds.is_directed:
         cap_in, cap_out = bounds.caps
-        out, inmask = _capped_digraphs(n, cap_in, cap_out)
+        out, inmask = _capped_graphs(n, bounds)
         out_ok, in_ok = _spare(out, cap_out), _spare(inmask, cap_in)
         best_i = 0
         best_ii = 0
@@ -624,7 +602,7 @@ def _triangle_sweep(bounds, n_max):
             best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
         return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
 
-    adj = _capped_graphs(n, bounds.d)
+    adj, _ = _capped_graphs(n, bounds)
     cap_mask = _spare(adj, bounds.d)
     best = 0
     for m in range(min(bounds.d, n) + 1):

@@ -248,13 +248,9 @@ def signature_rows(bounds, n, t_max, layout):
     """
     arrival_bits, step_bits, flag_shift = layout
     cap_in, cap_out = bounds.caps
-    if bounds.is_directed:
-        out, inmask = oracle._directed_graphs(n, cap_in, cap_out)
-        can_send = _POP[out] < cap_out
-        can_recv = _POP[inmask] < cap_in
-    else:
-        out = oracle._undirected_graphs(n, bounds.d)
-        can_send = can_recv = _POP[out] < bounds.d
+    out, inmask = oracle._build_graphs(n, cap_in, cap_out, bounds.is_directed)
+    can_send = _POP[out] < cap_out
+    can_recv = _POP[inmask] < cap_in
     flags = (can_send + 2 * can_recv).astype(np.int64) << flag_shift
     chunks = []
     for times in itertools.combinations_with_replacement(range(1, t_max + 1), n):

@@ -4,12 +4,15 @@ Runs the degree histogram through the oracle at each budget below, each in
 a fresh interpreter so that it starts with empty caches and its own peak
 memory, and prints the value, the wall seconds of the call and the peak
 resident memory of its process (``ru_maxrss``, which Linux reports in KiB).
-The budgets are the ones the histogram gap and the triangle catalog need.
+The budgets are the ones the histogram gap, the triangle catalog and a
+release oracle need, directed ones at six nodes included.
 
     PYTHONPATH=src python tests/oracle_budget.py
 
-D3 at n_max=7, t_max=5 takes ten to twenty seconds and about 200 MB; the
-rest take a few seconds together.  Pytest does not collect this file.
+D3 at n_max=7, t_max=5 takes ten to twenty seconds and about 200 MB, and
+in2out3 at n_max=6, t_max=3 about twenty seconds and 900 MB, most of it in
+the degree sweep; the rest take a few seconds together.  Pytest does not
+collect this file.
 """
 import resource
 import subprocess
@@ -25,6 +28,8 @@ BUDGETS = [
     ((2,), 7, 4),
     ((2, 2), 5, 3),
     ((3, 3), 5, 3),
+    ((2, 2), 6, 3),
+    ((2, 3), 6, 3),
 ]
 
 

@@ -142,7 +142,7 @@ def test_budget_cap_and_bad_arguments(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated a budget the code cannot hold")
 
-    monkeypatch.setattr(oracle, "_undirected_graphs", no_enumeration)
+    monkeypatch.setattr(oracle, "_build_graphs", no_enumeration)
     with pytest.raises(BudgetTooLargeError):
         oracle_diff_sensitivity(query, bounds, 2, 57)
     with pytest.raises(ValueError):
@@ -157,8 +157,7 @@ def test_budgets_that_are_not_ints_are_rejected(monkeypatch, n_max, t_max, name)
     def no_enumeration(*args):
         raise AssertionError("enumerated graphs for a budget that is not an int")
 
-    monkeypatch.setattr(oracle, "_directed_graphs", no_enumeration)
-    monkeypatch.setattr(oracle, "_undirected_graphs", no_enumeration)
+    monkeypatch.setattr(oracle, "_build_graphs", no_enumeration)
     for bounds in (DegreeBounds.undirected(2), DegreeBounds.directed(2, 1)):
         for query in (StatisticQuery.high_degree(1), StatisticQuery.subgraph("edge")):
             with pytest.raises(TypeError, match=name):
@@ -180,8 +179,7 @@ def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch)
     def no_enumeration(*args):
         raise AssertionError("enumerated graphs for a query the oracle rejects")
 
-    monkeypatch.setattr(oracle, "_directed_graphs", no_enumeration)
-    monkeypatch.setattr(oracle, "_undirected_graphs", no_enumeration)
+    monkeypatch.setattr(oracle, "_build_graphs", no_enumeration)
     cases = [
         (StatisticQuery.subgraph("triangle"), DegreeBounds.directed(1, 1)),
         (StatisticQuery.subgraph("triangle_i"), DegreeBounds.undirected(2)),
@@ -198,31 +196,56 @@ def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch)
             oracle_diff_sensitivity(query, bounds, 3, 2)
 
 
-def test_undirected_bound_enumerates_its_graphs_once(monkeypatch):
-    # Fresh caches for this test alone; monkeypatch restores the shared ones.
-    for name in ("_capped_graphs", "_degree_sweep", "_triangle_sweep"):
+def _fresh_caches(monkeypatch, *names):
+    """Empty copies of the oracle's caches; monkeypatch restores the shared ones."""
+    for name in names:
         cached = getattr(oracle, name)
         fresh = functools.lru_cache(cached.cache_info().maxsize)(cached.__wrapped__)
         monkeypatch.setattr(oracle, name, fresh)
+
+
+@pytest.mark.parametrize(
+    "family,n_max",
+    [
+        ([DegreeBounds.undirected(2)], 4),
+        ([DegreeBounds.directed(1, 2), DegreeBounds.directed(2, 1)], 3),
+    ],
+    ids=["D2", "in1out2-in2out1"],
+)
+def test_each_graph_family_is_built_once(monkeypatch, family, n_max):
+    """A bound's and its mirror's degree, in-star and triangle sweeps share a build."""
+    _fresh_caches(monkeypatch, "_capped_graphs", "_degree_sweep", "_triangle_sweep")
     calls = []
-    enumerate_graphs = oracle._undirected_graphs
+    build = oracle._build_graphs
 
-    def spy(n, cap):
-        calls.append((n, cap))
-        return enumerate_graphs(n, cap)
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(oracle, "_undirected_graphs", spy)
-    bounds = DegreeBounds.undirected(2)
-    degree = oracle_diff_sensitivity(StatisticQuery.subgraph("k_star", 2), bounds, 4, 2)
-    triangle = oracle_diff_sensitivity(StatisticQuery.subgraph("triangle"), bounds, 4, 2)
-    # The degree sweep and the triangle sweep read one enumeration ...
-    assert calls == [(4, 2)]
-    # ... which no reader can change, and which answers as a fresh one does.
-    assert not oracle._capped_graphs(4, 2).flags.writeable
-    assert (degree, triangle) == (
-        naive_diff_sensitivity(StatisticQuery.subgraph("k_star", 2), bounds, 4, 2),
-        naive_diff_sensitivity(StatisticQuery.subgraph("triangle"), bounds, 4, 2),
-    )
+    monkeypatch.setattr(oracle, "_build_graphs", spy)
+    for bounds in family:
+        if bounds.is_directed:
+            queries = [
+                StatisticQuery.subgraph("out_k_star", 2),
+                StatisticQuery.subgraph("in_k_star", 2),
+                StatisticQuery.subgraph("triangle_i"),
+                StatisticQuery.subgraph("triangle_ii"),
+            ]
+        else:
+            queries = [
+                StatisticQuery.subgraph("k_star", 2),
+                StatisticQuery.subgraph("triangle"),
+            ]
+        for query in queries:
+            # Each answers as the literal enumeration does ...
+            got = oracle_diff_sensitivity(query, bounds, n_max, 2)
+            assert got == naive_diff_sensitivity(query, bounds, n_max, 2)
+            # ... from arrays no reader can change.
+            for array in oracle._capped_graphs(n_max, bounds):
+                assert not array.flags.writeable
+    # The family was built once, in its d_out <= d_in orientation.
+    cap_in, cap_out = max(family[0].caps), min(family[0].caps)
+    assert calls == [(n_max, cap_in, cap_out, family[0].is_directed)]
 
 
 def _degree_distances(affected, peer_arrivals, tstar, t_max, cap, max_k):
@@ -378,6 +401,23 @@ def test_signature_rows_do_not_depend_on_group_size(monkeypatch, bounds, group_r
     assert np.array_equal(oracle._signature_rows(bounds, 4, 3, layout), expected)
 
 
+def _traced_peak_mb(function, *args):
+    """Peak traced allocation (MB) of one call above what was held before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        function(*args)
+        peak = (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    print(f"\ntraced peak {peak:.2f} MB")
+    return peak
+
+
 # Traced peaks (MB) of cold sweeps at in1out3, in1out2 and D3 (n_max=5,
 # t_max=3), the benchmark's three largest: 4.93, 4.45 and 4.23 with int64
 # codes and per-row arrays built for all rows at once, 1.28, 1.06 and 0.73
@@ -395,31 +435,27 @@ SWEEP_PEAK_MB = 3.0
     ids=["in1out3", "in1out2", "D3"],
 )
 def test_cold_degree_sweep_holds_a_bounded_working_set(monkeypatch, bounds):
-    # Fresh caches for this test alone; monkeypatch restores the shared ones.
-    for name in ("_capped_graphs", "_capped_digraphs", "_degree_sweep"):
-        cached = getattr(oracle, name)
-        fresh = functools.lru_cache(cached.cache_info().maxsize)(cached.__wrapped__)
-        monkeypatch.setattr(oracle, name, fresh)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        oracle._degree_sweep(bounds, 5, 3)
-        peak = (tracemalloc.get_traced_memory()[1] - start) / 1e6
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    print(f"\ntraced peak {peak:.2f} MB")
-    assert peak < SWEEP_PEAK_MB
+    _fresh_caches(monkeypatch, "_capped_graphs", "_degree_sweep")
+    assert _traced_peak_mb(oracle._degree_sweep, bounds, 5, 3) < SWEEP_PEAK_MB
+
+
+# Traced peak (MB) of a cold in3out3 build at n=5 (592,260 digraphs): 95.3
+# with int64 prefixes, masks and out-mask columns, 17.3 all in uint8.
+BUILD_PEAK_MB = 40.0
+
+
+def test_cold_digraph_build_holds_a_bounded_working_set():
+    bounds = DegreeBounds.directed(3, 3)
+    assert _traced_peak_mb(oracle._capped_graphs.__wrapped__, 5, bounds) < BUILD_PEAK_MB
 
 
 def test_six_nodes_stay_within_formula_and_reach_five_node_values():
     """At n_max=6 the small bounds neither beat a formula nor lose ground.
 
     A value above its n_max=5 golden value would show a budget limit of the
-    five-node search; every such entry is printed.
+    five-node search; every such entry is printed.  in2out2 reaches none:
+    each of its values, triangle_ii's 6 of the formula's 8 included, is
+    its five-node value.
     """
     from dpgraphseq import diff_sequence_sensitivity
 
@@ -427,7 +463,7 @@ def test_six_nodes_stay_within_formula_and_reach_five_node_values():
     all_bounds = [DegreeBounds.undirected(d) for d in (1, 2, 3)]
     all_bounds += [
         DegreeBounds.directed(*caps)
-        for caps in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]
+        for caps in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]
     ]
     raised = []
     for bounds in all_bounds:
@@ -441,6 +477,7 @@ def test_six_nodes_stay_within_formula_and_reach_five_node_values():
             five = golden[name][query.label()]
             assert five <= value <= formula, (name, query.label(), value)
             if value > five:
+                assert name != "in2out2", (query.label(), five, value)
                 raised.append(f"{name} {query.label()}: {five} -> {value} of {formula}")
     print(f"\nn_max=6 raises {len(raised)} entries above their n_max=5 values")
     for line in raised:
@@ -475,9 +512,10 @@ def test_unique_rows_matches_numpy_unique(rows):
     + [(5, 1, 1), (5, 1, 2)],
 )
 def test_directed_graphs_match_full_grid(n, cap_in, cap_out):
-    out, inmask = oracle._directed_graphs(n, cap_in, cap_out)
+    """The builder keeps the full grid's rows, in its order, in uint8."""
+    out, inmask = oracle._build_graphs(n, cap_in, cap_out, True)
     ref_out, ref_inmask = capped_digraphs(n, cap_in, cap_out)
-    assert out.dtype == inmask.dtype == np.int64
+    assert out.dtype == inmask.dtype == np.uint8
     assert np.array_equal(out, ref_out)
     assert np.array_equal(inmask, ref_inmask)
 
@@ -487,28 +525,36 @@ def _sorted_rows(*columns):
     return rows[np.lexsort(rows.T[::-1])]
 
 
+def _assert_read_only(*arrays):
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("cap_in,cap_out", list(itertools.product((1, 2, 3), repeat=2)))
 def test_capped_digraphs_match_full_grid_up_to_row_order(n, cap_in, cap_out):
-    """One family per mirrored pair: each side is the other's transpose."""
-    out, inmask = oracle._capped_digraphs(n, cap_in, cap_out)
+    """One cached family per mirrored pair: each side is the other's transpose."""
+    out, inmask = oracle._capped_graphs(n, DegreeBounds.directed(cap_in, cap_out))
     ref_out, ref_inmask = capped_digraphs(n, cap_in, cap_out)
     assert np.array_equal(_sorted_rows(out, inmask), _sorted_rows(ref_out, ref_inmask))
     if cap_in != cap_out:
-        mirror_out, mirror_inmask = oracle._capped_digraphs(n, cap_out, cap_in)
+        mirror = DegreeBounds.directed(cap_out, cap_in)
+        mirror_out, mirror_inmask = oracle._capped_graphs(n, mirror)
         assert mirror_out is inmask and mirror_inmask is out
-    for array in (out, inmask):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0
+    _assert_read_only(out, inmask)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_undirected_graphs_match_full_grid_up_to_row_order(n, cap):
-    """Node-by-node growth with degree pruning keeps every capped graph once."""
-    adj = oracle._undirected_graphs(n, cap)
-    assert adj.dtype == np.uint8
+    """The symmetric case of the builder keeps every capped graph once."""
+    adj, same = oracle._build_graphs(n, cap, cap, False)
+    assert adj is same and adj.dtype == np.uint8
     assert np.array_equal(_sorted_rows(adj), _sorted_rows(capped_graphs(n, cap)))
+    out, inmask = oracle._capped_graphs(n, DegreeBounds.undirected(cap))
+    assert out is inmask and np.array_equal(out, adj)
+    _assert_read_only(out)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
