@@ -159,15 +159,18 @@ class ExperimentConfig:
     candidates: tuple = ()  # fixed thresholds are a one-entry tuple
 
     def __post_init__(self):
-        _check_int("trials", self.trials)
-        _check_int("bound_granularity", self.bound_granularity)
-        if self.releases is not None:
-            _check_int("releases", self.releases)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "releases", "bound_granularity"):
+            value = getattr(self, name)
+            if name == "releases" and value is None:
+                continue
+            _check_int(name, value)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         _check_seed("seed", self.seed)
         if not self.epsilons:
             raise ValueError("epsilon grid is empty")
+        if not self.mechanisms:
+            raise ValueError("mechanisms is empty")
         for epsilon in self.epsilons:
             _check_epsilon(epsilon)
         if self.tau_percentile is not None:

@@ -20,10 +20,11 @@ the statistics engine: the truth f(G_1..G_T), one `statistics._series` call
 compose_projection candidate's projected f) with its noise law: how many
 releases share epsilon, and whether prefix sums are released.  The bound
 check and every degree statistic read a sequence's cached degree walk.  Each
-candidate is one `projection.admission_walk` at its caps, and its arm is
-`statistics._degree_values` of that walk over the parent's batches, the
-engine `_series` runs on the cached walk: every query with a projected
-sensitivity is a degree statistic, and none builds the projected sequence.
+candidate is one `graph_core._walk` of the canonical ordering at its caps
+(the greedy projection), and its arm is `statistics._degree_values` of
+that walk over the parent's batches, the engine `_series` runs on the
+cached walk: every query with a projected sensitivity is a degree
+statistic, and none builds the projected sequence.
 Every candidate's sensitivity and threshold mode is checked before the
 truth or any walk is computed.
 `ReleasePlan.draw_trials` is the only noise code and reads only
@@ -77,13 +78,8 @@ from .errors import (
     LengthMismatchError,
     NonPositiveScaleError,
 )
-from .graph_core import DegreeBounds, GraphSequence, _check_int, verify_bounds
-from .projection import (
-    ProjectionThresholds,
-    _check_mode,
-    admission_walk,
-    canonical_ordering,
-)
+from .graph_core import DegreeBounds, GraphSequence, _check_int, _walk, verify_bounds
+from .projection import ProjectionThresholds, _check_mode, canonical_ordering
 from .sensitivity import (
     SensitivityReport,
     diff_sequence_sensitivity,
@@ -436,8 +432,10 @@ class MechanismConfig:
 class ReleaseSeries:
     """One mechanism run: estimates of f(G_1..G_T) plus bookkeeping.
 
-    `estimates` are the released values.  For histogram queries they are
-    per-step dense arrays over bins 0..degree bound.
+    `estimates` are the released values, one numpy value per step: a
+    float64, or for histogram queries a dense float row over bins 0..degree
+    bound.  So ``np.asarray(estimates)`` has the plan truth's shape, and
+    every estimate has ``.tolist()``.
     """
 
     mechanism: str
@@ -579,13 +577,11 @@ class ReleasePlan:
         drawn = self.draw_trials(
             (config.trial_id,), config.epsilon, config.seed, config.zero_noise
         )
-        noisy = drawn.estimates[0]
         pick = int(drawn.picks[0])
         arm = self.arms[pick]
         return ReleaseSeries(
             mechanism=self.mechanism,
-            # Scalar estimates stay Python floats, as the CSV writer expects.
-            estimates=tuple(noisy.tolist() if noisy.ndim == 1 else noisy),
+            estimates=tuple(drawn.estimates[0]),
             noise_scale=drawn.arm_scales[pick],
             sensitivity=arm.sensitivity,
             thresholds=arm.thresholds,
@@ -631,7 +627,7 @@ def plan(
         ordering = canonical_ordering(seq)
         arms = []
         for i, (th, report) in enumerate(zip(candidates, reports)):
-            walk = admission_walk(seq, ordering, th)[1]
+            walk = _walk(seq, ordering, *th.caps)[1]
             series = np.array(_degree_values(query, seq, walk), dtype=float)
             arms.append(ReleaseArm(report, series, (2, i), len(truth), False, th))
         return ReleasePlan(mechanism, truth, tuple(arms))

@@ -310,10 +310,6 @@ def _signature_rows(bounds, n, t_max, layout):
         flags[v] = (graphs >> n * n + v & 1) + 2 * (graphs >> n * n + n + v & 1)
     spare = flags > 0
     flags <<= flag_shift
-    # prefix[j][v, g]: node v's out-degree into nodes 0..j-1, if v < j.
-    prefix = np.zeros((n + 1,) + sends.shape, dtype=np.int8)
-    for j in range(1, n + 1):
-        prefix[j, :j] = _POP[sends[:j] & (1 << j) - 1]
     # Arrival tuples are non-decreasing, so the nodes present at step t
     # are the first present[:, t - 1] of them.
     times = itertools.combinations_with_replacement(range(1, t_max + 1), n)
@@ -329,12 +325,17 @@ def _signature_rows(bounds, n, t_max, layout):
     def groups():
         # Groups of whole tuples against all graphs, or of one tuple against
         # a slice of them, hold at most _GROUP_ROWS rows.
-        tuple_step = max(1, _GROUP_ROWS // graphs.size)
         graph_step = min(graphs.size, _GROUP_ROWS)
-        for lo in range(0, len(times), tuple_step):
-            group = slice(lo, lo + tuple_step)
-            for g in range(0, graphs.size, graph_step):
-                part = slice(g, g + graph_step)
+        tuple_step = max(1, _GROUP_ROWS // graph_step)
+        for g in range(0, graphs.size, graph_step):
+            part = slice(g, g + graph_step)
+            # prefix[j][v, g]: node v's out-degree into nodes 0..j-1, if
+            # v < j, for the slice's graphs only.
+            prefix = np.zeros((n + 1, n, len(graphs[part])), dtype=np.int8)
+            for j in range(1, n + 1):
+                prefix[j, :j] = _POP[sends[:j, part] & (1 << j) - 1]
+            for lo in range(0, len(times), tuple_step):
+                group = slice(lo, lo + tuple_step)
                 # codes[v, tuple, graph], as in _profile_layout; zero if
                 # saturated.
                 shape = (n, len(times[group]), len(graphs[part]))
@@ -342,7 +343,7 @@ def _signature_rows(bounds, n, t_max, layout):
                 np.multiply(spare[:, None, part], times.T[:, group, None], out=codes)
                 codes += flags[:, None, part]
                 for t, shift in enumerate(step_at):
-                    deg = prefix[present[group, t], :, part].swapaxes(0, 1)
+                    deg = prefix[present[group, t]].swapaxes(0, 1)
                     codes += deg.astype(code_type) << shift
                 # Sort each row with a bubble-sort network over the n
                 # columns: whole-column minima and maxima beat np.sort along

@@ -4,10 +4,11 @@ Edges are considered one by one in a fixed ordering, one tuple of edges per
 batch in batch order (`canonical_ordering`); an edge is admitted only while
 both endpoint counters sit strictly below the projection thresholds.
 Admission state is kept across steps, so projected edge sets are nested over
-time.  `admission_walk` checks the thresholds' mode (`_check_mode`, which
-`mechanisms.plan` runs on every candidate before any walk) and the
-ordering's step count, then walks the ordering at the thresholds' caps on
-graph_core's one degree walk: it returns the kept edges and their walk.
+time.  The projection at a set of thresholds is graph_core's one degree
+walk, `_walk(seq, ordering, *th.caps)`: it returns the kept edges and their
+walk.  Its two callers check the thresholds' mode (`_check_mode`) first;
+`mechanisms.plan` does so for every candidate before any walk and walks the
+canonical ordering, which has one step per batch by construction.
 The walk runs over the parent's batches, which have the projected
 sequence's times and nodes, so it is all a degree statistic's projection
 arm reads (`mechanisms.plan` hands it to `statistics._degree_values`).
@@ -22,7 +23,6 @@ from .errors import OrderingMismatchError
 from .graph_core import (
     ArrivalBatch,
     DegreeBounds,
-    DegreeWalk,
     Edge,
     GraphSequence,
     _sequence,
@@ -58,38 +58,22 @@ def _check_mode(seq: GraphSequence, th: ProjectionThresholds) -> None:
         raise OrderingMismatchError("threshold mode does not match the sequence")
 
 
-def admission_walk(
-    seq: GraphSequence, ordering: Ordering, th: ProjectionThresholds
-) -> tuple[list[Edge], DegreeWalk]:
-    """The edges the online projection keeps, in one flat list, and their walk.
-
-    Admission state is shared across steps.  A threshold mode unlike the
-    sequence's, or an ordering without exactly one step per batch, raises
-    `OrderingMismatchError` before the walk; that each step covers its
-    batch's edges exactly is `project_sequence`'s to validate.
-    """
-    _check_mode(seq, th)
-    if len(ordering) != len(seq.batches):
-        raise OrderingMismatchError(
-            f"ordering has {len(ordering)} steps for {len(seq.batches)} batches"
-        )
-    return _walk(seq, ordering, *th.caps)
-
-
 def project_sequence(
     seq: GraphSequence, ordering: Ordering, th: ProjectionThresholds
 ) -> list[GraphSequence]:
     """Online projection: one projected snapshot per step, shared state.
 
     Raises `OrderingMismatchError` unless each step of `ordering` covers its
-    batch's edges exactly, then as `admission_walk` does.  Each admitted
-    batch keeps its time and nodes and the edges kept at its step.  Returns
-    the admitted batches' prefixes for release steps 1..horizon; a time-0
-    batch (pre-existing nodes) is processed first and folded into the first.
+    batch's edges exactly and the thresholds' mode is the sequence's, then
+    walks the ordering at the thresholds' caps.  Each admitted batch keeps
+    its time and nodes and the edges kept at its step.  Returns the
+    admitted batches' prefixes for release steps 1..horizon; a time-0 batch
+    (pre-existing nodes) is processed first and folded into the first.
     """
     if [sorted(step) for step in ordering] != [sorted(b.edges) for b in seq.batches]:
         raise OrderingMismatchError("each step must cover exactly its batch's edges")
-    kept, walk = admission_walk(seq, ordering, th)
+    _check_mode(seq, th)
+    kept, walk = _walk(seq, ordering, *th.caps)
     batches = tuple(
         ArrivalBatch(batch.time, batch.nodes, tuple(kept[start:end]))
         for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends)

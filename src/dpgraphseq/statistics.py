@@ -29,12 +29,12 @@ are g's steps g(d + 1) - g(d) at the walk's pre-edge degrees d, and the
 table, like a histogram row, stops at the moved side's largest counter.
 `_series` hands it the sequence's cached walk, which the bound check and
 parameter derivation read too.  A projection arm (`mechanisms.plan`) hands
-`_degree_values` a projection's admission walk over the parent's batches,
-which have the projected sequence's times and nodes, so a degree arm
-builds no sequence.  The triangle family needs neighbour sets, not just
-degrees, and keeps its own walk over per-node sets; no release projects
-it, and `_series` of a `projection.project_sequence` snapshot counts it on
-the kept edges.
+`_degree_values` graph_core's `_walk` of the parent's batches at the
+candidate's caps; the batches have the projected sequence's times and
+nodes, so a degree arm builds no sequence.  The triangle family needs
+neighbour sets, not just degrees, and keeps its own walk over per-node
+sets; no release projects it, and `_series` of a
+`projection.project_sequence` snapshot counts it on the kept edges.
 
 `evaluate(query, g)` is the engine at one graph, such as a snapshot (a
 prefix of a sequence): g read as a single step in which every node
@@ -177,10 +177,10 @@ def _degree_values(
     """The degree engine: a degree statistic's value at each release step.
 
     `walk` is a walk over `seq`'s batches, either `seq`'s cached uncapped
-    `degree_walk` or an admission walk (`projection.admission_walk`) of
-    them; `seq` supplies only the batch times and nodes.  So the values are
-    those of the sequence the walk admitted; a histogram's are its bin
-    counts over degrees 0..top.
+    `degree_walk` or a projection's capped walk (`graph_core._walk` at the
+    thresholds' caps) of them; `seq` supplies only the batch times and
+    nodes.  So the values are those of the sequence the walk admitted; a
+    histogram's are its bin counts over degrees 0..top.
     """
     sides = _moved_sides(query, seq.directed, walk)
     # No moved degree exceeds its side's largest counter: `largest` is (in,

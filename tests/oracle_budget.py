@@ -10,9 +10,9 @@ release oracle need, directed ones at six nodes included.
     PYTHONPATH=src python tests/oracle_budget.py
 
 D3 at n_max=7, t_max=5 takes ten to twenty seconds and about 200 MB, and
-in2out3 at n_max=6, t_max=3 about twenty seconds and 900 MB, most of it in
-the degree sweep; the rest take a few seconds together.  Pytest does not
-collect this file.
+in2out3 at n_max=6, t_max=3 about twenty-five seconds and 650 MB, most of
+it in the degree sweep; the rest take a few seconds together.  Pytest does
+not collect this file.
 """
 import resource
 import subprocess

@@ -94,7 +94,7 @@ def _fixtures():
 
 
 def _plain(estimates):
-    return [e.tolist() if hasattr(e, "tolist") else e for e in estimates]
+    return [e.tolist() for e in estimates]
 
 
 def golden_grid() -> dict:

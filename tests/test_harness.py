@@ -322,6 +322,13 @@ def test_experiment_config_validation():
         experiment_config(epsilons=(float("inf"),))
     with pytest.raises(ValueError):
         experiment_config(mechanisms=("sensdiff", "oracle"))
+    # Each of these would construct and then fail or run nothing later.
+    with pytest.raises(ValueError, match="^mechanisms is empty"):
+        experiment_config(mechanisms=())
+    for field in ("trials", "releases", "bound_granularity"):
+        for value in (0, -2):
+            with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+                experiment_config(**{field: value})
 
 
 @pytest.mark.parametrize("field", ["trials", "releases", "bound_granularity"])
@@ -411,19 +418,20 @@ def test_rows_to_json_round_trip():
 def test_run_experiment_projects_each_candidate_once(monkeypatch):
     # Projection draws no noise, so its kept edges serve every trial and
     # every budget: one projection per candidate, not one per trial.
-    # `admission_walk` is the one admission call `plan` makes per candidate.
+    # `_walk` at a candidate's caps is the one projection `plan` makes per
+    # candidate (the truth's uncapped walk is graph_core's own call).
     calls = []
-    real = mechanisms.admission_walk
+    real = mechanisms._walk
 
-    def counting(seq, ordering, th):
-        calls.append(th)
-        return real(seq, ordering, th)
+    def counting(seq, ordering, cap_in, cap_out):
+        calls.append((cap_in, cap_out))
+        return real(seq, ordering, cap_in, cap_out)
 
-    monkeypatch.setattr(mechanisms, "admission_walk", counting)
+    monkeypatch.setattr(mechanisms, "_walk", counting)
     candidates = (ProjectionThresholds.undirected(2), ProjectionThresholds.undirected(5))
     cfg = experiment_config(
         mechanisms=("compose_projection",), trials=5, candidates=candidates
     )
     rows, _ = run_experiment(cfg)
     assert len(rows) == 2 * 5
-    assert calls == list(candidates)
+    assert calls == [th.caps for th in candidates]

@@ -46,7 +46,7 @@ from dpgraphseq.mechanisms import (
     release,
     seed_words,
 )
-from dpgraphseq.projection import admission_walk, canonical_ordering, project_sequence
+from dpgraphseq.projection import canonical_ordering, project_sequence
 from dpgraphseq.statistics import (
     _degree_table,
     _degree_values,
@@ -281,13 +281,13 @@ def test_projection_arms_equal_the_admitted_sequences_values(seq):
     grid = _threshold_grid(seq.directed)
     # The last view of a projection is the whole admitted sequence.
     admitted = {th: project_sequence(seq, ordering, th)[-1] for th in grid}
-    # Every degree query the engine answers: the admission walk over the
+    # Every degree query the engine answers: the capped walk over the
     # parent's batches alone gives the admitted sequence's values.
     for query in _all_queries(seq.directed):
         if str(query.pattern).startswith("triangle"):
             continue
         for th in grid:
-            _, walk = admission_walk(seq, ordering, th)
+            _, walk = graph_core._walk(seq, ordering, *th.caps)
             values = _degree_values(query, seq, walk)
             if query.kind == "degree_histogram":
                 # The engine's dense bin counts, as exact_values' sparse maps.
@@ -309,7 +309,7 @@ def test_projection_arms_equal_the_admitted_sequences_values(seq):
 @pytest.mark.parametrize("query", [EDGE, HD], ids=["edge", "high_degree"])
 def test_wrong_mode_thresholds_are_refused_before_any_walk(monkeypatch, query):
     walks = []
-    monkeypatch.setattr(projection, "_walk", lambda *args: walks.append(args))
+    monkeypatch.setattr(mechanisms, "_walk", lambda *args: walks.append(args))
     directed = build_sequence(True, [(1, ["a", "b"], [("a", "b")])])
     for seq, th in [
         (SEQ, ProjectionThresholds.directed(1, 2)),
@@ -373,7 +373,7 @@ def test_plan_refuses_every_query_without_a_projected_formula_before_any_walk(
             return real(*args)
         return call
 
-    for module in (graph_core, projection):
+    for module in (graph_core, mechanisms):
         monkeypatch.setattr(module, "_walk", spy(graph_core._walk))
     monkeypatch.setattr(mechanisms, "_series", spy(statistics._series))
     th, wrong = (
@@ -912,6 +912,32 @@ def test_batch_rows_equal_single_draws_bit_for_bit(seed, zero_noise):
             assert np.array_equal(np.array(series.estimates), want), (name, trial)
             assert series.noise_scale == scale
             assert series.thresholds == p.arms[pick].thresholds
+
+
+@pytest.mark.parametrize(
+    "mechanism, query, kwargs",
+    [
+        ("sensdiff", EDGE, {"bounds": BOUNDS}),
+        ("sensdiff", StatisticQuery.degree_histogram(), {"bounds": BOUNDS}),
+        ("compose_bounded", HD, {"bounds": BOUNDS}),
+        ("compose_projection", EDGE, {"candidates": [
+            ProjectionThresholds.undirected(1), ProjectionThresholds.undirected(2)
+        ]}),
+    ],
+    ids=["sensdiff-edge", "sensdiff-histogram", "compose_bounded-high_degree",
+         "compose_projection-edge"],
+)
+def test_release_estimates_are_one_kind_for_every_statistic(mechanism, query, kwargs):
+    # Every estimate is a numpy value, a float64 or a histogram's float row,
+    # so readers need no branch on the statistic.
+    p = plan(mechanism, SEQ, query, **kwargs)
+    for trial in (0, 3):
+        series = p.draw(MechanismConfig(0.5, 7, trial))
+        assert all(hasattr(e, "tolist") for e in series.estimates), mechanism
+        got = np.asarray(series.estimates)
+        want = p.draw_trials((trial,), 0.5, 7).estimates[0]
+        assert got.shape == p.truth.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_draws_read_the_arms_not_the_mechanism_name():

@@ -449,6 +449,21 @@ def test_cold_digraph_build_holds_a_bounded_working_set():
     assert _traced_peak_mb(oracle._capped_graphs.__wrapped__, 5, bounds) < BUILD_PEAK_MB
 
 
+# Traced peak (MB) of a cold in3out3 signature pass at n=5, t_max=3, its
+# graphs built beforehand: 26.3 with the out-degree prefix table built for
+# every graph key at once, 15.9 with it built per slice of graphs.
+SIGNATURE_PEAK_MB = 20.0
+
+
+def test_signature_pass_holds_a_bounded_working_set(monkeypatch):
+    _fresh_caches(monkeypatch, "_capped_graphs")
+    bounds = DegreeBounds.directed(3, 3)
+    oracle._capped_graphs(5, bounds)
+    layout = oracle._profile_layout(bounds, 5, 3)
+    peak = _traced_peak_mb(oracle._signature_rows, bounds, 5, 3, layout)
+    assert peak < SIGNATURE_PEAK_MB
+
+
 def test_six_nodes_stay_within_formula_and_reach_five_node_values():
     """At n_max=6 the small bounds neither beat a formula nor lose ground.
 

@@ -14,7 +14,7 @@ from dpgraphseq import (
     snapshot,
 )
 from dpgraphseq.errors import OrderingMismatchError
-from dpgraphseq.projection import admission_walk
+from dpgraphseq.graph_core import _walk
 
 from bruteforce import degrees, naive_value
 from test_statistics import sequences
@@ -51,16 +51,6 @@ def test_ordering_must_cover_exactly_the_edges():
         project_sequence(
             seq, canonical_ordering(seq), ProjectionThresholds.directed(1, 1)
         )
-
-
-def test_admission_names_a_step_the_ordering_lacks():
-    seq = build_sequence(
-        False, [(1, ["a", "b"], [("a", "b")]), (2, ["c"], [("b", "c")])]
-    )
-    ordering = ((("a", "b"),),)
-    th = ProjectionThresholds.undirected(1)
-    with pytest.raises(OrderingMismatchError, match="1 steps for 2 batches"):
-        admission_walk(seq, ordering, th)
 
 
 def test_sequence_projection_is_nested_over_time():
@@ -127,9 +117,9 @@ def test_admission_records_the_walk_of_the_kept_edges(seq, d_in, d_out):
         assert (kept.time, kept.nodes) == (batch.time, batch.nodes)
         rest = iter(order)
         assert all(e in rest for e in kept.edges)
-    # A plan's degree arm reads the admission walk as the projected
+    # A plan's degree arm reads the capped walk as the projected
     # sequence's own: its uncapped walk, recomputed from its batches.
-    kept, walk = admission_walk(seq, ordering, th)
+    kept, walk = _walk(seq, ordering, *th.caps)
     assert list(projected.edges) == kept
     assert walk == projected.degree_walk
     assert GraphSequence(seq.directed, projected.batches) == projected
