@@ -8,9 +8,10 @@ closed-form catalog entry is the certified relationship.
 Degree-determined statistics (threshold counts, histograms, edge counts,
 stars) depend only on per-node degree trajectories, so base sequences are
 deduplicated by their sorted trajectory signature (lossless for these
-statistics).  Each signature row meets one fixed table of role patterns:
-every node takes none, send, recv or both within the new node's degree
-budgets, as its flag bits allow.  Each configuration so reached, its sorted
+statistics).  Each signature row meets every role pattern: a set of at
+most d_in senders (edges to the new node) and, chosen independently, a set
+of receivers (edges from it) within its out-budget, each node joining a set
+only as its flag bits allow.  Each configuration so reached, its sorted
 affected profiles plus sorted peer arrivals, is packed into one int64 key,
 and the keys are deduplicated.  Threshold counts, stars and the histogram
 are f(G_t) = sum_v g(deg_t(v)) for a table g on degrees 0..cap, so the
@@ -56,18 +57,22 @@ that one sort followed by an adjacent compare, `_unique_rows`, and each
 pass's distinct rows are merged into the union as they accumulate
 (`_union`).
 
-A node profile is packed into one code, low bits first: the arrival step
-(``t_max.bit_length()`` bits), then one field per step of the out-degree
-trajectory (``min(cap, n_max - 1).bit_length()`` bits each, cap being
-d_out or D), then the spare out-degree and spare in-degree flags.  Budgets
-whose code would need more than 63 bits raise ``BudgetTooLargeError``
-before any enumeration, and so do those whose configuration key would.  A
-key is the product of a row's values with a 0/1 shift pattern, each chosen
-value landing in its own field, so every product and partial sum is an
-integer below 2**(key bits).  Up to 53 key bits that product runs in
-float64, which holds such integers exactly in any summation order, and is
-cast back; wider keys stay in int64.  Budgets must be ints (not bools or
-floats), or ``TypeError`` is raised.
+A node profile is packed into one code, low bits first: the spare
+out-degree and spare in-degree flags, then one field per step of the
+out-degree trajectory (``min(cap, n_max - 1).bit_length()`` bits each, cap
+being d_out or D), then the arrival step (``t_max.bit_length()`` bits) on
+top.  Budgets whose code would need more than 63 bits raise
+``BudgetTooLargeError`` before any enumeration, and so do those whose
+configuration key would.  A sorted row is therefore arrival-major, its
+senders in (arrival, trajectory) order, and a sender's profile number is
+the rank of its unflagged code among all of them, so any set of a row's
+senders, taken in position order, comes in ascending profile order and any
+set of its receivers in ascending arrival order.  A key is a send part,
+the senders' profile numbers packed first-lowest, plus a receive part, the
+receivers' arrivals packed above them: each part is a row's values times a
+small int64 table of subset weights, and a pattern is valid where the
+senders' and the receivers' flags both allow it.  Budgets must be ints
+(not bools or floats), or ``TypeError`` is raised.
 
 Every array holds the narrowest integer type its bound allows, so the
 working set stays small:
@@ -82,14 +87,13 @@ working set stays small:
 - graph keys, row words and configuration keys are int64, since they
   pack up to 63 bits;
 - arrival steps are of the type holding t_max, and profile numbers of
-  the type holding the profile count; the sort key arrival * (profiles +
-  1) + profile is widened first, to the type holding t_max * (profiles +
-  1) + profiles;
+  the type holding the profile count;
 - table values, changes and distances are of the type holding
   2 * t_max * (n_max + 1) * max g, which bounds each of them, and a
   histogram's sum over its bins is taken in int64.
 
-Shifts and products take Python ints or operands widened beforehand, so
+Shifts and products take Python ints or operands widened beforehand (the
+arrivals, for one, as ``times.astype(code_type) << arrival_shift``), so
 each step gives the same values under numpy's value-based casting (before
 2.0) and under NEP 50.  Signature rows are built at most `_GROUP_ROWS` per
 array pass, and `_degree_sweep` decodes and expands them `_ROW_CHUNK` at a
@@ -119,8 +123,6 @@ _GROUP_ROWS = 1 << 14
 _ROW_CHUNK = 512
 # Configurations _degree_sweep scores in one array pass.
 _CONFIG_CHUNK = 1024
-# Widest configuration key _degree_sweep computes in float64 (the mantissa).
-_FLOAT_KEY_BITS = 53
 
 
 def _query_key(query: StatisticQuery):
@@ -263,20 +265,22 @@ def _int_type(top):
 
 
 def _profile_layout(bounds, n_max, t_max):
-    """Bit layout of a profile code: (arrival bits, step bits, flag shift).
+    """Bit layout of a profile code: (arrival bits, step bits, arrival shift).
 
+    The two flags take the low bits, step t's out-degree the step bits from
+    2 + t * step bits, and the arrival the top bits from the arrival shift.
     Raises BudgetTooLargeError when the fields do not fit in an int64.
     """
     _, cap = bounds.caps
     arrival_bits = t_max.bit_length()
     step_bits = min(cap, n_max - 1).bit_length()
-    flag_shift = arrival_bits + t_max * step_bits
-    if flag_shift + 2 > 63:
+    arrival_shift = 2 + t_max * step_bits
+    if arrival_shift + arrival_bits > 63:
         raise BudgetTooLargeError(
-            f"t_max={t_max} at n_max={n_max} needs a {flag_shift + 2}-bit "
-            "profile code, above 63 bits"
+            f"t_max={t_max} at n_max={n_max} needs a "
+            f"{arrival_shift + arrival_bits}-bit profile code, above 63 bits"
         )
-    return arrival_bits, step_bits, flag_shift
+    return arrival_bits, step_bits, arrival_shift
 
 
 def _signature_rows(bounds, n, t_max, layout):
@@ -287,7 +291,7 @@ def _signature_rows(bounds, n, t_max, layout):
     the added node, so saturated nodes are dropped.  Both reductions are
     lossless for the out-side maxima.
     """
-    arrival_bits, step_bits, flag_shift = layout
+    arrival_bits, step_bits, arrival_shift = layout
     cap_in, cap_out = bounds.caps
     out, inmask = _capped_graphs(n, bounds)
     # A row sees a node only through its flags and, if it can send, its
@@ -300,8 +304,8 @@ def _signature_rows(bounds, n, t_max, layout):
     del out, inmask
     graphs = _unique_rows(graphs)
     # sends[v, g], flags[v, g]: node v's unpacked fields in graph g; the
-    # flags in the code type, placed as in _profile_layout.
-    width = flag_shift + 2
+    # flags in the code type, in its low bits as in _profile_layout.
+    width = arrival_shift + arrival_bits
     code_type = _int_type((1 << width) - 1)
     sends = np.empty((n, graphs.size), dtype=np.uint8)
     flags = np.empty((n, graphs.size), dtype=code_type)
@@ -309,13 +313,13 @@ def _signature_rows(bounds, n, t_max, layout):
         sends[v] = graphs >> n * v & (1 << n) - 1
         flags[v] = (graphs >> n * n + v & 1) + 2 * (graphs >> n * n + n + v & 1)
     spare = flags > 0
-    flags <<= flag_shift
     # Arrival tuples are non-decreasing, so the nodes present at step t
     # are the first present[:, t - 1] of them.
     times = itertools.combinations_with_replacement(range(1, t_max + 1), n)
     times = np.array(list(times), dtype=_int_type(t_max))
     present = (times[:, :, None] <= np.arange(1, t_max + 1)).sum(axis=1)
-    step_at = [arrival_bits + step_bits * t for t in range(t_max)]
+    arrived = times.T.astype(code_type) << arrival_shift
+    step_at = [2 + step_bits * t for t in range(t_max)]
     # A sorted row packs into int64 words of 63 // width codes each, first
     # column in the high bits, so the words order like the rows.
     per_word = 63 // width
@@ -340,14 +344,14 @@ def _signature_rows(bounds, n, t_max, layout):
                 # saturated.
                 shape = (n, len(times[group]), len(graphs[part]))
                 codes = np.empty(shape, dtype=code_type)
-                np.multiply(spare[:, None, part], times.T[:, group, None], out=codes)
+                np.multiply(spare[:, None, part], arrived[:, group, None], out=codes)
                 codes += flags[:, None, part]
                 for t, shift in enumerate(step_at):
                     deg = prefix[present[group, t]].swapaxes(0, 1)
                     codes += deg.astype(code_type) << shift
                 # Sort each row with a bubble-sort network over the n
                 # columns: whole-column minima and maxima beat np.sort along
-                # a short axis.
+                # a short axis.  A sorted row is arrival-major.
                 cols = codes.reshape(n, -1)
                 for end in range(n - 1, 0, -1):
                     for j in range(end):
@@ -365,19 +369,18 @@ def _signature_rows(bounds, n, t_max, layout):
     return rows
 
 
-def _role_patterns(n, cap_in, budget_out):
-    """Send and recv indicators, shape (patterns, n), of every role pattern.
+def _subsets(n, size, field_bits, shift):
+    """Bitmasks and packing weights of every set of at most `size` of n positions.
 
-    Each row position takes one role: none, send (edge to the new node),
-    recv (edge from it) or both.  Send-or-both positions spend the new
-    node's in-degree budget, recv-or-both positions its out-degree budget.
+    The weights have shape (n, sets): a chosen position's value goes to the
+    next free field of `field_bits` bits from `shift`, in position order,
+    so a row of values times the weights packs each set's values.
     """
-    # Row i holds the base-4 digits of i, first position most significant.
-    digit_at = 2 * np.arange(n - 1, -1, -1)
-    roles = np.arange(4**n, dtype=np.int64)[:, None] >> digit_at & 3
-    send, recv = roles & 1, roles >> 1
-    keep = (send.sum(axis=1) <= cap_in) & (recv.sum(axis=1) <= budget_out)
-    return send[keep], recv[keep]
+    masks = np.arange(1 << n)
+    masks = masks[_POP[masks] <= size]
+    chosen = masks[:, None] >> np.arange(n) & 1
+    at = shift + (np.cumsum(chosen, axis=1) - 1).clip(0) * field_bits
+    return masks, (chosen << at).T
 
 
 def _degree_tables(cap, taus, ks, star):
@@ -452,22 +455,14 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     # A step's change sums at most n_max + 1 table differences, each at most
     # the largest g, and a column's distance 2 * t_max such changes.
     tables = tables.astype(_int_type(2 * t_max * (n_max + 1) * int(tables.max())))
-    arrival_bits, step_bits, flag_shift = layout = _profile_layout(
+    arrival_bits, step_bits, arrival_shift = layout = _profile_layout(
         bounds, n_max, t_max
     )
     rows = _signature_rows(bounds, n_max, t_max, layout)
     chunks = [rows[lo:lo + _ROW_CHUNK] for lo in range(0, len(rows), _ROW_CHUNK)]
-    # A sender's profile is its code without the flags.  Profiles are
-    # numbered from 1 in (arrival, code) order and each row's positions are
-    # sorted by (arrival, profile), so any pattern's senders come in
-    # ascending profile order and its receivers in ascending arrival order:
-    # packed in position order, they give a canonical key.
-    codes = _union(
-        chunk[chunk >> flag_shift & 1 == 1] & (1 << flag_shift) - 1 for chunk in chunks
-    )
-    by_arrival = np.argsort(codes & (1 << arrival_bits) - 1, kind="stable")
-    number = np.empty(len(codes), dtype=_int_type(len(codes)))
-    number[by_arrival] = np.arange(1, len(codes) + 1)
+    # A sender's profile is its code without the flags, numbered from 1 by
+    # its rank among all of them, which is (arrival, trajectory) order.
+    codes = _union(chunk[chunk & 1 == 1] & ~3 for chunk in chunks)
 
     profile_bits = len(codes).bit_length()
     n_affected, n_peers = min(cap_in, n_max), min(budget_out, n_max)
@@ -478,49 +473,29 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
             f"{n_affected} profiles of {profile_bits} bits and {n_peers} "
             f"arrivals of {arrival_bits} bits do not fit an int64 key"
         )
-    send, recv = _role_patterns(n_max, cap_in, budget_out)
-    roles = np.concatenate([send, recv], axis=1)
-    # A chosen position's value goes to the next free field of its half.
-    send_at = (np.cumsum(send, axis=1) - 1).clip(0) * profile_bits
-    recv_at = peer_shift + (np.cumsum(recv, axis=1) - 1).clip(0) * arrival_bits
-    weights = (roles << np.concatenate([send_at, recv_at], axis=1)).T
-    bit = 1 << np.arange(2 * n_max)
-    needs = roles @ bit
-    # Each product and partial sum of a key fills disjoint fields below
-    # 2**key_bits, so a float64 product is exact up to 53 bits whatever the
-    # summation order, and runs through BLAS instead of numpy's int loop.
-    dtype = np.float64 if key_bits <= _FLOAT_KEY_BITS else np.int64
-    weights = weights.astype(dtype, copy=False)
-    arrival_type = _int_type(t_max)
-    # Arrival-major position order; the product is widened first, since
-    # t_max * (profiles + 1) + profiles need not fit the profile type.
-    order_type = _int_type(t_max * (len(codes) + 1) + len(codes))
+    # A role pattern is a set of senders and an independent set of
+    # receivers: a key is a send part plus a receive part.
+    send_masks, send_weights = _subsets(n_max, cap_in, profile_bits, 0)
+    recv_masks, recv_weights = _subsets(n_max, budget_out, arrival_bits, peer_shift)
+    bit = 1 << np.arange(n_max)
 
     def expand(chunk):
         """Distinct configuration keys of one chunk of rows."""
-        flags = (chunk >> flag_shift).astype(np.int8)
-        flags = np.concatenate([flags & 1, flags >> 1], axis=1)
-        arrival = (chunk & (1 << arrival_bits) - 1).astype(arrival_type)
-        sent = flags[:, :n_max] == 1
-        profile = np.zeros(chunk.shape, dtype=number.dtype)
-        unflagged = chunk[sent] & (1 << flag_shift) - 1
-        profile[sent] = number[np.searchsorted(codes, unflagged)]
-        order = arrival.astype(order_type) * (len(codes) + 1) + profile
-        perm = np.argsort(order, axis=1, kind="stable")
-        perm = np.concatenate([perm, perm + n_max], axis=1)
-        values = np.take_along_axis(np.concatenate([profile, arrival], 1), perm, axis=1)
-        offers = np.take_along_axis(flags, perm, axis=1) @ bit
-        valid = (needs & ~offers[:, None]) == 0
-        packed = values.astype(dtype) @ weights
-        return _unique_rows(packed[valid].astype(np.int64))
+        send = (np.searchsorted(codes, chunk & ~3) + 1) @ send_weights
+        recv = (chunk >> arrival_shift) @ recv_weights
+        send_ok = (send_masks & ~((chunk & 1) @ bit)[:, None]) == 0
+        recv_ok = (recv_masks & ~((chunk >> 1 & 1) @ bit)[:, None]) == 0
+        valid = send_ok[:, :, None] & recv_ok[:, None, :]
+        return _unique_rows((send[:, :, None] + recv[:, None, :])[valid])
 
     configs = _union(map(expand, chunks))
     del rows, chunks
 
-    codes = codes[by_arrival]
-    trajs = codes[:, None] >> arrival_bits + step_bits * np.arange(t_max)
-    arrivals = codes & (1 << arrival_bits) - 1
+    trajs = codes[:, None] >> 2 + step_bits * np.arange(t_max)
+    arrivals = codes >> arrival_shift
     deltas = _profile_deltas(arrivals, trajs & (1 << step_bits) - 1, tables)
+    number_type = _int_type(len(codes))
+    arrival_type = _int_type(t_max)
     # The histogram's bins are the last columns, so each reduceat segment
     # starting at these offsets is one key; its sum is taken in int64.
     starts = np.arange(len(keys))
@@ -528,7 +503,7 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     for lo in range(0, len(configs), _CONFIG_CHUNK):
         chunk = configs[lo:lo + _CONFIG_CHUNK, None]
         affected = chunk >> profile_bits * np.arange(n_affected)
-        affected = (affected & (1 << profile_bits) - 1).astype(number.dtype)
+        affected = (affected & (1 << profile_bits) - 1).astype(number_type)
         if directed:
             shifts = peer_shift + arrival_bits * np.arange(n_peers)
             peers = (chunk >> shifts & (1 << arrival_bits) - 1).astype(arrival_type)

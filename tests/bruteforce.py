@@ -15,8 +15,8 @@ signature rows one arrival tuple at a time where the oracle builds many
 tuples' rows at once from deduplicated graphs, `triangle_maxima` scores
 every labelled pair of attach sets where the oracle scores one pair per
 orbit, and `degree_maxima` walks every sub-multiset of every signature row
-and every role assignment where the oracle expands rows against a table of
-role patterns in array passes.  `naive_diff_sensitivity` is the end-to-end
+and every role assignment where the oracle pairs every set of a row's
+senders with every set of its receivers in array passes.  `naive_diff_sensitivity` is the end-to-end
 reference for the oracle: it enumerates every labelled base sequence and
 every single-node addition and counts each snapshot's statistic with
 `naive_value`.  The file imports only `oracle` from the package, whose
@@ -242,16 +242,16 @@ def triangle_maxima(n, cap_in, cap_out=None):
 def signature_rows(bounds, n, t_max, layout):
     """The oracle's signature rows, built one arrival tuple at a time.
 
-    Every node's code is its arrival, its out-degree trajectory if it can
-    send, and its flags, or zero if saturated; each tuple's sorted rows are
-    deduplicated with a lexsort of all columns, and so is their union.
+    Every node's code is its flags, its out-degree trajectory if it can
+    send, and its arrival, or zero if saturated; each tuple's sorted rows
+    are deduplicated with a lexsort of all columns, and so is their union.
     """
-    arrival_bits, step_bits, flag_shift = layout
+    _, step_bits, arrival_shift = layout
     cap_in, cap_out = bounds.caps
     out, inmask = oracle._build_graphs(n, cap_in, cap_out, bounds.is_directed)
     can_send = _POP[out] < cap_out
     can_recv = _POP[inmask] < cap_in
-    flags = (can_send + 2 * can_recv).astype(np.int64) << flag_shift
+    flags = (can_send + 2 * can_recv).astype(np.int64)
     chunks = []
     for times in itertools.combinations_with_replacement(range(1, t_max + 1), n):
         present = [
@@ -262,10 +262,10 @@ def signature_rows(bounds, n, t_max, layout):
         traj_part = np.zeros(out.shape, dtype=np.int64)
         for t in range(1, t_max + 1):
             deg = np.where(arrived <= t, _POP[out & present[t - 1]], 0)
-            traj_part |= deg.astype(np.int64) << (arrival_bits + step_bits * (t - 1))
+            traj_part |= deg.astype(np.int64) << (2 + step_bits * (t - 1))
         sig = np.where(
             can_send | can_recv,
-            arrived + traj_part * can_send + flags,
+            (arrived << arrival_shift) + traj_part * can_send + flags,
             0,
         )
         sig.sort(axis=1)
@@ -328,14 +328,14 @@ def _role_assignments(classes, budget_in, budget_out):
 
 def _decode_profile(code, t_max, layout):
     """Unpack one node's code: arrival, trajectory, spare-capacity flags."""
-    arrival_bits, step_bits, flag_shift = layout
+    _, step_bits, arrival_shift = layout
     code = int(code)
-    t_v = code & ((1 << arrival_bits) - 1)
+    t_v = code >> arrival_shift
     traj = tuple(
-        (code >> (arrival_bits + step_bits * t)) & ((1 << step_bits) - 1)
+        (code >> (2 + step_bits * t)) & ((1 << step_bits) - 1)
         for t in range(t_max)
     )
-    return t_v, traj, bool(code >> flag_shift & 1), bool(code >> flag_shift & 2)
+    return t_v, traj, bool(code & 1), bool(code & 2)
 
 
 def eval_side(affected, peer_arrivals, t_max, tables):
