@@ -363,6 +363,22 @@ def test_degree_sweep_matches_configuration_walk(bounds, n_max, t_max):
 
 
 @pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
+def test_int64_configuration_keys_give_the_same_maxima(monkeypatch, bounds, n_max, t_max):
+    """With the key parts packed in Python ints, which never wrap, the int64 keys agree."""
+    expected = oracle._degree_sweep(bounds, n_max, t_max, 4)
+    subsets, packed = oracle._subsets, []
+
+    def exact_subsets(*args):
+        masks, weights = subsets(*args)
+        packed.append(weights.astype(object))
+        return masks, packed[-1]
+
+    monkeypatch.setattr(oracle, "_subsets", exact_subsets)
+    assert oracle._degree_sweep.__wrapped__(bounds, n_max, t_max, 4) == expected
+    assert len(packed) == 2
+
+
+@pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
 def test_signature_rows_are_arrival_major(bounds, n_max, t_max):
     """Each row ascends in arrival, its senders in (arrival, trajectory) order.
 
