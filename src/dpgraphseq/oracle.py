@@ -13,8 +13,12 @@ most d_in senders (edges to the new node) and, chosen independently, a set
 of receivers (edges from it) within its out-budget, each node joining a set
 only as its flag bits allow.  Each configuration so reached, its sorted
 affected profiles plus sorted peer arrivals, is packed into one int64 key,
-and the keys are deduplicated.  Threshold counts, stars and the histogram
-are f(G_t) = sum_v g(deg_t(v)) for a table g on degrees 0..cap, so the
+and the keys are deduplicated.  The receiver sets of a row give the same
+keys as those of any row whose receivers arrive as often at each step,
+each count capped at the out-budget, so rows are grouped by that count
+vector and each group's receive parts are added once to its rows'
+distinct send parts.  Threshold counts, stars and the histogram are
+f(G_t) = sum_v g(deg_t(v)) for a table g on degrees 0..cap, so the
 distinct configurations are scored in batches from per-profile tables of
 g(after) - g(before) plus the new node's own-degree term.  The edge count
 needs no sweep of its own: it is the sum of out-degrees (the 1-out-star
@@ -52,10 +56,10 @@ tables of every node's out-degree into nodes 0..k-1, one per k, give the
 codes of many (tuple, graph) rows per array pass.  Each row is sorted and
 packed into int64 words, first column in the high bits, so deduplicating
 the words with a sort deduplicates the rows in lexicographic order.  Every
-deduplication here (graphs, rows, profile codes, configuration keys) is
-that one sort followed by an adjacent compare, `_unique_rows`, and each
-pass's distinct rows are merged into the union as they accumulate
-(`_union`).
+deduplication here (graphs, rows, profile codes, receive groups, send
+pairs, configuration keys) is that one sort followed by an adjacent
+compare, `_unique_rows`, and each pass's distinct rows are merged into
+the union as they accumulate (`_union`).
 
 A node profile is packed into one code, low bits first: the spare
 out-degree and spare in-degree flags, then one field per step of the
@@ -63,16 +67,22 @@ out-degree trajectory (``min(cap, n_max - 1).bit_length()`` bits each, cap
 being d_out or D), then the arrival step (``t_max.bit_length()`` bits) on
 top.  Budgets whose code would need more than 63 bits raise
 ``BudgetTooLargeError`` before any enumeration, and so do those whose
-configuration key would.  A sorted row is therefore arrival-major, its
-senders in (arrival, trajectory) order, and a sender's profile number is
-the rank of its unflagged code among all of them, so any set of a row's
-senders, taken in position order, comes in ascending profile order and any
-set of its receivers in ascending arrival order.  A key is a send part,
-the senders' profile numbers packed first-lowest, plus a receive part, the
-receivers' arrivals packed above them: each part is a row's values times a
-small int64 table of subset weights, and a pattern is valid where the
-senders' and the receivers' flags both allow it.  Budgets must be ints
-(not bools or floats), or ``TypeError`` is raised.
+configuration key or send pair would.  A sorted row is therefore
+arrival-major, its senders in (arrival, trajectory) order, and a sender's
+profile number is the rank of its unflagged code among all of them, so any
+set of a row's senders, taken in position order, comes in ascending profile
+order and any set of its receivers in ascending arrival order.  A key is a
+send part, the senders' profile numbers packed first-lowest, plus a receive
+part, the receivers' arrivals packed above them: each part is a row's
+values times a small int64 table of subset weights, and a pattern is valid
+where the senders' and the receivers' flags both allow it.  A row's receive
+group is its receivers' arrivals, each kept at most out-budget times,
+ascending (none for an undirected bound, whose rows form one group),
+numbered by rank; a send pair packs that group number above a valid send
+part, at ``peer_shift``, the receive part's offset.  The distinct send
+pairs of all rows, each plus its group's receive parts, are the
+configuration keys.  Budgets must be ints (not bools or floats), or
+``TypeError`` is raised.
 
 Every array holds the narrowest integer type its bound allows, so the
 working set stays small:
@@ -82,10 +92,10 @@ working set stays small:
 - per-node degrees are int8, at most n_max - 1;
 - profile codes are built in the narrowest signed type holding their
   width (int16 up to 15 bits, int32 up to 31, else int64; int8 up to 7),
-  since a code is below 2**width, and `_signature_rows` widens the
-  distinct rows to int64 only when it returns them;
-- graph keys, row words and configuration keys are int64, since they
-  pack up to 63 bits;
+  since a code is below 2**width, and widened to int64 only as it is
+  packed into its row's words;
+- graph keys, row words, receive groups, send pairs and configuration
+  keys are int64, since they pack up to 63 bits;
 - arrival steps are of the type holding t_max, and profile numbers of
   the type holding the profile count;
 - table values, changes and distances are of the type holding
@@ -96,9 +106,10 @@ Shifts and products take Python ints or operands widened beforehand (the
 arrivals, for one, as ``times.astype(code_type) << arrival_shift``), so
 each step gives the same values under numpy's value-based casting (before
 2.0) and under NEP 50.  Signature rows are built at most `_GROUP_ROWS` per
-array pass, and `_degree_sweep` decodes and expands them `_ROW_CHUNK` at a
-time and scores configurations `_CONFIG_CHUNK` at a time, so the
-signature rows are the only per-row array held whole.
+array pass and kept as their packed words; `_degree_sweep` unpacks and
+expands them, and the send pairs, `_ROW_CHUNK` at a time and scores
+configurations `_CONFIG_CHUNK` at a time, so the packed words are the only
+per-row array held whole.
 """
 from __future__ import annotations
 
@@ -119,8 +130,10 @@ from .statistics import (
 _POP = np.array([bin(i).count("1") for i in range(256)], dtype=np.int8)
 # Most (arrival tuple, graph) rows _signature_rows builds in one array pass.
 _GROUP_ROWS = 1 << 14
-# Signature rows _degree_sweep decodes and expands in one array pass.
-_ROW_CHUNK = 512
+# Signature rows, or send pairs, _degree_sweep decodes and expands in one
+# array pass.  A row expands only to its send parts (64 sets of senders at
+# n_max=7 and d_in=3), so a chunk's arrays stay near 1 MB.
+_ROW_CHUNK = 2048
 # Configurations _degree_sweep scores in one array pass.
 _CONFIG_CHUNK = 1024
 
@@ -289,7 +302,9 @@ def _signature_rows(bounds, n, t_max, layout):
     Senders keep their out-degree trajectories; every potential receiver is
     reduced to its arrival time.  Only nodes with spare capacity can touch
     the added node, so saturated nodes are dropped.  Both reductions are
-    lossless for the out-side maxima.
+    lossless for the out-side maxima.  Each distinct row, sorted, is
+    returned packed into int64 words as `_word_fields` places its codes,
+    rows in lexicographic order; `_unpack_rows` decodes them.
     """
     arrival_bits, step_bits, arrival_shift = layout
     cap_in, cap_out = bounds.caps
@@ -320,11 +335,7 @@ def _signature_rows(bounds, n, t_max, layout):
     present = (times[:, :, None] <= np.arange(1, t_max + 1)).sum(axis=1)
     arrived = times.T.astype(code_type) << arrival_shift
     step_at = [2 + step_bits * t for t in range(t_max)]
-    # A sorted row packs into int64 words of 63 // width codes each, first
-    # column in the high bits, so the words order like the rows.
-    per_word = 63 // width
-    column_word = [j // per_word for j in range(n)]
-    column_at = [width * (per_word - 1 - j % per_word) for j in range(n)]
+    column_word, column_at = _word_fields(n, layout)
 
     def groups():
         # Groups of whole tuples against all graphs, or of one tuple against
@@ -363,10 +374,28 @@ def _signature_rows(bounds, n, t_max, layout):
                     words[column_word[j]] |= col.astype(np.int64) << column_at[j]
                 yield _unique_rows(words.T)
 
-    rows = _union(groups())[:, column_word]
-    rows >>= column_at
-    rows &= (1 << width) - 1
-    return rows
+    return _union(groups())
+
+
+def _word_fields(n, layout):
+    """Word and shift of each of a row's n profile codes packed into int64 words.
+
+    A word holds 63 // width codes, first column in the high bits, so the
+    words of sorted rows order like the rows.
+    """
+    arrival_bits, _, arrival_shift = layout
+    width = arrival_shift + arrival_bits
+    per_word = 63 // width
+    shifts = [width * (per_word - 1 - j % per_word) for j in range(n)]
+    return [j // per_word for j in range(n)], shifts
+
+
+def _unpack_rows(words, n, layout):
+    """The int64 profile codes, shape (rows, n), of packed signature rows."""
+    arrival_bits, _, arrival_shift = layout
+    column_word, column_at = _word_fields(n, layout)
+    codes = words[:, column_word] >> column_at
+    return codes & (1 << arrival_shift + arrival_bits) - 1
 
 
 def _subsets(n, size, field_bits, shift):
@@ -440,8 +469,10 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     A configuration, the multiset of affected-node (arrival, out-trajectory)
     profiles plus the arrivals of the new node's out-edge endpoints, fully
     determines every score.  In-stars of a directed bound are read from its
-    transpose's sweep.  Signature rows are decoded and expanded, and
-    configurations scored, a bounded chunk at a time.
+    transpose's sweep.  Signature rows are unpacked a bounded chunk at a
+    time, numbered by receive group, and reduced to distinct (group, send
+    part) pairs; each pair plus its group's receive parts gives the
+    configuration keys, scored a bounded chunk at a time.
     """
     directed = bounds.is_directed
     cap_in, cap_out = bounds.caps
@@ -458,11 +489,15 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
     arrival_bits, step_bits, arrival_shift = layout = _profile_layout(
         bounds, n_max, t_max
     )
-    rows = _signature_rows(bounds, n_max, t_max, layout)
-    chunks = [rows[lo:lo + _ROW_CHUNK] for lo in range(0, len(rows), _ROW_CHUNK)]
+    words = _signature_rows(bounds, n_max, t_max, layout)
+
+    def rows():
+        for lo in range(0, len(words), _ROW_CHUNK):
+            yield _unpack_rows(words[lo:lo + _ROW_CHUNK], n_max, layout)
+
     # A sender's profile is its code without the flags, numbered from 1 by
     # its rank among all of them, which is (arrival, trajectory) order.
-    codes = _union(chunk[chunk & 1 == 1] & ~3 for chunk in chunks)
+    codes = _union(chunk[chunk & 1 == 1] & ~3 for chunk in rows())
 
     profile_bits = len(codes).bit_length()
     n_affected, n_peers = min(cap_in, n_max), min(budget_out, n_max)
@@ -473,23 +508,65 @@ def _degree_sweep(bounds, n_max, t_max, max_k=3):
             f"{n_affected} profiles of {profile_bits} bits and {n_peers} "
             f"arrivals of {arrival_bits} bits do not fit an int64 key"
         )
+
+    # A receive part packs at most n_peers of a row's receivers' arrivals,
+    # so rows group by these: a row's receivers (none if n_peers is 0) with
+    # their arrivals at their positions are one int64 key, and the key's
+    # group is its arrivals ascending, each kept at most n_peers times.
+    spots = 1 << arrival_bits * np.arange(n_max)
+
+    def receivers(chunk):
+        return (chunk >> 1 & min(n_peers, 1)) * (chunk >> arrival_shift) @ spots
+
+    keyed = _union(map(receivers, rows()))
+    fields = keyed[:, None] >> arrival_bits * np.arange(n_max)
+    fields &= (1 << arrival_bits) - 1
+    fields.sort(axis=1)
+    # Ascending, an arrival equal to the one n_peers places before is extra.
+    fields[:, n_peers:] *= fields[:, n_peers:] != fields[:, :n_max - n_peers]
+    fields.sort(axis=1)
+    grouped = fields @ spots
+    groups = _unique_rows(grouped)
+    group_of = np.searchsorted(groups, grouped)
+    group_bits = (len(groups) - 1).bit_length()
+    if peer_shift + group_bits > 63:
+        raise BudgetTooLargeError(
+            f"{len(groups)} receive groups above {peer_shift} bits of "
+            f"profiles do not fit an int64 key"
+        )
     # A role pattern is a set of senders and an independent set of
     # receivers: a key is a send part plus a receive part.
     send_masks, send_weights = _subsets(n_max, cap_in, profile_bits, 0)
     recv_masks, recv_weights = _subsets(n_max, budget_out, arrival_bits, peer_shift)
     bit = 1 << np.arange(n_max)
 
-    def expand(chunk):
-        """Distinct configuration keys of one chunk of rows."""
-        send = (np.searchsorted(codes, chunk & ~3) + 1) @ send_weights
-        recv = (chunk >> arrival_shift) @ recv_weights
-        send_ok = (send_masks & ~((chunk & 1) @ bit)[:, None]) == 0
-        recv_ok = (recv_masks & ~((chunk >> 1 & 1) @ bit)[:, None]) == 0
-        valid = send_ok[:, :, None] & recv_ok[:, None, :]
-        return _unique_rows((send[:, :, None] + recv[:, None, :])[valid])
+    def send_pairs(chunk):
+        """Distinct (receive group, valid send part) pairs of one chunk of rows.
 
-    configs = _union(map(expand, chunks))
-    del rows, chunks
+        Each pair is packed as group index << peer_shift plus the send part.
+        """
+        send = (np.searchsorted(codes, chunk & ~3) + 1) @ send_weights
+        send_ok = (send_masks & ~((chunk & 1) @ bit)[:, None]) == 0
+        group = group_of[np.searchsorted(keyed, receivers(chunk))].astype(send.dtype)
+        return _unique_rows((send + (group << peer_shift)[:, None])[send_ok])
+
+    pairs = _union(map(send_pairs, rows()))
+    del words
+    # Each group's receive parts; a set that takes an empty field gets the
+    # empty set's part, 0.
+    fields = groups[:, None] >> arrival_bits * np.arange(n_max)
+    fields &= (1 << arrival_bits) - 1
+    recv_ok = (recv_masks & ~((fields > 0) @ bit)[:, None]) == 0
+    recv = np.where(recv_ok, fields @ recv_weights, 0)
+
+    def expand(lo):
+        """Distinct configuration keys of one chunk of pairs."""
+        part = pairs[lo:lo + _ROW_CHUNK]
+        group = (part >> peer_shift).astype(np.intp)
+        send = part & (1 << peer_shift) - 1
+        return _unique_rows((send[:, None] + recv[group]).ravel())
+
+    configs = _union(map(expand, range(0, len(pairs), _ROW_CHUNK)))
 
     trajs = codes[:, None] >> 2 + step_bits * np.arange(t_max)
     arrivals = codes >> arrival_shift

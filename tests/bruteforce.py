@@ -14,14 +14,17 @@ graphs one node at a time, `signature_rows` builds and deduplicates
 signature rows one arrival tuple at a time where the oracle builds many
 tuples' rows at once from deduplicated graphs, `triangle_maxima` scores
 every labelled pair of attach sets where the oracle scores one pair per
-orbit, and `degree_maxima` walks every sub-multiset of every signature row
-and every role assignment where the oracle pairs every set of a row's
-senders with every set of its receivers in array passes.  `naive_diff_sensitivity` is the end-to-end
+orbit, and `degree_configurations` walks every sub-multiset of every
+signature row and every role assignment where the oracle pairs sets of a
+row's senders with the receive parts of its group of rows in array passes,
+and `degree_maxima` scores each configuration so found on its own.
+`naive_diff_sensitivity` is the end-to-end
 reference for the oracle: it enumerates every labelled base sequence and
 every single-node addition and counts each snapshot's statistic with
 `naive_value`.  The file imports only `oracle` from the package, whose
 helpers the one-case-at-a-time rebuilds above share.
 """
+import functools
 import itertools
 from collections import Counter
 
@@ -358,19 +361,57 @@ def eval_side(affected, peer_arrivals, t_max, tables):
     return np.abs(np.diff(change, axis=1, prepend=0)).sum(axis=1)
 
 
-def degree_maxima(bounds, n_max, t_max, max_k=3, tables=None):
-    """The oracle's out-side degree maxima, one configuration at a time.
+@functools.lru_cache(maxsize=None)
+def degree_configurations(bounds, n_max, t_max):
+    """Every distinct out-side configuration, one role assignment at a time.
 
-    Walks every sub-multiset of every signature row, every role assignment
-    of its nodes within the new node's degree budgets, and scores each
-    distinct (affected profiles, peer arrivals) configuration on its own.
-    Given `tables`, a matrix whose columns are tables g(d), d = 0..cap_out,
-    it scores f = sum of g(out-degree) for each column instead, and returns
-    the maxima keyed by column index.
+    Walks every sub-multiset of every signature row and every role
+    assignment of its nodes within the new node's degree budgets.  A
+    configuration is (sorted affected (arrival, trajectory) profiles,
+    sorted peer arrivals): the existing nodes gaining an incident edge and
+    the arrivals of the new node's out-edge endpoints.
     """
     directed = bounds.is_directed
     cap_in, cap_out = bounds.caps
     budget_out = cap_out if directed else 0
+    layout = oracle._profile_layout(bounds, n_max, t_max)
+    words = oracle._signature_rows(bounds, n_max, t_max, layout)
+    rows = _sub_multiset_closure(oracle._unpack_rows(words, n_max, layout))
+    rows = rows[np.count_nonzero(rows, axis=1) <= cap_in + budget_out]
+    decoded = {}
+    configs = set()
+    for row in rows:
+        classes = []
+        for code, m in Counter(int(c) for c in row if c).items():
+            if code not in decoded:
+                decoded[code] = _decode_profile(code, t_max, layout)
+            _, _, can_send, can_recv = decoded[code]
+            classes.append((code, m, can_send, can_recv))
+        for picked in _role_assignments(classes, cap_in, budget_out):
+            affected = []
+            peer_arrivals = []
+            for code, ci, co in picked:
+                t_v, traj, _, _ = decoded[code]
+                affected.extend(((t_v, traj),) * ci)
+                peer_arrivals.extend((t_v,) * co)
+            # Undirected: one attached edge is both the node's extra degree
+            # and one unit of the new node's own degree.
+            if not directed:
+                peer_arrivals = [t_v for t_v, _ in affected]
+            configs.add((tuple(sorted(affected)), tuple(sorted(peer_arrivals))))
+    return frozenset(configs)
+
+
+def degree_maxima(bounds, n_max, t_max, max_k=3, tables=None):
+    """The oracle's out-side degree maxima, one configuration at a time.
+
+    Scores each of `degree_configurations` on its own.  Given `tables`, a
+    matrix whose columns are tables g(d), d = 0..cap_out, it scores f = sum
+    of g(out-degree) for each column instead, and returns the maxima keyed
+    by column index.
+    """
+    directed = bounds.is_directed
+    _, cap_out = bounds.caps
     named = tables is None
     if named:
         keys, tables = oracle._degree_tables(
@@ -383,41 +424,17 @@ def degree_maxima(bounds, n_max, t_max, max_k=3, tables=None):
         keys = range(tables.shape[1])
     starts = np.arange(len(keys))
     best = np.zeros(len(keys), dtype=np.int64)
-    best_edges = 0
-    layout = oracle._profile_layout(bounds, n_max, t_max)
-    rows = _sub_multiset_closure(oracle._signature_rows(bounds, n_max, t_max, layout))
-    rows = rows[np.count_nonzero(rows, axis=1) <= cap_in + budget_out]
-    decoded = {}
-    seen = set()
-    for row in rows:
-        classes = []
-        for code, m in Counter(int(c) for c in row if c).items():
-            if code not in decoded:
-                decoded[code] = _decode_profile(code, t_max, layout)
-            _, _, can_send, can_recv = decoded[code]
-            classes.append((code, m, can_send, can_recv))
-        for picked in _role_assignments(classes, cap_in, budget_out):
-            best_edges = max(best_edges, sum(ci + co for _, ci, co in picked))
-            affected = []
-            peer_arrivals = []
-            for code, ci, co in picked:
-                t_v, traj, _, _ = decoded[code]
-                affected.extend(((t_v, traj),) * ci)
-                peer_arrivals.extend((t_v,) * co)
-            # Undirected: one attached edge is both the node's extra degree
-            # and one unit of the new node's own degree.
-            if not directed:
-                peer_arrivals = [t_v for t_v, _ in affected]
-            config = (tuple(sorted(affected)), tuple(sorted(peer_arrivals)))
-            if config in seen:
-                continue
-            seen.add(config)
-            dist = eval_side(*config, t_max, tables)
-            score = np.add.reduceat(dist, starts, axis=1).max(axis=0)
-            np.maximum(best, score, out=best)
+    configs = degree_configurations(bounds, n_max, t_max)
+    for config in configs:
+        dist = eval_side(*config, t_max, tables)
+        score = np.add.reduceat(dist, starts, axis=1).max(axis=0)
+        np.maximum(best, score, out=best)
     maxima = {key: int(v) for key, v in zip(keys, best)}
     if named:
-        maxima[("edge",)] = best_edges
+        # An undirected configuration's peers are its affected nodes again.
+        maxima[("edge",)] = max(
+            len(affected) + len(peers) * directed for affected, peers in configs
+        )
     return maxima
 
 

@@ -9,10 +9,12 @@ release oracle need, directed ones at six nodes included.
 
     PYTHONPATH=src python tests/oracle_budget.py
 
-On a 2-vCPU VM, D3 at n_max=7, t_max=5 takes about eleven seconds and
-180 MB, and in2out3 at n_max=6, t_max=3 about seventeen seconds and 650
-MB; in both most of the time is the degree sweep's signature pass.  The
-rest take a few seconds together.  Pytest does not collect this file.
+On a 2-vCPU VM, D3 at n_max=7, t_max=5 takes about ten seconds and 146
+MB, and in2out3 at n_max=6, t_max=3 about fourteen seconds and 650 MB; in
+both most of the time is the degree sweep's signature pass.  in2out3 at
+n_max=5, t_max=3, which the golden file certifies and the degree-sweep
+tests leave out, takes about 0.2 s.  The rest take a few seconds
+together.  Pytest does not collect this file.
 """
 import resource
 import subprocess
@@ -29,6 +31,7 @@ BUDGETS = [
     ((2, 2), 5, 3),
     ((3, 3), 5, 3),
     ((1, 3), 5, 3),
+    ((2, 3), 5, 3),
     ((2, 2), 6, 3),
     ((2, 3), 6, 3),
 ]

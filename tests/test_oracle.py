@@ -20,6 +20,7 @@ from bruteforce import (
     _decode_profile,
     capped_digraphs,
     capped_graphs,
+    degree_configurations,
     degree_maxima,
     naive_diff_sensitivity,
     naive_value,
@@ -165,15 +166,51 @@ def test_budgets_that_are_not_ints_are_rejected(monkeypatch, n_max, t_max, name)
                 oracle_diff_sensitivity(query, bounds, n_max, t_max)
 
 
+def _packed(rows, layout):
+    """Sorted signature rows packed into words, as `_signature_rows` returns them."""
+    column_word, column_at = oracle._word_fields(rows.shape[1], layout)
+    words = np.zeros((len(rows), column_word[-1] + 1), dtype=np.int64)
+    for j, (word, at) in enumerate(zip(column_word, column_at)):
+        words[:, word] |= rows[:, j] << at
+    return words
+
+
 def test_configuration_key_too_wide_is_rejected(monkeypatch):
     """Seven affected slots of 512 profiles need 70 bits: no int64 key."""
     bounds = DegreeBounds.undirected(7)
-    _, _, arrival_shift = oracle._profile_layout(bounds, 7, 3)
-    codes = 3 + (np.arange(512, dtype=np.int64) << 2) + (1 << arrival_shift)
+    layout = oracle._profile_layout(bounds, 7, 3)
+    codes = 3 + (np.arange(512, dtype=np.int64) << 2) + (1 << layout[2])
     rows = np.repeat(codes[:, None], 7, axis=1)
-    monkeypatch.setattr(oracle, "_signature_rows", lambda *args: rows)
+    monkeypatch.setattr(oracle, "_signature_rows", lambda *args: _packed(rows, layout))
     with pytest.raises(BudgetTooLargeError, match="do not fit an int64 key"):
         oracle_diff_sensitivity(StatisticQuery.high_degree(1), bounds, 7, 3)
+
+
+def test_pair_key_too_wide_is_rejected(monkeypatch):
+    """Six slots of 600 profiles and 128 receive groups need 67 bits.
+
+    The configuration key, six 10-bit profiles and one 3-bit arrival, fits
+    63 bits; a (receive group, send part) pair does not, so no pair is
+    formed.
+    """
+    bounds = DegreeBounds.directed(6, 1)
+    layout = oracle._profile_layout(bounds, 7, 7)
+    _, step_bits, arrival_shift = layout
+    assert step_bits == 1
+    # 600 senders' rows, with no receiver: trajectories 0..127 at arrivals 1..5.
+    profiles = np.arange(600, dtype=np.int64)
+    codes = 1 + (profiles % 128 << 2) + (1 + profiles // 128 << arrival_shift)
+    senders = np.repeat(codes[:, None], 7, axis=1)
+    # A row of lone receivers for each of the 127 nonempty sets of arrivals.
+    receivers = np.zeros((127, 7), dtype=np.int64)
+    for s in range(1, 128):
+        arrivals = [t for t in range(1, 8) if s >> t - 1 & 1]
+        row = [2 + (t << arrival_shift) for t in arrivals]
+        receivers[s - 1, 7 - len(row):] = row
+    rows = np.concatenate([senders, receivers])
+    monkeypatch.setattr(oracle, "_signature_rows", lambda *args: _packed(rows, layout))
+    with pytest.raises(BudgetTooLargeError, match="128 receive groups above 60 bits"):
+        oracle_diff_sensitivity(StatisticQuery.high_degree(1), bounds, 7, 7)
 
 
 def test_mismatched_triangle_pattern_is_rejected_before_enumeration(monkeypatch):
@@ -363,19 +400,61 @@ def test_degree_sweep_matches_configuration_walk(bounds, n_max, t_max):
 
 
 @pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
+def test_degree_sweep_scores_exactly_the_walked_configurations(
+    monkeypatch, bounds, n_max, t_max
+):
+    """The sweep scores each configuration the reference walk visits once.
+
+    Equal maxima alone would miss a configuration dropped or invented whose
+    score ties.
+    """
+    profiles, scored = [], []
+    profile_deltas, eval_configs = oracle._profile_deltas, oracle._eval_configs
+
+    def record_profiles(arrivals, trajs, tables):
+        profiles.extend(zip(arrivals.tolist(), map(tuple, trajs.tolist())))
+        return profile_deltas(arrivals, trajs, tables)
+
+    def record_configs(affected, peers, *args):
+        for numbers, arrivals in zip(affected.tolist(), peers.tolist()):
+            affected_profiles = tuple(sorted(profiles[p - 1] for p in numbers if p))
+            scored.append((affected_profiles, tuple(sorted(filter(None, arrivals)))))
+        return eval_configs(affected, peers, *args)
+
+    monkeypatch.setattr(oracle, "_profile_deltas", record_profiles)
+    monkeypatch.setattr(oracle, "_eval_configs", record_configs)
+    oracle._degree_sweep.__wrapped__(bounds, n_max, t_max, 4)
+    assert len(scored) == len(set(scored))
+    assert set(scored) == degree_configurations(bounds, n_max, t_max)
+
+
+@pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
 def test_int64_configuration_keys_give_the_same_maxima(monkeypatch, bounds, n_max, t_max):
-    """With the key parts packed in Python ints, which never wrap, the int64 keys agree."""
+    """With the key parts packed in Python ints, which never wrap, the int64 keys agree.
+
+    The exact weights reach the (receive group, send part) pair keys and
+    the configuration keys, the sweep's last two unions.
+    """
     expected = oracle._degree_sweep(bounds, n_max, t_max, 4)
-    subsets, packed = oracle._subsets, []
+    subsets, union, packed, unions = oracle._subsets, oracle._union, [], []
 
     def exact_subsets(*args):
         masks, weights = subsets(*args)
         packed.append(weights.astype(object))
         return masks, packed[-1]
 
+    def record_union(parts):
+        dtypes = set()
+        unions.append(dtypes)
+        for part in parts:
+            dtypes.add(part.dtype)
+            yield part
+
     monkeypatch.setattr(oracle, "_subsets", exact_subsets)
+    monkeypatch.setattr(oracle, "_union", lambda parts: union(record_union(parts)))
     assert oracle._degree_sweep.__wrapped__(bounds, n_max, t_max, 4) == expected
     assert len(packed) == 2
+    assert unions[-2:] == [{np.dtype(object)}, {np.dtype(object)}]
 
 
 @pytest.mark.parametrize("bounds,n_max,t_max", DEGREE_SWEEP_GRID)
@@ -386,7 +465,8 @@ def test_signature_rows_are_arrival_major(bounds, n_max, t_max):
     order, and a set of its receivers in arrival order, with no sort.
     """
     layout = oracle._profile_layout(bounds, n_max, t_max)
-    for row in oracle._signature_rows(bounds, n_max, t_max, layout):
+    words = oracle._signature_rows(bounds, n_max, t_max, layout)
+    for row in oracle._unpack_rows(words, n_max, layout):
         profiles = [_decode_profile(c, t_max, layout) for c in row if c]
         assert all(1 <= t_v <= t_max for t_v, *_ in profiles)
         assert all(can_send or can_recv for *_, can_send, can_recv in profiles)
@@ -411,10 +491,12 @@ def test_signature_rows_are_arrival_major(bounds, n_max, t_max):
 )
 def test_signature_rows_match_per_tuple_loop(bounds, n_max, t_max):
     layout = oracle._profile_layout(bounds, n_max, t_max)
-    got = oracle._signature_rows(bounds, n_max, t_max, layout)
+    words = oracle._signature_rows(bounds, n_max, t_max, layout)
+    got = oracle._unpack_rows(words, n_max, layout)
     expected = signature_rows(bounds, n_max, t_max, layout)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+    assert np.array_equal(words, _packed(expected, layout))
 
 
 @pytest.mark.parametrize("group_rows", [1, 7, 100])
@@ -451,7 +533,9 @@ def _traced_peak_mb(function, *args):
 # Traced peaks (MB) of cold sweeps at in1out3, in1out2 and D3 (n_max=5,
 # t_max=3), the benchmark's three largest: 4.93, 4.45 and 4.23 with int64
 # codes and per-row arrays built for all rows at once, 1.28, 1.06 and 0.73
-# with narrow codes and rows decoded in 512-row chunks.
+# with narrow codes and rows decoded in 512-row chunks, and 1.12, 1.02 and
+# 1.09 with rows unpacked from their words 2048 at a time and expanded once
+# per receive group (D3 reads 0.72 with 512-row chunks).
 SWEEP_PEAK_MB = 3.0
 
 
