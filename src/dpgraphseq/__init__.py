@@ -12,17 +12,15 @@ from .graph_core import (
     ArrivalBatch,
     DegreeBounds,
     GraphSequence,
+    ProjectionThresholds,
     build_sequence,
+    canonical_ordering,
     dumps_edge_list,
     ingest_step,
     loads_edge_list,
+    project_sequence,
     snapshot,
     verify_bounds,
-)
-from .projection import (
-    ProjectionThresholds,
-    canonical_ordering,
-    project_sequence,
 )
 from .sensitivity import (
     SensitivityReport,

@@ -23,7 +23,12 @@ from .generators import (
     generate_pa_transmission,
     generate_sir_transmission,
 )
-from .graph_core import DegreeBounds, dumps_edge_list, loads_edge_list
+from .graph_core import (
+    DegreeBounds,
+    ProjectionThresholds,
+    dumps_edge_list,
+    loads_edge_list,
+)
 from .harness import (
     ExperimentConfig,
     release_parameters,
@@ -32,7 +37,6 @@ from .harness import (
     run_experiment,
 )
 from .mechanisms import MECHANISMS, MechanismConfig, release as run_release
-from .projection import ProjectionThresholds
 from .sensitivity import (
     diff_sequence_sensitivity,
     per_release_sensitivity,
@@ -204,17 +208,25 @@ def generate(model, seed, output, **options):
     show_default=True,
 )
 def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
-    """Print the closed-form sensitivity for a query as JSON."""
+    """Print the closed-form sensitivity for a query as JSON.
+
+    The projected regime reads --projection-thresholds and the others
+    --degree-bound; the option a regime does not read is refused.
+    """
     query = _parse_statistic(statistic, tau)
+    options = [("--degree-bound", degree_bound),
+               ("--projection-thresholds", projection_thresholds)]
     if regime == "projected":
-        if projection_thresholds is None:
-            raise click.BadParameter("projected regime needs --projection-thresholds")
-        fn, bounds = projected_sensitivity, projection_thresholds
-    else:
-        if degree_bound is None:
-            raise click.BadParameter(f"{regime} regime needs --degree-bound")
-        fn = diff_sequence_sensitivity if regime == "diff_sequence" else per_release_sensitivity
-        bounds = degree_bound
+        options.reverse()
+    (option, bounds), (unread, value) = options
+    if value is not None:
+        raise click.BadParameter(
+            f"the {regime} regime reads {option} instead", param_hint=f"'{unread}'"
+        )
+    if bounds is None:
+        raise click.BadParameter(f"{regime} regime needs {option}")
+    fn = {"diff_sequence": diff_sequence_sensitivity, "per_release": per_release_sensitivity,
+          "projected": projected_sensitivity}[regime]
     with _usage_errors():
         report = fn(query, bounds)
     click.echo(

@@ -26,12 +26,17 @@ One walk over a sequence records every edge's endpoint degrees just before
 it joins (`DegreeWalk`), and each side's largest counter as it admits the
 edge, so no reader rescans every node for a maximum.  It admits the edges
 of each step, in a given order, while both endpoint counters sit below a
-pair of caps.  With no caps, in arrival order, it is the sequence's own
-`degree_walk`, computed once and cached like the node-time map; the bound
-check, parameter derivation and the degree statistics of
-`statistics._series` all read it.  Capped, over another edge order,
-it is a projection's admission walk, and graph_core knows nothing more of
-projections.  The triangle family keeps its own neighbour-set walk.
+pair of caps, and keeps the admitted edges in order.  With no caps, in
+arrival order, it is the sequence's own `degree_walk`, computed once and
+cached like the node-time map; the bound check, parameter derivation and
+the degree statistics of `statistics._series` all read it.  Capped at a
+set of `ProjectionThresholds`, over `canonical_ordering`, it is the greedy
+degree-bounding projection, its admission state kept across steps, so
+projected edge sets are nested over time; callers check the thresholds'
+mode (`_check_mode`) first.  It runs over the parent's batches, so it is
+all a degree arm of `mechanisms.plan` reads, and `project_sequence`
+slices its edges into projected snapshots, which no release reads.  The
+triangle family keeps its own neighbour-set walk.
 
 The graph at step t is the first batches of the sequence, so `snapshot`
 returns that prefix, a `GraphSequence` itself: the package has one graph
@@ -51,6 +56,7 @@ from .errors import (
     DuplicateNodeError,
     EdgeToFutureNodeError,
     ModeMismatchError,
+    OrderingMismatchError,
     SelfLoopError,
     TimeOutOfRangeError,
 )
@@ -120,6 +126,14 @@ class DegreeBounds:
         if self.is_directed:
             return self.d_in, self.d_out
         return self.d, self.d
+
+
+class ProjectionThresholds(DegreeBounds):
+    """Projection parameter: D-tilde, or (in, out) for directed graphs.
+
+    It shares `DegreeBounds`' fields, validation and `caps`, but is its own
+    type: a threshold is not a promise about the data.
+    """
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,7 @@ class GraphSequence:
         """
         # No counter reaches the number of edges, so that cap admits all.
         edges = self.num_edges
-        return _walk(self, [batch.edges for batch in self.batches], edges, edges)[1]
+        return _walk(self, [batch.edges for batch in self.batches], edges, edges)
 
 
 def _sequence(directed: bool, batches: tuple, **caches) -> GraphSequence:
@@ -255,10 +269,10 @@ def _sequence(directed: bool, batches: tuple, **caches) -> GraphSequence:
 
 @dataclass(frozen=True)
 class DegreeWalk:
-    """Endpoint degrees just before each edge joins, in arrival order.
+    """The admitted edges and their endpoint degrees just before each joins.
 
-    Edge i, counted through the batches in order, has `tail[i]`, the
-    out-degree of its tail u, and `head[i]`, the in-degree of its head v,
+    Edge i, `edges[i]`, counted through the batches in order, has `tail[i]`,
+    the out-degree of its tail u, and `head[i]`, the in-degree of its head v,
     both read before it joins; an undirected degree is one counter, read as
     both sides.  Batch j holds edges ends[j-1] (0 for j = 0) to ends[j] - 1.
     `out` and `inn` are every node's final counters, zeros included, and the
@@ -271,6 +285,7 @@ class DegreeWalk:
     statistics all read this one walk.
     """
 
+    edges: tuple[Edge, ...]
     tail: tuple[int, ...]
     head: tuple[int, ...]
     ends: tuple[int, ...]
@@ -281,11 +296,11 @@ class DegreeWalk:
 
 def _walk(
     seq: GraphSequence, steps: Iterable[Iterable[Edge]], cap_in: int, cap_out: int
-) -> tuple[list[Edge], DegreeWalk]:
+) -> DegreeWalk:
     """Admit each step's edges in order while both endpoints sit below the caps.
 
-    `steps` gives one edge order per batch of `seq`.  Returns the admitted
-    edges, in one flat list, and their walk.
+    `steps` gives one edge order per batch of `seq`.  Returns the walk of
+    the admitted edges, which it carries in order.
     """
     # Every node's counters start at zero, in arrival order: copies of the
     # sequence's zero map.  An undirected degree is one counter, read as both
@@ -321,8 +336,8 @@ def _walk(
         # One counter: a node lifted as a tail and one lifted as a head
         # count alike.
         top_in = top_out = max(top_in, top_out)
-    return kept, DegreeWalk(
-        tuple(tail), tuple(head), tuple(ends), out, inn, (top_in, top_out)
+    return DegreeWalk(
+        tuple(kept), tuple(tail), tuple(head), tuple(ends), out, inn, (top_in, top_out)
     )
 
 
@@ -473,6 +488,53 @@ def snapshot(seq: GraphSequence, t: int) -> GraphSequence:
     return _sequence(seq.directed, seq.batches[: t - start + 1])
 
 
+Ordering = tuple[tuple[Edge, ...], ...]  # one tuple of edges per batch
+
+
+def canonical_ordering(seq: GraphSequence) -> Ordering:
+    """The ordering Lambda: one tuple of edges per batch, in batch order.
+
+    Steps come in time order, so every edge of step t precedes all edges of
+    any later step in the concatenated total order.  Each step is its
+    batch's edges sorted as stored (in canonical form), so removing the
+    edges incident to one node preserves the relative order of the rest,
+    which is the stability the projection's privacy argument needs.
+    """
+    return tuple(tuple(sorted(batch.edges)) for batch in seq.batches)
+
+
+def _check_mode(seq: GraphSequence, th: ProjectionThresholds) -> None:
+    if th.is_directed != seq.directed:
+        raise OrderingMismatchError("threshold mode does not match the sequence")
+
+
+def project_sequence(
+    seq: GraphSequence, ordering: Ordering, th: ProjectionThresholds
+) -> list[GraphSequence]:
+    """Online projection: one projected snapshot per step, shared state.
+
+    Raises `OrderingMismatchError` unless each step of `ordering` covers its
+    batch's edges exactly and the thresholds' mode is the sequence's, then
+    walks the ordering at the thresholds' caps.  Each admitted batch keeps
+    its time and nodes and the edges kept at its step.  Returns the
+    admitted batches' prefixes for release steps 1..horizon; a time-0 batch
+    (pre-existing nodes) is processed first and folded into the first.
+    """
+    if [sorted(step) for step in ordering] != [sorted(b.edges) for b in seq.batches]:
+        raise OrderingMismatchError("each step must cover exactly its batch's edges")
+    _check_mode(seq, th)
+    walk = _walk(seq, ordering, *th.caps)
+    batches = tuple(
+        ArrivalBatch(batch.time, batch.nodes, walk.edges[start:end])
+        for batch, start, end in zip(seq.batches, (0,) + walk.ends, walk.ends)
+    )
+    return [
+        _sequence(seq.directed, batches[: i + 1])
+        for i, batch in enumerate(batches)
+        if batch.time >= 1
+    ]
+
+
 @dataclass(frozen=True)
 class BoundViolation:
     time: int
@@ -504,9 +566,8 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
         for i, (d_tail, d_head) in enumerate(zip(walk.tail, walk.head))
         if d_tail >= cap_out or d_head >= cap_in
     )
-    j = bisect_right(walk.ends, i)
-    batch = seq.batches[j]
-    u, v = batch.edges[i - (walk.ends[j - 1] if j else 0)]
+    batch = seq.batches[bisect_right(walk.ends, i)]
+    u, v = walk.edges[i]
     kind_out, kind_in = ("out", "in") if seq.directed else ("degree", "degree")
     if walk.tail[i] >= cap_out:
         return BoundViolation(batch.time, u, walk.tail[i] + 1, kind_out)

@@ -18,7 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyGraphError
-from .graph_core import ArrivalBatch, DegreeBounds, GraphSequence, _check_int, _sequence
+from .graph_core import (
+    ArrivalBatch,
+    DegreeBounds,
+    GraphSequence,
+    ProjectionThresholds,
+    _check_int,
+    _sequence,
+)
 # relative_l1_error is imported for the callers that import it from here.
 from .mechanisms import (
     MECHANISMS,
@@ -28,7 +35,6 @@ from .mechanisms import (
     relative_l1_error,
     relative_l1_errors,
 )
-from .projection import ProjectionThresholds
 from .statistics import StatisticQuery
 
 

@@ -20,9 +20,9 @@ the statistics engine: the truth f(G_1..G_T), one `statistics._series` call
 compose_projection candidate's projected f) with its noise law: how many
 releases share epsilon, and whether prefix sums are released.  The bound
 check and every degree statistic read a sequence's cached degree walk.  Each
-candidate is one `graph_core._walk` of the canonical ordering at its caps
-(the greedy projection), and its arm is `statistics._degree_values` of
-that walk over the parent's batches, the engine `_series` runs on the
+candidate is one `graph_core._walk` of `graph_core.canonical_ordering` at
+its caps (the greedy projection), and its arm is `statistics._degree_values`
+of that walk over the parent's batches, the engine `_series` runs on the
 cached walk: every query with a projected sensitivity is a degree
 statistic, and none builds the projected sequence.
 Every candidate's sensitivity and threshold mode is checked before the
@@ -78,8 +78,16 @@ from .errors import (
     LengthMismatchError,
     NonPositiveScaleError,
 )
-from .graph_core import DegreeBounds, GraphSequence, _check_int, _walk, verify_bounds
-from .projection import ProjectionThresholds, _check_mode, canonical_ordering
+from .graph_core import (
+    DegreeBounds,
+    GraphSequence,
+    ProjectionThresholds,
+    _check_int,
+    _check_mode,
+    _walk,
+    canonical_ordering,
+    verify_bounds,
+)
 from .sensitivity import (
     SensitivityReport,
     diff_sequence_sensitivity,
@@ -627,7 +635,7 @@ def plan(
         ordering = canonical_ordering(seq)
         arms = []
         for i, (th, report) in enumerate(zip(candidates, reports)):
-            walk = _walk(seq, ordering, *th.caps)[1]
+            walk = _walk(seq, ordering, *th.caps)
             series = np.array(_degree_values(query, seq, walk), dtype=float)
             arms.append(ReleaseArm(report, series, (2, i), len(truth), False, th))
         return ReleasePlan(mechanism, truth, tuple(arms))

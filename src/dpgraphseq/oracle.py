@@ -637,8 +637,6 @@ def _triangle_sweep(bounds, n_max):
         best_ii = 0
         for si, so in _orbit_pairs(n, cap_in, cap_out):
             elig = ((out_ok & si) == si) & ((in_ok & so) == so)
-            if not elig.any():
-                continue
             si_nodes = [v for v in range(n) if si >> v & 1]
             so_nodes = [v for v in range(n) if so >> v & 1]
             # triangle I: in-edge u->v*, out-edge v*->w, base edge w->u
@@ -661,8 +659,6 @@ def _triangle_sweep(bounds, n_max):
     for m in range(min(bounds.d, n) + 1):
         s = (1 << m) - 1
         elig = (cap_mask & s) == s
-        if not elig.any():
-            continue
         score = np.zeros(len(adj), dtype=np.int64)
         for v in range(m):
             score += _POP[adj[:, v] & s]

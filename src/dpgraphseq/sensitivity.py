@@ -23,8 +23,7 @@ from operator import add, sub
 from typing import Union
 
 from .errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
-from .graph_core import DegreeBounds
-from .projection import ProjectionThresholds
+from .graph_core import DegreeBounds, ProjectionThresholds
 from .statistics import StatisticQuery, _degree_table
 
 

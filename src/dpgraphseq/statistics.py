@@ -34,7 +34,7 @@ candidate's caps; the batches have the projected sequence's times and
 nodes, so a degree arm builds no sequence.  The triangle family needs
 neighbour sets, not just degrees, and keeps its own walk over per-node
 sets; no release projects it, and `_series` of a
-`projection.project_sequence` snapshot counts it on the kept edges.
+`graph_core.project_sequence` snapshot counts it on the kept edges.
 
 `evaluate(query, g)` is the engine at one graph, such as a snapshot (a
 prefix of a sequence): g read as a single step in which every node

@@ -281,6 +281,15 @@ def test_malformed_statistic_is_usage_error(runner, pa_file, value):
           "--regime", "per_release"], "no per-release sensitivity"),
         (["sensitivity", "--statistic", "edge", "--regime", "projected"],
          "projected regime needs --projection-thresholds"),
+        (["sensitivity", "--statistic", "edge", "--degree-bound", "3",
+          "--projection-thresholds", "2"],
+         "'--projection-thresholds': the diff_sequence regime reads --degree-bound"),
+        (["sensitivity", "--statistic", "edge", "--regime", "per_release",
+          "--degree-bound", "3", "--projection-thresholds", "2"],
+         "'--projection-thresholds': the per_release regime reads --degree-bound"),
+        (["sensitivity", "--statistic", "edge", "--regime", "projected",
+          "--degree-bound", "9", "--projection-thresholds", "2"],
+         "'--degree-bound': the projected regime reads --projection-thresholds"),
         (["release", "--statistic", "triangle", "--epsilon", "1"],
          "'triangle' incompatible"),
         (["release", "--statistic", "high_degree", "--tau", "50",
@@ -302,7 +311,8 @@ def test_malformed_statistic_is_usage_error(runner, pa_file, value):
          "tau=50 exceeds"),
     ],
     ids=["sens-star", "sens-tau", "sens-regime", "sens-projected-no-thresholds",
-         "release-triangle",
+         "sens-diff-unread-thresholds", "sens-per-release-unread-thresholds",
+         "sens-projected-unread-bound", "release-triangle",
          "release-tau", "experiment-triangle", "release-projection-triangle",
          "experiment-projection-triangle", "release-fixed-thresholds-tau",
          "release-grid-tau", "experiment-grid-tau"],

@@ -645,7 +645,7 @@ def _directed_seq():
 def test_walks_start_from_copies_of_a_cached_zero_map(seq):
     steps = [batch.edges for batch in seq.batches]
     walks = [seq.degree_walk] + [
-        _walk(seq, steps, *caps)[1] for caps in [(1, 1), (1, 2), (2, 1), (3, 3)]
+        _walk(seq, steps, *caps) for caps in [(1, 1), (1, 2), (2, 1), (3, 3)]
     ]
     zeros = seq.__dict__["_zero_counts"]
     assert zeros == dict.fromkeys(seq.node_time, 0)
@@ -671,7 +671,9 @@ def test_walks_record_their_largest_counters(seq):
         caps = list(itertools.product((1, 2, 3), repeat=2))
     else:
         caps = [(d, d) for d in (1, 2, 3)]
-    walks = [seq.degree_walk] + [_walk(seq, steps, *c)[1] for c in caps]
+    walks = [seq.degree_walk] + [_walk(seq, steps, *c) for c in caps]
+    # The uncapped walk admits every edge, in arrival order.
+    assert seq.degree_walk.edges == seq.edges
     for walk in walks:
         assert walk.largest == (
             max(walk.inn.values(), default=0),

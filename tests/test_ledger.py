@@ -1,13 +1,25 @@
 """The privacy-loss ledger (`tests/ledger.py`) on criterion 2's witness
-pairs, which realize the difference-sequence sensitivity exactly."""
+pairs, which realize the difference-sequence sensitivity exactly, and on
+random node-neighbouring pairs."""
+import dataclasses
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from dpgraphseq import DegreeBounds, ProjectionThresholds, StatisticQuery
+from dpgraphseq import (
+    DegreeBounds,
+    ProjectionThresholds,
+    StatisticQuery,
+    build_sequence,
+    diff_sequence_sensitivity,
+    per_release_sensitivity,
+)
+from dpgraphseq.errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
 from dpgraphseq.mechanisms import plan
 
 from ledger import privacy_loss
+from test_statistics import _all_queries, raw_batches
 from witnesses import directed_high_degree_pair, undirected_high_degree_pair
 
 
@@ -75,3 +87,59 @@ def test_unequal_scales_lose_without_bound():
         1.0,
     )
     assert loss == math.inf
+
+
+def test_a_zero_scale_release_loses_nothing_on_equal_series():
+    # k_star:3 cannot move under D = 1: sensitivity 0, so scale 0.
+    query, bounds = StatisticQuery.subgraph("k_star", 3), DegreeBounds.undirected(1)
+    base = build_sequence(False, [(1, [], [])])
+    extra = build_sequence(False, [(1, ["x"], [])])
+    plans = [plan("sensdiff", seq, query, bounds) for seq in (base, extra)]
+    assert plans[0].arms[0].scale(1.0) == 0
+    assert privacy_loss(*plans, 1.0) == 0.0
+    # A deterministic release of a different series is told apart for sure.
+    (arm,) = plans[1].arms
+    moved = dataclasses.replace(plans[1], arms=(
+        dataclasses.replace(arm, series=arm.series + 1),
+    ))
+    assert privacy_loss(plans[0], moved, 1.0) == math.inf
+
+
+@st.composite
+def node_neighbours(draw):
+    """(G, G'): a random sequence, and it plus one node x with edges to up
+    to four of its nodes, each edge in the batch of its later endpoint."""
+    directed, batches = draw(raw_batches())
+    step = draw(st.integers(0, len(batches) - 1))
+    arrival = {n: i for i, (_, nodes, _) in enumerate(batches) for n in nodes}
+    grown = [(t, list(nodes), list(edges)) for t, nodes, edges in batches]
+    grown[step][1].append("x")
+    for w in draw(st.lists(st.sampled_from(sorted(arrival)), max_size=4, unique=True)
+                  if arrival else st.just([])):
+        edge = ("x", w) if not directed or draw(st.booleans()) else (w, "x")
+        grown[max(step, arrival[w])][2].append(edge)
+    return build_sequence(directed, batches), build_sequence(directed, grown)
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_neighbours())
+def test_node_neighbours_lose_at_most_epsilon(pair):
+    base, extra = pair
+    assume(base.horizon >= 1)
+    # G' respects its own largest counters, and G, its subgraph, does too.
+    cap_in, cap_out = (max(c, 1) for c in extra.degree_walk.largest)
+    bounds = (
+        DegreeBounds.directed(cap_in, cap_out) if base.directed
+        else DegreeBounds.undirected(cap_out)
+    )
+    for mechanism, rule in (("sensdiff", diff_sequence_sensitivity),
+                            ("compose_bounded", per_release_sensitivity)):
+        for query in _all_queries(base.directed):
+            try:
+                rule(query, bounds)
+            except (UnsupportedBaselineQueryError, InfeasibleThresholdError):
+                continue
+            plans = [plan(mechanism, seq, query, bounds) for seq in pair]
+            for epsilon in (1.0, 0.5):
+                loss = privacy_loss(*plans, epsilon)
+                assert loss <= epsilon * (1 + 1e-9), (mechanism, query.label(), loss)

@@ -29,7 +29,7 @@ from dpgraphseq.errors import (
     PatternDirectionMismatchError,
     UnsupportedBaselineQueryError,
 )
-from dpgraphseq import graph_core, mechanisms, projection, sensitivity, statistics
+from dpgraphseq import graph_core, mechanisms, sensitivity, statistics
 from dpgraphseq.generators import PaTransmissionParams, generate_pa_transmission
 from dpgraphseq.harness import (
     ExperimentConfig,
@@ -46,7 +46,7 @@ from dpgraphseq.mechanisms import (
     release,
     seed_words,
 )
-from dpgraphseq.projection import canonical_ordering, project_sequence
+from dpgraphseq.graph_core import canonical_ordering, project_sequence
 from dpgraphseq.statistics import (
     _degree_table,
     _degree_values,
@@ -287,7 +287,7 @@ def test_projection_arms_equal_the_admitted_sequences_values(seq):
         if str(query.pattern).startswith("triangle"):
             continue
         for th in grid:
-            _, walk = graph_core._walk(seq, ordering, *th.caps)
+            walk = graph_core._walk(seq, ordering, *th.caps)
             values = _degree_values(query, seq, walk)
             if query.kind == "degree_histogram":
                 # The engine's dense bin counts, as exact_values' sparse maps.
@@ -510,7 +510,7 @@ def test_a_projection_plan_builds_no_sequence(monkeypatch):
         built.append(args)
         return real(*args, **caches)
 
-    for module in (graph_core, projection, statistics):
+    for module in (graph_core, statistics):
         monkeypatch.setattr(module, "_sequence", spy)
     for directed, seq in MODE_SEQS.items():
         grid = _threshold_grid(directed)
@@ -537,7 +537,7 @@ def test_only_a_sequence_no_builder_made_is_rebuilt(monkeypatch):
     derived = [
         rebatch(parsed, 2),
         graph_core.snapshot(parsed, 2),
-        *projection.project_sequence(parsed, ordering, th),
+        *graph_core.project_sequence(parsed, ordering, th),
         pickle.loads(pickle.dumps(parsed)),
         copy.deepcopy(parsed),
     ]

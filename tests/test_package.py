@@ -80,10 +80,10 @@ def test_generators_run_without_networkx():
 
 
 def test_parse_ingest_and_exact_values_run_without_numpy():
-    # Turning edge-list text into a validated sequence and reading its exact
-    # statistics, over the sequence or at one snapshot, needs no numpy
-    # either, so neither a bench's set-up nor a CLI command that releases
-    # nothing pays numpy's import.
+    # Turning edge-list text into a validated sequence, reading its exact
+    # statistics, over the sequence or at one snapshot, and projecting it
+    # need no numpy either, so neither a bench's set-up nor a CLI command
+    # that releases nothing pays numpy's import.
     probe = (
         "import sys\n"
         "import dpgraphseq as dg\n"
@@ -95,6 +95,8 @@ def test_parse_ingest_and_exact_values_run_without_numpy():
         "              dg.StatisticQuery.subgraph('triangle')):\n"
         "    dg.exact_values(query, seq)\n"
         "    dg.evaluate(query, dg.snapshot(seq, 3))\n"
+        "th = dg.ProjectionThresholds.undirected(1)\n"
+        "dg.project_sequence(seq, dg.canonical_ordering(seq), th)\n"
         "print('numpy' in sys.modules)"
     )
     assert _fresh_stdout(probe) == "False"

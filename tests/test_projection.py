@@ -119,8 +119,8 @@ def test_admission_records_the_walk_of_the_kept_edges(seq, d_in, d_out):
         assert all(e in rest for e in kept.edges)
     # A plan's degree arm reads the capped walk as the projected
     # sequence's own: its uncapped walk, recomputed from its batches.
-    kept, walk = _walk(seq, ordering, *th.caps)
-    assert list(projected.edges) == kept
+    walk = _walk(seq, ordering, *th.caps)
+    assert projected.edges == walk.edges
     assert walk == projected.degree_walk
     assert GraphSequence(seq.directed, projected.batches) == projected
 
