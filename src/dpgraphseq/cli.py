@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 
@@ -93,8 +94,9 @@ def _parse_statistic(spec: str, tau) -> StatisticQuery:
         raise bad(f"{pattern} needs ':k' with an integer k >= 1") from exc
 
 
-def _parse_pair(value, cls):
-    """'D' -> cls.undirected(D), 'Din,Dout' -> cls.directed(Din, Dout); None stays."""
+def _parse_pair(cls, ctx, param, value):
+    """Option callback: 'D' -> cls.undirected(D), 'Din,Dout' ->
+    cls.directed(Din, Dout); None stays."""
     if value is None:
         return None
     try:
@@ -108,12 +110,8 @@ def _parse_pair(value, cls):
     raise click.BadParameter("expected D or Din,Dout")
 
 
-def _bounds_option(ctx, param, value):
-    return _parse_pair(value, DegreeBounds)
-
-
-def _thresholds_option(ctx, param, value):
-    return _parse_pair(value, ProjectionThresholds)
+_bounds_option = functools.partial(_parse_pair, DegreeBounds)
+_thresholds_option = functools.partial(_parse_pair, ProjectionThresholds)
 
 
 @contextlib.contextmanager
@@ -242,22 +240,50 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
     )
 
 
+# The options `release` and `experiment` share, and the mechanisms that read
+# each bound option.
+_RUN_OPTIONS = (
+    click.option("--input", "input_path", required=True, type=click.Path(exists=True)),
+    click.option("--statistic", required=True),
+    click.option("--tau", type=_AT_LEAST_ONE, default=None),
+    click.option("--degree-bound", default=None, callback=_bounds_option,
+                 help="D or Din,Dout; read by sensdiff and compose_bounded"),
+    click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True),
+    click.option("--projection-thresholds", default=None, callback=_thresholds_option,
+                 help="D or Din,Dout; read by compose_projection"),
+    click.option("--seed", type=_NON_NEGATIVE, default=0, show_default=True),
+    click.option("--zero-noise", is_flag=True),
+    click.option("--output", type=click.Path(), default=None),
+)
+_READERS = {"degree_bound": ("sensdiff", "compose_bounded"),
+            "projection_thresholds": ("compose_projection",)}
+
+
+def _run_options(command):
+    """`_RUN_OPTIONS` on `command`; a bound option that none of its selected
+    mechanisms reads (`_READERS`) is a usage error naming it."""
+    @functools.wraps(command)
+    def checked(**params):
+        selected = params.get("mechanisms") or (params["mechanism"],)
+        for name, readers in _READERS.items():
+            if params[name] is not None and set(selected).isdisjoint(readers):
+                hint = "'--" + name.replace("_", "-") + "'"
+                raise click.BadParameter(f"only {' or '.join(readers)} reads it",
+                                         param_hint=hint)
+        return command(**params)
+    for option in reversed(_RUN_OPTIONS):
+        checked = option(checked)
+    return checked
+
+
 @main.command("release")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
+@_run_options
 @click.option("--mechanism", type=click.Choice(MECHANISMS), default="sensdiff",
               show_default=True)
-@click.option("--statistic", required=True)
 @click.option("--epsilon", type=_POSITIVE, required=True)
-@click.option("--tau", type=_AT_LEAST_ONE, default=None)
 @click.option("--tau-percentile", type=_PERCENTILE, default=None,
               help="high_degree only: its tau at this degree percentile; not with --tau")
-@click.option("--degree-bound", default=None, callback=_bounds_option)
-@click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
-@click.option("--projection-thresholds", default=None, callback=_thresholds_option)
-@click.option("--seed", type=_NON_NEGATIVE, default=0, show_default=True)
 @click.option("--trial", type=_NON_NEGATIVE, default=0, show_default=True)
-@click.option("--zero-noise", is_flag=True)
-@click.option("--output", type=click.Path(), default=None)
 def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
                 degree_bound, bound_granularity, projection_thresholds, seed,
                 trial, zero_noise, output):
@@ -269,50 +295,30 @@ def release_cmd(input_path, mechanism, statistic, epsilon, tau, tau_percentile,
         () if projection_thresholds is None else (projection_thresholds,),
     )
     try:
-        config = MechanismConfig(
-            epsilon=epsilon, seed=seed, trial_id=trial, zero_noise=zero_noise
-        )
+        config = MechanismConfig(epsilon, seed, trial, zero_noise)
     except ValueError as exc:
         raise click.BadParameter(str(exc), param_hint="'--epsilon'") from exc
     with _usage_errors():
         series = run_release(
             mechanism, seq, query, config, bounds=bounds, candidates=candidates
         )
-    _emit(
-        json.dumps(
-            {
-                "mechanism": mechanism,
-                "query": query.label(),
-                "epsilon": epsilon,
-                "noise_scale": series.noise_scale,
-                "estimates": np.asarray(series.estimates).tolist(),
-            },
-            indent=2,
-        )
-        + "\n",
-        output,
-    )
+    payload = {"mechanism": mechanism, "query": query.label(), "epsilon": epsilon,
+               "noise_scale": series.noise_scale,
+               "estimates": np.asarray(series.estimates).tolist()}
+    _emit(json.dumps(payload, indent=2) + "\n", output)
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
+@_run_options
 @click.option("--dataset", default=None, help="label in output rows")
-@click.option("--statistic", required=True)
 @click.option("--epsilon", "epsilons", type=_POSITIVE, multiple=True, required=True)
 @click.option("--mechanism", "mechanisms", type=click.Choice(MECHANISMS),
               multiple=True, default=MECHANISMS, show_default=True)
 @click.option("--releases", type=_AT_LEAST_ONE, default=None,
               help="merge batches into this many release windows")
 @click.option("--trials", type=_AT_LEAST_ONE, default=100, show_default=True)
-@click.option("--tau", type=_AT_LEAST_ONE, default=None)
 @click.option("--tau-percentile", type=_PERCENTILE, default=90.0, show_default=True,
               help="tau at this degree percentile; if typed, high_degree only, not with --tau")
-@click.option("--degree-bound", default=None, callback=_bounds_option)
-@click.option("--bound-granularity", type=_AT_LEAST_ONE, default=5, show_default=True)
-@click.option("--projection-thresholds", default=None, callback=_thresholds_option)
-@click.option("--seed", type=_NON_NEGATIVE, default=0, show_default=True)
-@click.option("--zero-noise", is_flag=True)
-@click.option("--output", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
@@ -323,21 +329,12 @@ def experiment(input_path, dataset, statistic, epsilons, mechanisms, releases,
     query = _parse_statistic(statistic, tau)
     try:
         cfg = ExperimentConfig(
-            dataset=dataset or input_path,
-            seq=seq,
-            query=query,
-            epsilons=tuple(epsilons),
-            mechanisms=tuple(mechanisms),
-            trials=trials,
-            seed=seed,
-            zero_noise=zero_noise,
-            releases=releases,
+            dataset=dataset or input_path, seq=seq, query=query,
+            epsilons=tuple(epsilons), mechanisms=tuple(mechanisms), trials=trials,
+            seed=seed, zero_noise=zero_noise, releases=releases,
             tau_percentile=tau_percentile if tau is None else None,
-            bounds=degree_bound,
-            bound_granularity=bound_granularity,
-            candidates=(
-                () if projection_thresholds is None else (projection_thresholds,)
-            ),
+            bounds=degree_bound, bound_granularity=bound_granularity,
+            candidates=() if projection_thresholds is None else (projection_thresholds,),
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

@@ -17,20 +17,21 @@ mechanism is named.  It checks the inputs and reads every exact series from
 the statistics engine: the truth f(G_1..G_T), one `statistics._series` call
 (dense bin counts for a histogram), and one *arm* per series to noise
 (sensdiff's difference sequence, compose_bounded's f, or each
-compose_projection candidate's projected f) with its noise law: how many
-releases share epsilon, and whether prefix sums are released.  The bound
-check and every degree statistic read a sequence's cached degree walk.  Each
-candidate is one `graph_core._walk` of `graph_core.canonical_ordering` at
-its caps (the greedy projection), and its arm is `statistics._degree_values`
-of that walk over the parent's batches, the engine `_series` runs on the
-cached walk: every query with a projected sensitivity is a degree
-statistic, and none builds the projected sequence.
+compose_projection candidate's projected f) with its sensitivity, whose
+regime fixes the noise law (`ReleaseArm.prefix_summed`): a diff_sequence arm
+is one release, prefix-summed; a per-release arm is T releases at epsilon/T
+each, released as is.  The bound check and every degree statistic read a
+sequence's cached degree walk.  Each candidate is one `graph_core._walk` of
+`graph_core.canonical_ordering` at its caps (the greedy projection), and its
+arm is `statistics._degree_values` of that walk over the parent's batches,
+the engine `_series` runs on the cached walk: every query with a projected
+sensitivity is a degree statistic, and none builds the projected sequence.
 Every candidate's sensitivity and threshold mode is checked before the
 truth or any walk is computed.
 `ReleasePlan.draw_trials` is the only noise code and reads only
 arms.  It draws many trials at one epsilon and seed in array passes: each
 arm fills a (trials, T[, bins]) noise block, a row per trial from its own
-PCG64 stream, prefix-summed along the steps if cumulative; several arms are
+PCG64 stream, prefix-summed along the steps by the arm's law; several arms are
 scored against the truth at once (`relative_l1_errors`) and each trial
 keeps its lowest-error arm.  Chunks of trials (`_CHUNK_ELEMENTS`) bound its
 memory.  `ReleasePlan.draw` is its one-trial case and `release` is
@@ -499,17 +500,24 @@ def _check_bounds(seq: GraphSequence, bounds: DegreeBounds) -> None:
 
 @dataclass(frozen=True)
 class ReleaseArm:
-    """One exact series to noise, shape (T,) or (T, bins), and its noise law."""
+    """One exact series to noise, shape (T,) or (T, bins); its sensitivity
+    regime fixes its noise law (`prefix_summed`)."""
 
     sensitivity: SensitivityReport
     series: np.ndarray
     stream: tuple[int, ...]  # seed stream of its Laplace draw
-    releases: int  # epsilon is split evenly over this many releases
-    cumulative: bool  # release the prefix sums of the noisy series
-    thresholds: Optional[ProjectionThresholds] = None
+
+    @property
+    def prefix_summed(self) -> bool:
+        """The noise law: a diff_sequence arm is one release, at the L1
+        sensitivity of the whole series, whose prefix sums are released;
+        every other regime's arm is len(series) releases that share
+        epsilon, each released as is."""
+        return self.sensitivity.regime == "diff_sequence"
 
     def scale(self, epsilon: float) -> float:
-        return self.sensitivity.value * self.releases / epsilon
+        releases = 1 if self.prefix_summed else len(self.series)
+        return self.sensitivity.value * releases / epsilon
 
 
 class TrialDraws(NamedTuple):
@@ -569,7 +577,7 @@ class ReleasePlan:
             ).reshape(len(arms), *out.shape)
             for block, arm in zip(noisy, arms):
                 block += arm.series
-                if arm.cumulative:
+                if arm.prefix_summed:
                     # np.cumsum's loop, in place, without its wrapper's cost.
                     np.add.accumulate(block, axis=1, out=block)
             if len(arms) > 1:
@@ -586,13 +594,14 @@ class ReleasePlan:
             (config.trial_id,), config.epsilon, config.seed, config.zero_noise
         )
         pick = int(drawn.picks[0])
-        arm = self.arms[pick]
+        report = self.arms[pick].sensitivity
+        projected = isinstance(report.bounds, ProjectionThresholds)
         return ReleaseSeries(
             mechanism=self.mechanism,
             estimates=tuple(drawn.estimates[0]),
             noise_scale=drawn.arm_scales[pick],
-            sensitivity=arm.sensitivity,
-            thresholds=arm.thresholds,
+            sensitivity=report,
+            thresholds=report.bounds if projected else None,
         )
 
 
@@ -637,7 +646,7 @@ def plan(
         for i, (th, report) in enumerate(zip(candidates, reports)):
             walk = _walk(seq, ordering, *th.caps)
             series = np.array(_degree_values(query, seq, walk), dtype=float)
-            arms.append(ReleaseArm(report, series, (2, i), len(truth), False, th))
+            arms.append(ReleaseArm(report, series, (2, i)))
         return ReleasePlan(mechanism, truth, tuple(arms))
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
@@ -647,7 +656,7 @@ def plan(
     if mechanism == "compose_bounded":
         report = per_release_sensitivity(query, bounds)
         truth = np.array(_series(query, seq), dtype=float)
-        arm = ReleaseArm(report, truth, (1,), len(truth), False)
+        arm = ReleaseArm(report, truth, (1,))
         return ReleasePlan(mechanism, truth, (arm,))
     report = diff_sequence_sensitivity(query, bounds)
     truth = np.array(_series(query, seq), dtype=float)
@@ -656,7 +665,7 @@ def plan(
         rows, truth = truth, np.zeros((len(truth), bounds.caps[1] + 1))
         truth[:, :rows.shape[1]] = rows
     delta = np.diff(truth, axis=0, prepend=0.0)
-    return ReleasePlan(mechanism, truth, (ReleaseArm(report, delta, (0,), 1, True),))
+    return ReleasePlan(mechanism, truth, (ReleaseArm(report, delta, (0,)),))
 
 
 def release(

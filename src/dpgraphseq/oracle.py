@@ -624,44 +624,38 @@ def _triangle_sweep(bounds, n_max):
     number of new copies regardless of arrival times.  Relabelling nodes
     maps the capped graphs onto themselves, so attach sets score like every
     other pair in their orbit and one representative per orbit is scored.
+    An undirected graph's masks are symmetric, so its triangles are the
+    transitive term of attach sets with an empty out-set, each edge seen
+    from both endpoints.
     """
     if bounds.is_directed and bounds.d_out > bounds.d_in:
         mirrored = DegreeBounds.directed(bounds.d_out, bounds.d_in)
         return _triangle_sweep(mirrored, n_max)
     n = n_max
-    if bounds.is_directed:
-        cap_in, cap_out = bounds.caps
-        out, inmask = _capped_graphs(n, bounds)
-        out_ok, in_ok = _spare(out, cap_out), _spare(inmask, cap_in)
-        best_i = 0
-        best_ii = 0
-        for si, so in _orbit_pairs(n, cap_in, cap_out):
-            elig = ((out_ok & si) == si) & ((in_ok & so) == so)
-            si_nodes = [v for v in range(n) if si >> v & 1]
-            so_nodes = [v for v in range(n) if so >> v & 1]
+    cap_in, cap_out = bounds.caps
+    out, inmask = _capped_graphs(n, bounds)
+    out_ok = _spare(out, cap_out)
+    # An undirected graph's in-masks are its out-masks.
+    in_ok = _spare(inmask, cap_in) if bounds.is_directed else out_ok
+    best_i = best_ii = 0
+    for si, so in _orbit_pairs(n, cap_in, cap_out if bounds.is_directed else 0):
+        elig = (out_ok & si) == si
+        si_nodes = [v for v in range(n) if si >> v & 1]
+        so_nodes = [v for v in range(n) if so >> v & 1]
+        if so:
+            elig &= (in_ok & so) == so
             # triangle I: in-edge u->v*, out-edge v*->w, base edge w->u
             score_i = np.zeros(len(out), dtype=np.int64)
             for u in si_nodes:
                 score_i += _POP[inmask[:, u] & so]
-            # triangle II: every base edge inside the attached sets
-            score_ii = np.zeros(len(out), dtype=np.int64)
-            for b in si_nodes:
-                score_ii += _POP[inmask[:, b] & si]
-            for b in so_nodes:
-                score_ii += _POP[inmask[:, b] & si] + _POP[inmask[:, b] & so]
             best_i = max(best_i, int(score_i[elig].max(initial=0)))
-            best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
+        # triangle II: every base edge inside the attached sets
+        score_ii = np.zeros(len(out), dtype=np.int64)
+        for b in si_nodes:
+            score_ii += _POP[inmask[:, b] & si]
+        for b in so_nodes:
+            score_ii += _POP[inmask[:, b] & si] + _POP[inmask[:, b] & so]
+        best_ii = max(best_ii, int(score_ii[elig].max(initial=0)))
+    if bounds.is_directed:
         return {("triangle_i",): best_i, ("triangle_ii",): best_ii}
-
-    adj, _ = _capped_graphs(n, bounds)
-    cap_mask = _spare(adj, bounds.d)
-    best = 0
-    for m in range(min(bounds.d, n) + 1):
-        s = (1 << m) - 1
-        elig = (cap_mask & s) == s
-        score = np.zeros(len(adj), dtype=np.int64)
-        for v in range(m):
-            score += _POP[adj[:, v] & s]
-        score //= 2  # each inside edge seen from both endpoints
-        best = max(best, int(score[elig].max(initial=0)))
-    return {("triangle",): best}
+    return {("triangle",): best_ii // 2}

@@ -8,11 +8,15 @@ alone.  At scale 0 a release is its series itself, so it loses nothing if
 the two series are equal and without bound otherwise.  Arms at different
 scales lose without bound, and a pick among several arms by realized error
 depends on the data, so it is not covered.  A prefix sum is
-post-processing and costs nothing.
+post-processing and costs nothing.  `plan` aborts, by raising
+`BoundViolationError`, on a sequence above its stated bound; `pair_loss`
+counts the abort as an output of its own.
 """
 import math
 
 import numpy as np
+
+from dpgraphseq.errors import BoundViolationError
 
 
 def privacy_loss(plan_g, plan_h, epsilon):
@@ -31,3 +35,20 @@ def privacy_loss(plan_g, plan_h, epsilon):
     if scale == 0:
         return 0.0 if distance == 0 else math.inf
     return distance / scale
+
+
+def pair_loss(make_plan, g, h, epsilon):
+    """`privacy_loss` of ``make_plan(g)`` and ``make_plan(h)``, where an
+    abort (`BoundViolationError`) is an output too: an abort on exactly one
+    side tells the pair apart for sure (math.inf), and on both sides the
+    two outputs are the same (0.0)."""
+    plans = []
+    for seq in (g, h):
+        try:
+            plans.append(make_plan(seq))
+        except BoundViolationError:
+            plans.append(None)
+    aborted = [p is None for p in plans]
+    if any(aborted):
+        return 0.0 if all(aborted) else math.inf
+    return privacy_loss(*plans, epsilon)

@@ -405,6 +405,62 @@ def test_degree_bound_of_the_wrong_mode_is_usage_error(runner, pa_file, command)
     assert "Traceback" not in result.output
 
 
+_BOUND_READERS = "only sensdiff or compose_bounded reads it"
+_THRESHOLD_READERS = "only compose_projection reads it"
+
+
+@pytest.mark.parametrize(
+    "command, mechanisms, flag, value, readers",
+    [
+        # The PA data exceed (1,1): the refusal comes before any bound check.
+        pytest.param(command, ["compose_projection"], "--degree-bound", "1,1",
+                     _BOUND_READERS, id=f"{command}-bound-compose_projection")
+        for command in ("release", "experiment")
+    ] + [
+        pytest.param(command, [mechanism], "--projection-thresholds", "2,3",
+                     _THRESHOLD_READERS, id=f"{command}-thresholds-{mechanism}")
+        for command in ("release", "experiment")
+        for mechanism in ("sensdiff", "compose_bounded")
+    ] + [
+        pytest.param("experiment", ["sensdiff", "compose_bounded"],
+                     "--projection-thresholds", "2,3", _THRESHOLD_READERS,
+                     id="experiment-thresholds-both-baselines"),
+    ],
+)
+def test_bound_option_no_selected_mechanism_reads_is_usage_error(
+    runner, pa_file, command, mechanisms, flag, value, readers
+):
+    args = [command, "--input", str(pa_file), "--statistic", "edge",
+            "--epsilon", "1", flag, value]
+    for mechanism in mechanisms:
+        args += ["--mechanism", mechanism]
+    if command == "experiment":
+        args += ["--trials", "1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert f"'{flag}': {readers}" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--mechanism", "sensdiff", "--mechanism", "compose_projection",
+      "--projection-thresholds", "5,5"],
+     ["--mechanism", "compose_bounded", "--mechanism", "compose_projection",
+      "--degree-bound", "5,10"]],
+    ids=["thresholds", "bound"],
+)
+def test_experiment_accepts_a_bound_option_one_mechanism_reads(runner, pa_file, args):
+    result = runner.invoke(
+        main,
+        ["experiment", "--input", str(pa_file), "--statistic", "edge",
+         "--epsilon", "1", "--trials", "1", "--zero-noise", *args],
+    )
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in result.output.splitlines()[1:]]
+    assert [row[2] for row in rows] == args[1:4:2]
+
+
 @pytest.mark.parametrize(
     "args,flag",
     [

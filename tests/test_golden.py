@@ -17,7 +17,8 @@ at D in 1..5 and directed caps {1..4}^2.  `golden_cli.json` holds what the
 `wall_ms` column) on the two criterion-8 fixtures and an undirected
 Barabasi-Albert sequence, for the default flags and for each of `--tau`,
 `--tau-percentile`, `--degree-bound`, `--projection-thresholds` and
-`--releases`, across the mechanisms; a derived tau above some default grid
+`--releases`, across the mechanisms that read each flag (a bound option no
+selected mechanism reads is refused); a derived tau above some default grid
 entry's out-cap is left to `tests/test_cli.py`.  A change that moves any of
 these numbers must say why and regenerate the files with
 
@@ -212,6 +213,10 @@ def _ba_sequence():
 
 # Per fixture: a --degree-bound the data respect, and --projection-thresholds.
 CLI_PAIRS = {"pa": ("10,50", "3,3"), "sir": ("10,10", "3,3"), "ba": ("20", "3")}
+# The release flag sets each mechanism refuses: a bound option it does not read.
+CLI_UNREAD = {("degree-bound", "compose_projection"),
+              ("projection-thresholds", "sensdiff"),
+              ("projection-thresholds", "compose_bounded")}
 
 
 def _cli_flags(name: str) -> dict:
@@ -251,6 +256,7 @@ def cli_grid() -> dict:
                     **flags, "high-degree": ["--statistic", "high_degree"],
                 }.items()
                 for mechanism in MECHANISMS
+                if (label, mechanism) not in CLI_UNREAD
             }
             grid["experiment"][name] = {
                 label: [

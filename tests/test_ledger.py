@@ -1,11 +1,13 @@
 """The privacy-loss ledger (`tests/ledger.py`) on criterion 2's witness
-pairs, which realize the difference-sequence sensitivity exactly, and on
-random node-neighbouring pairs."""
+pairs, which realize the difference-sequence sensitivity exactly, on
+random node-neighbouring pairs (planned directly and through
+`release_parameters`, as the CLI plans), and on a pair of which one side
+aborts."""
 import dataclasses
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dpgraphseq import (
     DegreeBounds,
@@ -14,11 +16,13 @@ from dpgraphseq import (
     build_sequence,
     diff_sequence_sensitivity,
     per_release_sensitivity,
+    projected_sensitivity,
 )
 from dpgraphseq.errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
+from dpgraphseq.harness import release_parameters
 from dpgraphseq.mechanisms import plan
 
-from ledger import privacy_loss
+from ledger import pair_loss, privacy_loss
 from test_statistics import _all_queries, raw_batches
 from witnesses import directed_high_degree_pair, undirected_high_degree_pair
 
@@ -105,6 +109,32 @@ def test_a_zero_scale_release_loses_nothing_on_equal_series():
     assert privacy_loss(plans[0], moved, 1.0) == math.inf
 
 
+def test_an_abort_on_one_side_loses_without_bound():
+    # G is the edge a-b, within D = 1; G' adds x linked to a, which crosses it.
+    base = build_sequence(False, [(1, ["a", "b"], [("a", "b")])])
+    extra = build_sequence(False, [(1, ["a", "b", "x"], [("a", "b"), ("x", "a")])])
+    query = StatisticQuery.subgraph("edge")
+    for mechanism in ("sensdiff", "compose_bounded"):
+        def make(seq, d=1):
+            return plan(mechanism, seq, query, DegreeBounds.undirected(d))
+
+        assert pair_loss(make, base, extra, 1.0) == math.inf
+        assert pair_loss(make, extra, base, 1.0) == math.inf
+        # Two aborts are the same output; under D = 2 neither side aborts.
+        assert pair_loss(make, extra, extra, 1.0) == 0.0
+        within = pair_loss(lambda seq: make(seq, 2), base, extra, 1.0)
+        assert within == privacy_loss(make(base, 2), make(extra, 2), 1.0) <= 1.0
+
+
+def _through_release_parameters(mechanism, seq, query, bounds, thresholds):
+    """`plan` of a promised bound and fixed thresholds, the CLI's way."""
+    fixed = () if thresholds is None else (thresholds,)
+    query, bounds, candidates = release_parameters(
+        seq, query, (mechanism,), None, bounds, 5, fixed
+    )
+    return plan(mechanism, seq, query, bounds, candidates=candidates)
+
+
 @st.composite
 def node_neighbours(draw):
     """(G, G'): a random sequence, and it plus one node x with edges to up
@@ -122,24 +152,40 @@ def node_neighbours(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(node_neighbours())
-def test_node_neighbours_lose_at_most_epsilon(pair):
+@given(node_neighbours(), st.integers(1, 3), st.integers(1, 3))
+# x sends to and receives from v0: the projected edge count moves by
+# Din~ + Dout~ = 2 at thresholds (1, 1), the whole budget.
+@example((build_sequence(True, [(1, ["v0"], [])]),
+          build_sequence(True, [(1, ["v0", "x"], [("x", "v0"), ("v0", "x")])])), 1, 1)
+def test_node_neighbours_lose_at_most_epsilon(pair, th_in, th_out):
     base, extra = pair
     assume(base.horizon >= 1)
     # G' respects its own largest counters, and G, its subgraph, does too.
     cap_in, cap_out = (max(c, 1) for c in extra.degree_walk.largest)
-    bounds = (
-        DegreeBounds.directed(cap_in, cap_out) if base.directed
-        else DegreeBounds.undirected(cap_out)
-    )
-    for mechanism, rule in (("sensdiff", diff_sequence_sensitivity),
-                            ("compose_bounded", per_release_sensitivity)):
+    if base.directed:
+        bounds = DegreeBounds.directed(cap_in, cap_out)
+        thresholds = ProjectionThresholds.directed(th_in, th_out)
+    else:
+        bounds = DegreeBounds.undirected(cap_out)
+        thresholds = ProjectionThresholds.undirected(th_out)
+    # compose_projection at fixed thresholds, on the queries with a
+    # projected formula; its loss is evidence, not a certificate.
+    for mechanism, rule, fixed in (
+        ("sensdiff", diff_sequence_sensitivity, None),
+        ("compose_bounded", per_release_sensitivity, None),
+        ("compose_projection", projected_sensitivity, thresholds),
+    ):
         for query in _all_queries(base.directed):
             try:
-                rule(query, bounds)
+                rule(query, fixed or bounds)
             except (UnsupportedBaselineQueryError, InfeasibleThresholdError):
                 continue
-            plans = [plan(mechanism, seq, query, bounds) for seq in pair]
+            plans = [plan(mechanism, seq, query, bounds, fixed) for seq in pair]
+            cli_plans = [_through_release_parameters(mechanism, seq, query, bounds, fixed)
+                         for seq in pair]
             for epsilon in (1.0, 0.5):
-                loss = privacy_loss(*plans, epsilon)
-                assert loss <= epsilon * (1 + 1e-9), (mechanism, query.label(), loss)
+                for label, both in (("plan", plans), ("cli", cli_plans)):
+                    loss = privacy_loss(*both, epsilon)
+                    assert loss <= epsilon * (1 + 1e-9), (
+                        mechanism, label, query.label(), loss
+                    )

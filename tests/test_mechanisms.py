@@ -299,7 +299,7 @@ def test_projection_arms_equal_the_admitted_sequences_values(seq):
         feasible = [th for th in grid if query.tau is None or th.caps[1] >= query.tau]
         expected = [exact_values(query, admitted[th]) for th in feasible]
         arms = plan("compose_projection", seq, query, candidates=feasible).arms
-        assert [arm.thresholds for arm in arms] == feasible
+        assert [arm.sensitivity.bounds for arm in arms] == feasible
         assert [arm.series.tolist() for arm in arms] == expected, query.label()
         for th, values in zip(feasible, expected):
             (arm,) = plan("compose_projection", seq, query, thresholds=th).arms
@@ -911,7 +911,10 @@ def test_batch_rows_equal_single_draws_bit_for_bit(seed, zero_noise):
             series = p.draw(config)
             assert np.array_equal(np.array(series.estimates), want), (name, trial)
             assert series.noise_scale == scale
-            assert series.thresholds == p.arms[pick].thresholds
+            projected = p.mechanism == "compose_projection"
+            assert series.thresholds == (
+                p.arms[pick].sensitivity.bounds if projected else None
+            )
 
 
 @pytest.mark.parametrize(
