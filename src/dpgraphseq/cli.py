@@ -31,6 +31,7 @@ from .graph_core import (
     loads_edge_list,
 )
 from .harness import (
+    _READERS,
     ExperimentConfig,
     release_parameters,
     rows_to_csv,
@@ -240,8 +241,7 @@ def sensitivity(statistic, tau, degree_bound, projection_thresholds, regime):
     )
 
 
-# The options `release` and `experiment` share, and the mechanisms that read
-# each bound option.
+# The options `release` and `experiment` share.
 _RUN_OPTIONS = (
     click.option("--input", "input_path", required=True, type=click.Path(exists=True)),
     click.option("--statistic", required=True),
@@ -255,17 +255,18 @@ _RUN_OPTIONS = (
     click.option("--zero-noise", is_flag=True),
     click.option("--output", type=click.Path(), default=None),
 )
-_READERS = {"degree_bound": ("sensdiff", "compose_bounded"),
-            "projection_thresholds": ("compose_projection",)}
+# Each bound option and the `ExperimentConfig` field whose readers it shares.
+_FIELDS = {"degree_bound": "bounds", "projection_thresholds": "candidates"}
 
 
 def _run_options(command):
     """`_RUN_OPTIONS` on `command`; a bound option that none of its selected
-    mechanisms reads (`_READERS`) is a usage error naming it."""
+    mechanisms reads (`harness._READERS`) is a usage error naming it."""
     @functools.wraps(command)
     def checked(**params):
         selected = params.get("mechanisms") or (params["mechanism"],)
-        for name, readers in _READERS.items():
+        for name, field in _FIELDS.items():
+            readers = _READERS[field]
             if params[name] is not None and set(selected).isdisjoint(readers):
                 hint = "'--" + name.replace("_", "-") + "'"
                 raise click.BadParameter(f"only {' or '.join(readers)} reads it",

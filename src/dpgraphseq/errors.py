@@ -29,10 +29,6 @@ class TimeOutOfRangeError(GraphSequenceError):
     pass
 
 
-class ModeMismatchError(GraphSequenceError):
-    pass
-
-
 class PatternDirectionMismatchError(GraphSequenceError):
     pass
 

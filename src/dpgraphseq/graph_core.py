@@ -51,11 +51,11 @@ from functools import cached_property
 from typing import Iterable, NoReturn, Optional
 
 from .errors import (
+    BoundViolationError,
     DanglingEdgeError,
     DuplicateEdgeError,
     DuplicateNodeError,
     EdgeToFutureNodeError,
-    ModeMismatchError,
     OrderingMismatchError,
     SelfLoopError,
     TimeOutOfRangeError,
@@ -547,13 +547,13 @@ def verify_bounds(seq: GraphSequence, bounds: DegreeBounds) -> Optional[BoundVio
     """Check the whole sequence against a degree bound.
 
     Returns None when every snapshot satisfies the bound, otherwise the first
-    (t, node, observed degree) crossing it.  Degrees are nondecreasing, so
-    the largest counters of the sequence's degree walk decide whether the
-    bound holds, and only a violated bound scans the walk for its first
-    crossing.
+    (t, node, observed degree) crossing it; a bound of the other mode raises
+    `BoundViolationError`.  Degrees are nondecreasing, so the largest
+    counters of the sequence's degree walk decide whether the bound holds,
+    and only a violated bound scans the walk for its first crossing.
     """
     if bounds.is_directed != seq.directed:
-        raise ModeMismatchError("bounds mode does not match sequence directedness")
+        raise BoundViolationError("bound mode does not match the sequence")
     cap_in, cap_out = bounds.caps
     walk = seq.degree_walk
     largest_in, largest_out = walk.largest

@@ -4,7 +4,8 @@ The protocol mirrors a typical utility evaluation: fill in the public
 parameters (tau, degree bounds, projection candidates) the caller left out
 with `release_parameters`, run each mechanism over a grid of privacy budgets
 for many trials, and score each run by relative L1 error.  Output is
-deterministic: identical config and seed give byte-identical CSV.
+deterministic: identical config and seed give byte-identical CSV in every
+column but `wall_ms`, a timing.
 """
 from __future__ import annotations
 
@@ -36,6 +37,11 @@ from .mechanisms import (
     relative_l1_errors,
 )
 from .statistics import StatisticQuery
+
+# The mechanisms that read each degree parameter of `ExperimentConfig`; the
+# CLI's `--degree-bound` and `--projection-thresholds` set them.
+_READERS = {"bounds": ("sensdiff", "compose_bounded"),
+            "candidates": ("compose_projection",)}
 
 
 def _node_walk(seq: GraphSequence):
@@ -184,6 +190,10 @@ class ExperimentConfig:
         unknown = set(self.mechanisms) - set(MECHANISMS)
         if unknown:
             raise ValueError(f"unknown mechanisms: {sorted(unknown)}")
+        # A parameter no selected mechanism reads would be ignored unchecked.
+        for name, readers in _READERS.items():
+            if getattr(self, name) and set(self.mechanisms).isdisjoint(readers):
+                raise ValueError(f"{name}: only {' or '.join(readers)} reads it")
         # A repeated value would run, and report, its sweep cells twice.
         for name, values in (("epsilon", self.epsilons), ("mechanism", self.mechanisms)):
             for i, value in enumerate(values):

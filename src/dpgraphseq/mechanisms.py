@@ -444,14 +444,14 @@ class ReleaseSeries:
     `estimates` are the released values, one numpy value per step: a
     float64, or for histogram queries a dense float row over bins 0..degree
     bound.  So ``np.asarray(estimates)`` has the plan truth's shape, and
-    every estimate has ``.tolist()``.
+    every estimate has ``.tolist()``.  Its caps are ``sensitivity.bounds``:
+    the picked arm's projection thresholds if its regime is projected.
     """
 
     mechanism: str
     estimates: tuple
     noise_scale: float
     sensitivity: SensitivityReport
-    thresholds: Optional[ProjectionThresholds] = None
 
 
 def relative_l1_errors(estimates, truth):
@@ -485,17 +485,6 @@ def relative_l1_error(estimates: Sequence[float], truth: Sequence[float]):
     """
     error, skipped = relative_l1_errors(estimates, truth)
     return float(error), skipped
-
-
-def _check_bounds(seq: GraphSequence, bounds: DegreeBounds) -> None:
-    if bounds.is_directed != seq.directed:
-        raise BoundViolationError("bound mode does not match the sequence")
-    violation = verify_bounds(seq, bounds)
-    if violation is not None:
-        raise BoundViolationError(
-            f"node {violation.node} reaches {violation.kind} "
-            f"{violation.degree} at t={violation.time}, above the stated bound"
-        )
 
 
 @dataclass(frozen=True)
@@ -594,14 +583,11 @@ class ReleasePlan:
             (config.trial_id,), config.epsilon, config.seed, config.zero_noise
         )
         pick = int(drawn.picks[0])
-        report = self.arms[pick].sensitivity
-        projected = isinstance(report.bounds, ProjectionThresholds)
         return ReleaseSeries(
             mechanism=self.mechanism,
             estimates=tuple(drawn.estimates[0]),
             noise_scale=drawn.arm_scales[pick],
-            sensitivity=report,
-            thresholds=report.bounds if projected else None,
+            sensitivity=self.arms[pick].sensitivity,
         )
 
 
@@ -616,13 +602,16 @@ def plan(
     """Check the inputs and compute every exact series a release noises.
 
     sensdiff and compose_bounded need degree bounds, which the sequence must
-    respect.  compose_projection needs exactly one of `thresholds` (fixed)
-    or `candidates` (one arm each, picked per trial by realized error
-    against the exact unprojected statistic).  A regime's sensitivity lookup
+    respect (`verify_bounds`).  compose_projection needs exactly one of
+    `thresholds` (fixed) or `candidates` (one arm each, picked per trial by
+    realized error against the exact unprojected statistic).  A parameter
+    the mechanism does not read is ignored, since `run_experiment` hands
+    every plan the same resolved ones; `ExperimentConfig` and the CLI refuse
+    one that no selected mechanism reads.  A regime's sensitivity lookup
     refuses a query it lacks, such as a histogram under compose_projection.
     Every truth is one `_series` call; sensdiff widens histogram rows to
-    bins 0..cap_out.  The sequence needs at least one release step, a batch at
-    t >= 1; it is a node-arrival sequence by construction (`GraphSequence`).
+    bins 0..cap_out.  The sequence needs at least one release step, a batch
+    at t >= 1; it is a node-arrival sequence by construction (`GraphSequence`).
     """
     if seq.horizon < 1:
         raise ValueError("the sequence has no release step (no batch at t >= 1)")
@@ -652,14 +641,17 @@ def plan(
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if bounds is None:
         raise ValueError(f"{mechanism} needs degree bounds")
-    _check_bounds(seq, bounds)
-    if mechanism == "compose_bounded":
-        report = per_release_sensitivity(query, bounds)
-        truth = np.array(_series(query, seq), dtype=float)
-        arm = ReleaseArm(report, truth, (1,))
-        return ReleasePlan(mechanism, truth, (arm,))
-    report = diff_sequence_sensitivity(query, bounds)
-    truth = np.array(_series(query, seq), dtype=float)
+    violation = verify_bounds(seq, bounds)
+    if violation is not None:
+        raise BoundViolationError(
+            f"node {violation.node} reaches {violation.kind} "
+            f"{violation.degree} at t={violation.time}, above the stated bound"
+        )
+    bounded = mechanism == "compose_bounded"
+    rule = per_release_sensitivity if bounded else diff_sequence_sensitivity
+    report, truth = rule(query, bounds), np.array(_series(query, seq), dtype=float)
+    if bounded:
+        return ReleasePlan(mechanism, truth, (ReleaseArm(report, truth, (1,)),))
     if truth.ndim == 2:
         # Histogram rows stop at the largest degree, a release at the out-cap.
         rows, truth = truth, np.zeros((len(truth), bounds.caps[1] + 1))

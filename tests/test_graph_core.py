@@ -20,11 +20,11 @@ from dpgraphseq import (
     verify_bounds,
 )
 from dpgraphseq.errors import (
+    BoundViolationError,
     DanglingEdgeError,
     DuplicateEdgeError,
     DuplicateNodeError,
     EdgeToFutureNodeError,
-    ModeMismatchError,
     SelfLoopError,
     TimeOutOfRangeError,
 )
@@ -548,7 +548,7 @@ def test_verify_bounds_directed_modes():
     assert v.kind == "in" and v.node == "b"
     v = verify_bounds(seq, DegreeBounds.directed(2, 1))
     assert v.kind == "out" and v.node == "a"
-    with pytest.raises(ModeMismatchError):
+    with pytest.raises(BoundViolationError, match="^bound mode does not match"):
         verify_bounds(seq, DegreeBounds.undirected(2))
 
 

@@ -346,6 +346,32 @@ def test_experiment_config_rejects_histogram_queries():
         experiment_config(query=StatisticQuery.degree_histogram())
 
 
+def test_experiment_config_refuses_a_parameter_no_selected_mechanism_reads():
+    # On the path a-b-c, b has degree 2: a bound of 1 that compose_projection
+    # never reads would pass unchecked, so the config refuses it.
+    path = build_sequence(False, [(1, ["a", "b", "c"], [("a", "b"), ("b", "c")])])
+    edge = StatisticQuery.subgraph("edge")
+    th = ProjectionThresholds.undirected(1)
+    cases = [
+        (("compose_projection",), dict(bounds=DegreeBounds.undirected(1)),
+         "^bounds: only sensdiff or compose_bounded reads it"),
+        (("sensdiff", "compose_bounded"), dict(candidates=(th,)),
+         "^candidates: only compose_projection reads it"),
+    ]
+    for mechanisms, kw, match in cases:
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(dataset="path", seq=path, query=edge, epsilons=(1.0,),
+                             mechanisms=mechanisms, **kw)
+    # Each is taken when one of its readers is selected.
+    rows, _ = run_experiment(ExperimentConfig(
+        dataset="path", seq=path, query=edge, epsilons=(1.0,), trials=2,
+        mechanisms=("compose_projection", "compose_bounded"),
+        bounds=DegreeBounds.undirected(2), candidates=(th,),
+    ))
+    mechanisms = [row.mechanism for row in rows]
+    assert mechanisms == ["compose_projection"] * 2 + ["compose_bounded"] * 2
+
+
 def test_run_experiment_row_grid_and_summaries():
     cfg = experiment_config()
     rows, summaries = run_experiment(cfg)
@@ -430,7 +456,7 @@ def test_run_experiment_projects_each_candidate_once(monkeypatch):
     monkeypatch.setattr(mechanisms, "_walk", counting)
     candidates = (ProjectionThresholds.undirected(2), ProjectionThresholds.undirected(5))
     cfg = experiment_config(
-        mechanisms=("compose_projection",), trials=5, candidates=candidates
+        mechanisms=("compose_projection",), trials=5, bounds=None, candidates=candidates
     )
     rows, _ = run_experiment(cfg)
     assert len(rows) == 2 * 5

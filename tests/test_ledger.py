@@ -1,8 +1,8 @@
 """The privacy-loss ledger (`tests/ledger.py`) on criterion 2's witness
-pairs, which realize the difference-sequence sensitivity exactly, on
-random node-neighbouring pairs (planned directly and through
-`release_parameters`, as the CLI plans), and on a pair of which one side
-aborts."""
+pairs, which realize the difference-sequence sensitivity exactly, on the
+degree histogram's witness family, on random node-neighbouring pairs
+(planned directly and through `release_parameters`, as the CLI plans), and
+on a pair of which one side aborts."""
 import dataclasses
 import math
 
@@ -17,14 +17,20 @@ from dpgraphseq import (
     diff_sequence_sensitivity,
     per_release_sensitivity,
     projected_sensitivity,
+    verify_bounds,
 )
 from dpgraphseq.errors import InfeasibleThresholdError, UnsupportedBaselineQueryError
 from dpgraphseq.harness import release_parameters
 from dpgraphseq.mechanisms import plan
 
+from bruteforce import _naive_diff_distance
 from ledger import pair_loss, privacy_loss
 from test_statistics import _all_queries, raw_batches
-from witnesses import directed_high_degree_pair, undirected_high_degree_pair
+from witnesses import (
+    directed_high_degree_pair,
+    undirected_high_degree_pair,
+    undirected_histogram_pair,
+)
 
 
 def _witness_pairs():
@@ -68,6 +74,25 @@ def test_compose_bounded_loses_at_most_epsilon_on_the_witnesses(base, extra, que
         epsilon,
     )
     assert 0 < loss <= epsilon
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_the_histogram_witnesses_lose_their_distance_over_the_rule(d):
+    base, extra = undirected_histogram_pair(d)
+    query, bounds = StatisticQuery.degree_histogram(), DegreeBounds.undirected(d)
+    assert verify_bounds(extra, bounds) is None
+    distance = _naive_diff_distance(
+        query, False, base.node_time, base.edges, extra.node_time, extra.edges,
+        extra.horizon,
+    )
+    rule = diff_sequence_sensitivity(query, bounds).value
+    if d == 1:
+        assert distance == rule == 5
+    else:
+        assert distance == rule - 2 == 4 * d * d - 1
+    plans = [plan("sensdiff", seq, query, bounds) for seq in (base, extra)]
+    for epsilon in (1.0, 0.5):
+        assert privacy_loss(*plans, epsilon) == distance / rule * epsilon
 
 
 def test_a_realized_error_pick_is_not_covered():
@@ -157,6 +182,11 @@ def node_neighbours(draw):
 # Din~ + Dout~ = 2 at thresholds (1, 1), the whole budget.
 @example((build_sequence(True, [(1, ["v0"], [])]),
           build_sequence(True, [(1, ["v0", "x"], [("x", "v0"), ("v0", "x")])])), 1, 1)
+# x links to v0 and v1 at D~ = 2: the projected edge count moves by D~ = 2
+# and high_degree(1) by D~ + 1 = 3, each the whole budget.
+@example((build_sequence(False, [(1, ["v0", "v1"], [])]),
+          build_sequence(False, [(1, ["v0", "v1", "x"], [("x", "v0"), ("x", "v1")])])),
+         1, 2)
 def test_node_neighbours_lose_at_most_epsilon(pair, th_in, th_out):
     base, extra = pair
     assume(base.horizon >= 1)

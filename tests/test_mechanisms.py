@@ -236,7 +236,7 @@ def test_projection_candidate_pick_reports_chosen_thresholds():
             ProjectionThresholds.undirected(2),
         ],
     )
-    assert series.thresholds == ProjectionThresholds.undirected(2)
+    assert series.sensitivity.bounds == ProjectionThresholds.undirected(2)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -911,10 +911,7 @@ def test_batch_rows_equal_single_draws_bit_for_bit(seed, zero_noise):
             series = p.draw(config)
             assert np.array_equal(np.array(series.estimates), want), (name, trial)
             assert series.noise_scale == scale
-            projected = p.mechanism == "compose_projection"
-            assert series.thresholds == (
-                p.arms[pick].sensitivity.bounds if projected else None
-            )
+            assert series.sensitivity == p.arms[pick].sensitivity
 
 
 @pytest.mark.parametrize(

@@ -83,3 +83,23 @@ def chained_star_pair(releases=6, d_tilde=3):
         return out
 
     return build_sequence(False, steps(False)), build_sequence(False, steps(True))
+
+
+def undirected_histogram_pair(d):
+    """Neighbors whose degree-histogram difference sequences lie 5 apart at
+    d = 1, the sensitivity rule's value, and 4d^2 - 1 apart for d >= 2, two
+    below the rule's 4d^2 + 1.
+
+    In G' the node v arrives alone at step 1 and its neighbours w_1..w_d at
+    steps 2..d+1, each linked to v; then each w_i in turn gains d - 1 edges
+    to fresh nodes, one fresh node per step.  G is G' without v, so every
+    w_i sits one degree lower there at every step.  G' respects D = d.
+    """
+    assert d >= 1
+    steps = [(1, ["v"], [])]
+    steps += [(1 + i, [f"w{i}"], [(f"w{i}", "v")]) for i in range(1, d + 1)]
+    fresh = [(f"w{i}", f"f{i}_{j}") for i in range(1, d + 1) for j in range(1, d)]
+    steps += [(d + 2 + k, [f], [(w, f)]) for k, (w, f) in enumerate(fresh)]
+    base = [(t, [n for n in nodes if n != "v"], [e for e in edges if "v" not in e])
+            for t, nodes, edges in steps]
+    return build_sequence(False, base), build_sequence(False, steps)
